@@ -38,7 +38,7 @@ from typing import Dict, Generator, Optional, Tuple
 
 from repro.cpu.core import USER
 from repro.cpu.thread import SimThread
-from repro.oskernel.kernel import Kernel, KernelProcess
+from repro.oskernel.kernel import THP_PAGES, Kernel, KernelProcess
 from repro.oskernel.layout import GUARD_REGION_BYTES, PAGE_SIZE, WASM_PAGE_SIZE
 from repro.oskernel.vma import Prot
 from repro.runtime.strategies import BoundsStrategy
@@ -58,7 +58,7 @@ from repro.trace.tracer import TRACE
 NATIVE_SPAWN_SECONDS = 150e-6
 
 #: Minimum pages per replayed fault batch (one THP mapping).
-FAULT_BATCH_PAGES = 512
+FAULT_BATCH_PAGES = THP_PAGES
 
 #: Fraction of the compute phase over which first-touch faults spread.
 FAULT_PHASE_FRACTION = 0.4
@@ -377,20 +377,20 @@ class InstanceLifecycle:
     # ------------------------------------------------------------------
     def _compute_with_faults(self, area) -> Generator:
         plan = self.plan
-        pages = plan.touched_pages - len(area.populated)
+        pages = plan.touched_pages - area.populated_pages
         if pages <= 0:  # nothing to fault (defensive; resets zap)
             yield from self._run_compute(plan.compute_seconds)
             return
-        # Batches align to THP granularity (512 pages: one huge-page
-        # fault each) and are capped in number: faults take the *read*
-        # side of mmap_lock, so coarser batching does not change the
+        # Batches align to THP granularity (at least one huge-page fault
+        # each) and are capped in number: faults take the *read* side
+        # of mmap_lock, so coarser batching does not change the
         # contention structure, only the event count.
-        batch_pages = max(512, math.ceil(pages / 256))
+        batch_pages = max(FAULT_BATCH_PAGES, math.ceil(pages / 256))
         batches = math.ceil(pages / batch_pages)
         fault_span = plan.compute_seconds * FAULT_PHASE_FRACTION
         chunk = fault_span / batches if batches else 0.0
         uffd = (not plan.native) and plan.strategy.fault_mechanism == "uffd"
-        offset = len(area.populated) * PAGE_SIZE
+        offset = area.populated_pages * PAGE_SIZE
         for index in range(batches):
             count = min(batch_pages, pages - index * batch_pages)
             length = count * PAGE_SIZE
@@ -399,7 +399,7 @@ class InstanceLifecycle:
                 # "the faulted page, or a larger range of pages").
                 yield from self.kernel.fault_uffd_batch(
                     self.thread, self.proc, area, offset, length,
-                    range_pages=512,
+                    range_pages=THP_PAGES,
                 )
             else:
                 yield from self.kernel.fault_anon_batch(

@@ -5,7 +5,10 @@ reproduction, typically the 8 GiB guard region backing one WebAssembly
 linear memory.  It combines:
 
 * a :class:`~repro.oskernel.vma.ProtectionMap` (the VMA structure), and
-* the set of *populated* pages (pages with an installed PTE).
+* the *populated* pages (pages with an installed PTE), kept as sorted
+  runs so that populating or zapping a range costs O(runs touched)
+  rather than O(pages): fault batches are contiguous, so an arena's
+  populated pages are usually one run.
 
 The distinction is the crux of the paper's kernel-side story: changing
 protections is a VMA operation under the exclusive ``mmap_lock``;
@@ -15,6 +18,7 @@ populated pages requires both PTE zapping and a TLB shootdown.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -36,8 +40,13 @@ class Area:
     name: str = ""
     uffd_registered: bool = False
     prot_map: ProtectionMap = field(init=False)
-    #: Indices (relative to the area) of populated pages.
-    populated: set = field(default_factory=set)
+    #: Populated pages (indices relative to the area) as runs
+    #: ``[run_starts[i], run_ends[i])``: sorted, disjoint, non-empty and
+    #: non-adjacent (``run_ends[i] < run_starts[i + 1]``).
+    run_starts: list = field(default_factory=list, init=False)
+    run_ends: list = field(default_factory=list, init=False)
+    #: Total pages across the runs.
+    populated_pages: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.prot_map = ProtectionMap(self.length, Prot.NONE)
@@ -48,7 +57,7 @@ class Area:
 
     @property
     def populated_bytes(self) -> int:
-        return len(self.populated) * PAGE_SIZE
+        return self.populated_pages * PAGE_SIZE
 
     def page_range(self, offset: int, length: int) -> range:
         if not 0 <= offset <= offset + length <= self.length:
@@ -61,25 +70,59 @@ class Area:
 
     def populate(self, offset: int, length: int) -> int:
         """Mark pages populated; returns how many were newly installed."""
-        added = 0
-        for page in self.page_range(offset, length):
-            if page not in self.populated:
-                self.populated.add(page)
-                added += 1
+        pages = self.page_range(offset, length)
+        first, last = pages.start, pages.stop
+        if first == last:
+            return 0
+        starts, ends = self.run_starts, self.run_ends
+        # Runs i..j-1 overlap or abut [first, last) and merge with it.
+        i = bisect_left(ends, first)
+        j = bisect_right(starts, last, i)
+        present = 0
+        for k in range(i, j):
+            present += min(ends[k], last) - max(starts[k], first)
+        if i < j:
+            first = min(first, starts[i])
+            last = max(last, ends[j - 1])
+        starts[i:j] = (first,)
+        ends[i:j] = (last,)
+        added = len(pages) - present
+        self.populated_pages += added
         return added
 
     def zap(self, offset: int, length: int) -> int:
         """Unpopulate pages in the range; returns how many were zapped."""
+        pages = self.page_range(offset, length)
+        first, last = pages.start, pages.stop
+        if first == last:
+            return 0
+        starts, ends = self.run_starts, self.run_ends
+        # Runs i..j-1 share at least one page with [first, last).
+        i = bisect_right(ends, first)
+        j = bisect_left(starts, last, i)
+        if i == j:
+            return 0
         zapped = 0
-        for page in self.page_range(offset, length):
-            if page in self.populated:
-                self.populated.discard(page)
-                zapped += 1
+        for k in range(i, j):
+            zapped += min(ends[k], last) - max(starts[k], first)
+        # Keep the parts of the outer runs that stick out of the range.
+        kept_starts, kept_ends = [], []
+        if starts[i] < first:
+            kept_starts.append(starts[i])
+            kept_ends.append(first)
+        if ends[j - 1] > last:
+            kept_starts.append(last)
+            kept_ends.append(ends[j - 1])
+        starts[i:j] = kept_starts
+        ends[i:j] = kept_ends
+        self.populated_pages -= zapped
         return zapped
 
     def zap_all(self) -> int:
-        zapped = len(self.populated)
-        self.populated.clear()
+        zapped = self.populated_pages
+        self.run_starts.clear()
+        self.run_ends.clear()
+        self.populated_pages = 0
         return zapped
 
 

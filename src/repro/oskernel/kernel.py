@@ -31,7 +31,9 @@ of them individually would drown the event queue.  ``fault_*_batch``
 services ``n`` pages in one critical section whose length is the sum of
 the per-page costs, preserving both total CPU time and (to within one
 batch) the lock-contention behaviour.  Batch sizes are chosen by the
-caller (the harness uses 64 pages).
+caller: the harness (``repro.core.lifecycle``) replays first-touch
+faults in batches of at least ``FAULT_BATCH_PAGES`` (512 pages, one
+THP mapping), at most 256 batches per iteration.
 """
 
 from __future__ import annotations
@@ -78,20 +80,18 @@ def _lock_write(thread: "SimThread", proc: "KernelProcess") -> Generator:
     the CPU (and the scheduler only records switches) on the slow path.
     """
     lock = proc.mmap_lock
-    if not lock.active_writer and not lock.active_readers and not lock._queue:
-        yield from lock.acquire_write()
-    else:
+    if lock.write_would_wait():
         yield from thread.block_on(lock.acquire_write())
+    else:
+        yield from lock.acquire_write()
 
 
 def _lock_read(thread: "SimThread", proc: "KernelProcess") -> Generator:
     lock = proc.mmap_lock
-    if not lock.active_writer and not any(
-        kind == lock.WRITE for kind, _ in lock._queue
-    ):
-        token = yield from lock.acquire_read()
-    else:
+    if lock.read_would_wait():
         token = yield from thread.block_on(lock.acquire_read())
+    else:
+        token = yield from lock.acquire_read()
     return token
 
 

@@ -12,11 +12,16 @@ generators that ``yield`` either
 Determinism: events scheduled for the same timestamp fire in scheduling
 order (a monotonically increasing sequence number breaks ties), so runs
 are reproducible regardless of hash seeds or dict ordering.
+
+Most callbacks are due at the current time (event wake-ups, process
+starts, ``Delay(0)``).  Those skip the heap and wait in a FIFO lane;
+see :meth:`Engine.run` for why that keeps the scheduling order.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -176,14 +181,21 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
+        #: Callbacks due after ``now``, ordered by (time, sequence).
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
+        #: The lane: callbacks due at ``now``, in firing order.
+        self._ready: deque[Callable[[], None]] = deque()
+        #: Callbacks scheduled so far, on either path.
         self._sequence = 0
 
     def call_at(self, when: float, callback: Callable[[], None]) -> None:
         if when < self.now:
             raise SimError(f"cannot schedule in the past: {when} < {self.now}")
         self._sequence += 1
-        heapq.heappush(self._queue, (when, self._sequence, callback))
+        if when == self.now:
+            self._ready.append(callback)
+        else:
+            heapq.heappush(self._queue, (when, self._sequence, callback))
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> None:
         self.call_at(self.now + delay, callback)
@@ -229,15 +241,26 @@ class Engine:
 
         With ``until`` set, stops once the next event lies beyond it and
         fast-forwards the clock to ``until``.
+
+        When the clock reaches a time, every heap entry due then moves
+        to the lane before any of them fires: they were pushed before
+        the clock got there, so their sequence numbers are lower than
+        those of the callbacks the lane receives at that time.
         """
-        while self._queue:
-            when, _, callback = self._queue[0]
+        queue, ready = self._queue, self._ready
+        heappop, popleft = heapq.heappop, ready.popleft
+        while True:
+            while ready:
+                popleft()()
+            if not queue:
+                break
+            when = queue[0][0]
             if until is not None and when > until:
                 self.now = until
                 return self.now
-            heapq.heappop(self._queue)
             self.now = when
-            callback()
+            while queue and queue[0][0] == when:
+                ready.append(heappop(queue)[2])
         if until is not None and until > self.now:
             self.now = until
         return self.now

@@ -122,10 +122,22 @@ class RWLock:
         self._next_reader_token = 0
 
     # -- acquisition ---------------------------------------------------
+    def read_would_wait(self) -> bool:
+        """Whether :meth:`acquire_read` would queue now: a writer holds
+        the lock or waits for it (writer preference)."""
+        return self.active_writer or any(
+            kind == self.WRITE for kind, _ in self._queue
+        )
+
+    def write_would_wait(self) -> bool:
+        """Whether :meth:`acquire_write` would queue now: anyone holds
+        the lock or waits for it."""
+        return self.active_writer or self.active_readers > 0 or bool(self._queue)
+
     def acquire_read(self) -> Generator:
         """``yield from`` style; returns a token to pass to release_read."""
         start = self.engine.now
-        if self.active_writer or self._writer_waiting():
+        if self.read_would_wait():
             event = self.engine.event(f"{self.name}.rd.wait")
             self._queue.append((self.READ, event))
             yield event
@@ -148,7 +160,7 @@ class RWLock:
 
     def acquire_write(self) -> Generator:
         start = self.engine.now
-        if self.active_writer or self.active_readers or self._queue:
+        if self.write_would_wait():
             event = self.engine.event(f"{self.name}.wr.wait")
             self._queue.append((self.WRITE, event))
             yield event
@@ -195,9 +207,6 @@ class RWLock:
         self._wake_next()
 
     # -- internals -----------------------------------------------------
-    def _writer_waiting(self) -> bool:
-        return any(kind == self.WRITE for kind, _ in self._queue)
-
     def _wake_next(self) -> None:
         if not self._queue or self.active_writer or self.active_readers:
             return

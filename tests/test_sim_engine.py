@@ -38,6 +38,37 @@ def test_same_time_events_fire_in_scheduling_order():
     assert order == ["first", "second", "third"]
 
 
+def test_same_time_callbacks_keep_scheduling_order():
+    # Entries scheduled for T before the clock reached T fire before
+    # anything scheduled at T, which then fires first-in first-out.
+    engine = Engine()
+    when = 2.0
+    order = []
+    wake = engine.event("wake")
+
+    def waiter():
+        yield wake
+        order.append("event wake-up")
+
+    def trigger():
+        yield Delay(when)
+        order.append("trigger")
+        engine.call_at(when, lambda: order.append("call_at"))
+        wake.succeed()
+        yield Delay(0.0)
+        order.append("delay(0)")
+
+    engine.process(waiter())  # 1: start
+    engine.process(trigger())  # 2: start, then 4: Delay(when)
+    # 3, then 5 from inside it: queued for ``when`` after the trigger.
+    engine.call_at(1.0, lambda: engine.call_at(when, lambda: order.append("early")))
+    engine.run()
+    # 6: call_at, 7: the waiter's wake-up, 8: the Delay(0) resumption.
+    assert order == ["trigger", "early", "call_at", "event wake-up", "delay(0)"]
+    assert engine.now == when
+    assert engine._sequence == 8
+
+
 def test_run_until_stops_early():
     engine = Engine()
     fired = []
