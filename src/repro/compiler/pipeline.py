@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.compiler.bce import BCEStats
 from repro.compiler.frontend import lower_module
@@ -114,13 +114,66 @@ def _affine_guard_allowed(strategy: BoundsStrategy) -> bool:
     return strategy.addr_bits == 32
 
 
+#: :func:`optimise_module`'s result: function index -> (optimised IR,
+#: BCE counters).
+FrontHalf = Dict[int, Tuple[IRFunction, BCEStats]]
+
+
+def front_half_inputs(
+    config: CompilerConfig, strategy: BoundsStrategy
+) -> Tuple[FrozenSet[str], bool]:
+    """What the front half depends on besides the module.
+
+    The enabled pass set and BCE's affine-guard legality; the ISA, the
+    register allocator and the rest of ``config`` only shape the back
+    half, so every configuration that agrees on these two can share one
+    optimised IR.
+    """
+    passes = frozenset(config.passes)
+    if not strategy.inline_check:
+        # BCE only pays off (and only shows up in cost) when check code
+        # is inlined; skipping it entirely for none/mprotect/uffd keeps
+        # their code shape — and therefore their figures — bit-for-bit
+        # independent of whether BCE is enabled.
+        passes = passes - {"bce", "bceloop"}
+    return passes, _affine_guard_allowed(strategy)
+
+
+def optimise_module(
+    module: Module, passes: FrozenSet[str], affine_guard_ok: bool
+) -> FrontHalf:
+    """The ISA-independent half of the pipeline: lower, then optimise.
+
+    Returns each defined function's optimised IR and its BCE counters.
+    The back half (:func:`compile_module`) only reads them, so one
+    result may be shared by every ISA and strategy with the same
+    :func:`front_half_inputs`.
+    """
+    front: FrontHalf = {}
+    for func_index, irf in lower_module(module).items():
+        bce_stats = BCEStats()
+        run_passes(
+            irf, passes, bce_stats=bce_stats, affine_guard_ok=affine_guard_ok,
+        )
+        front[func_index] = (irf, bce_stats)
+    return front
+
+
 def compile_module(
     module: Module,
     isa: IsaModel,
     config: CompilerConfig,
     strategy: BoundsStrategy,
+    front: Optional[FrontHalf] = None,
 ) -> CompiledModule:
-    """Run the full pipeline for every defined function."""
+    """Run the full pipeline for every defined function.
+
+    ``front`` is :func:`optimise_module`'s result for this module and
+    ``front_half_inputs(config, strategy)``; without it the front half
+    runs here.
+    """
+    if front is None:
+        front = optimise_module(module, *front_half_inputs(config, strategy))
     compiled = CompiledModule(module, isa, config, strategy)
     extra_access_ops = config.baseline_access_ops
     if strategy.signal_on_oob or strategy.inline_check:
@@ -130,19 +183,7 @@ def compile_module(
         extra_access_ops=extra_access_ops,
         addressing_fusion=config.addressing_fusion,
     )
-    enabled = set(config.passes)
-    if not strategy.inline_check:
-        # BCE only pays off (and only shows up in cost) when check code
-        # is inlined; skipping it entirely for none/mprotect/uffd keeps
-        # their code shape — and therefore their figures — bit-for-bit
-        # independent of whether BCE is enabled.
-        enabled -= {"bce", "bceloop"}
-    for func_index, irf in lower_module(module).items():
-        bce_stats = BCEStats()
-        run_passes(
-            irf, enabled, bce_stats=bce_stats,
-            affine_guard_ok=_affine_guard_allowed(strategy),
-        )
+    for func_index, (irf, bce_stats) in front.items():
         machine_ops = select_function(irf, isa, selection)
         if config.stack_checks and irf.blocks:
             # Stack-limit compare+branch in the prologue (entry block).

@@ -161,6 +161,44 @@ def _plain(value: object) -> object:
     return value
 
 
+#: Calibration hashes per (runtime, strategy, isa, workload), and the
+#: plain-data payload components they are built from per (kind, name):
+#: one ``clear()`` drops both.
+_calibration_memo: Dict[tuple, object] = {}
+
+
+def _calibration_source(kind: str, name: str) -> object:
+    """The model object one payload component is read from."""
+    from repro.compiler import timing
+    from repro.core.config import PAPER_TARGETS
+    from repro.cpu.machine import MACHINE_SPECS
+    from repro.isa import ISAS
+    from repro.oskernel.syscalls import SyscallCosts
+    from repro.runtime.strategies import STRATEGIES
+    from repro.runtimes import runtime_named
+
+    sources = {
+        "syscall_costs": SyscallCosts,
+        "runtime": lambda: runtime_named(name),
+        "strategy": lambda: STRATEGIES[name],
+        "isa": lambda: ISAS[name],
+        "machine": lambda: MACHINE_SPECS[name],
+        "target": lambda: PAPER_TARGETS[name],
+        "interp_op_work": lambda: timing._INTERP_OP_WORK,
+        "interp_expensive": lambda: timing._INTERP_EXPENSIVE,
+    }
+    return sources[kind]()
+
+
+def _component(kind: str, name: str = "") -> object:
+    """One payload component as plain data, memoised per (kind, name)."""
+    key = (kind, name)
+    plain = _calibration_memo.get(key)
+    if plain is None:
+        plain = _calibration_memo[key] = _plain(_calibration_source(kind, name))
+    return plain
+
+
 def _calibration_payload(
     runtime: str, strategy: str, isa: str, workload: str
 ) -> object:
@@ -172,35 +210,24 @@ def _calibration_payload(
     through the paper-scale anchor in :func:`run_benchmark` — the
     native-Clang model on x86-64 plus the workload's paper target.
     """
-    from repro.compiler import timing
-    from repro.core.config import PAPER_TARGETS
-    from repro.cpu.machine import MACHINE_SPECS
-    from repro.isa import ISAS
-    from repro.oskernel.syscalls import SyscallCosts
-    from repro.runtime.strategies import STRATEGIES
-    from repro.runtimes import runtime_named
-
     return {
         # The WASI service-latency table prices every syscall batch;
         # the ISA entry cost is covered by the "isa" entry below.
-        "syscall_costs": _plain(SyscallCosts()),
-        "runtime": _plain(runtime_named(runtime)),
-        "strategy": _plain(STRATEGIES[strategy]),
-        "isa": _plain(ISAS[isa]),
-        "machine": _plain(MACHINE_SPECS[isa]),
+        "syscall_costs": _component("syscall_costs"),
+        "runtime": _component("runtime", runtime),
+        "strategy": _component("strategy", strategy),
+        "isa": _component("isa", isa),
+        "machine": _component("machine", isa),
         "anchor": {
-            "runtime": _plain(runtime_named("native-clang")),
-            "strategy": _plain(STRATEGIES["none"]),
-            "isa": _plain(ISAS["x86_64"]),
-            "machine": _plain(MACHINE_SPECS["x86_64"]),
-            "target": _plain(PAPER_TARGETS[workload]),
+            "runtime": _component("runtime", "native-clang"),
+            "strategy": _component("strategy", "none"),
+            "isa": _component("isa", "x86_64"),
+            "machine": _component("machine", "x86_64"),
+            "target": _component("target", workload),
         },
-        "interp_op_work": _plain(timing._INTERP_OP_WORK),
-        "interp_expensive": _plain(timing._INTERP_EXPENSIVE),
+        "interp_op_work": _component("interp_op_work"),
+        "interp_expensive": _component("interp_expensive"),
     }
-
-
-_calibration_memo: Dict[tuple, str] = {}
 
 
 def calibration_hash(
@@ -212,7 +239,9 @@ def calibration_hash(
     model or paper-scale target changes the hash and silently
     invalidates the affected cached measurements — the cache never
     needs manual flushing after model work.  Hashes are memoised per
-    configuration at first use.
+    configuration at first use, and the payload components they share
+    (runtime, strategy, ISA, machine, paper target, fixed tables) are
+    built once each.
     """
     memo_key = (runtime, strategy, isa, workload)
     cached = _calibration_memo.get(memo_key)

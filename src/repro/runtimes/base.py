@@ -5,7 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.compiler.pipeline import CompiledModule, CompilerConfig, compile_module
+from repro.compiler.pipeline import (
+    CompiledModule,
+    CompilerConfig,
+    FrontHalf,
+    compile_module,
+    front_half_inputs,
+    optimise_module,
+)
 from repro.compiler.timing import (
     check_counts_for_profile,
     cycles_for_profile,
@@ -59,9 +66,16 @@ class RuntimeModel:
     #: compile-speed/code-quality trade-off Titzer [29] tabulates
     #: (LLVM slowest, baseline tiers and interpreters near-free).
     compile_seconds_per_instr: float = 0.0
-    _cache: Dict[Tuple[int, str, str], Tuple[CompiledModule, object]] = field(
-        default_factory=dict, repr=False
-    )
+    #: Compiled code per (module, enabled passes, affine-guard
+    #: legality): the inputs of the ISA-independent front half.  Each
+    #: entry holds that front half, a strong reference to the module (so
+    #: its id() can never be recycled onto a different module) and the
+    #: back-end result per (isa, strategy), all sharing the front half's
+    #: IR.
+    _cache: Dict[
+        Tuple[int, FrozenSet[str], bool],
+        Tuple[FrontHalf, Module, Dict[Tuple[str, str], CompiledModule]],
+    ] = field(default_factory=dict, repr=False)
     #: Block-costing results per (module, profile, isa, strategy): the
     #: costing walk over every block of every function is pure, so one
     #: run prices the configuration for all subsequent measurements
@@ -89,11 +103,19 @@ class RuntimeModel:
     ) -> CompiledModule:
         if self.compiler is None:
             raise ValueError(f"runtime {self.name} does not compile code")
-        key = (id(module), isa.name, strategy.name)
-        cached = key in self._cache
+        passes, affine_guard_ok = front_half_inputs(self.compiler, strategy)
+        key = (id(module), passes, affine_guard_ok)
+        entry = self._cache.get(key)
+        if entry is None:
+            entry = self._cache[key] = (
+                optimise_module(module, passes, affine_guard_ok), module, {},
+            )
+        front, _, backends = entry
+        compiled = backends.get((isa.name, strategy.name))
+        cached = compiled is not None
         if not cached:
-            self._cache[key] = (
-                compile_module(module, isa, self.compiler, strategy), module,
+            compiled = backends[isa.name, strategy.name] = compile_module(
+                module, isa, self.compiler, strategy, front,
             )
         if TRACE.enabled:
             # Pre-simulation work: stamped at t=0 of the enclosing run.
@@ -102,7 +124,7 @@ class RuntimeModel:
                 runtime=self.name, isa=isa.name, strategy=strategy.name,
                 cached=cached,
             )
-        return self._cache[key][0]
+        return compiled
 
     def cycles(
         self,

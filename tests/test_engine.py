@@ -103,14 +103,41 @@ class TestMeasurementCache:
     def test_calibration_hash_tracks_constants(self, monkeypatch):
         from repro.runtimes import runtime_named
 
-        before = calibration_hash("wavm", "mprotect", "x86_64", "trisolv")
         engine_mod._calibration_memo.clear()
-        monkeypatch.setattr(
-            runtime_named("wavm"), "schedule_overhead", 9.99
-        )
-        after = calibration_hash("wavm", "mprotect", "x86_64", "trisolv")
+        # Also memoises wavm's runtime component.
+        before = calibration_hash("wavm", "mprotect", "x86_64", "trisolv")
+        with monkeypatch.context() as patch:
+            patch.setattr(runtime_named("wavm"), "schedule_overhead", 9.99)
+            engine_mod._calibration_memo.clear()
+            after = calibration_hash("wavm", "mprotect", "x86_64", "trisolv")
+            # Never hashed before the mutation: it can only see the old
+            # constant through a component that clear() left behind.
+            mutated_trap = calibration_hash("wavm", "trap", "x86_64", "trisolv")
+        engine_mod._calibration_memo.clear()
+        unmutated_trap = calibration_hash("wavm", "trap", "x86_64", "trisolv")
         engine_mod._calibration_memo.clear()
         assert after != before
+        assert mutated_trap != unmutated_trap
+
+    def test_memoised_components_hash_like_fresh_ones(self):
+        """One pass over every configuration, sharing the component
+        memo, hashes exactly as each configuration hashed alone."""
+        from repro.isa import ISAS
+        from repro.runtime.strategies import STRATEGIES
+        from repro.runtimes import RUNTIMES
+
+        configs = [
+            (runtime, strategy, isa, "trisolv")
+            for runtime in RUNTIMES for strategy in STRATEGIES for isa in ISAS
+        ]
+        engine_mod._calibration_memo.clear()
+        warm = [calibration_hash(*config) for config in configs]
+        alone = []
+        for config in configs:
+            engine_mod._calibration_memo.clear()
+            alone.append(calibration_hash(*config))
+        engine_mod._calibration_memo.clear()
+        assert warm == alone
 
     def test_corrupt_entry_recomputed(self, isolated_caches):
         MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST)

@@ -1,10 +1,15 @@
 """Tests for the runtime models and their paper-mandated invariants."""
 
+import dataclasses
+
 import pytest
 
+from repro.api import SweepSpec
+from repro.compiler.pipeline import compile_module
 from repro.core.profiles import profile_for
 from repro.isa import isa_named
 from repro.runtime import strategy_named
+from repro.runtime.strategies import STRATEGY_ORDER
 from repro.runtimes import RUNTIMES, WASM_RUNTIMES, runtime_named
 
 
@@ -124,6 +129,73 @@ class TestCycleInvariants:
         first = runtime.compiled(module, isa_named("x86_64"), strategy_named("none"))
         second = runtime.compiled(module, isa_named("x86_64"), strategy_named("none"))
         assert first is second
+
+    def test_shared_front_half_matches_fresh_compile(self):
+        """Every memoised compile equals a fresh one, whichever
+        configuration first built the IR it shares, and the IR is
+        shared exactly where the front half's inputs agree."""
+        compiling = [
+            name for name, model in RUNTIMES.items() if model.compiler is not None
+        ]
+        # trisolv's loops are pooled by BCE's affine phase, which is
+        # legal under trap but not under wasm64.
+        spec = SweepSpec(
+            ("trisolv", "gemm"), runtimes=compiling,
+            strategies=STRATEGY_ORDER, isas=("x86_64", "armv8", "riscv64"),
+            size="mini",
+        )
+        # Private copies, so no other test's compiles are reused here.
+        models = {
+            name: dataclasses.replace(runtime_named(name), _cache={})
+            for name in compiling
+        }
+        compiled = {}
+        for request in spec.requests():
+            module, _ = profile_for(request.workload, request.size)
+            model = models[request.runtime]
+            isa = isa_named(request.isa)
+            strategy = strategy_named(request.strategy)
+            got = model.compiled(module, isa, strategy)
+            want = compile_module(module, isa, model.compiler, strategy)
+            label = request.label()
+            assert got.total_static_ops == want.total_static_ops, label
+            assert got.checks_emitted_static == want.checks_emitted_static, label
+            assert got.functions.keys() == want.functions.keys(), label
+            for index, fresh in want.functions.items():
+                func = got.functions[index]
+                assert func.machine_ops == fresh.machine_ops, label
+                assert func.block_cycles == fresh.block_cycles, label
+                # Every BCE counter, elided_by_block included.
+                assert func.bce == fresh.bce, label
+            compiled[request.workload, request.runtime, request.strategy,
+                     request.isa] = got
+
+        def shared(first, second):
+            first = compiled[first].functions
+            second = compiled[second].functions
+            return all(first[i].irf is second[i].irf for i in first)
+
+        pooled = compiled["trisolv", "wavm", "trap", "x86_64"].functions
+        assert sum(func.bce.eliminated_affine for func in pooled.values()) > 0
+        for workload in spec.workloads:
+            for runtime in ("wavm", "wasmtime", "v8"):
+                for strategy in STRATEGY_ORDER:
+                    if strategy != "mte":
+                        assert shared(
+                            (workload, runtime, strategy, "x86_64"),
+                            (workload, runtime, strategy, "armv8"),
+                        )
+                assert shared(
+                    (workload, runtime, "trap", "armv8"),
+                    (workload, runtime, "mte", "armv8"),
+                )
+                for isa in ("x86_64", "armv8"):
+                    none = (workload, runtime, "none", isa)
+                    trap = (workload, runtime, "trap", isa)
+                    for strategy in ("mprotect", "uffd"):
+                        assert shared(none, (workload, runtime, strategy, isa))
+                    assert not shared(none, trap)
+                    assert not shared(trap, (workload, runtime, "wasm64", isa))
 
 
 class TestTierTradeoff:
