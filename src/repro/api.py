@@ -1,11 +1,7 @@
 """The unified sweep facade: one spec type, two entry points.
 
-Before this module existed the repo had three divergent ways to run a
-measurement grid — ``repro.core.runner.run_sweep`` (row dicts),
-``repro.core.experiments.common.measure`` (one configuration, keyed by
-workload) and the diffcheck CLI's ad-hoc request builder — each with
-its own keyword signature.  They are now thin deprecated shims over
-this module:
+Every figure experiment, diffcheck and the repo benchmark describe and
+run their measurement grids through this module:
 
 * :class:`SweepSpec` — the grid description (workloads × runtimes ×
   strategies × ISAs × thread counts, plus size/iterations/warmup).
@@ -20,14 +16,12 @@ Both entry points share the measurement engine (``--jobs`` fan-out +
 content-addressed cache; see :mod:`repro.core.engine`).  Invalid
 combinations (a runtime without the requested ISA backend or strategy,
 thread counts beyond the machine) are skipped by default — pass
-``strict=True`` to raise instead, which is what the legacy shims do to
-preserve their historical error behaviour.
+``strict=True`` to raise instead.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -95,8 +89,7 @@ class SweepSpec:
     Sequence fields are normalised to tuples on construction, so two
     equal grids are ``==``, hash alike, and serialise to byte-identical
     canonical JSON regardless of whether the caller passed lists or
-    tuples — which is what lets :meth:`digest` serve as the sweep
-    service's job-dedup key.
+    tuples — which is what lets :meth:`digest` identify a grid.
     """
 
     workloads: Sequence[str]
@@ -145,7 +138,7 @@ class SweepSpec:
         ``scenario`` is omitted at its default: every spec serialised
         before the axis existed implicitly meant "compute", and the
         omission keeps their canonical JSON — and hence every
-        already-issued :meth:`digest` job key — byte-identical.
+        already-computed :meth:`digest` — byte-identical.
         """
         raw: Dict[str, object] = {
             "workloads": list(self.workloads),
@@ -161,19 +154,6 @@ class SweepSpec:
             raw["scenario"] = self.scenario
         return raw
 
-    @classmethod
-    def from_json(cls, raw: Dict[str, object]) -> "SweepSpec":
-        """Inverse of :meth:`to_json`; unknown keys are rejected."""
-        if "workloads" not in raw:
-            raise ValueError("SweepSpec JSON needs a 'workloads' list")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(
-                f"unknown SweepSpec field(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(**raw)
-
     def canonical_json(self) -> str:
         """Byte-stable JSON text (sorted keys, no whitespace)."""
         return json.dumps(
@@ -181,7 +161,7 @@ class SweepSpec:
         )
 
     def digest(self) -> str:
-        """SHA-256 over the canonical JSON — the service's job key."""
+        """SHA-256 over the canonical JSON: the grid's identity."""
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def configurations(self) -> Iterator[tuple]:
@@ -280,10 +260,10 @@ def _workload_in_scenario(workload: str, scenario: str) -> bool:
 def _isa_allows(isa: str, strategy: str) -> bool:
     """Spec-time mirror of the harness's hardware gating.
 
-    Rejecting (skipping) mte-on-x86_64 here means a service job or
-    strict sweep fails at submission with a clear message instead of
-    deep inside a worker process.  Unknown strategy names fall through
-    — the runtime-support check already handles those.
+    Rejecting (skipping) mte-on-x86_64 here means a strict sweep fails
+    at submission with a clear message instead of deep inside a worker
+    process.  Unknown strategy names fall through — the runtime-support
+    check already handles those.
     """
     model = STRATEGIES.get(strategy)
     if model is None:

@@ -15,8 +15,6 @@ Usage::
     leaps-bench trace record|summarize|export ...   # event tracing
     leaps-bench diffcheck ...    # differential-correctness harness
     leaps-bench fuzz ...         # coverage-guided fuzzing campaign
-    leaps-bench serve ...        # async sweep service daemon (HTTP/JSON)
-    leaps-bench loadgen ...      # drive a running daemon, report latency
 
 Every experiment additionally accepts the shared sweep knobs
 (:mod:`repro.core.cliopts`)::
@@ -56,7 +54,6 @@ from repro.core.experiments import (
 )
 from repro.diffcheck import cli as diffcheck_cli
 from repro.fuzz import cli as fuzz_cli
-from repro.service import cli as service_cli
 from repro.trace import cli as trace_cli
 
 _EXPERIMENTS = {
@@ -80,8 +77,6 @@ _TOOLS = {
     "trace": trace_cli.main,
     "diffcheck": diffcheck_cli.main,
     "fuzz": fuzz_cli.main,
-    "serve": service_cli.serve_main,
-    "loadgen": service_cli.loadgen_main,
 }
 
 

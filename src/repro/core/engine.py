@@ -4,7 +4,7 @@ Regenerating the paper's figures walks a grid of
 (37 workloads × 6 runtimes × 5 strategies × 3 ISAs × {1,4,16} threads);
 the figure experiments also overlap heavily (fig3–fig6 all need the
 same thread-scaling measurements).  This module is the execution layer
-under ``run_sweep``/``measure``:
+under :func:`repro.api.run`/:func:`repro.api.measure`:
 
 * **fan-out** — grids run across a ``ProcessPoolExecutor`` with a
   ``--jobs N`` knob.  Every simulation RNG stream is seeded, so results
@@ -41,10 +41,9 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.harness import RunMeasurement, run_benchmark
-from repro.core.lru import LRUCache
 from repro.core.profiles import module_digest
 from repro.runtime.predecode import interpreter_build_digest
 from repro.oskernel.procstat import UtilisationSample
@@ -93,8 +92,8 @@ class MeasurementResult:
     """A measurement plus how the engine produced it.
 
     ``measurement`` is None exactly when ``error`` is set: the request
-    failed and the engine was asked (``return_errors=True``) to report
-    the failure per-row instead of raising.
+    failed, and the result reaches the caller only through
+    :attr:`SweepFailure.results`.
     """
 
     measurement: Optional[RunMeasurement]
@@ -114,9 +113,9 @@ class SweepFailure(RuntimeError):
     One poisoned configuration no longer aborts the sweep: every other
     request still executes (and its result is cached) before this is
     raised, so a retry after fixing the bad config is all cache hits.
-    ``errors`` lists each failed request; ``results`` is the full
-    result list the caller would have received with
-    ``return_errors=True``.
+    ``errors`` lists each failed request once; ``results`` holds one
+    result per request in request order, failed rows included (those
+    carry an ``error`` and no measurement).
     """
 
     def __init__(
@@ -351,10 +350,10 @@ def resolve_jobs(jobs) -> int:
     """Worker count for a ``jobs`` request on *this* machine.
 
     ``"auto"`` sizes the pool to the host: serial on single-CPU
-    machines (where BENCH_sweep.json showed ``--jobs 4`` cold running
-    ~2x slower than serial — fork + pickle overhead with no parallelism
-    to pay for it), otherwise one worker per CPU capped at 8 (the
-    figure grids rarely have more independent misses than that).
+    machines (forking workers and importing the stack in each costs
+    time, and with one CPU there is nothing for them to overlap),
+    otherwise one worker per CPU capped at 8 (the figure grids rarely
+    have more independent misses than that).
     """
     if jobs == "auto":
         cpus = os.cpu_count() or 1
@@ -367,19 +366,6 @@ def resolve_jobs(jobs) -> int:
 _MIN_PARALLEL_MISSES = 4
 
 
-def _memory_cap(explicit: Optional[int]) -> int:
-    """In-process result cache bound: explicit arg, env, or default.
-
-    A full figure grid is ~10k cells; the default keeps roughly half of
-    one resident (a RunMeasurement is a few hundred bytes, so ~2 MiB)
-    while guaranteeing a long-running daemon cannot grow without bound.
-    """
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get("REPRO_MEMORY_CACHE_CAP")
-    return int(raw) if raw else 4096
-
-
 class MeasurementEngine:
     """Executes measurement requests with caching and optional fan-out."""
 
@@ -388,17 +374,14 @@ class MeasurementEngine:
         jobs=1,
         cache: bool = True,
         cache_dir: Optional[os.PathLike] = None,
-        memory_cap: Optional[int] = None,
     ) -> None:
         #: As requested ("auto" or an int); ``jobs`` is the resolved count.
         self.jobs_requested = jobs
         self.jobs = resolve_jobs(jobs)
         self.cache_enabled = cache
-        #: Bounded in-process result cache (disk entries are unbounded;
-        #: this layer only avoids re-reading them).
-        self._memory: LRUCache[RunMeasurement] = LRUCache(
-            _memory_cap(memory_cap)
-        )
+        #: In-process result cache, so a figure that reuses another's
+        #: cells in the same process does not re-read them from disk.
+        self._memory: Dict[str, RunMeasurement] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
         self._finalizer: Optional[weakref.finalize] = None
         if cache_dir is not None:
@@ -439,10 +422,6 @@ class MeasurementEngine:
 
     # -- cache I/O -------------------------------------------------------
 
-    def memory_stats(self) -> Dict[str, int]:
-        """Counter snapshot of the in-process LRU (``/metrics``)."""
-        return self._memory.stats()
-
     def _load(self, request: MeasurementRequest, key: str) -> Optional[RunMeasurement]:
         if not self.cache_enabled:
             return None
@@ -459,7 +438,7 @@ class MeasurementEngine:
             measurement = measurement_from_json(raw["measurement"])
         except (ValueError, KeyError, TypeError):
             return None  # stale/corrupt/partial cache entry: recompute
-        self._memory.put(key, measurement)
+        self._memory[key] = measurement
         return measurement
 
     def _store(
@@ -467,7 +446,7 @@ class MeasurementEngine:
     ) -> None:
         if not self.cache_enabled:
             return
-        self._memory.put(key, measurement)
+        self._memory[key] = measurement
         path = self._path_for(request, key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -491,11 +470,6 @@ class MeasurementEngine:
         self,
         requests: Sequence[MeasurementRequest],
         progress=None,
-        *,
-        return_errors: bool = False,
-        on_result: Optional[
-            Callable[[MeasurementRequest, str, MeasurementResult], None]
-        ] = None,
     ) -> List[MeasurementResult]:
         """Execute requests, returning results in request order.
 
@@ -505,17 +479,9 @@ class MeasurementEngine:
 
         Fault isolation: a request whose execution raises does not
         abort the sweep — every other request still runs and every
-        completed result is cached.  With ``return_errors=True``
-        (the service's mode) failures come back as per-row
-        :class:`MeasurementResult`\\ s carrying a
-        :class:`MeasurementError`; otherwise (CLI paths) a
-        :class:`SweepFailure` is raised once the whole grid has been
-        attempted.
-
-        ``on_result`` is invoked once per unique request as it
-        resolves — hit, miss or failure, in completion order, from the
-        calling thread — so a caller can stream rows while the grid is
-        still running.
+        completed result is cached.  Once the whole grid has been
+        attempted, a :class:`SweepFailure` names the failed requests
+        and carries every row.
         """
         keys = [self.key_for(req) for req in requests]
         results: Dict[str, MeasurementResult] = {}
@@ -530,7 +496,7 @@ class MeasurementEngine:
                 result = MeasurementResult(
                     cached, True, time.perf_counter() - started
                 )
-                self._resolve(request, key, result, results, progress, on_result)
+                self._resolve(request, key, result, results, progress)
             else:
                 scheduled.add(key)
                 misses.append((request, key))
@@ -558,8 +524,7 @@ class MeasurementEngine:
                         outcome = _error_outcome(
                             exc, time.perf_counter() - started
                         )
-                    self._finish(request, key, outcome, results, progress,
-                                 on_result)
+                    self._finish(request, key, outcome, results, progress)
             else:
                 pool = self._pool()
                 started = time.perf_counter()
@@ -579,18 +544,16 @@ class MeasurementEngine:
                         outcome = _error_outcome(
                             exc, time.perf_counter() - started
                         )
-                    self._finish(request, key, outcome, results, progress,
-                                 on_result)
+                    self._finish(request, key, outcome, results, progress)
 
         ordered = [results[key] for key in keys]
-        if not return_errors:
-            errors, seen = [], set()
-            for key, result in zip(keys, ordered):
-                if result.error is not None and key not in seen:
-                    seen.add(key)
-                    errors.append(result.error)
-            if errors:
-                raise SweepFailure(errors, ordered)
+        errors, seen = [], set()
+        for key, result in zip(keys, ordered):
+            if result.error is not None and key not in seen:
+                seen.add(key)
+                errors.append(result.error)
+        if errors:
+            raise SweepFailure(errors, ordered)
         return ordered
 
     def _pool(self) -> ProcessPoolExecutor:
@@ -613,34 +576,14 @@ class MeasurementEngine:
     def close(self) -> None:
         """Shut the worker pool down (also runs when the engine is GC'd).
 
-        Abandons in-flight work (``cancel_futures``); a long-running
-        service that wants running measurements to complete first calls
-        :meth:`drain` instead.
+        Abandons in-flight work (``cancel_futures``).
         """
         if self._finalizer is not None:
             self._finalizer()
             self._finalizer = None
             self._executor = None
 
-    def drain(self) -> None:
-        """Gracefully release the pool: wait for in-flight work first.
-
-        The daemon's shutdown path — submitted measurements finish (and
-        land in the cache) before the workers exit, so a restart does
-        not re-pay for work that was already in progress.
-        """
-        executor = self._executor
-        if executor is None:
-            return
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        self._executor = None
-        executor.shutdown(wait=True, cancel_futures=False)
-
-    def _finish(
-        self, request, key, outcome, results, progress, on_result=None
-    ) -> None:
+    def _finish(self, request, key, outcome, results, progress) -> None:
         if "error" in outcome:
             error = MeasurementError(
                 request=request,
@@ -654,11 +597,9 @@ class MeasurementEngine:
             measurement = measurement_from_json(outcome["measurement"])
             self._store(request, key, measurement)
             result = MeasurementResult(measurement, False, outcome["elapsed"])
-        self._resolve(request, key, result, results, progress, on_result)
+        self._resolve(request, key, result, results, progress)
 
-    def _resolve(
-        self, request, key, result, results, progress, on_result
-    ) -> None:
+    def _resolve(self, request, key, result, results, progress) -> None:
         results[key] = result
         if TRACE.enabled:
             TRACE.emit(
@@ -667,15 +608,13 @@ class MeasurementEngine:
             )
         if progress is not None:
             progress(request.label())
-        if on_result is not None:
-            on_result(request, key, result)
 
     def measure_one(self, request: MeasurementRequest) -> MeasurementResult:
         return self.run([request])[0]
 
 
 # --------------------------------------------------------------------------
-# Process-wide default engine + CLI plumbing shared by every experiment.
+# Process-wide default engine shared by every experiment.
 
 _default_engine: Optional[MeasurementEngine] = None
 
@@ -759,32 +698,3 @@ def reset_default_engine() -> None:
     _default_engine = None
     _apply_profile_cache_env(None)
 
-
-def add_engine_args(parser) -> None:
-    """Deprecated: use :func:`repro.core.cliopts.add_sweep_args`."""
-    import warnings
-
-    warnings.warn(
-        "repro.core.engine.add_engine_args is deprecated; use "
-        "repro.core.cliopts.add_sweep_args (or the sweep_parent parser)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.cliopts import add_sweep_args
-
-    add_sweep_args(parser)
-
-
-def configure_from_args(args) -> MeasurementEngine:
-    """Deprecated: use :func:`repro.core.cliopts.configure_sweep`."""
-    import warnings
-
-    warnings.warn(
-        "repro.core.engine.configure_from_args is deprecated; use "
-        "repro.core.cliopts.configure_sweep",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.cliopts import configure_sweep
-
-    return configure_sweep(args)

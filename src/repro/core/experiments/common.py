@@ -5,11 +5,8 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List
 
-import warnings
-
-from repro.core.engine import MeasurementEngine
 from repro.core.harness import RunMeasurement
 from repro.runtime.strategies import PAPER_STRATEGY_ORDER
 from repro.runtimes import RUNTIMES, runtime_named
@@ -50,48 +47,6 @@ def configs_for_isa(isa: str) -> List[tuple]:
             if strategy in model.strategies:
                 combos.append((runtime, strategy))
     return combos
-
-
-def measure(
-    workloads: Sequence[str],
-    runtime: str,
-    strategy: str,
-    isa: str,
-    threads: int = 1,
-    size: str = "small",
-    iterations: int = 3,
-    verbose: bool = False,
-    engine: Optional[MeasurementEngine] = None,
-) -> Dict[str, RunMeasurement]:
-    """Deprecated: use :func:`repro.api.measure` with a ``SweepSpec``.
-
-    ``strict=True`` preserves this function's historical behaviour of
-    raising ValueError on unsupported runtime/ISA/strategy/thread
-    combinations (the facade's default is to skip them).
-    """
-    warnings.warn(
-        "repro.core.experiments.common.measure is deprecated; use "
-        "repro.api.measure(SweepSpec(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import api
-
-    swept = api.measure(
-        api.SweepSpec(
-            workloads=tuple(workloads),
-            runtimes=(runtime,),
-            strategies=(strategy,),
-            isas=(isa,),
-            threads=(threads,),
-            size=size,
-            iterations=iterations,
-        ),
-        engine=engine,
-        strict=True,
-        verbose=verbose,
-    )
-    return swept.per_workload()
 
 
 def medians(measurements: Dict[str, RunMeasurement]) -> Dict[str, float]:

@@ -23,8 +23,6 @@ dependency graph acyclic.
 from repro.trace.events import TraceEvent, event_from_json, event_to_json
 from repro.trace.tracer import (
     TRACE,
-    BroadcastSink,
-    CallbackSink,
     JsonlSink,
     ListSink,
     NullSink,
@@ -45,8 +43,6 @@ __all__ = [
     "RingBufferSink",
     "JsonlSink",
     "NullSink",
-    "BroadcastSink",
-    "CallbackSink",
     "tracing",
     "read_jsonl",
     "write_jsonl",

@@ -71,16 +71,9 @@ PHASE_TIMED_END = "phase.timed.end"      # emitted with the end snapshot
 RUN_META = "run.meta"                # workload, runtime, strategy, ...
 RUN_END = "run.end"                  # wall
 
-# -- measurement engine / sweeps (core/engine, core/runner) ----------------
+# -- measurement engine / sweeps (core/engine, api) ------------------------
 MEASURE_REQUEST = "measure.request"  # label, cache_hit, error
 SWEEP_GRID = "sweep.grid"            # requests
-
-# -- sweep service job lifecycle (service/jobs) ----------------------------
-JOB_ACCEPTED = "job.accepted"        # job, digest, requests
-JOB_ROW = "job.row"                  # job, index, row (one per request)
-JOB_PROGRESS = "job.progress"        # job, done, total
-JOB_DONE = "job.done"                # job, rows, errors, latency_s
-JOB_ERROR = "job.error"              # job, kind, message
 
 #: Category per dotted-name prefix (Chrome export tracks, summary groups).
 CATEGORIES = {
@@ -101,7 +94,6 @@ CATEGORIES = {
     "run": "harness",
     "measure": "engine",
     "sweep": "engine",
-    "job": "service",
 }
 
 

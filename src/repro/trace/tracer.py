@@ -77,78 +77,6 @@ class NullSink:
         pass
 
 
-class CallbackSink:
-    """Invoke a callable per event (bridge into queues/other loops).
-
-    The sweep service wraps ``loop.call_soon_threadsafe`` in one of
-    these to pump job events into per-client ``asyncio`` queues without
-    the tracer knowing anything about asyncio.
-    """
-
-    __slots__ = ("_callback", "count")
-
-    def __init__(self, callback) -> None:
-        self._callback = callback
-        self.count = 0
-
-    def append(self, event: TraceEvent) -> None:
-        self.count += 1
-        self._callback(event)
-
-
-class BroadcastSink:
-    """Fan one event stream out to several subscriber sinks.
-
-    Per-job event history in the sweep service: the broadcast keeps a
-    bounded replay buffer (late subscribers catch up before going
-    live) and forwards each new event to every attached sink.  A
-    subscriber whose ``append`` raises is detached rather than allowed
-    to wedge the stream — one slow/dead client must not stall the job.
-    """
-
-    __slots__ = ("_subscribers", "_replay", "count")
-
-    def __init__(self, replay_capacity: int = 4096) -> None:
-        if replay_capacity <= 0:
-            raise TraceError(
-                f"replay capacity must be positive: {replay_capacity}"
-            )
-        self._subscribers: List[object] = []
-        self._replay: deque = deque(maxlen=replay_capacity)
-        self.count = 0
-
-    def append(self, event: TraceEvent) -> None:
-        self.count += 1
-        self._replay.append(event)
-        for sink in list(self._subscribers):
-            try:
-                sink.append(event)
-            except Exception:
-                self.detach(sink)
-
-    def attach(self, sink, replay: bool = True) -> None:
-        """Subscribe ``sink``; with ``replay``, deliver history first."""
-        if replay:
-            for event in list(self._replay):
-                sink.append(event)
-        self._subscribers.append(sink)
-
-    def detach(self, sink) -> None:
-        try:
-            self._subscribers.remove(sink)
-        except ValueError:
-            pass
-
-    @property
-    def subscribers(self) -> int:
-        return len(self._subscribers)
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        """The replay buffer (most recent ``replay_capacity`` events)."""
-        return list(self._replay)
-
-
 class JsonlSink:
     """Stream events to a JSON-lines file as they are emitted."""
 

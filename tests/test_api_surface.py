@@ -1,10 +1,11 @@
-"""The ``repro.api`` facade: surface snapshot, equivalence, shims.
+"""The ``repro.api`` facade: surface snapshot, spec values, row counters.
 
 The surface snapshot pins the public names and the :class:`SweepSpec`
 field list so an accidental rename or default change fails loudly; the
-equivalence tests prove the facade returns byte-identical rows to the
-deprecated entry points it replaced; the shim tests pin the
-DeprecationWarning contract the CI deprecation gate relies on.
+canonicalization tests pin :class:`SweepSpec` as a value type with a
+stable digest; the remaining tests check the bounds-check counters the
+rows carry, with bounds-check elimination on and off, and that running
+a grid raises no DeprecationWarning.
 """
 
 import dataclasses
@@ -27,13 +28,6 @@ SPEC = api.SweepSpec(
 
 def engine():
     return MeasurementEngine(cache=False)
-
-
-def stable(rows):
-    """Rows minus the wall-clock column (everything else is seeded)."""
-    return [
-        {k: v for k, v in row.items() if k != "elapsed_s"} for row in rows
-    ]
 
 
 class TestSurfaceSnapshot:
@@ -112,8 +106,8 @@ class TestSurfaceSnapshot:
 class TestSpecCanonicalization:
     """SweepSpec as a value type: hashable, serialisable, digestable.
 
-    The sweep service keys job dedup on :meth:`SweepSpec.digest`, so
-    list-vs-tuple construction differences must vanish at ``__init__``.
+    :meth:`SweepSpec.digest` identifies a grid, so list-vs-tuple
+    construction differences must vanish at ``__init__``.
     """
 
     def test_lists_and_tuples_construct_equal_hashable_specs(self):
@@ -142,31 +136,25 @@ class TestSpecCanonicalization:
         raw = SPEC.to_json()
         assert raw["workloads"] == ["gemm"]
         assert raw["runtimes"] == ["wavm", "v8"]
-        again = api.SweepSpec.from_json(raw)
+        again = api.SweepSpec(**raw)
         assert again == SPEC
         assert again.digest() == SPEC.digest()
         # And survives an actual JSON encode/decode cycle.
         import json
 
-        assert api.SweepSpec.from_json(json.loads(json.dumps(raw))) == SPEC
-
-    def test_from_json_rejects_unknown_and_missing_fields(self):
-        with pytest.raises(ValueError, match="unknown SweepSpec field"):
-            api.SweepSpec.from_json({"workloads": ["gemm"], "bogus": 1})
-        with pytest.raises(ValueError, match="workloads"):
-            api.SweepSpec.from_json({"runtimes": ["wavm"]})
+        assert api.SweepSpec(**json.loads(json.dumps(raw))) == SPEC
 
     def test_scenario_axis_round_trips_and_validates(self):
         spec = api.SweepSpec(workloads=["wasi-grep"], scenario="wasi")
         assert spec.to_json()["scenario"] == "wasi"
-        assert api.SweepSpec.from_json(spec.to_json()) == spec
+        assert api.SweepSpec(**spec.to_json()) == spec
         with pytest.raises(ValueError, match="unknown scenario"):
             api.SweepSpec(workloads=["gemm"], scenario="io")
 
     def test_scenario_default_keeps_digests_byte_identical(self):
-        # The field must be invisible at its default, so every job key
-        # issued before the axis existed still dedups against the same
-        # digest.  The hex is the pre-axis digest of this exact spec.
+        # The field must be invisible at its default, so every digest
+        # computed before the axis existed still identifies the same
+        # grid.  The hex is the pre-axis digest of this exact spec.
         assert "scenario" not in SPEC.canonical_json()
         legacy = api.SweepSpec(
             workloads=("trisolv",), runtimes=("wavm",),
@@ -202,49 +190,15 @@ class TestSpecCanonicalization:
 
 
 class TestEquivalence:
-    def test_run_matches_legacy_run_sweep(self):
-        rows = api.run(SPEC, engine=engine())
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            from repro.core.runner import run_sweep
-
-            legacy = run_sweep(SPEC, engine=engine())
-        assert stable(rows) == stable(legacy)
-
-    def test_run_matches_legacy_with_bce_disabled(self):
+    def test_bce_disabled_rows_elide_nothing(self):
         assert bce_enabled()
         try:
             set_bce_enabled(False)
             rows = api.run(SPEC, engine=engine())
-            with pytest.warns(DeprecationWarning):
-                from repro.core.runner import run_sweep
-
-                legacy = run_sweep(SPEC, engine=engine())
         finally:
             set_bce_enabled(True)
-        assert stable(rows) == stable(legacy)
+        assert rows
         assert all(row["checks_elided"] == 0 for row in rows)
-
-    def test_measure_matches_legacy_common_measure(self):
-        swept = api.measure(
-            api.SweepSpec(workloads=["gemm"], runtimes=("wavm",),
-                          strategies=("trap",), size="mini", iterations=2),
-            engine=engine(), strict=True,
-        )
-        with pytest.warns(DeprecationWarning, match="repro.api.measure"):
-            from repro.core.experiments import common
-
-            legacy = common.measure(
-                ["gemm"], "wavm", "trap", "x86_64",
-                size="mini", iterations=2, engine=engine(),
-            )
-        from repro.core.engine import measurement_to_json
-
-        ours = swept.per_workload()
-        assert set(ours) == set(legacy)
-        for name in ours:
-            assert measurement_to_json(ours[name]) == measurement_to_json(
-                legacy[name]
-            )
 
     def test_bce_rows_report_counter_movement(self):
         rows = api.run(SPEC, engine=engine())
@@ -258,25 +212,6 @@ class TestEquivalence:
 
 
 class TestDeprecatedShims:
-    def test_runner_module_reexports(self):
-        from repro.core import runner
-
-        assert runner.FIELDS is api.FIELDS
-        assert runner.SweepSpec is api.SweepSpec
-        assert runner.to_csv is api.to_csv
-
-    def test_engine_arg_shims_warn(self):
-        import argparse
-
-        from repro.core import engine as engine_mod
-
-        parser = argparse.ArgumentParser()
-        with pytest.warns(DeprecationWarning, match="cliopts"):
-            engine_mod.add_engine_args(parser)
-        args = parser.parse_args([])
-        with pytest.warns(DeprecationWarning, match="cliopts"):
-            engine_mod.configure_from_args(args)
-
     def test_facade_itself_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -202,9 +202,8 @@ class TestParallelDeterminism:
 class TestAutoJobs:
     """--jobs auto: size the pool to the machine, serial when it loses.
 
-    Motivated by BENCH_sweep.json: on a 1-cpu host ``--jobs 4`` cold
-    was ~2x slower than serial (2.875s vs 1.416s) — fork + pickle
-    overhead with no parallelism to pay for it.
+    On a 1-cpu host a pool only adds cost: forking workers and
+    importing the stack in each, with nothing for them to overlap.
     """
 
     def test_auto_is_serial_on_single_cpu(self, monkeypatch):
@@ -321,23 +320,32 @@ class TestFaultIsolation:
         retry = MeasurementEngine(cache_dir=isolated_caches).run(self.GOOD)
         assert all(r.cache_hit for r in retry)
 
-    def test_return_errors_yields_per_row_results(
+    def _assert_per_row_results(self, failure, cache_dir):
+        """``failure.results`` has every row in request order, the
+        poisoned one without a measurement; nothing failed is cached."""
+        results = failure.results
+        assert [r.ok for r in results] == [True, True, True, False]
+        assert [r.measurement.strategy for r in results[:3]] == [
+            r.strategy for r in self.GOOD
+        ]
+        bad = results[-1]
+        assert bad.measurement is None
+        assert bad.error.kind == "RuntimeError"
+        assert bad.error.request == self.POISON
+        # Failed requests are never cached — the next run retries them.
+        with pytest.raises(SweepFailure) as again:
+            MeasurementEngine(cache_dir=cache_dir).run([self.POISON])
+        retried = again.value.results[0]
+        assert not retried.ok and not retried.cache_hit
+
+    def test_failure_carries_per_row_results(
         self, isolated_caches, monkeypatch
     ):
         self._poison_trap(monkeypatch)
         eng = MeasurementEngine(jobs=1, cache_dir=isolated_caches)
-        results = eng.run(
-            self.GOOD + [self.POISON], return_errors=True
-        )  # must not raise
-        assert [r.ok for r in results] == [True, True, True, False]
-        bad = results[-1]
-        assert bad.measurement is None
-        assert bad.error.kind == "RuntimeError"
-        # Failed requests are never cached — the next run retries them.
-        again = MeasurementEngine(cache_dir=isolated_caches).run(
-            [self.POISON], return_errors=True
-        )
-        assert not again[0].ok and not again[0].cache_hit
+        with pytest.raises(SweepFailure) as excinfo:
+            eng.run(self.GOOD + [self.POISON])
+        self._assert_per_row_results(excinfo.value, isolated_caches)
 
     def test_pool_failure_keeps_and_caches_other_results(
         self, isolated_caches, monkeypatch
@@ -350,26 +358,11 @@ class TestFaultIsolation:
         finally:
             eng.close()
         assert [e.request for e in excinfo.value.errors] == [self.POISON]
+        self._assert_per_row_results(excinfo.value, isolated_caches)
         # The siblings' results survived the worker exception and were
         # written to the shared disk cache.
         retry = MeasurementEngine(cache_dir=isolated_caches).run(self.GOOD)
         assert all(r.cache_hit for r in retry)
-
-    def test_on_result_streams_every_outcome(
-        self, isolated_caches, monkeypatch
-    ):
-        self._poison_trap(monkeypatch)
-        eng = MeasurementEngine(jobs=1, cache_dir=isolated_caches)
-        seen = []
-        eng.run(
-            self.GOOD + [self.POISON],
-            return_errors=True,
-            on_result=lambda req, key, res: seen.append((req.strategy, res.ok)),
-        )
-        assert sorted(seen) == [
-            ("clamp", True), ("mprotect", True), ("none", True),
-            ("trap", False),
-        ]
 
 
 class TestConfigureEnvLifecycle:
@@ -403,55 +396,6 @@ class TestConfigureEnvLifecycle:
         )
         engine_mod.configure(jobs=1)  # no cache_dir: override must end
         assert os.environ["REPRO_CACHE_DIR"] == str(tmp_path / "orig")
-
-
-class TestMemoryCacheBound:
-    """The in-process result cache must never outgrow its cap."""
-
-    def _fake_bench(self, monkeypatch):
-        monkeypatch.setattr(
-            engine_mod, "run_benchmark",
-            lambda **payload: _synthetic_measurement(
-                MeasurementRequest(**payload), wall=1.0
-            ),
-        )
-
-    def test_memory_never_exceeds_cap(self, isolated_caches, monkeypatch):
-        self._fake_bench(monkeypatch)
-        eng = MeasurementEngine(
-            jobs=1, cache_dir=isolated_caches, memory_cap=4
-        )
-        grid = [
-            dataclasses.replace(REQUEST, iterations=n) for n in range(1, 11)
-        ]
-        eng.run(grid)
-        stats = eng.memory_stats()
-        assert len(eng._memory) <= 4
-        assert stats["peak"] <= 4  # held throughout, not just at the end
-        assert stats["evictions"] >= 6
-
-    def test_evicted_entries_fall_back_to_disk(
-        self, isolated_caches, monkeypatch
-    ):
-        self._fake_bench(monkeypatch)
-        eng = MeasurementEngine(
-            jobs=1, cache_dir=isolated_caches, memory_cap=2
-        )
-        grid = [
-            dataclasses.replace(REQUEST, iterations=n) for n in range(1, 6)
-        ]
-        eng.run(grid)
-        # The first request was evicted from memory long ago; the disk
-        # layer still serves it as a hit.
-        result = eng.run([grid[0]])[0]
-        assert result.cache_hit
-
-    def test_cap_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMORY_CACHE_CAP", "7")
-        assert MeasurementEngine()._memory.capacity == 7
-        monkeypatch.delenv("REPRO_MEMORY_CACHE_CAP")
-        assert MeasurementEngine()._memory.capacity == 4096
-        assert MeasurementEngine(memory_cap=3)._memory.capacity == 3
 
 
 def _hammer_cache(cache_dir: str, wall: float, rounds: int) -> None:
