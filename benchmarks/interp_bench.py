@@ -80,29 +80,25 @@ def _calibration_loop(n: int) -> int:
     return acc
 
 
-def _interp_for(module, tier: str, module_digest=None):
+def _interp_for(module, tier: str):
     interp = Interpreter(
         module,
         collect_profile=False,
         track_pages=False,
         validate=False,
         tier=tier,
-        module_digest=module_digest,
     )
     interp.invoke("bench")  # warm-up: compiles (and tiers up) every function
     return interp
 
 
-def _measure_rounds(module, module_digest, repeats: int):
+def _measure_rounds(module, repeats: int):
     """Per-round (calibration_s, legacy_s, fused_s, opt_s) tuples.
 
     All timings of a round run back to back so transient host
     interference is correlated across them.
     """
-    interps = [
-        _interp_for(module, tier, module_digest)
-        for tier in ("legacy", "fused", "opt")
-    ]
+    interps = [_interp_for(module, tier) for tier in ("legacy", "fused", "opt")]
     rounds = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -125,9 +121,9 @@ def _total_instrs(module) -> int:
 def run_benchmark(repeats: int) -> dict:
     rows = {}
     for name in WORKLOADS:
-        module, digest = module_for(name, SIZE)
+        module, _ = module_for(name, SIZE)
         total_instrs = _total_instrs(module)
-        rounds = _measure_rounds(module, digest, repeats)
+        rounds = _measure_rounds(module, repeats)
         legacy_s = min(r[1] for r in rounds)
         fused_s = min(r[2] for r in rounds)
         opt_s = min(r[3] for r in rounds)

@@ -105,8 +105,6 @@ def profile_for(workload_name: str, size: str) -> Tuple[Module, ExecutionProfile
         except (ValueError, KeyError):
             profile = None  # stale/corrupt cache entry: recompute
     if profile is None:
-        # Passing the module digest lets the interpreter memoise its
-        # pre-decode (fusion) plan next to the profile cache entries.
         # WASI workloads link against a fresh host environment; the
         # module itself stays the memoised one (same digest) since
         # builds are deterministic.
@@ -117,7 +115,6 @@ def profile_for(workload_name: str, size: str) -> Tuple[Module, ExecutionProfile
             imports=env.imports() if env is not None else None,
             collect_profile=True,
             track_pages=True,
-            module_digest=full_digest,
         )
         if env is not None:
             env.bind(interp)

@@ -38,6 +38,7 @@ import sys
 
 def _build_parser() -> argparse.ArgumentParser:
     from repro.core import cliopts
+    from repro.runtime.tiering import TIERS
 
     parser = argparse.ArgumentParser(
         prog="leaps-bench diffcheck",
@@ -85,16 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="base seed for the fuzz phase (default: 0)",
     )
     parser.add_argument(
-        "--no-fuse", action="store_true",
-        help="run interpreters without superinstruction fusion "
-        "(bisection aid: a divergence that disappears here is a "
-        "fused-codegen bug)",
-    )
-    parser.add_argument(
-        "--tier", default=None, choices=["legacy", "fused", "opt"],
+        "--tier", default=None, choices=TIERS,
         help="pin the interpreter execution tier for every phase "
-        "(bisection aid: a divergence that appears only at --tier opt "
-        "is a tier-2 vectorizer bug)",
+        "(bisection aid: a divergence that disappears at --tier legacy "
+        "is a fast-path bug (fusion or fast memory closures), one that "
+        "appears only at --tier opt is a tier-2 vectorizer bug)",
     )
     parser.add_argument(
         "--json", default=None, metavar="PATH",
@@ -153,11 +149,10 @@ def main(argv=None) -> int:
     from repro.diffcheck.report import DiffReport
     from repro.runtime.predecode import interpreter_build_digest
     from repro.runtime.strategies import STRATEGY_ORDER
+    from repro.runtime.tiering import DEFAULT_TIER
 
-    if args.no_fuse:
-        # Via the environment so ProcessPool workers inherit it too.
-        os.environ["REPRO_DISPATCH"] = "nofuse"
     if args.tier:
+        # Via the environment so ProcessPool workers inherit it too.
         os.environ["REPRO_TIER"] = args.tier
 
     phases = [p.strip() for p in args.phases.split(",") if p.strip()]
@@ -217,11 +212,10 @@ def main(argv=None) -> int:
 
     if args.json:
         # Header first so a report is attributable to the exact
-        # interpreter/pre-decode build (and dispatch mode) that ran it.
+        # interpreter build (and tier) that ran it.
         payload = {
             "interpreter_build": interpreter_build_digest(),
-            "dispatch": os.environ.get("REPRO_DISPATCH", "fused"),
-            "tier": os.environ.get("REPRO_TIER", "opt"),
+            "tier": os.environ.get("REPRO_TIER") or DEFAULT_TIER,
             **report.to_json(),
         }
         with open(args.json, "w") as handle:

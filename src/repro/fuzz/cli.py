@@ -83,6 +83,7 @@ def main(argv=None) -> int:
     from repro.diffcheck.report import DiffReport
     from repro.fuzz.campaign import CampaignConfig, run_campaign
     from repro.runtime.predecode import interpreter_build_digest
+    from repro.runtime.tiering import DEFAULT_TIER
 
     config = CampaignConfig(
         cases=args.cases,
@@ -124,8 +125,7 @@ def main(argv=None) -> int:
     if args.json:
         payload = {
             "interpreter_build": interpreter_build_digest(),
-            "dispatch": os.environ.get("REPRO_DISPATCH", "fused"),
-            "tier": os.environ.get("REPRO_TIER", "opt"),
+            "tier": os.environ.get("REPRO_TIER") or DEFAULT_TIER,
             **result,
         }
         with open(args.json, "w") as handle:

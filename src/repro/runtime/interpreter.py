@@ -20,24 +20,19 @@ Value conventions: i32/i64 are canonical *unsigned* Python ints
 (0 ≤ v < 2**N); f32/f64 are Python floats, with f32 results rounded
 through single precision.
 
-Dispatch modes (``dispatch=`` / ``REPRO_DISPATCH``):
-
-* ``fused`` (default) — pre-decoded handler table with superinstruction
-  fusion (:mod:`repro.runtime.predecode`) and struct-based fast memory
-  closures; bit-identical observables to the other modes.
-* ``nofuse`` — fast memory closures but one handler per instruction;
-  the bisection mode behind ``leaps-bench diffcheck --no-fuse``.
-* ``legacy`` — the original one-closure-per-op build, kept verbatim so
-  ``benchmarks/interp_bench.py`` can measure the fast path against the
-  pre-rewrite interpreter on the same machine.
-
 Execution tiers (``tier=`` / ``REPRO_TIER``, see
-:mod:`repro.runtime.tiering`): ``legacy`` and ``fused`` map onto the
-dispatch modes above; ``opt`` (the default when neither tier nor
-dispatch is requested explicitly) additionally compiles hot functions
-to tier-2 vectorized Python (:mod:`repro.runtime.vectorize`) with
-bit-identical observables.  An explicit ``dispatch`` request without a
-tier disables tier-2 so dispatch comparisons measure dispatch alone.
+:mod:`repro.runtime.tiering`), the interpreter's only execution knob;
+all three have bit-identical observables:
+
+* ``legacy`` — the original one-closure-per-op build, unfused, kept
+  verbatim as the reference the cross-tier tests compare against and
+  the baseline ``benchmarks/interp_bench.py`` measures the fast path
+  against on the same machine;
+* ``fused`` — pre-decoded handler table with superinstruction fusion
+  (:mod:`repro.runtime.predecode`) and struct-based fast memory
+  closures;
+* ``opt`` (the default) — ``fused`` plus the tier-2 whole-function
+  compiler (:mod:`repro.runtime.vectorize`) for hot functions.
 """
 
 from __future__ import annotations
@@ -224,9 +219,6 @@ class Instance:
 
 _MAX_CALL_DEPTH = 500
 
-#: Valid values for Interpreter(dispatch=...) / $REPRO_DISPATCH.
-DISPATCH_MODES = ("fused", "nofuse", "legacy")
-
 
 class Interpreter:
     """Instantiate and execute one module."""
@@ -239,8 +231,6 @@ class Interpreter:
         validate: bool = True,
         collect_profile: bool = True,
         track_pages: bool = True,
-        dispatch: Optional[str] = None,
-        module_digest: Optional[str] = None,
         tier: Optional[str] = None,
     ) -> None:
         if validate:
@@ -250,38 +240,16 @@ class Interpreter:
         self.strategy = strategy or strategy_named("trap")
         self.module = module
         self.collect_profile = collect_profile
-        # Tier/dispatch resolution.  An *explicit* dispatch request
-        # (param or $REPRO_DISPATCH) without a tier keeps the exact
-        # pre-tiering semantics — no tier-2 — so dispatch-mode
-        # comparisons still measure dispatch alone.  Otherwise the tier
-        # (param, $REPRO_TIER, or the "opt" default) picks the dispatch
-        # mode and, for "opt", arms per-function tier-up.
         if tier is None:
-            tier = os.environ.get("REPRO_TIER") or None
-        if tier is not None and tier not in tiering.TIERS:
+            tier = os.environ.get("REPRO_TIER") or tiering.DEFAULT_TIER
+        if tier not in tiering.TIERS:
             raise ValueError(f"unknown tier {tier!r}")
-        if dispatch is None:
-            dispatch = os.environ.get("REPRO_DISPATCH") or None
-        if tier is None and dispatch is None:
-            tier = tiering.DEFAULT_TIER
-        if dispatch is None:
-            dispatch = tiering.dispatch_for_tier(tier)
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(f"unknown dispatch mode {dispatch!r}")
-        self.dispatch = dispatch
-        self.tier = tier if tier is not None else (
-            "legacy" if dispatch == "legacy" else "fused"
-        )
-        self._module_digest = module_digest
+        self.tier = tier
         self._num_imported = len(module.imports)
-        if dispatch == "legacy":
-            self._plans: Dict[int, predecode.FunctionPlan] = {}
-        else:
-            # Pre-decode every body once at module load; with a module
-            # digest the fused plan is memoised in .cache/profiles/.
-            self._plans = predecode.plans_for_module(
-                module, module_digest=module_digest, fuse=dispatch == "fused"
-            )
+        # Pre-decode every body once at module load.
+        self._plans: Dict[int, predecode.FunctionPlan] = (
+            {} if tier == "legacy" else predecode.plans_for_module(module)
+        )
         #: absolute func index -> fusion regions applied to its code.
         self._fused_regions: Dict[int, List[predecode.FusedRegion]] = {}
         self.instance = self._instantiate(imports or {}, track_pages)
@@ -290,11 +258,7 @@ class Interpreter:
         #: func index -> op name per pc, built lazily for edge coverage.
         self._op_names: Dict[int, List[str]] = {}
         self._depth = 0
-        self._tiering = (
-            tiering.TierState(self)
-            if self.tier == "opt" and dispatch == "fused"
-            else None
-        )
+        self._tiering = tiering.TierState(self) if tier == "opt" else None
         if module.start is not None:
             self.call_function(module.start, [])
 
@@ -553,29 +517,26 @@ class Interpreter:
     # ------------------------------------------------------------------
     def _compile(self, func_index: int, func: Function) -> List[Callable]:
         body = func.body
-        if self.dispatch == "legacy":
-            matches = _match_control(body)
+        if self.tier == "legacy":
+            matches = predecode.match_control(body)
             return [
                 self._make_closure(pc, ins, matches, len(body))
                 for pc, ins in enumerate(body)
             ]
-        plan = self._plans.get(func_index - self._num_imported)
-        if plan is None:  # pragma: no cover - plans cover all defined funcs
-            plan = predecode.plan_function(body, fuse=self.dispatch == "fused")
+        plan = self._plans[func_index - self._num_imported]
         matches = plan.matches
         code = [
             self._make_closure(pc, ins, matches, len(body), fast_mem=True)
             for pc, ins in enumerate(body)
         ]
-        if self.dispatch == "fused":
-            applied: List[predecode.FusedRegion] = []
-            for region in plan.regions:
-                handler = self._make_fused(region, body)
-                if handler is not None:
-                    code[region.head] = handler
-                    applied.append(region)
-            if applied:
-                self._fused_regions[func_index] = applied
+        applied: List[predecode.FusedRegion] = []
+        for region in plan.regions:
+            handler = self._make_fused(region, body)
+            if handler is not None:
+                code[region.head] = handler
+                applied.append(region)
+        if applied:
+            self._fused_regions[func_index] = applied
         return code
 
     # ------------------------------------------------------------------
@@ -593,8 +554,8 @@ class Interpreter:
             return _gen_region(region, body, self.instance.memory, len(body))
         except Exception:
             # Falling back to per-op dispatch is always semantically
-            # safe; REPRO_FUSE_STRICT=1 (set in CI) surfaces the bug.
-            if os.environ.get("REPRO_FUSE_STRICT"):
+            # safe; REPRO_TIER_STRICT=1 (set in CI) surfaces the bug.
+            if tiering.strict():
                 raise
             return None
 
@@ -884,25 +845,6 @@ def _branch(f: _Frame, depth: int) -> int:
     return target
 
 
-def _match_control(body: List[Instr]):
-    """Map each block/loop/if pc to (end_pc, else_pc); else pc to end_pc."""
-    matches: Dict[int, Any] = {}
-    stack: List[Tuple[int, Optional[int]]] = []
-    for pc, ins in enumerate(body):
-        op = ins.op
-        if op in ("block", "loop", "if"):
-            stack.append((pc, None))
-        elif op == "else":
-            opener, _ = stack.pop()
-            stack.append((opener, pc))
-        elif op == "end":
-            opener, else_pc = stack.pop()
-            matches[opener] = (pc, else_pc)
-            if else_pc is not None:
-                matches[else_pc] = pc
-    return matches
-
-
 # ----------------------------------------------------------------------
 # Memory closures
 # ----------------------------------------------------------------------
@@ -994,7 +936,7 @@ def _make_store(op: str, offset: int, memory: LinearMemory, next_pc: int):
 
 
 # ----------------------------------------------------------------------
-# Fast memory closures (fused / nofuse dispatch)
+# Fast memory closures (fused and opt tiers)
 #
 # Same observables as load_bytes/store_bytes — load/store counters,
 # touched-page sets, strategy-defined OOB behaviour — but the in-bounds

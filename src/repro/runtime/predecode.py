@@ -4,20 +4,21 @@ A :class:`FunctionPlan` is everything the interpreter needs to turn a
 flat instruction body into a direct-threaded handler table *before*
 execution starts:
 
-* ``matches`` — the block/loop/if → end/else resolution (identical to
-  what the legacy interpreter computed per call);
+* ``matches`` — the block/loop/if → end/else resolution
+  (:func:`match_control`, which the ``legacy`` tier calls directly);
 * ``targets`` — every pc that can be entered non-sequentially (branch
   landing sites); fusion must never swallow one of these;
 * ``regions`` — the superinstruction schedule: non-overlapping runs of
   instructions that one fused handler executes in a single dispatch.
 
-Plans are pure data (deterministic functions of the body), so they are
-serialisable and memoised in the content-addressed profile cache
-(``.cache/profiles/predecode-<module digest>-<build digest>.json``).
-The build digest covers the interpreter/pre-decode/memory sources, so a
-cached plan can never outlive the interpreter build that produced it —
-and ``leaps-bench diffcheck --json`` embeds the same digest so an
-equivalence report is attributable to an exact interpreter build.
+Plans are pure data (deterministic functions of the body), built in
+memory once per interpreter at module load; the ``legacy`` tier builds
+none.
+
+:func:`interpreter_build_digest` hashes the interpreter sources.
+Measurement cache keys embed it, and ``leaps-bench diffcheck --json``
+embeds it so an equivalence report is attributable to an exact
+interpreter build.
 
 Fusion safety rules (checked structurally here, relied on by the
 interpreter's handlers):
@@ -33,8 +34,6 @@ interpreter's handlers):
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -42,9 +41,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.wasm import opcodes
 from repro.wasm.instructions import Instr
-
-#: Bump when the plan format or the fusion pattern set changes.
-PREDECODE_VERSION = 2
 
 # ----------------------------------------------------------------------
 # Operator classes (derived from the one opcode table)
@@ -141,7 +137,6 @@ class FusedRegion:
 
     head: int
     length: int
-    pattern: str
 
     @property
     def tail_pcs(self) -> range:
@@ -235,146 +230,47 @@ def find_regions(
         if ops[pc] == "loop" and i == pc + 1:
             i = pc  # a bare loop opener fuses with nothing
         if i - pc >= 2:
-            regions.append(FusedRegion(pc, i - pc, "gen"))
+            regions.append(FusedRegion(pc, i - pc))
             pc = i
         else:
             pc += 1
     return regions
 
 
-def plan_function(body: Sequence[Instr], fuse: bool = True) -> FunctionPlan:
+def plan_function(body: Sequence[Instr]) -> FunctionPlan:
     """Pre-decode one function body."""
     matches = match_control(body)
     targets = jump_targets(body, matches)
-    regions = find_regions(body, targets) if fuse else []
+    regions = find_regions(body, targets)
     return FunctionPlan(matches=matches, targets=targets, regions=regions)
 
 
+def plans_for_module(module) -> Dict[int, FunctionPlan]:
+    """Pre-decode every defined function body of ``module``.
+
+    Keys are positions in ``module.funcs`` (defined-function space).
+    """
+    return {
+        index: plan_function(func.body)
+        for index, func in enumerate(module.funcs)
+    }
+
+
 # ----------------------------------------------------------------------
-# Build digest + content-addressed plan cache
+# Build digest
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=1)
 def interpreter_build_digest() -> str:
-    """SHA-256 over the interpreter build: sources + plan version.
+    """SHA-256 over the interpreter build's sources.
 
     Identifies the exact semantics+fusion implementation a run used;
-    embedded in diffcheck reports and the plan cache filenames.
+    embedded in measurement cache keys and diffcheck reports.
     """
     # Deferred: circular (interpreter/tiering import this module).
     from repro.runtime import interpreter, memory, tiering, vectorize
 
     digest = hashlib.sha256()
-    digest.update(f"predecode-v{PREDECODE_VERSION}".encode())
     for module in (interpreter, memory, tiering, vectorize):
         digest.update(Path(module.__file__).read_bytes())
     digest.update(Path(__file__).read_bytes())
     return digest.hexdigest()
-
-
-def _cache_dir() -> Path:
-    root = os.environ.get("REPRO_CACHE_DIR")
-    if root:
-        return Path(root)
-    return Path(".cache") / "profiles"
-
-
-def prune_stale_artifacts(cache_dir: Optional[Path] = None) -> List[str]:
-    """Evict build-keyed cache entries from *other* interpreter builds.
-
-    Pre-decode plans and tier-2 artifacts embed the interpreter-build
-    digest in their filenames, so every source change strands the
-    previous build's files; left alone the cache grows without bound.
-    Removes every ``predecode-*``/``tier2-*`` entry whose build suffix
-    is not the current one and returns the removed filenames.  Profile
-    JSONs (``<workload>-<size>-<digest>.json``) are content-addressed
-    by module digest only and are left untouched.
-    """
-    root = cache_dir if cache_dir is not None else _cache_dir()
-    build = interpreter_build_digest()[:8]
-    removed: List[str] = []
-    try:
-        entries = sorted(root.glob("predecode-*.json")) + sorted(
-            root.glob("tier2-*.json")
-        )
-    except OSError:  # pragma: no cover - unreadable cache dir
-        return removed
-    for path in entries:
-        if path.stem.rsplit("-", 1)[-1] == build:
-            continue
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - concurrent eviction
-            continue
-        removed.append(path.name)
-    return removed
-
-
-def _plan_to_json(plans: Dict[int, FunctionPlan]) -> dict:
-    return {
-        "version": PREDECODE_VERSION,
-        "funcs": {
-            str(index): {
-                "matches": {
-                    str(pc): value for pc, value in plan.matches.items()
-                },
-                "targets": sorted(plan.targets),
-                "regions": [
-                    [r.head, r.length, r.pattern] for r in plan.regions
-                ],
-            }
-            for index, plan in plans.items()
-        },
-    }
-
-
-def _plan_from_json(raw: dict) -> Dict[int, FunctionPlan]:
-    if raw.get("version") != PREDECODE_VERSION:
-        raise ValueError("plan version mismatch")
-    plans: Dict[int, FunctionPlan] = {}
-    for index, entry in raw["funcs"].items():
-        matches: Dict[int, Any] = {}
-        for pc, value in entry["matches"].items():
-            matches[int(pc)] = tuple(value) if isinstance(value, list) else value
-        plans[int(index)] = FunctionPlan(
-            matches=matches,
-            targets=frozenset(entry["targets"]),
-            regions=[FusedRegion(*r) for r in entry["regions"]],
-        )
-    return plans
-
-
-def plans_for_module(
-    module, module_digest: Optional[str] = None, fuse: bool = True
-) -> Dict[int, FunctionPlan]:
-    """Pre-decode every defined function body of ``module``.
-
-    Keys are positions in ``module.funcs`` (defined-function space).
-    With a ``module_digest`` the fused plan is memoised on disk in the
-    profile cache, keyed on (module content, interpreter build); the
-    un-fused plan is cheap enough to always recompute.
-    """
-    if module_digest and fuse:
-        path = _cache_dir() / (
-            f"predecode-{module_digest[:16]}-"
-            f"{interpreter_build_digest()[:8]}.json"
-        )
-        if path.exists():
-            try:
-                return _plan_from_json(json.loads(path.read_text()))
-            except (ValueError, KeyError, TypeError):
-                pass  # stale/corrupt entry: recompute below
-        plans = {
-            index: plan_function(func.body, fuse=True)
-            for index, func in enumerate(module.funcs)
-        }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(_plan_to_json(plans)))
-            prune_stale_artifacts()
-        except OSError:
-            pass  # read-only filesystem: plan still usable in-memory
-        return plans
-    return {
-        index: plan_function(func.body, fuse=fuse)
-        for index, func in enumerate(module.funcs)
-    }

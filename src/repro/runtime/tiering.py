@@ -1,10 +1,10 @@
 """Execution tiers and per-function tier-up for the interpreter.
 
-The interpreter exposes three tiers (``REPRO_TIER`` / the ``tier``
-constructor parameter):
+The interpreter has three tiers, selected by the ``tier`` constructor
+parameter or ``REPRO_TIER``; this is its only execution knob:
 
-* ``legacy`` — the original per-op closure dispatch;
-* ``fused``  — pre-decoded superinstruction dispatch (PR 4);
+* ``legacy`` — the original per-op closure dispatch, unfused;
+* ``fused``  — pre-decoded superinstruction dispatch;
 * ``opt``    — fused dispatch plus the tier-2 whole-function compiler
   (:mod:`repro.runtime.vectorize`) for functions that get hot.
 
@@ -12,72 +12,50 @@ Tier-up is per function and profile-driven: every invocation adds the
 function's instruction count to its score, and once the score crosses
 ``REPRO_TIER_THRESHOLD`` (default 64: one call of any non-trivial
 body, a few dozen calls of a tiny one) the whole module is compiled to
-tier-2 artifacts.  Artifacts are pure data, memoised on disk next to
-the pre-decode plans (``.cache/profiles/tier2-<module>-<build>.json``)
-and keyed on the same interpreter-build digest, so they can never
-outlive the build that produced them.
+tier-2 artifacts.  Artifacts are pure data, built in memory once per
+interpreter from its pre-decode plans.
 
 Tier-2 execution is bit-identical to the other tiers by construction
-(see :mod:`repro.runtime.vectorize`); ``REPRO_TIER_STRICT=1`` (set in
-CI) turns any *unexpected* tier-2 compile/install failure into a hard
-error instead of a silent fall-back to tier 1, mirroring what
-``REPRO_FUSE_STRICT`` does for superinstruction fusion.
+(see :mod:`repro.runtime.vectorize`).  ``REPRO_TIER_STRICT=1`` (set in
+CI) turns an *unexpected* failure in either silent fallback into a
+hard error: tier-2 compile/install falling back to tier 1, and
+fused-region codegen falling back to per-op closures.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.runtime import vectorize
-from repro.runtime.predecode import (
-    _cache_dir,
-    interpreter_build_digest,
-    prune_stale_artifacts,
-)
 
 #: Recognised execution tiers, slowest first.
 TIERS = ("legacy", "fused", "opt")
 
-#: Tier used when neither ``tier`` nor ``dispatch`` is requested
-#: explicitly (parameter or environment).
+#: Tier used when neither the ``tier`` parameter nor ``REPRO_TIER``
+#: names one.
 DEFAULT_TIER = "opt"
 
 
 def tier_threshold() -> int:
-    """Tier-up score threshold (instruction count x invocations)."""
-    try:
-        return int(os.environ.get("REPRO_TIER_THRESHOLD", "64"))
-    except ValueError:
-        return 64
+    """Tier-up score threshold (instruction count x invocations).
+
+    A malformed ``REPRO_TIER_THRESHOLD`` raises ``ValueError``, like an
+    unknown ``REPRO_TIER``, instead of silently meaning the default.
+    """
+    return int(os.environ.get("REPRO_TIER_THRESHOLD", "64"))
 
 
-def dispatch_for_tier(tier: str) -> str:
-    """The dispatch mode a tier runs on."""
-    return "legacy" if tier == "legacy" else "fused"
+def strict() -> bool:
+    """Whether ``REPRO_TIER_STRICT`` turns silent fallbacks into errors."""
+    return bool(os.environ.get("REPRO_TIER_STRICT"))
 
 
-def artifacts_for_module(module, plans, module_digest=None) -> Dict[int, dict]:
+def artifacts_for_module(module, plans) -> Dict[int, dict]:
     """Tier-2 artifacts for every defined function of ``module``.
 
-    Keys are defined-function indices.  With a ``module_digest`` the
-    result is memoised on disk beside the pre-decode plans, keyed on
-    the interpreter-build digest; stale entries from other builds are
-    pruned whenever a fresh file is written.
+    Keys are defined-function indices.
     """
-    path = None
-    if module_digest:
-        path = _cache_dir() / (
-            f"tier2-{module_digest[:16]}-{interpreter_build_digest()[:8]}.json"
-        )
-        if path.exists():
-            try:
-                raw = json.loads(path.read_text())
-                if raw.get("version") == vectorize.TIER2_VERSION:
-                    return {int(k): v for k, v in raw["funcs"].items()}
-            except (ValueError, KeyError, TypeError, OSError):
-                pass  # stale/corrupt entry: recompile below
     num_imported = len(module.imports)
     artifacts: Dict[int, dict] = {}
     for index, func in enumerate(module.funcs):
@@ -85,32 +63,13 @@ def artifacts_for_module(module, plans, module_digest=None) -> Dict[int, dict]:
         local_types = [t.value for t in ftype.params] + [
             t.value for t in func.locals
         ]
-        plan = plans.get(index)
-        if plan is None:  # pragma: no cover - plans cover defined funcs
-            from repro.runtime.predecode import plan_function
-
-            plan = plan_function(func.body, fuse=False)
         artifacts[index] = vectorize.compile_function(
             func.body,
-            plan.matches,
+            plans[index].matches,
             local_types,
             len(ftype.params),
             len(ftype.results),
         )
-    if path is not None:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps(
-                    {
-                        "version": vectorize.TIER2_VERSION,
-                        "funcs": {str(k): v for k, v in artifacts.items()},
-                    }
-                )
-            )
-            prune_stale_artifacts()
-        except OSError:
-            pass  # read-only filesystem: artifacts still usable in-memory
     return artifacts
 
 
@@ -138,9 +97,7 @@ class TierState:
     def artifacts(self) -> Dict[int, dict]:
         if self._artifacts is None:
             interp = self._interp
-            self._artifacts = artifacts_for_module(
-                interp.module, interp._plans, interp._module_digest
-            )
+            self._artifacts = artifacts_for_module(interp.module, interp._plans)
         return self._artifacts
 
     def handler_for(self, func_index: int, func) -> Optional[Callable]:
@@ -171,7 +128,7 @@ class TierState:
         except Exception:
             # Tier 1 is always a correct fallback; strict mode (CI)
             # surfaces the tier-2 bug instead of hiding it.
-            if os.environ.get("REPRO_TIER_STRICT"):
+            if strict():
                 raise
             handler = None
         self.handlers[func_index] = handler

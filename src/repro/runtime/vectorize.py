@@ -45,7 +45,6 @@ the scalar compiled loop is kept instead.
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -67,8 +66,8 @@ try:  # NumPy is optional: scalar codegen carries the perf floor alone.
 except Exception:  # pragma: no cover - environment without numpy
     _np = None
 
-#: Bump when generated code or the artifact format changes.
-TIER2_VERSION = 1
+#: NumPy engages for innermost loops of at least this many iterations.
+VEC_MIN = 16
 
 M32 = 0xFFFFFFFF
 M64 = 0xFFFFFFFFFFFFFFFF
@@ -1199,7 +1198,6 @@ class _Compiler:
             for name, kind, arg in self.env_order
         ]
         return {
-            "version": TIER2_VERSION,
             "eligible": True,
             "source": "\n".join(src),
             "env": env,
@@ -1219,19 +1217,7 @@ def compile_function(
         compiler = _Compiler(body, matches, local_types, n_params, n_results)
         return compiler.compile()
     except Bailout as exc:
-        return {
-            "version": TIER2_VERSION,
-            "eligible": False,
-            "reason": str(exc),
-        }
-
-
-def vec_min() -> int:
-    """NumPy engages for loops of at least this many iterations."""
-    try:
-        return int(os.environ.get("REPRO_TIER_VECMIN", "16"))
-    except ValueError:
-        return 16
+        return {"eligible": False, "reason": str(exc)}
 
 
 def install(artifact: dict, memory):
@@ -1255,7 +1241,7 @@ def install(artifact: dict, memory):
         elif kind == "np":
             binds[name] = _np
         elif kind == "vecmin":
-            binds[name] = vec_min()
+            binds[name] = VEC_MIN
         elif kind == "const":
             binds[name] = float(arg)
         elif kind == "pcs":
@@ -1268,7 +1254,7 @@ def install(artifact: dict, memory):
             binds[name] = memory.touched_pages
         elif kind == "track":
             binds[name] = memory.track_pages
-        else:  # pragma: no cover - artifact version gates this
+        else:  # pragma: no cover - the compiler emits only these kinds
             raise ValueError(f"unknown env kind {kind!r}")
     scope.update(binds)
     exec(compile(artifact["source"], "<tier2>", "exec"), scope)

@@ -1,14 +1,14 @@
-"""Conformance corpus: all dispatch modes agree on every program.
+"""Conformance corpus: all execution tiers agree on every program.
 
 Each ``tests/corpus/*.wat`` fixture is a small program targeting one
 semantic corner (wrap-around arithmetic, NaN bit patterns, memarg edge
 offsets, br_table, bulk memory ops, …).  The harness runs every
-exported function under all three dispatch modes — ``legacy`` (the
-pre-rewrite per-op closures), ``nofuse`` (fast memory paths, no
-fusion) and ``fused`` (superinstruction codegen) — and requires
-*bit-identical observables*: results (floats compared by bit pattern),
-trap kinds, per-pc execution counts, opcode totals, load/store counts
-and touched-page sets.
+exported function under all three tiers — ``legacy`` (the pre-rewrite
+per-op closures, unfused), ``fused`` (fast memory paths and
+superinstruction codegen) and ``opt`` (tier-2 whole-function codegen)
+— and requires *bit-identical observables*: results (floats compared
+by bit pattern), trap kinds, per-pc execution counts, opcode totals,
+load/store counts and touched-page sets.
 
 Every module also makes a binary encode/decode round trip first, so
 the corpus exercises the wire format (including the 0xFC-prefixed
@@ -20,7 +20,7 @@ import struct
 
 import pytest
 
-from repro.runtime.interpreter import DISPATCH_MODES, Interpreter
+from repro.runtime.interpreter import Interpreter
 from repro.wasm import decode_module, encode_module, validate_module
 from repro.wasm.errors import Trap
 from repro.wasm.wat_parser import parse_wat
@@ -38,10 +38,9 @@ def _bits(value):
     return value
 
 
-def _run_module(module, dispatch=None, tier=None):
+def _run_module(module, tier):
     interp = Interpreter(
         module,
-        dispatch=dispatch,
         tier=tier,
         collect_profile=True,
         track_pages=True,
@@ -74,41 +73,20 @@ def test_corpus_is_populated():
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
-def test_dispatch_modes_agree(path, monkeypatch):
-    monkeypatch.setenv("REPRO_FUSE_STRICT", "1")
-    module = parse_wat(path.read_text())
-    validate_module(module)
-    # Wire round trip: the binary form must reproduce the module.
-    module = decode_module(encode_module(module))
-    validate_module(module)
-
-    reference = _run_module(module, "fused")
-    assert reference["outcomes"], f"{path.name} exports no functions"
-    for mode in DISPATCH_MODES:
-        if mode == "fused":
-            continue
-        observed = _run_module(module, mode)
-        for key, value in reference.items():
-            assert observed[key] == value, (
-                f"{path.name}: {key} differs between fused and {mode}"
-            )
-
-
-@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_tiers_agree(path, monkeypatch):
     """All three execution tiers are bit-identical on the corpus.
 
     ``REPRO_TIER_THRESHOLD=0`` forces immediate tier-up so the opt
     tier's whole-function compiler actually runs where it can;
-    ``REPRO_TIER_STRICT=1`` turns unexpected vectorizer failures into
-    hard errors instead of silent tier-1 fallbacks.  Agreement covers
-    outcomes *and* the reconstructed per-pc profile.
+    ``REPRO_TIER_STRICT=1`` turns unexpected fused-codegen and
+    vectorizer failures into hard errors instead of silent fallbacks.
+    Agreement covers outcomes *and* the reconstructed per-pc profile.
     """
     monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
     monkeypatch.setenv("REPRO_TIER_STRICT", "1")
-    monkeypatch.setenv("REPRO_FUSE_STRICT", "1")
     module = parse_wat(path.read_text())
     validate_module(module)
+    # Wire round trip: the binary form must reproduce the module.
     module = decode_module(encode_module(module))
     validate_module(module)
 
@@ -146,7 +124,7 @@ def test_tier2_compiles_some_of_the_corpus(monkeypatch):
 def test_fusion_actually_applies(path):
     """The corpus must exercise the fused path, not just fall back."""
     module = parse_wat(path.read_text())
-    interp = Interpreter(module, dispatch="fused")
+    interp = Interpreter(module, tier="fused")
     for export in module.exports:
         if export.kind == "func":
             try:

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.diffcheck import fuzz
-from repro.runtime.interpreter import DISPATCH_MODES, Interpreter, to_f32
+from repro.runtime.interpreter import Interpreter, to_f32
+from repro.runtime.tiering import TIERS
 from repro.wasm import decode_module, encode_module, validate_module
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.errors import DecodeError, Trap
@@ -160,20 +161,22 @@ class TestF32Canonicalisation:
 
 
 class TestFusionEquivalence:
-    """Superinstruction fusion is unobservable except in speed.
+    """Superinstruction fusion and tier-2 are unobservable except in speed.
 
     For DSL-generated programs (the diffcheck fuzzer's generator, so
-    shrinking happens on the seed), the fused, nofuse and legacy
-    dispatch modes must produce bit-identical return values, memory
-    load/store counts and touched-page sets.  REPRO_FUSE_STRICT turns
-    any silent codegen fallback into a hard failure, so a property
-    violation here cannot hide behind the unfused path.
+    shrinking happens on the seed), every execution tier must produce
+    bit-identical return values, memory load/store counts, touched-page
+    sets and per-pc profiles.  Each tier is pinned explicitly, so an
+    ambient ``REPRO_TIER`` cannot collapse the comparison, and
+    ``REPRO_TIER_STRICT`` turns any silent fused-codegen or tier-2
+    fallback into a hard failure, so a property violation here cannot
+    hide behind the ``legacy`` path.
     """
 
     @staticmethod
-    def _observe(module, arg, dispatch):
+    def _observe(module, arg, tier):
         interp = Interpreter(
-            module, dispatch=dispatch, validate=False,
+            module, tier=tier, validate=False,
             collect_profile=False, track_pages=True,
         )
         try:
@@ -191,18 +194,18 @@ class TestFusionEquivalence:
     def test_dispatch_modes_agree(self, seed, arg):
         module = fuzz.build_program(random.Random(seed))
         validate_module(module)
-        previous = os.environ.get("REPRO_FUSE_STRICT")
-        os.environ["REPRO_FUSE_STRICT"] = "1"
+        previous = os.environ.get("REPRO_TIER_STRICT")
+        os.environ["REPRO_TIER_STRICT"] = "1"
         try:
             reference = self._observe(module, arg, "fused")
-            for mode in DISPATCH_MODES:
-                if mode != "fused":
-                    assert self._observe(module, arg, mode) == reference
+            for tier in TIERS:
+                if tier != "fused":
+                    assert self._observe(module, arg, tier) == reference
         finally:
             if previous is None:
-                del os.environ["REPRO_FUSE_STRICT"]
+                del os.environ["REPRO_TIER_STRICT"]
             else:
-                os.environ["REPRO_FUSE_STRICT"] = previous
+                os.environ["REPRO_TIER_STRICT"] = previous
 
     @given(st.integers(0, 10**9), st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -210,9 +213,9 @@ class TestFusionEquivalence:
         """Reconstructed per-pc counts match an actually-unfused run."""
         module = fuzz.build_program(random.Random(seed))
         profiles = {}
-        for mode in ("fused", "nofuse"):
+        for tier in TIERS:
             interp = Interpreter(
-                module, dispatch=mode, validate=False,
+                module, tier=tier, validate=False,
                 collect_profile=True, track_pages=True,
             )
             try:
@@ -220,7 +223,7 @@ class TestFusionEquivalence:
             except Trap:
                 pass
             profile = interp.take_profile("fuzz", "prop")
-            profiles[mode] = (
+            profiles[tier] = (
                 dict(profile.instr_counts),
                 dict(profile.op_totals),
                 profile.total_instrs,
@@ -228,7 +231,7 @@ class TestFusionEquivalence:
                 profile.mem_stores,
                 profile.pages_touched,
             )
-        assert profiles["fused"] == profiles["nofuse"]
+        assert profiles["fused"] == profiles["legacy"] == profiles["opt"]
 
 
 class TestMutatorRobustness:

@@ -2,8 +2,8 @@
 
 Every entry is a once-found failure promoted to a permanent
 regression: fuzzer seeds go back through the full ``check_case``
-oracle (and additionally through every dispatch mode), hand-written
-``.wat`` distillations run under the full bounds-strategy x dispatch
+oracle (and additionally through every execution tier), hand-written
+``.wat`` distillations run under the full bounds-strategy x tier
 grid, and campaign finds (the ``"campaign"`` list in seeds.json,
 written by ``leaps-bench fuzz --promote``) replay through the
 campaign's own oracle stack.  See tests/fuzz_corpus/README.md for the
@@ -17,8 +17,9 @@ import random
 import pytest
 
 from repro.diffcheck import fuzz
-from repro.runtime.interpreter import DISPATCH_MODES, Interpreter
+from repro.runtime.interpreter import Interpreter
 from repro.runtime.strategies import STRATEGY_ORDER
+from repro.runtime.tiering import TIERS
 from repro.wasm import decode_module, encode_module, validate_module
 from repro.wasm.errors import Trap
 from repro.wasm.wat_parser import parse_wat
@@ -33,9 +34,9 @@ CAMPAIGN_CASES = MANIFEST.get("campaign", [])
 WAT_CASES = sorted(CORPUS_DIR.glob("*.wat"))
 
 
-def _outcome(module, arg, strategy, dispatch=None, tier=None):
+def _outcome(module, arg, strategy, tier):
     interp = Interpreter(
-        module, strategy=strategy, dispatch=dispatch, tier=tier,
+        module, strategy=strategy, tier=tier,
         validate=False, collect_profile=False, track_pages=True,
     )
     try:
@@ -68,28 +69,6 @@ def test_seed_passes_full_oracle(case):
 @pytest.mark.parametrize(
     "case", SEED_CASES, ids=lambda c: f"seed{c['seed']}"
 )
-def test_seed_dispatch_modes_agree(case, monkeypatch):
-    """Dispatch modes agree on the seed's module for every strategy."""
-    monkeypatch.setenv("REPRO_FUSE_STRICT", "1")
-    rng = random.Random(case["seed"])
-    module = fuzz.build_program(rng)
-    validate_module(module)
-    for strategy in STRATEGY_ORDER:
-        for arg in SEED_ARGS:
-            reference = _outcome(module, arg, strategy, "fused")
-            for mode in DISPATCH_MODES:
-                if mode == "fused":
-                    continue
-                observed = _outcome(module, arg, strategy, mode)
-                assert observed == reference, (
-                    f"seed {case['seed']} arg={arg} {strategy}: "
-                    f"{mode} diverges from fused"
-                )
-
-
-@pytest.mark.parametrize(
-    "case", SEED_CASES, ids=lambda c: f"seed{c['seed']}"
-)
 def test_seed_tiers_agree(case, monkeypatch):
     """Execution tiers agree on the seed's module for every strategy.
 
@@ -115,15 +94,15 @@ def test_seed_tiers_agree(case, monkeypatch):
 
 @pytest.mark.parametrize("path", WAT_CASES, ids=lambda p: p.stem)
 def test_wat_regression_grid(path, monkeypatch):
-    """Distilled regressions agree across strategies and dispatch modes.
+    """Distilled regressions agree across strategies and execution tiers.
 
-    Within one strategy every dispatch mode must be bit-identical.
+    Within one strategy every tier must be bit-identical.
     Across strategies the usual diffcheck contract holds: identical
     value/loads/stores/pages when nothing traps; when a trapping
     strategy traps, all trapping strategies report the same kind and
     clamp/none complete without trapping.
     """
-    monkeypatch.setenv("REPRO_FUSE_STRICT", "1")
+    monkeypatch.setenv("REPRO_TIER_STRICT", "1")
     module = parse_wat(path.read_text())
     validate_module(module)
     module = decode_module(encode_module(module))
@@ -132,14 +111,14 @@ def test_wat_regression_grid(path, monkeypatch):
     for arg in SEED_ARGS:
         by_strategy = {}
         for strategy in STRATEGY_ORDER:
-            reference = _outcome(module, arg, strategy, "fused")
-            for mode in DISPATCH_MODES:
-                if mode == "fused":
+            reference = _outcome(module, arg, strategy, tier="fused")
+            for tier in TIERS:
+                if tier == "fused":
                     continue
-                observed = _outcome(module, arg, strategy, mode)
+                observed = _outcome(module, arg, strategy, tier=tier)
                 assert observed == reference, (
                     f"{path.name} arg={arg} {strategy}: "
-                    f"{mode} diverges from fused"
+                    f"{tier} diverges from fused"
                 )
             by_strategy[strategy] = reference
 

@@ -34,8 +34,11 @@ class TestProfileCache:
 
     def test_disk_cache_round_trip(self, isolated_cache):
         _, original = profile_for("gemm", "mini")
-        files = list(isolated_cache.glob("gemm-mini-*.json"))
+        # Profiling leaves the profile and nothing else: the interpreter
+        # keeps its pre-decode plans and tier-2 artifacts in memory.
+        files = list(isolated_cache.iterdir())
         assert len(files) == 1
+        assert files[0].name.startswith("gemm-mini-")
         clear_profile_cache()
         _, reloaded = profile_for("gemm", "mini")
         assert reloaded.instr_counts == original.instr_counts

@@ -1,24 +1,19 @@
-"""Tests for the optimizing tier (tiering.py + vectorize.py).
+"""Tests for the execution tiers (tiering.py + vectorize.py).
 
-Covers the tier-up heuristic, tier/dispatch resolution, the disk
-artifact cache and its pruning, bit-identical observables between the
-``opt`` tier and the fused reference (outputs, memory counters,
-touched pages, reconstructed per-pc profiles), the entry-guard deopt
-path, and ``REPRO_TIER_STRICT``.
+Covers tier resolution and its validation, the tier-up heuristic,
+bit-identical observables between the ``opt`` tier and the fused
+reference (outputs, memory counters, touched pages, reconstructed
+per-pc profiles), the entry-guard deopt path, and ``REPRO_TIER_STRICT``
+over both silent fallbacks (tier-2 install and fused-region codegen).
 """
 
-import json
 import struct
 
 import pytest
 
 from repro.core.profiles import clear_profile_cache, module_for
-from repro.runtime import tiering, vectorize
+from repro.runtime import interpreter, vectorize
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.predecode import (
-    interpreter_build_digest,
-    prune_stale_artifacts,
-)
 from repro.wasm import validate_module
 from repro.wasm.wat_parser import parse_wat
 
@@ -39,10 +34,9 @@ def _bits(value):
     return value
 
 
-def _observables(module, digest, tier):
+def _observables(module, tier):
     interp = Interpreter(
-        module, collect_profile=True, track_pages=True,
-        module_digest=digest, tier=tier,
+        module, collect_profile=True, track_pages=True, tier=tier,
     )
     out = _bits(interp.invoke("bench"))
     profile = interp.take_profile("x", "y")
@@ -64,27 +58,23 @@ class TestTierResolution:
         module, _ = module_for("trisolv", "mini")
         interp = Interpreter(module)
         assert interp.tier == "opt"
-        assert interp.dispatch == "fused"
+        assert interp._plans
         assert interp._tiering is not None
-
-    def test_explicit_dispatch_disables_tier2(self):
-        # Dispatch-mode comparisons must keep measuring dispatch alone.
-        module, _ = module_for("trisolv", "mini")
-        for dispatch in ("legacy", "nofuse", "fused"):
-            interp = Interpreter(module, dispatch=dispatch)
-            assert interp._tiering is None
 
     def test_tier_param_picks_dispatch(self):
         module, _ = module_for("trisolv", "mini")
-        assert Interpreter(module, tier="legacy").dispatch == "legacy"
-        assert Interpreter(module, tier="fused").dispatch == "fused"
-        assert Interpreter(module, tier="fused")._tiering is None
+        legacy = Interpreter(module, tier="legacy")
+        assert legacy.tier == "legacy"
+        assert not legacy._plans and legacy._tiering is None
+        fused = Interpreter(module, tier="fused")
+        assert fused.tier == "fused"
+        assert fused._plans and fused._tiering is None
         assert Interpreter(module, tier="opt")._tiering is not None
 
     def test_tier_env_var(self, monkeypatch):
         module, _ = module_for("trisolv", "mini")
         monkeypatch.setenv("REPRO_TIER", "legacy")
-        assert Interpreter(module).dispatch == "legacy"
+        assert Interpreter(module).tier == "legacy"
         monkeypatch.setenv("REPRO_TIER", "opt")
         assert Interpreter(module)._tiering is not None
 
@@ -93,28 +83,35 @@ class TestTierResolution:
         with pytest.raises(ValueError):
             Interpreter(module, tier="turbofan")
 
+    def test_malformed_threshold_rejected(self, monkeypatch):
+        # A typo must not silently stop forcing tier-up.
+        module, _ = module_for("trisolv", "mini")
+        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "O")
+        with pytest.raises(ValueError):
+            Interpreter(module, tier="opt")
+
 
 class TestTierUpHeuristic:
     def test_cold_functions_stay_on_tier1(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", str(10**9))
-        module, digest = module_for("gemm", "mini")
-        _, interp = _observables(module, digest, "opt")
+        module, _ = module_for("gemm", "mini")
+        _, interp = _observables(module, "opt")
         assert not any(interp._tiering.handlers.values())
 
     def test_hot_functions_tier_up(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
-        module, digest = module_for("gemm", "mini")
-        _, interp = _observables(module, digest, "opt")
+        module, _ = module_for("gemm", "mini")
+        _, interp = _observables(module, "opt")
         installed = [h for h in interp._tiering.handlers.values() if h]
         assert len(installed) >= 2  # init and kernel
 
     def test_score_accumulates_across_calls(self, monkeypatch):
         # Threshold just above one kernel-body score: the second call
         # must tier up even though the first did not.
-        module, digest = module_for("gemm", "mini")
+        module, _ = module_for("gemm", "mini")
         body_len = len(module.funcs[0].body)
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", str(body_len + 1))
-        interp = Interpreter(module, module_digest=digest, tier="opt")
+        interp = Interpreter(module, tier="opt")
         interp.invoke("bench")
         first = sum(1 for h in interp._tiering.handlers.values() if h)
         interp.invoke("bench")
@@ -128,21 +125,21 @@ class TestBitIdentity:
     def test_opt_matches_fused_mini(self, workload, monkeypatch):
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.setenv("REPRO_TIER_STRICT", "1")
-        module, digest = module_for(workload, "mini")
-        reference, _ = _observables(module, digest, "fused")
-        observed, interp = _observables(module, digest, "opt")
+        module, _ = module_for(workload, "mini")
+        reference, _ = _observables(module, "fused")
+        observed, interp = _observables(module, "opt")
         assert any(interp._tiering.handlers.values())
         for key, value in reference.items():
             assert observed[key] == value, f"{workload}: {key} differs"
 
     def test_opt_matches_fused_small_numpy_path(self, monkeypatch):
-        # small trip counts exceed REPRO_TIER_VECMIN, so the NumPy
+        # small trip counts reach vectorize.VEC_MIN, so the NumPy
         # batched path (not just the scalar codegen) is exercised.
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.setenv("REPRO_TIER_STRICT", "1")
-        module, digest = module_for("gemm", "small")
-        reference, _ = _observables(module, digest, "fused")
-        observed, _ = _observables(module, digest, "opt")
+        module, _ = module_for("gemm", "small")
+        reference, _ = _observables(module, "fused")
+        observed, _ = _observables(module, "opt")
         for key, value in reference.items():
             assert observed[key] == value, f"gemm-small: {key} differs"
 
@@ -202,86 +199,55 @@ class TestDeopt:
         assert any(interp._tiering.handlers.values())
 
 
-class TestArtifactCache:
-    def test_disk_roundtrip(self, isolated_cache, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
-        module, digest = module_for("gemm", "mini")
-        first, interp = _observables(module, digest, "opt")
-        files = list(isolated_cache.glob("tier2-*.json"))
-        assert len(files) == 1
-        raw = json.loads(files[0].read_text())
-        assert raw["version"] == vectorize.TIER2_VERSION
-        assert any(a.get("eligible") for a in raw["funcs"].values())
-        # A fresh interpreter loads the artifact instead of recompiling
-        # and still produces bit-identical observables.
-        plans = interp._plans
-        reloaded = tiering.artifacts_for_module(module, plans, digest)
-        fresh = tiering.artifacts_for_module(module, plans, None)
-        assert {k: v for k, v in reloaded.items()} == fresh
-        second, _ = _observables(module, digest, "opt")
-        assert second == first
+def _fail_tier2_install(monkeypatch):
+    def boom(artifact, memory):
+        raise RuntimeError("injected tier-2 install failure")
 
-    def test_corrupt_artifact_recompiled(self, isolated_cache, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
-        module, digest = module_for("gemm", "mini")
-        _observables(module, digest, "opt")
-        path = next(isolated_cache.glob("tier2-*.json"))
-        path.write_text("{not json")
-        first, interp = _observables(module, digest, "opt")
-        assert any(interp._tiering.handlers.values())
+    monkeypatch.setattr(vectorize, "install", boom)
 
-    def test_prune_evicts_only_stale_builds(self, isolated_cache):
-        build = interpreter_build_digest()[:8]
-        stale = [
-            isolated_cache / "predecode-aaaaaaaaaaaaaaaa-00000000.json",
-            isolated_cache / "tier2-aaaaaaaaaaaaaaaa-00000000.json",
-        ]
-        fresh = [
-            isolated_cache / f"predecode-bbbbbbbbbbbbbbbb-{build}.json",
-            isolated_cache / f"tier2-bbbbbbbbbbbbbbbb-{build}.json",
-        ]
-        profile = isolated_cache / "gemm-mini-cccccccccccccccc.json"
-        for path in stale + fresh + [profile]:
-            path.write_text("{}")
-        removed = prune_stale_artifacts(isolated_cache)
-        assert sorted(removed) == sorted(p.name for p in stale)
-        for path in stale:
-            assert not path.exists()
-        for path in fresh + [profile]:
-            assert path.exists()
 
-    def test_plan_write_prunes_stale_entries(self, isolated_cache):
-        stale = isolated_cache / "predecode-aaaaaaaaaaaaaaaa-00000000.json"
-        stale.write_text("{}")
-        module, digest = module_for("trisolv", "mini")
-        Interpreter(module, module_digest=digest)
-        assert not stale.exists()
+def _fail_fused_codegen(monkeypatch):
+    def boom(region, body, memory, body_len):
+        raise RuntimeError("injected fused codegen failure")
+
+    monkeypatch.setattr(interpreter, "_gen_region", boom)
+
+
+#: (injection, tier that exercises it, how to read "it fell back").
+FALLBACKS = {
+    "tier2": (
+        _fail_tier2_install, "opt",
+        lambda interp: not any(interp._tiering.handlers.values()),
+    ),
+    "fused": (
+        _fail_fused_codegen, "fused",
+        lambda interp: not interp._fused_regions,
+    ),
+}
 
 
 class TestStrictness:
-    def test_strict_surfaces_tier2_bugs(self, monkeypatch):
+    """One switch, ``REPRO_TIER_STRICT``, governs both silent fallbacks."""
+
+    @pytest.mark.parametrize("point", sorted(FALLBACKS))
+    def test_strict_raises(self, point, monkeypatch):
+        inject, tier, _ = FALLBACKS[point]
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.setenv("REPRO_TIER_STRICT", "1")
-
-        def boom(artifact, memory):
-            raise RuntimeError("injected tier-2 install failure")
-
-        monkeypatch.setattr(vectorize, "install", boom)
-        module, digest = module_for("trisolv", "mini")
-        interp = Interpreter(module, module_digest=digest, tier="opt")
+        inject(monkeypatch)
+        module, _ = module_for("trisolv", "mini")
+        interp = Interpreter(module, tier=tier)
         with pytest.raises(RuntimeError, match="injected"):
             interp.invoke("bench")
 
-    def test_non_strict_falls_back_to_tier1(self, monkeypatch):
+    @pytest.mark.parametrize("point", sorted(FALLBACKS))
+    def test_non_strict_falls_back(self, point, monkeypatch):
+        inject, tier, fell_back = FALLBACKS[point]
         monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.delenv("REPRO_TIER_STRICT", raising=False)
-
-        def boom(artifact, memory):
-            raise RuntimeError("injected tier-2 install failure")
-
-        monkeypatch.setattr(vectorize, "install", boom)
-        module, digest = module_for("trisolv", "mini")
-        reference, _ = _observables(module, digest, "fused")
-        observed, interp = _observables(module, digest, "opt")
-        assert not any(interp._tiering.handlers.values())
+        module, _ = module_for("trisolv", "mini")
+        reference, _ = _observables(module, "legacy")
+        inject(monkeypatch)
+        observed, interp = _observables(module, tier)
+        assert fell_back(interp)
         assert observed == reference
