@@ -317,6 +317,5 @@ class _SharedState:
     stopped: bool = False
     start_snapshot: object = None
     end_snapshot: object = None
-    gc_epoch: Dict[int, int] = field(default_factory=dict)
 
 

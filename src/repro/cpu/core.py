@@ -18,10 +18,11 @@ time, exactly as a real core would steal cycles from the running task).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Deque, Generator, Optional
 
-from repro.sim.engine import Engine, Event, SimError
+from repro.sim.engine import PARK, Engine, Process, SimError
 from repro.trace.events import CPU_ACCT, SCHED_IRQ, SCHED_SWITCH
 from repro.trace.tracer import TRACE
 
@@ -64,17 +65,22 @@ class CpuAccounting:
         }
 
 
-@dataclass
 class _Slice:
     """Bookkeeping for the segment currently executing on a core."""
 
-    thread: "SimThread"
-    kind: str
-    work: float
-    started_at: float
-    end_event: Event
-    epoch: int
-    extra_irq_time: float = 0.0
+    __slots__ = ("thread", "process", "work", "started_at", "epoch", "extra_irq_time")
+
+    def __init__(
+        self, thread: "SimThread", process: Process, work: float,
+        started_at: float, epoch: int,
+    ) -> None:
+        self.thread = thread
+        #: The thread's process, parked until the slice ends.
+        self.process = process
+        self.work = work
+        self.started_at = started_at
+        self.epoch = epoch
+        self.extra_irq_time = 0.0
 
 
 class Core:
@@ -93,7 +99,8 @@ class Core:
         self.switch_cost = switch_cost
         self.acct = CpuAccounting()
         self.context_switches = 0
-        self.ready: Deque[tuple["SimThread", Event]] = deque()
+        #: Runnable threads waiting for the core, each with its parked process.
+        self.ready: Deque[tuple["SimThread", Process]] = deque()
         self.current: Optional["SimThread"] = None
         self._last_installed: Optional["SimThread"] = None
         self._slice: Optional[_Slice] = None
@@ -108,8 +115,9 @@ class Core:
         The calling process is the thread itself.  Handles dispatch,
         preemption and interrupt-stolen time transparently.
         """
-        if duration < 0:
-            raise SimError(f"negative execution duration {duration}")
+        if not duration >= 0:  # also rejects NaN
+            raise SimError(f"execution duration must be non-negative, got {duration}")
+        engine = self.engine
         remaining = duration
         while True:
             if self.current is not thread:
@@ -118,18 +126,10 @@ class Core:
                 return
             contended = bool(self.ready)
             slice_len = min(self.quantum, remaining) if contended else remaining
-            end_event = self.engine.event(f"core{self.index}.slice")
             self._epoch += 1
-            self._slice = _Slice(
-                thread=thread,
-                kind=kind,
-                work=slice_len,
-                started_at=self.engine.now,
-                end_event=end_event,
-                epoch=self._epoch,
-            )
+            self._slice = _Slice(thread, engine.active, slice_len, engine.now, self._epoch)
             self._schedule_slice_end(self._slice)
-            yield end_event
+            yield PARK
             self._charge(kind, slice_len)
             self._slice = None
             remaining -= slice_len
@@ -205,27 +205,29 @@ class Core:
 
     def _schedule_slice_end(self, sl: _Slice) -> None:
         end_time = sl.started_at + sl.work + sl.extra_irq_time
-        epoch = sl.epoch
+        self.engine.call_at(end_time, partial(self._end_slice, sl.epoch))
 
-        def fire() -> None:
-            if self._slice is sl and sl.epoch == epoch:
-                sl.end_event.succeed(sl.work)
-
-        self.engine.call_at(end_time, fire)
+    def _end_slice(self, epoch: int) -> None:
+        """Wake the slice's thread, unless an interrupt rescheduled the
+        end (epochs are unique per core, so a match is the same slice)."""
+        sl = self._slice
+        if sl is not None and sl.epoch == epoch:
+            self.engine.wake(sl.process)
 
     def _enqueue_and_wait(self, thread: "SimThread") -> Generator:
-        event = self.engine.event(f"core{self.index}.ready.{thread.name}")
-        self.ready.append((thread, event))
+        self.ready.append((thread, self.engine.active))
         if self.current is None:
+            # Wakes this very thread when the core is idle; the wake is
+            # queued before the thread parks, and resumes it after.
             self._dispatch_next()
-        yield event
+        yield PARK
         if self.current is not thread:
             raise SimError("woken thread is not current on its core")
 
     def _dispatch_next(self) -> None:
         if self.current is not None or not self.ready:
             return
-        thread, event = self.ready.popleft()
+        thread, process = self.ready.popleft()
         self.current = thread
         if self._last_installed is not thread:
             self.context_switches += 1
@@ -239,4 +241,4 @@ class Core:
             if self._last_installed is not None and self.switch_cost > 0:
                 self._charge(SYS, self.switch_cost)
         self._last_installed = thread
-        event.succeed()
+        self.engine.wake(process)

@@ -15,14 +15,22 @@ Thread bodies are simulation processes (generators).  The discipline is:
   on an event or a lock-acquire generator, then get back on;
 * ``yield from thread.sleep(duration)`` — timed sleep off the CPU;
 * ``thread.finish()`` — final statement, releases the core.
+
+Each of these must run in the process that owns the thread (the one
+:attr:`Engine.active <repro.sim.engine.Engine.active>` names while it
+runs): waiting for the core, for a run slice to end and for a sleep to
+end parks that process (:data:`repro.sim.engine.PARK`), and the core or
+the engine wakes it.  Only :meth:`SimThread.block_on` waits on an
+:class:`~repro.sim.engine.Event`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Union
+from functools import partial
+from typing import Generator, Union
 
 from repro.cpu.core import Core, USER
-from repro.sim.engine import Delay, Engine, Event
+from repro.sim.engine import PARK, Engine, Event
 
 
 Waitable = Union[Event, Generator]
@@ -53,7 +61,7 @@ class SimThread:
     # -- execution -------------------------------------------------------
     def run(self, duration: float, kind: str = USER) -> Generator:
         """Execute ``duration`` seconds of work of the given kind."""
-        yield from self.core.exec(self, duration, kind)
+        return self.core.exec(self, duration, kind)
 
     def block_on(self, waitable: Waitable) -> Generator:
         """Block off-CPU until ``waitable`` completes, then reschedule.
@@ -74,7 +82,15 @@ class SimThread:
 
     def sleep(self, duration: float) -> Generator:
         """Sleep off-CPU for a fixed simulated duration."""
-        yield from self.block_on(self.engine.timeout(duration))
+        engine = self.engine
+        # The wake-up is scheduled before the core is released, so its
+        # heap entry sorts ahead of anything the release schedules.
+        engine.call_at(engine.now + duration, partial(engine.wake, engine.active))
+        self.runnable = False
+        self.core.release(self)
+        yield PARK
+        self.runnable = True
+        yield from self.core.acquire(self)
 
     def migrate(self, core: Core) -> Generator:
         """Move to another core (models the load balancer migrating

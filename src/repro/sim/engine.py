@@ -7,15 +7,26 @@ generators that ``yield`` either
 * a :class:`Delay` — suspend the process for a simulated duration, or
 * an :class:`Event` — suspend until the event is triggered, receiving the
   event's value as the result of the ``yield`` expression, or
-* another :class:`Process` — suspend until that process terminates.
+* another :class:`Process` — suspend until that process terminates, or
+* :data:`PARK` — suspend until some other code calls
+  :meth:`Engine.wake` on the process; the ``yield`` evaluates to ``None``.
+
+:data:`PARK` is the waiting primitive of the CPU model
+(:mod:`repro.cpu`), which has exactly one waker per wait: the core that
+dispatches a thread, the heap entry that ends its run slice, or the one
+that ends its sleep.  The waker finds the process through
+:attr:`Engine.active` read while the process was running.  A wake costs
+one lane entry, as an :class:`Event` wake-up does, so parking and
+waiting on a fresh event fire in the same order; parking just skips
+building the event.
 
 Determinism: events scheduled for the same timestamp fire in scheduling
 order (a monotonically increasing sequence number breaks ties), so runs
 are reproducible regardless of hash seeds or dict ordering.
 
-Most callbacks are due at the current time (event wake-ups, process
-starts, ``Delay(0)``).  Those skip the heap and wait in a FIFO lane;
-see :meth:`Engine.run` for why that keeps the scheduling order.
+Most callbacks are due at the current time (event wake-ups, wakes,
+process starts, ``Delay(0)``).  Those skip the heap and wait in a FIFO
+lane; see :meth:`Engine.run` for why that keeps the scheduling order.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.trace.events import SIM_EXIT, SIM_SPAWN
@@ -40,8 +52,19 @@ class Delay:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise SimError(f"negative delay: {self.duration}")
+        if not self.duration >= 0:  # also rejects NaN
+            raise SimError(f"delay must be non-negative, got {self.duration}")
+
+
+class _Park:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "PARK"
+
+
+#: Yielded by a process to suspend until :meth:`Engine.wake` resumes it.
+PARK = _Park()
 
 
 class Event:
@@ -70,29 +93,37 @@ class Event:
         if self.triggered:
             # Deliver on the next tick to preserve run-to-completion
             # semantics for the caller.
-            self.engine.call_at(self.engine.now, lambda: callback(self))
+            engine = self.engine
+            engine._sequence += 1
+            engine._ready.append(partial(callback, self))
         else:
             self._callbacks.append(callback)
 
     def succeed(self, value: Any = None) -> "Event":
         if self.triggered:
             raise SimError(f"event {self.name!r} already triggered")
-        self.triggered = True
         self._value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            self.engine.call_at(self.engine.now, lambda cb=callback: cb(self))
+        self._trigger()
         return self
 
     def fail(self, error: BaseException) -> "Event":
         if self.triggered:
             raise SimError(f"event {self.name!r} already triggered")
-        self.triggered = True
         self._error = error
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            self.engine.call_at(self.engine.now, lambda cb=callback: cb(self))
+        self._trigger()
         return self
+
+    def _trigger(self) -> None:
+        """Queue every callback on the lane, as ``call_at(now, ...)`` would."""
+        self.triggered = True
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            engine = self.engine
+            engine._sequence += len(callbacks)
+            ready = engine._ready
+            for callback in callbacks:
+                ready.append(partial(callback, self))
 
     def result(self) -> Any:
         if self._error is not None:
@@ -106,13 +137,13 @@ ProcessBody = Generator[Any, Any, Any]
 class Process:
     """A generator-based simulated process.
 
-    The generator may yield :class:`Delay`, :class:`Event` or another
-    :class:`Process`.  When the generator returns, :attr:`done_event`
-    triggers with the return value, so processes compose: a parent can
-    ``yield child`` to join on it.
+    The generator may yield :class:`Delay`, :class:`Event`, another
+    :class:`Process` or :data:`PARK`.  When the generator returns,
+    :attr:`done_event` triggers with the return value, so processes
+    compose: a parent can ``yield child`` to join on it.
     """
 
-    __slots__ = ("engine", "body", "name", "done_event", "_alive")
+    __slots__ = ("engine", "body", "name", "done_event", "_alive", "_resume")
 
     def __init__(self, engine: "Engine", body: ProcessBody, name: str = "") -> None:
         if not hasattr(body, "send"):
@@ -122,9 +153,11 @@ class Process:
         self.name = name or getattr(body, "__name__", "process")
         self.done_event = Event(engine, name=f"{self.name}.done")
         self._alive = True
+        #: Steps the body with ``None``: the start, a Delay, a wake.
+        self._resume = partial(self._step, None, None)
         if TRACE.enabled:
             TRACE.emit(engine.now, SIM_SPAWN, thread=self.name)
-        engine.call_at(engine.now, lambda: self._step(None, None))
+        engine.call_at(engine.now, self._resume)
 
     @property
     def alive(self) -> bool:
@@ -133,6 +166,8 @@ class Process:
     def _step(self, value: Any, error: Optional[BaseException]) -> None:
         if not self._alive:
             return
+        engine = self.engine
+        engine.active = self
         try:
             if error is not None:
                 yielded = self.body.throw(error)
@@ -140,6 +175,9 @@ class Process:
                 yielded = self.body.send(value)
         except StopIteration as stop:
             self._alive = False
+            # ``_resume`` refers back to the process: dropping it lets a
+            # finished process be freed at once, not by the cycle collector.
+            del self._resume
             if TRACE.enabled:
                 TRACE.emit(self.engine.now, SIM_EXIT, thread=self.name)
             self.done_event.succeed(stop.value)
@@ -148,11 +186,15 @@ class Process:
             self._alive = False
             self.done_event.fail(exc)
             return
+        finally:
+            engine.active = None
         self._wait_on(yielded)
 
     def _wait_on(self, yielded: Any) -> None:
+        if yielded is PARK:
+            return
         if isinstance(yielded, Delay):
-            self.engine.call_at(self.engine.now + yielded.duration, lambda: self._step(None, None))
+            self.engine.call_at(self.engine.now + yielded.duration, self._resume)
         elif isinstance(yielded, Event):
             yielded.add_callback(self._on_event)
         elif isinstance(yielded, Process):
@@ -187,10 +229,12 @@ class Engine:
         self._ready: deque[Callable[[], None]] = deque()
         #: Callbacks scheduled so far, on either path.
         self._sequence = 0
+        #: The process whose body is running, ``None`` between steps.
+        self.active: Optional[Process] = None
 
     def call_at(self, when: float, callback: Callable[[], None]) -> None:
-        if when < self.now:
-            raise SimError(f"cannot schedule in the past: {when} < {self.now}")
+        if not when >= self.now:  # also rejects NaN, which would hang run()
+            raise SimError(f"cannot schedule at {when}: the clock is at {self.now}")
         self._sequence += 1
         if when == self.now:
             self._ready.append(callback)
@@ -199,6 +243,18 @@ class Engine:
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> None:
         self.call_at(self.now + delay, callback)
+
+    def wake(self, process: Process) -> None:
+        """Resume a process that yields (or has yielded) :data:`PARK`.
+
+        Queues the resumption on the lane, exactly where an event the
+        process waited on would queue its wake-up.  The process may
+        still be running, about to park: it resumes after it yields.
+        Call it once per park; a process killed by
+        :meth:`Process.interrupt` is not resumed.
+        """
+        self._sequence += 1
+        self._ready.append(process._resume)
 
     def event(self, name: str = "") -> Event:
         return Event(self, name)

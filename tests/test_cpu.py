@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu import Machine, MachineSpec, MACHINE_SPECS, SimThread
-from repro.sim import Engine, Mutex
+from repro.sim import Engine, Mutex, SimError
 
 
 def small_machine(cores=2, quantum=1.0, switch_cost=0.0):
@@ -35,6 +35,17 @@ class TestSingleThread:
         assert machine.core(0).acct.user == pytest.approx(5.0)
         assert machine.core(0).acct.sys == pytest.approx(1.0)
         assert engine.now == pytest.approx(6.0)
+
+    def test_nan_duration_exec_raises(self):
+        engine, machine = small_machine()
+        thread = SimThread(engine, "t0", machine.core(0))
+
+        def body():
+            yield from thread.startup()
+            yield from thread.run(float("nan"))
+
+        with pytest.raises(SimError, match="non-negative"):
+            engine.run_process(body())
 
     def test_zero_duration_exec(self):
         engine, machine = small_machine()

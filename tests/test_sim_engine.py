@@ -1,8 +1,12 @@
 """Tests for the discrete-event simulation core."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Delay, Engine, SimError
+from repro.sim.engine import PARK
 
 
 def test_clock_starts_at_zero():
@@ -91,6 +95,23 @@ def test_cannot_schedule_in_the_past():
 def test_negative_delay_rejected():
     with pytest.raises(SimError):
         Delay(-1.0)
+
+
+def test_nan_time_rejected_instead_of_hanging():
+    # ``nan == nan`` is false, so a NaN heap head would never reach the
+    # lane and run() would spin forever.
+    engine = Engine()
+    with pytest.raises(SimError):
+        engine.call_at(float("nan"), lambda: None)
+    with pytest.raises(SimError):
+        engine.call_after(float("nan"), lambda: None)
+    assert engine._sequence == 0
+    assert engine.run() == 0.0
+
+
+def test_nan_delay_rejected():
+    with pytest.raises(SimError):
+        Delay(float("nan"))
 
 
 def test_process_runs_and_returns_value():
@@ -270,3 +291,112 @@ def test_determinism_across_runs():
         return trace
 
     assert simulate() == simulate()
+
+
+def _wake_at_shared_timestamp(park: bool):
+    """One process waits; a heap callback at T ends the wait, either by
+    waking the parked process or by succeeding the event it waits on.
+    Returns the firing order and the callbacks scheduled from T on."""
+    engine = Engine()
+    order = []
+    signal = engine.event("signal")
+    waiter = {}
+
+    def body():
+        waiter["process"] = engine.active
+        yield PARK if park else signal
+        order.append("woken")
+
+    def end_wait():
+        order.append("waker")
+        if park:
+            engine.wake(waiter["process"])
+        else:
+            signal.succeed()
+
+    engine.process(body())
+    # Due at T before the waker, scheduling more work at T when it fires.
+    engine.call_at(1.0, lambda: engine.call_at(1.0, lambda: order.append("lane at T")))
+    engine.call_at(1.0, end_wait)
+    engine.call_at(1.0, lambda: order.append("due at T"))
+    engine.run(until=0.5)
+    before = engine._sequence
+    engine.run()
+    return order, engine._sequence - before
+
+
+def test_wake_lands_in_the_event_wake_up_slot():
+    parked = _wake_at_shared_timestamp(park=True)
+    evented = _wake_at_shared_timestamp(park=False)
+    # Everything already due at T runs before the woken process.
+    assert parked[0] == ["waker", "due at T", "lane at T", "woken"]
+    assert parked == evented
+
+
+def test_wake_before_park_resumes_after_the_yield():
+    # A process may queue its own wake and then park (an idle core
+    # dispatching the thread that is asking for it).
+    engine = Engine()
+    order = []
+
+    def body():
+        engine.wake(engine.active)
+        order.append("parking")
+        value = yield PARK
+        order.append(("resumed", value))
+
+    engine.run_process(body())
+    assert order == ["parking", ("resumed", None)]
+    assert engine.active is None
+
+
+def test_interrupted_parked_process_does_not_run():
+    engine = Engine()
+    ran = []
+
+    def body():
+        yield PARK
+        ran.append("resumed")
+
+    process = engine.process(body())
+    engine.run()
+    process.interrupt()
+    before = engine._sequence
+    engine.wake(process)
+    engine.run()
+    assert ran == []
+    assert not process.alive
+    # The wake still costs its lane entry, as an event wake-up would.
+    assert engine._sequence == before + 1
+    with pytest.raises(SimError, match="interrupted"):
+        process.done_event.result()
+
+
+def test_parked_process_without_waker_deadlocks():
+    engine = Engine()
+
+    def body():
+        yield PARK
+
+    with pytest.raises(SimError, match="deadlocked"):
+        engine.run_process(body())
+
+
+def test_finished_process_is_freed_without_the_cycle_collector():
+    # A process left for the cycle collector keeps whatever its body
+    # referenced alive past the run, which shows in peak memory.
+    def body():
+        yield Delay(1.0)
+        yield Delay(0.0)
+
+    engine = Engine()
+    gc.disable()
+    try:
+        generator = body()
+        ref = weakref.ref(generator)
+        engine.process(generator)
+        del generator
+        engine.run()
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -1,6 +1,6 @@
-"""Golden-trace regression suite (satellite 1).
+"""Golden-trace regression suite.
 
-One PolyBench workload (trisolv) crossed with the four wasm
+One PolyBench workload (trisolv) on WAVM crossed with the four wasm
 bounds-checking strategies and two thread counts, each run traced and
 checked three ways:
 
@@ -10,6 +10,11 @@ checked three ways:
   touches the kernel, mprotect's takes the writer every iteration);
 * the integer-only :func:`golden_counters` projection against the
   committed golden file.
+
+WAVM has no helper threads or GC, so two 16-thread V8 cells (gemm under
+mprotect and uffd) pin the scheduler paths only V8 reaches: GC sleeps,
+helper-thread sleeps and migrations, and workers preempted by helpers
+that share their core.
 
 The goldens pin event *counts*, not simulated durations, so cost-table
 recalibrations that only move timestamps do not churn them.  After an
@@ -26,6 +31,7 @@ import pytest
 from repro.core.harness import run_benchmark
 from repro.trace import summary as trace_summary
 from repro.trace.events import (
+    SCHED_SWITCH,
     STRATEGY_GROW_BEGIN,
     STRATEGY_GROW_END,
 )
@@ -44,14 +50,35 @@ GRID = [
 ]
 
 
-def _traced_run(strategy, threads):
+V8_WORKLOAD, V8_THREADS = "gemm", 16
+V8_STRATEGIES = ("mprotect", "uffd")
+
+
+def _traced_run(strategy, threads, workload=WORKLOAD, runtime=RUNTIME):
     with tracing() as sink:
         run_benchmark(
-            WORKLOAD, RUNTIME, strategy, ISA,
+            workload, runtime, strategy, ISA,
             threads=threads, size="mini",
             iterations=ITERATIONS, warmup=WARMUP,
         )
     return sink.events
+
+
+def _check_golden(events, golden_path, regen_golden):
+    """Assert the invariants hold and the counters match the golden file."""
+    assert trace_summary.check_invariants(events) == []
+    summary = trace_summary.summarize(events)
+    counters = trace_summary.golden_counters(summary)
+    if regen_golden:
+        golden_path.parent.mkdir(exist_ok=True)
+        golden_path.write_text(json.dumps(counters, indent=2, sort_keys=True) + "\n")
+        pytest.skip(f"regenerated {golden_path.name}")
+    expected = json.loads(golden_path.read_text())
+    assert counters == expected, (
+        f"trace counters diverged from {golden_path.name}; if the change "
+        "is intentional, rerun with --regen-golden"
+    )
+    return counters
 
 
 def _window_lock_modes(summary):
@@ -71,20 +98,27 @@ def _window_lock_modes(summary):
 @pytest.mark.parametrize("strategy,threads", GRID)
 def test_golden_trace(strategy, threads, regen_golden):
     events = _traced_run(strategy, threads)
-    assert trace_summary.check_invariants(events) == []
-
-    summary = trace_summary.summarize(events)
-    counters = trace_summary.golden_counters(summary)
-
     golden_path = GOLDEN_DIR / f"{WORKLOAD}-{RUNTIME}-{strategy}-t{threads}.json"
-    if regen_golden:
-        golden_path.parent.mkdir(exist_ok=True)
-        golden_path.write_text(json.dumps(counters, indent=2, sort_keys=True) + "\n")
-        pytest.skip(f"regenerated {golden_path.name}")
-    expected = json.loads(golden_path.read_text())
-    assert counters == expected, (
-        f"trace counters diverged from {golden_path.name}; if the change "
-        "is intentional, rerun with --regen-golden"
+    _check_golden(events, golden_path, regen_golden)
+
+
+@pytest.mark.parametrize("strategy", V8_STRATEGIES)
+def test_v8_golden_trace(strategy, regen_golden):
+    events = _traced_run(strategy, V8_THREADS, V8_WORKLOAD, "v8")
+    golden_path = GOLDEN_DIR / f"{V8_WORKLOAD}-v8-{strategy}-t{V8_THREADS}.json"
+    counters = _check_golden(events, golden_path, regen_golden)
+    # The cell must exercise what WAVM cannot: GC sleeps, helpers that
+    # migrate between cores, and workers switched out for a helper.
+    assert counters["counts"]["gc.pause"] > 0
+    switches = [event for event in events if event.name == SCHED_SWITCH]
+    helper_cores = {}
+    for event in switches:
+        if event.args["next"].startswith("helper"):
+            helper_cores.setdefault(event.args["next"], set()).add(event.core)
+    assert helper_cores and all(len(cores) > 1 for cores in helper_cores.values())
+    assert any(
+        event.args["prev"].startswith("worker") and event.args["next"].startswith("helper")
+        for event in switches
     )
 
 
