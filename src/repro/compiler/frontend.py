@@ -44,6 +44,9 @@ _FLOAT_UNOPS = {
     "ceil": "fround", "floor": "fround", "trunc": "fround", "nearest": "fround",
 }
 _BIT_UNOPS = {"clz", "ctz", "popcnt"}
+#: Bulk-memory ops: no workload uses them, so the cost model has no
+#: lowering for them.
+BULK_MEMORY_OPS = frozenset({"memory.copy", "memory.fill"})
 
 
 class _Ctrl:
@@ -417,6 +420,10 @@ class _Lowering:
             self.emit("growmem", dest, srcs=(delta,), pc=pc)
             self.push(dest)
             return
+        if op in BULK_MEMORY_OPS:
+            raise NotImplementedError(
+                f"{op}: the compiler cost model does not price bulk-memory ops"
+            )
         # Numeric ops, by name structure: "<type>.<suffix>".
         prefix, _, suffix = op.partition(".")
         is_float = prefix in ("f32", "f64")

@@ -14,7 +14,6 @@ Usage::
     leaps-bench all          # every figure, quick subsets
     leaps-bench trace record|summarize|export ...   # event tracing
     leaps-bench diffcheck ...    # differential-correctness harness
-    leaps-bench fuzz ...         # coverage-guided fuzzing campaign
 
 Every experiment additionally accepts the shared sweep knobs
 (:mod:`repro.core.cliopts`)::
@@ -53,7 +52,6 @@ from repro.core.experiments import (
     replication,
 )
 from repro.diffcheck import cli as diffcheck_cli
-from repro.fuzz import cli as fuzz_cli
 from repro.trace import cli as trace_cli
 
 _EXPERIMENTS = {
@@ -76,7 +74,6 @@ _EXPERIMENTS = {
 _TOOLS = {
     "trace": trace_cli.main,
     "diffcheck": diffcheck_cli.main,
-    "fuzz": fuzz_cli.main,
 }
 
 

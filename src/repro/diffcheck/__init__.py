@@ -3,7 +3,7 @@
 The paper's claims are comparative: the same benchmark must compute
 the same result under every (runtime, strategy, ISA, threads)
 configuration, differing only in cost.  This package asserts that
-systematically, in four layers:
+systematically, in five layers:
 
 * :mod:`repro.diffcheck.axioms` — executable axioms pinning substrate
   layers against independently computed expectations (page-touch
@@ -14,11 +14,15 @@ systematically, in four layers:
 * :mod:`repro.diffcheck.invariants` — structural invariants over sweep
   rows (inline-check cost ordering, strategy-independent memory usage,
   monotone CPU accounting) with machine-readable violation reports;
-* :mod:`repro.diffcheck.fuzz` — a seeded round-trip fuzzer over the
-  wasm module layer (dsl/builder → encoder → decoder → validator →
-  interpreter).
+* :mod:`repro.diffcheck.bce` — the bounds-check elimination pass
+  re-measured with the pass disabled, asserting it is cost-only;
+* :mod:`repro.diffcheck.fuzz` — the repo's one fuzzer: seeded
+  programs (:mod:`repro.diffcheck.genome`) through the wasm module
+  layer (dsl/builder → encoder → decoder → validator → interpreter, on
+  every strategy and execution tier) and priced through the compiler
+  cost model the figures use.
 
-``leaps-bench diffcheck`` drives all four (:mod:`repro.diffcheck.cli`).
+``leaps-bench diffcheck`` drives all five (:mod:`repro.diffcheck.cli`).
 """
 
 from repro.diffcheck.report import DiffReport, Violation

@@ -23,7 +23,10 @@ Phases (all on by default):
   the pass disabled, asserting it is *cost-only*: bit-identical
   outputs/pages for every strategy, clamp/trap compute time monotone
   non-increasing with BCE on, and counter conservation;
-* ``fuzz``      — seeded round-trip fuzzing over the wasm module layer.
+* ``fuzz``      — seeded fuzzing of generated programs: round trip,
+  strategy and tier agreement, page span, and pricing through the
+  compiler cost model (replay one case with ``--phases fuzz --seed N
+  --fuzz-cases 1``).
 
 Exit status is non-zero when any check reports a divergence.
 """

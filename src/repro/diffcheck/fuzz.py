@@ -1,25 +1,31 @@
-"""Seeded round-trip fuzzing over the wasm module layer.
+"""Seeded differential fuzzing of generated programs.
 
-Each case derives a random structured program (loops, branches, array
-traffic, plus deliberately trap-prone arithmetic and out-of-bounds
-accesses) from a :class:`random.Random` seed via the typed DSL, then
-drives it through the whole substrate:
+Each case is the genome of one integer seed
+(:func:`repro.diffcheck.genome.genome_from_seed`): loops, branches,
+array traffic, deliberately trap-prone arithmetic, out-of-bounds
+accesses and bulk ``memory.fill``, built through the typed DSL.
+:func:`check_module_case`, the one oracle entry point, then drives the
+program through the whole substrate and the compiler cost model:
 
-    dsl/builder → encoder → decoder → validator → interpreter
+    dsl/builder → encoder → decoder → validator → interpreter → compiler
 
 asserting that (a) encoding is idempotent across a decode round trip,
 (b) the validator accepts both the built and the decoded module,
 (c) the interpreter observes identical outcomes — returned value or
-trap kind — before and after the round trip, and (d) the bounds
+trap kind — before and after the round trip, (d) the bounds
 strategies agree wherever they must: bit-identical results, load/store
 counts and touched pages when no trap occurs; consistent trap
 behaviour when one does (the trapping strategies report the same trap,
-``clamp``/``none`` complete instead of trapping on out-of-bounds).
+``clamp``/``none`` complete instead of trapping on out-of-bounds),
+(e) the ``legacy``, ``fused`` and ``opt`` execution tiers agree on the
+outcome and on the per-pc instruction profile, (f) a ``fill`` touches
+every 4 KiB page it covers, not just the first and last, and (g) the
+compiler cost model prices the program sanely (see :func:`_check_cost`).
 
-Unlike the hypothesis suite (tests/test_differential_fuzz.py) this
+Unlike the hypothesis suites (tests/test_differential_fuzz.py) this
 runs from explicit integer seeds, so a CI failure is reproducible with
-``leaps-bench diffcheck --seed N`` and cases fan out across worker
-processes deterministically.
+``leaps-bench diffcheck --phases fuzz --seed N --fuzz-cases 1`` and
+cases fan out across worker processes deterministically.
 
 Determinism contract (``check_fuzz``): for a fixed ``(cases,
 base_seed)`` the case list is always the seeds ``base_seed ..
@@ -31,25 +37,45 @@ worker processes only change *who* executes a batch, never what the
 batches are or the order their results fold into the report.  The
 batch size is a module constant precisely so it can never be derived
 from the worker count.
-
-The per-module oracle lives in :func:`check_module_case` so other
-harnesses — notably the coverage-guided campaign in :mod:`repro.fuzz`
-— can run arbitrary (module, arg) pairs through the exact same checks
-and report types.
 """
 
 from __future__ import annotations
 
-import random
+import dataclasses
+import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Optional, Tuple
 
+from repro.compiler.frontend import BULK_MEMORY_OPS
+from repro.compiler.pipeline import (
+    compile_module,
+    front_half_inputs,
+    optimise_module,
+)
+from repro.compiler.timing import check_counts_for_profile, cycles_for_profile
 from repro.core.engine import _pool_context
+from repro.diffcheck.bce import (
+    COUNTERS_RULE,
+    counters_conserved,
+    inline_cost_monotone,
+)
+from repro.diffcheck.genome import (
+    Genome,
+    build_genome_module,
+    fill_pages,
+    genome_from_seed,
+)
+from repro.diffcheck.invariants import _COMPUTE_PAIRS, _check_order
 from repro.diffcheck.report import DiffReport
+from repro.isa import ISAS
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.strategies import STRATEGY_ORDER
+from repro.runtime.profile import ExecutionProfile
+from repro.runtime.strategies import STRATEGY_ORDER, strategy_named
+from repro.runtime.tiering import TIERS
+from repro.runtimes.registry import RUNTIMES
 from repro.wasm import decode_module, encode_module, validate_module
-from repro.wasm.dsl import DslModule, Select
 from repro.wasm.errors import Trap, ValidationError, WasmError
 
 CHECK_ENCODE = "fuzz.encode-idempotence"
@@ -57,79 +83,24 @@ CHECK_VALIDATE = "fuzz.validator-acceptance"
 CHECK_ROUNDTRIP = "fuzz.roundtrip-behaviour"
 CHECK_STRATEGY = "fuzz.strategy-equivalence"
 CHECK_TRAPS = "fuzz.trap-strategy-agreement"
+CHECK_TIER = "fuzz.tier-agreement"
+CHECK_TIER_PROFILE = "fuzz.tier-profile-agreement"
+CHECK_PAGES = "fuzz.page-span"
+CHECK_COST_ORDER = "fuzz.cost-order"
+CHECK_COST_MONOTONE = "fuzz.cost-bce-monotone"
+CHECK_COST_COUNTERS = "fuzz.cost-counter-conservation"
+CHECK_COST_ERROR = "fuzz.cost-error"
 CHECK_HARNESS = "fuzz.harness-error"
 
 #: Strategies whose out-of-bounds behaviour is a trap.
 _TRAPPING = ("trap", "mprotect", "uffd", "mte", "wasm64")
-_ARRAY_LEN = 16
+
+#: The passes :func:`_check_cost` strips for its BCE-off side.
+_BCE_PASSES = frozenset({"bce", "bceloop"})
 
 
-def build_program(rng: random.Random):
-    """One random program writing into an i32 array, returning a checksum."""
-    dm = DslModule("difffuzz")
-    arr = dm.array_i32("a", _ARRAY_LEN)
-    f = dm.func("run", params=[("seed", "i32")], results=["i32"])
-    seed = f.params[0]
-    i, j = f.i32("i"), f.i32("j")
-    acc = f.i32("acc")
-
-    for _ in range(rng.randint(1, 5)):
-        kind = rng.choice(
-            ["loop", "if", "nested", "while", "store", "oob", "div", "trunc"]
-        )
-        const_a = rng.randint(0, 1000)
-        const_b = rng.randint(1, 7)
-        if kind == "loop":
-            with f.for_(i, 0, rng.randint(1, _ARRAY_LEN)):
-                f.store(arr[i], arr[i] + i * const_b + seed)
-        elif kind == "if":
-            with f.if_((seed & 1).eq(rng.randint(0, 1))) as branch:
-                f.set(acc, acc + const_a)
-                branch.otherwise()
-                f.set(acc, acc - const_a)
-        elif kind == "nested":
-            with f.for_(i, 0, rng.randint(1, 5)):
-                with f.for_(j, 0, rng.randint(1, 5)):
-                    with f.if_(((i + j) % const_b).eq(0)):
-                        f.store(arr[(i + j) % _ARRAY_LEN],
-                                arr[(i + j) % _ARRAY_LEN] ^ const_a)
-        elif kind == "while":
-            f.set(j, const_b)
-            with f.while_(lambda: j < const_a % 50 + 1):
-                f.set(j, j * 2 + 1)
-            f.set(acc, acc + j)
-        elif kind == "store":
-            index = rng.randint(0, _ARRAY_LEN - 1)
-            f.store(arr[index], Select(seed > const_a, acc, i) + const_b)
-        elif kind == "oob":
-            # Reads/writes far beyond the one data page: traps under
-            # the trapping strategies, completes under clamp/none.
-            index = rng.randint(10_000_000, 20_000_000)
-            if rng.random() < 0.5:
-                f.set(acc, acc + arr[index])
-            else:
-                f.store(arr[index], acc + const_a)
-        elif kind == "div":
-            # Traps (integer-divide-by-zero) iff seed % b == c.
-            const_c = rng.randint(0, const_b - 1)
-            f.set(acc, acc + seed // ((seed % const_b) - const_c + 1) % 97)
-            with f.if_((seed % const_b).eq(const_c)):
-                f.set(acc, acc // (seed % const_b - const_c))
-        else:  # trunc: i32.trunc_f64_s traps on out-of-range values
-            f.set(acc, (acc.to_f64() * float(const_a + 2) + 0.5).to_i32())
-
-    with f.for_(i, 0, _ARRAY_LEN):
-        f.set(acc, acc * 31 + arr[i])
-    f.ret(acc)
-    return dm.build()
-
-
-def outcome_of(module, arg: int, strategy: str):
+def _invoke(interp: Interpreter, arg: int):
     """('value', v, loads, stores, pages) or ('trap', kind) for one run."""
-    interp = Interpreter(
-        module, strategy=strategy, validate=False,
-        collect_profile=False, track_pages=True,
-    )
     try:
         value = interp.invoke("run", arg)
     except Trap as exc:
@@ -141,25 +112,31 @@ def outcome_of(module, arg: int, strategy: str):
     )
 
 
+def outcome_of(module, arg: int, strategy: str):
+    """The outcome (see :func:`_invoke`) of one run under ``strategy``."""
+    return _invoke(Interpreter(
+        module, strategy=strategy, validate=False,
+        collect_profile=False, track_pages=True,
+    ), arg)
+
+
 def check_case(
     seed: int, report: Optional[DiffReport] = None
 ) -> DiffReport:
-    """Run every layer comparison for one seeded case."""
+    """Run every oracle on the genome of one seed."""
     report = report if report is not None else DiffReport()
-    rng = random.Random(seed)
+    genome = genome_from_seed(seed)
+    subject = {"seed": seed, "arg": genome.arg}
     try:
-        module = build_program(rng)
-        arg = rng.randrange(0, 2**31)
+        module = build_genome_module(genome)
     except WasmError as exc:
         report.check(
-            CHECK_HARNESS, False, subject={"seed": seed},
+            CHECK_HARNESS, False, subject=subject,
             detail="substrate raised outside the trap protocol",
             actual=repr(exc),
         )
         return report
-    return check_module_case(
-        module, arg, report, subject={"seed": seed, "arg": arg}
-    )
+    return check_module_case(module, genome.arg, report, subject, genome)
 
 
 def check_module_case(
@@ -167,14 +144,13 @@ def check_module_case(
     arg: int,
     report: Optional[DiffReport] = None,
     subject: Optional[dict] = None,
+    genome: Optional[Genome] = None,
 ) -> DiffReport:
-    """Run every layer comparison for one (module, arg) pair.
+    """Run every oracle on one (module, arg) pair.
 
-    The module must export ``run (param i32) (result i32)``.  Checks:
-    encode idempotence across a decode round trip, validator
-    acceptance of both built and decoded module, behavioural round-trip
-    identity, and the strategy-agreement contracts described in the
-    module docstring.
+    The module must export ``run (param i32) (result i32)``.  Checks
+    (a)–(g) of the module docstring; the page-span check (f) needs the
+    ``genome`` the module was built from and is skipped without one.
     """
     report = report if report is not None else DiffReport()
     subject = dict(subject or {})
@@ -267,6 +243,25 @@ def check_module_case(
                     expected=direct,
                     actual=other,
                 )
+
+        if genome is not None and direct[0] == "value":
+            # A trapping run may stop before its fills: span unprovable.
+            expected = fill_pages(genome)
+            if expected:
+                report.check(
+                    CHECK_PAGES,
+                    expected <= frozenset(direct[4]),
+                    subject=subject,
+                    detail="ranged access skipped interior pages",
+                    expected=sorted(expected),
+                    actual=direct[4],
+                )
+
+        profile = _check_tiers(module, arg, report, subject)
+        if direct[0] == "value":
+            # Only complete runs: a profile that stops at a trap would
+            # differ from the clamp/none run of the same program.
+            _check_cost(module, profile, report, subject)
     except WasmError as exc:
         report.check(
             CHECK_HARNESS, False, subject=subject,
@@ -274,6 +269,161 @@ def check_module_case(
             actual=repr(exc),
         )
     return report
+
+
+@contextmanager
+def _forced_tier_up():
+    """Run with REPRO_TIER_THRESHOLD=0 so 'opt' tiers up immediately."""
+    prior = os.environ.get("REPRO_TIER_THRESHOLD")
+    os.environ["REPRO_TIER_THRESHOLD"] = "0"
+    try:
+        yield
+    finally:
+        if prior is None:
+            del os.environ["REPRO_TIER_THRESHOLD"]
+        else:
+            os.environ["REPRO_TIER_THRESHOLD"] = prior
+
+
+def _tier_run(module, arg: int, tier: str):
+    """(outcome, profile) of one profiled 'trap' run under ``tier``."""
+    interp = Interpreter(
+        module, strategy="trap", validate=False,
+        collect_profile=True, track_pages=True, tier=tier,
+    )
+    return _invoke(interp, arg), interp.take_profile()
+
+
+def _profile_digest(profile: ExecutionProfile) -> dict:
+    """Small JSON-able summary of per-pc counts for violation payloads."""
+    return {
+        str(fi): {"total": sum(c), "nonzero": sum(1 for x in c if x)}
+        for fi, c in sorted(profile.instr_counts.items())
+    }
+
+
+def _check_tiers(
+    module, arg: int, report: DiffReport, subject: dict
+) -> ExecutionProfile:
+    """Every tier against ``fused``; returns the ``fused`` profile.
+
+    Tier-up is forced on the first call so ``opt`` runs its tier-2
+    code rather than hiding behind the warm-up threshold.
+    """
+    baseline_tier = "fused"
+    with _forced_tier_up():
+        baseline, base_profile = _tier_run(module, arg, baseline_tier)
+        for tier in TIERS:
+            if tier == baseline_tier:
+                continue
+            outcome, profile = _tier_run(module, arg, tier)
+            report.check(
+                CHECK_TIER,
+                outcome == baseline,
+                subject=dict(subject, tier=tier),
+                detail=f"tier '{tier}' diverges from '{baseline_tier}'",
+                expected=baseline,
+                actual=outcome,
+            )
+            report.check(
+                CHECK_TIER_PROFILE,
+                profile.instr_counts == base_profile.instr_counts,
+                subject=dict(subject, tier=tier),
+                detail="per-pc instruction profile differs across tiers",
+                expected=_profile_digest(base_profile),
+                actual=_profile_digest(profile),
+            )
+    return base_profile
+
+
+def _check_cost(
+    module, profile: ExecutionProfile, report: DiffReport, subject: dict
+) -> None:
+    """Price a completed run through the compiler the figures use.
+
+    For every compiling Wasm runtime × ISA × strategy the registry
+    allows, the module is compiled with the runtime's own
+    ``CompilerConfig`` and priced on ``profile``:
+
+    * the strategies obey the sweep phase's compute-cost ordering
+      (:data:`repro.diffcheck.invariants._COMPUTE_PAIRS`);
+    * on the inline-check strategies, the same config without
+      ``bce``/``bceloop`` never prices cheaper and the dynamic check
+      counters conserve (the ``bce`` phase's two pricing rules);
+    * pricing raises nothing.
+
+    Programs with bulk-memory ops are skipped: the cost model does not
+    price them.
+    """
+    if any(
+        ins.op in BULK_MEMORY_OPS for func in module.funcs for ins in func.body
+    ):
+        return
+    # Optimised IR per (pass set, affine-guard legality): every ISA,
+    # strategy and runtime that agrees on those shares one front half.
+    fronts = {}
+
+    def price(config, isa, strategy) -> Tuple[float, dict]:
+        inputs = front_half_inputs(config, strategy)
+        front = fronts.get(inputs)
+        if front is None:
+            front = fronts[inputs] = optimise_module(module, *inputs)
+        compiled = compile_module(module, isa, config, strategy, front)
+        return (
+            cycles_for_profile(compiled, profile),
+            check_counts_for_profile(compiled, profile),
+        )
+
+    for model in RUNTIMES.values():
+        if model.compiler is None or model.is_native:
+            continue
+        config = model.compiler
+        config_off = dataclasses.replace(
+            config, passes=config.passes - _BCE_PASSES
+        )
+        for isa in ISAS.values():
+            if not model.supports(isa.name):
+                continue
+            where = dict(subject, runtime=model.name, isa=isa.name)
+            cycles = {}
+            try:
+                for name in model.strategies:
+                    strategy = strategy_named(name)
+                    if not isa.supports_strategy(strategy):
+                        continue
+                    cycles[name], checks_on = price(config, isa, strategy)
+                    if not strategy.inline_check:
+                        continue
+                    cycles_off, checks_off = price(config_off, isa, strategy)
+                    report.check(
+                        CHECK_COST_MONOTONE,
+                        inline_cost_monotone(cycles[name], cycles_off),
+                        subject=dict(where, strategy=name),
+                        detail="BCE increased modelled cycles",
+                        expected=f"<= {cycles_off!r}",
+                        actual=cycles[name],
+                    )
+                    report.check(
+                        CHECK_COST_COUNTERS,
+                        counters_conserved(checks_on, checks_off),
+                        subject=dict(where, strategy=name),
+                        detail="dynamic check counters do not conserve "
+                        "across the BCE toggle",
+                        expected=COUNTERS_RULE,
+                        actual={"on": checks_on, "off": checks_off},
+                    )
+            except Exception as exc:  # noqa: BLE001 — any escape is a find
+                origin = traceback.extract_tb(exc.__traceback__)[-1]
+                report.check(
+                    CHECK_COST_ERROR, False, subject=where,
+                    detail="pricing a generated program raised",
+                    actual=f"{exc!r} in {origin.name}",
+                )
+                continue
+            _check_order(
+                report, CHECK_COST_ORDER, cycles, _COMPUTE_PAIRS, where,
+                "modelled cycles",
+            )
 
 
 def _check_chunk_json(payload: Tuple[int, ...]) -> dict:

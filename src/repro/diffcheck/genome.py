@@ -1,25 +1,21 @@
-"""Genome representation of generated fuzz programs.
+"""Generated fuzz programs as plain data.
 
-The campaign mutates *programs*, not just bytes, so generated cases
-live as plain data first: a :class:`Genome` is a tuple of
-:class:`Gene` statements plus the invocation argument.  The gene kinds
-mirror :func:`repro.diffcheck.fuzz.build_program`'s statement
-repertoire (loops, branches, array traffic, trap-prone arithmetic,
-out-of-bounds accesses) and add a ``fill`` kind exercising the bulk
-0xFC ``memory.fill`` path — a multi-page ranged access through one
-bounds check that the PR 3 generator never emits, and exactly the
-shape whose interior-page touch accounting has regressed before.
+A :class:`Genome` is a tuple of :class:`Gene` statements plus the
+invocation argument of the exported ``run (param i32) (result i32)``.
+The gene kinds cover loops, branches, array traffic, trap-prone
+arithmetic, out-of-bounds accesses and a bulk ``memory.fill`` (a
+multi-page ranged access through one bounds check: exactly the shape
+whose interior-page touch accounting has regressed before).
 
 Genomes are deliberately total: :func:`build_genome_module` normalises
 every integer field into its legal range at emission time, so *any*
-gene tuple — including whatever the mutators produce — builds into an
-encodable, validator-clean module.  That property is load-bearing for
-the mutator-robustness guarantee (tests/test_diff_properties.py) and
-keeps delta-debugging free to splice genes without bookkeeping.
+gene tuple builds into an encodable, validator-clean module.  The
+hypothesis suites rely on that: they draw arbitrary genes and shrink
+on them (tests/test_differential_fuzz.py).
 
-Plain-data design: frozen dataclasses, JSON round-trip via
-:func:`genome_to_json` / :func:`genome_from_json`, picklable for pool
-fan-out, and hashable for corpus dedup.
+Plain data: frozen dataclasses with a JSON round trip
+(:func:`genome_to_json` / :func:`genome_from_json`), which is how the
+regression corpus in tests/fuzz_corpus/ stores its cases.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from typing import Tuple
 
 from repro.wasm.dsl import DslModule, Select
 
-#: Statement kinds; the first eight mirror build_program's repertoire.
+#: Statement kinds.
 GENE_KINDS = (
     "loop", "if", "nested", "while", "store", "oob", "div", "trunc", "fill",
 )
@@ -50,7 +46,7 @@ class Gene:
     """One statement; field meaning depends on ``kind`` (see emission)."""
 
     kind: str
-    a: int = 0  # additive constant (const_a in build_program)
+    a: int = 0  # additive constant
     b: int = 1  # divisor/step constant (const_b)
     c: int = 0  # kind-specific: bound / index / flag / fill dest
     d: int = 0  # kind-specific: inner bound / direction / fill length
@@ -65,9 +61,9 @@ class Genome:
 
 
 # ----------------------------------------------------------------------
-# Random generation (distributions mirror build_program)
+# Seeded generation
 # ----------------------------------------------------------------------
-def random_gene(rng: random.Random) -> Gene:
+def _random_gene(rng: random.Random) -> Gene:
     kind = rng.choice(GENE_KINDS)
     a = rng.randint(0, 1000)
     b = rng.randint(1, 7)
@@ -92,14 +88,11 @@ def random_gene(rng: random.Random) -> Gene:
     return Gene(kind, a, b, c, d)
 
 
-def random_genome(rng: random.Random, max_genes: int = 5) -> Genome:
-    genes = tuple(random_gene(rng) for _ in range(rng.randint(1, max_genes)))
-    return Genome(genes, rng.randrange(0, 2**31))
-
-
 def genome_from_seed(seed: int) -> Genome:
-    """The deterministic genome of one integer seed (campaign seeding)."""
-    return random_genome(random.Random(seed))
+    """The deterministic genome of one integer seed (1-5 genes)."""
+    rng = random.Random(seed)
+    genes = tuple(_random_gene(rng) for _ in range(rng.randint(1, 5)))
+    return Genome(genes, rng.randrange(0, 2**31))
 
 
 # ----------------------------------------------------------------------
@@ -149,11 +142,10 @@ def fill_pages(genome: Genome) -> frozenset:
 def build_genome_module(genome: Genome):
     """Compile a genome into a validated-shape wasm Module.
 
-    Mirrors build_program's per-kind emission; every gene field is
-    normalised into range first, so emission is total over arbitrary
-    gene tuples (the mutators rely on this).
+    Every gene field is normalised into range first, so emission is
+    total over arbitrary gene tuples; an unknown kind emits a store.
     """
-    dm = DslModule("fuzzcampaign")
+    dm = DslModule("difffuzz")
     arr = dm.array_i32("a", _ARRAY_LEN)
     f = dm.func("run", params=[("seed", "i32")], results=["i32"])
     seed = f.params[0]
@@ -213,4 +205,7 @@ def build_genome_module(genome: Genome):
         f.set(acc, acc * 31 + arr[i])
     f.ret(acc)
     # One page of slack over the data page keeps every fill in bounds.
-    return dm.build(extra_pages=1)
+    # Only fill genomes get it: the page count decides which page a
+    # clamped out-of-bounds access lands on.
+    has_fill = any(gene.kind == "fill" for gene in genome.genes)
+    return dm.build(extra_pages=1 if has_fill else 0)

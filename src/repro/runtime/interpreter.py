@@ -48,7 +48,6 @@ from repro.runtime import predecode, tiering
 from repro.runtime.memory import LinearMemory
 from repro.runtime.profile import ExecutionProfile
 from repro.runtime.strategies import BoundsStrategy, strategy_named
-from repro.wasm.coverage import COVERAGE as _COVERAGE
 from repro.wasm.errors import ExhaustionError, LinkError, Trap
 from repro.wasm.instructions import Instr
 from repro.wasm.module import Function, Module
@@ -255,8 +254,6 @@ class Interpreter:
         self.instance = self._instantiate(imports or {}, track_pages)
         self._code_cache: Dict[int, List[Callable]] = {}
         self._counts: Dict[int, List[int]] = {}
-        #: func index -> op name per pc, built lazily for edge coverage.
-        self._op_names: Dict[int, List[str]] = {}
         self._depth = 0
         self._tiering = tiering.TierState(self) if tier == "opt" else None
         if module.start is not None:
@@ -442,18 +439,11 @@ class Interpreter:
                     )
                     < 0
                 ):
-                    if _COVERAGE.enabled:
-                        record = _COVERAGE.dispatch
-                        record[("^call", "^tier2")] = (
-                            record.get(("^call", "^tier2"), 0) + 1
-                        )
                     arity = len(func_type.results)
                     return frame.stack[-arity:] if arity else []
                 # handler returned 0: entry guard failed (deopt);
                 # the frame is untouched, run the whole call on tier 1.
             pc = 0
-            if _COVERAGE.enabled:
-                return self._run_traced(func_index, func, func_type, frame, code, n)
             if self.collect_profile:
                 counts = self._counts[func_index]
                 while pc < n:
@@ -466,51 +456,6 @@ class Interpreter:
             return frame.stack[-arity:] if arity else []
         finally:
             self._depth -= 1
-
-    def _run_traced(
-        self,
-        func_index: int,
-        func: Function,
-        func_type: FuncType,
-        frame: "_Frame",
-        code: List[Callable],
-        n: int,
-    ) -> List[Any]:
-        """The dispatch loop with handler-edge recording.
-
-        Semantically identical to the loops in :meth:`_run` (the same
-        ``pc = code[pc](frame)`` walk, plus ``(prev, current)`` edge
-        counters over the dispatched handlers' op names).  Terminal
-        edges: ``^return`` for normal completion, ``^trap`` for a trap
-        escaping the loop.  Under fused dispatch only region-head pcs
-        are dispatched, so edges describe the fused handler stream —
-        exactly what this loop executes.
-        """
-        record = _COVERAGE.dispatch
-        names = self._op_names.get(func_index)
-        if names is None:
-            names = [ins.op for ins in func.body]
-            self._op_names[func_index] = names
-        counts = self._counts[func_index] if self.collect_profile else None
-        prev = "^call"
-        pc = 0
-        try:
-            while pc < n:
-                if counts is not None:
-                    counts[pc] += 1
-                op = names[pc]
-                edge = (prev, op)
-                record[edge] = record.get(edge, 0) + 1
-                prev = op
-                pc = code[pc](frame)
-        except Trap:
-            edge = (prev, "^trap")
-            record[edge] = record.get(edge, 0) + 1
-            raise
-        edge = (prev, "^return")
-        record[edge] = record.get(edge, 0) + 1
-        arity = len(func_type.results)
-        return frame.stack[-arity:] if arity else []
 
     # ------------------------------------------------------------------
     # Compilation to closures

@@ -11,13 +11,9 @@ and execute the paper's benchmark programs:
 * :mod:`builder` — a structured module/function builder;
 * :mod:`dsl` — a small expression DSL used to author the PolyBench and
   SPEC-proxy workloads as genuine Wasm modules;
-* :mod:`wat` — a WAT-style text printer for debugging;
-* :mod:`coverage` — off-by-default edge-coverage maps over the decoder,
-  validator and interpreter dispatch (the fuzzing campaign's guidance
-  signal).
+* :mod:`wat` — a WAT-style text printer for debugging.
 """
 
-from repro.wasm import coverage
 from repro.wasm.errors import DecodeError, ValidationError, Trap, WasmError
 from repro.wasm.types import ValType, FuncType, Limits, MemoryType, TableType, GlobalType
 from repro.wasm.instructions import Instr
@@ -30,7 +26,6 @@ from repro.wasm.wat import module_to_wat
 from repro.wasm.wat_parser import parse_wat, WatParseError
 
 __all__ = [
-    "coverage",
     "DecodeError",
     "ValidationError",
     "Trap",

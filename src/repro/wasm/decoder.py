@@ -12,7 +12,6 @@ import struct
 from typing import List, Tuple
 
 from repro.wasm import opcodes
-from repro.wasm.coverage import COVERAGE as _COVERAGE
 from repro.wasm.encoder import MAGIC, VERSION
 from repro.wasm.errors import DecodeError
 from repro.wasm.instructions import Instr
@@ -289,8 +288,6 @@ _SECTION_DECODERS = {
 # ----------------------------------------------------------------------
 def _decode_expr(body: _Reader) -> List[Instr]:
     """Decode instructions until the matching top-level ``end``."""
-    if _COVERAGE.enabled:
-        return _decode_expr_traced(body)
     instrs: List[Instr] = []
     depth = 0
     while True:
@@ -314,49 +311,6 @@ def _decode_expr(body: _Reader) -> List[Instr]:
         if info.name in ("block", "loop", "if"):
             depth += 1
         instrs.append(_decode_instr(info, body))
-
-
-def _decode_expr_traced(body: _Reader) -> List[Instr]:
-    """The expression loop with opcode-edge recording.
-
-    Must stay semantically identical to :func:`_decode_expr` (it is the
-    same loop plus ``(prev, current)`` opcode-pair counters); rejected
-    bodies record a terminal ``(prev, '^error')`` edge so coverage also
-    distinguishes *where* malformed inputs die.
-    """
-    record = _COVERAGE.decoder
-    prev = "^entry"
-    instrs: List[Instr] = []
-    depth = 0
-    try:
-        while True:
-            code = body.byte()
-            if code == 0xFC:
-                code = 0xFC00 | body.u32()
-            try:
-                info = opcodes.BY_CODE[code]
-            except KeyError:
-                raise DecodeError(
-                    f"unknown opcode {code:#04x} at offset {body.offset - 1}"
-                ) from None
-            edge = (prev, info.name)
-            record[edge] = record.get(edge, 0) + 1
-            prev = info.name
-            if info.name == "end":
-                if depth == 0:
-                    edge = (prev, "^exit")
-                    record[edge] = record.get(edge, 0) + 1
-                    return instrs
-                depth -= 1
-                instrs.append(Instr("end"))
-                continue
-            if info.name in ("block", "loop", "if"):
-                depth += 1
-            instrs.append(_decode_instr(info, body))
-    except DecodeError:
-        edge = (prev, "^error")
-        record[edge] = record.get(edge, 0) + 1
-        raise
 
 
 def _decode_instr(info: opcodes.OpInfo, body: _Reader) -> Instr:

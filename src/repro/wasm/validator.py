@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from repro.wasm import opcodes
-from repro.wasm.coverage import COVERAGE as _COVERAGE
 from repro.wasm.errors import ValidationError
 from repro.wasm.instructions import Instr
 from repro.wasm.module import Function, Module
@@ -107,9 +106,6 @@ class _BodyValidator:
 
     # -- main loop ----------------------------------------------------------
     def run(self, body: List[Instr]) -> None:
-        if _COVERAGE.enabled:
-            self._run_traced(body)
-            return
         for position, ins in enumerate(body):
             try:
                 self._check(ins)
@@ -118,35 +114,6 @@ class _BodyValidator:
             except Exception as exc:  # defensive: annotate position
                 self.fail(f"{type(exc).__name__}: {exc}", position)
         self._finish()
-
-    def _run_traced(self, body: List[Instr]) -> None:
-        """The body loop with instruction-edge recording.
-
-        Same checks as :meth:`run`, plus ``(prev, current)`` op-pair
-        counters; rejected bodies record a terminal ``(prev,
-        '^invalid')`` edge so coverage distinguishes *which* sequence a
-        malformed body died on.
-        """
-        record = _COVERAGE.validator
-        prev = "^entry"
-        try:
-            for position, ins in enumerate(body):
-                edge = (prev, ins.op)
-                record[edge] = record.get(edge, 0) + 1
-                prev = ins.op
-                try:
-                    self._check(ins)
-                except ValidationError:
-                    raise
-                except Exception as exc:  # defensive: annotate position
-                    self.fail(f"{type(exc).__name__}: {exc}", position)
-            self._finish()
-        except ValidationError:
-            edge = (prev, "^invalid")
-            record[edge] = record.get(edge, 0) + 1
-            raise
-        edge = (prev, "^exit")
-        record[edge] = record.get(edge, 0) + 1
 
     def _finish(self) -> None:
         """Implicit end of the function body."""

@@ -97,6 +97,17 @@ class TestFrontend:
         irf = lower_module(dm.build())[1]
         assert "call" in all_ops(irf)
 
+    @pytest.mark.parametrize("op", ["memory.fill", "memory.copy"])
+    def test_bulk_memory_op_named_in_error(self, op):
+        dm = DslModule()
+        dm.array_i32("a", 4)
+        f = dm.func("f")
+        for _ in range(3):
+            f.fb.emit("i32.const", 0)
+        f.fb.emit(op)
+        with pytest.raises(NotImplementedError, match=f"{op}.*bulk-memory"):
+            lowered(dm.build())
+
 
 class TestPasses:
     def test_constant_fold(self):

@@ -11,18 +11,17 @@ round trip of an f32-computing module).
 
 import math
 import os
-import random
 import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.diffcheck import fuzz
+from repro.diffcheck.genome import build_genome_module, genome_from_seed
 from repro.runtime.interpreter import Interpreter, to_f32
 from repro.runtime.tiering import TIERS
 from repro.wasm import decode_module, encode_module, validate_module
 from repro.wasm.builder import ModuleBuilder
-from repro.wasm.errors import DecodeError, Trap
+from repro.wasm.errors import DecodeError, Trap, WasmError
 from repro.wasm.leb128 import (
     decode_signed,
     decode_unsigned,
@@ -31,6 +30,7 @@ from repro.wasm.leb128 import (
     encode_unsigned,
 )
 from repro.wasm.types import ValType
+from tests.test_differential_fuzz import genomes
 
 pytestmark = pytest.mark.diff
 
@@ -163,7 +163,7 @@ class TestF32Canonicalisation:
 class TestFusionEquivalence:
     """Superinstruction fusion and tier-2 are unobservable except in speed.
 
-    For DSL-generated programs (the diffcheck fuzzer's generator, so
+    For generated programs (the diffcheck fuzzer's genomes, so
     shrinking happens on the seed), every execution tier must produce
     bit-identical return values, memory load/store counts, touched-page
     sets and per-pc profiles.  Each tier is pinned explicitly, so an
@@ -192,7 +192,7 @@ class TestFusionEquivalence:
     @given(st.integers(0, 10**9), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_dispatch_modes_agree(self, seed, arg):
-        module = fuzz.build_program(random.Random(seed))
+        module = build_genome_module(genome_from_seed(seed))
         validate_module(module)
         previous = os.environ.get("REPRO_TIER_STRICT")
         os.environ["REPRO_TIER_STRICT"] = "1"
@@ -211,7 +211,7 @@ class TestFusionEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_fusion_preserves_per_pc_counts(self, seed, arg):
         """Reconstructed per-pc counts match an actually-unfused run."""
-        module = fuzz.build_program(random.Random(seed))
+        module = build_genome_module(genome_from_seed(seed))
         profiles = {}
         for tier in TIERS:
             interp = Interpreter(
@@ -234,52 +234,56 @@ class TestFusionEquivalence:
         assert profiles["fused"] == profiles["legacy"] == profiles["opt"]
 
 
-class TestMutatorRobustness:
-    """Campaign mutators never push the substrate outside WasmError.
+#: The input that found the decoder's IndexError: a mutant of genome
+#: seed 0's module whose code-section entry declares a size past
+#: end-of-input (``_Reader`` now rejects an end beyond the binary).
+_CODE_SIZE_PAST_END = bytes.fromhex(
+    "0061736d0100000001060160017f017f030201000504010103130710020372756e"
+    "0000066d656d6f727902000abc0001b90101037f20032000200041046f41026b41"
+    "016a6d41e1006f6a2103200041446f41024604402003200041046f41026b6d2103"
+    "0b2003b7440000000000007a40a244000000008000e03fa0aa210341ac80042003"
+)
 
-    The decoder/validator contract for arbitrary mutated input is
-    total: accept, or reject with a ``WasmError`` subclass.  Any other
-    exception escaping is a harness bug (and the campaign records it
-    as a ``fuzz.harness-error`` find).  DSL-level mutants are stronger
-    still: they must always build into a validator-clean module.
+
+@st.composite
+def byte_mutants(draw):
+    """An encoded generated module with byte overwrites and a truncation."""
+    data = bytearray(
+        encode_module(build_genome_module(genome_from_seed(
+            draw(st.integers(0, 10**9))
+        )))
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data[: draw(st.integers(0, len(data)))])
+
+
+class TestMutatorRobustness:
+    """Generated and mutated inputs never push the substrate outside
+    ``WasmError``.
+
+    Any gene tuple builds into a validator-clean module (the genome's
+    normalisation is total), and the decoder/validator contract for
+    arbitrary mutated bytes is total too: accept, or reject with a
+    ``WasmError`` subclass.  Any other exception escaping is a bug.
     """
 
-    @given(st.integers(0, 10**9), st.integers(0, 10**9))
+    @given(genomes)
     @settings(max_examples=40, deadline=None)
-    def test_genome_mutants_always_valid(self, seed, mutseed):
-        from repro.fuzz.genome import build_genome_module, genome_from_seed
-        from repro.fuzz.mutators import mutate_genome
+    def test_genome_mutants_always_valid(self, genome):
+        module = build_genome_module(genome)
+        validate_module(module)
+        assert encode_module(module)
 
-        rng = random.Random(mutseed)
-        genome = genome_from_seed(seed)
-        for _ in range(5):
-            genome = mutate_genome(genome, rng)
-            module = build_genome_module(genome)
+    @given(byte_mutants())
+    @example(_CODE_SIZE_PAST_END)
+    @settings(max_examples=60, deadline=None)
+    def test_byte_mutants_decode_or_wasm_error(self, data):
+        try:
+            module = decode_module(data)
             validate_module(module)
-            assert encode_module(module)
-
-    @given(st.integers(0, 10**9), st.integers(0, 10**9))
-    # Found by this property: a code-section entry whose declared size
-    # ran past end-of-input escaped as IndexError (decoder _Reader
-    # accepted an end beyond len(data)).
-    @example(seed=0, mutseed=894358740)
-    @settings(max_examples=40, deadline=None)
-    def test_byte_mutants_decode_or_wasm_error(self, seed, mutseed):
-        from repro.fuzz.genome import build_genome_module, genome_from_seed
-        from repro.fuzz.mutators import mutate_bytes, mutate_memarg
-        from repro.wasm.errors import WasmError
-
-        rng = random.Random(mutseed)
-        data = encode_module(build_genome_module(genome_from_seed(seed)))
-        for _ in range(8):
-            mutator = mutate_memarg if rng.random() < 0.5 else mutate_bytes
-            data = mutator(data, rng)
-            try:
-                module = decode_module(data)
-            except WasmError:
-                continue
-            try:
-                validate_module(module)
-                encode_module(module)
-            except WasmError:
-                pass
+        except WasmError:
+            return
+        # Accepted mutants reach an encoding fixed point.
+        canonical = encode_module(module)
+        assert encode_module(decode_module(canonical)) == canonical

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.compiler import bce as bce_pass
 from repro.core.harness import RunMeasurement
 from repro.diffcheck import cli as diffcheck_cli
 from repro.diffcheck import fuzz as fuzz_mod
@@ -24,7 +25,20 @@ from repro.diffcheck.axioms import (
     AXIOM_W64_GUARD,
     check_axioms,
 )
-from repro.diffcheck.fuzz import build_program, check_case, check_fuzz, outcome_of
+from repro.diffcheck.fuzz import (
+    CHECK_COST_COUNTERS,
+    CHECK_COST_MONOTONE,
+    CHECK_PAGES,
+    check_case,
+    check_fuzz,
+    outcome_of,
+)
+from repro.diffcheck.genome import (
+    build_genome_module,
+    genome_from_json,
+    genome_from_seed,
+    genome_to_json,
+)
 from repro.diffcheck.invariants import (
     CHECK_COMPUTE_CONST,
     CHECK_COMPUTE_ORDER,
@@ -445,13 +459,15 @@ class TestInvariants:
 
 class TestFuzz:
     def test_seeded_generation_is_deterministic(self):
-        import random
-
         from repro.wasm import encode_module
 
-        first = encode_module(build_program(random.Random(7)))
-        second = encode_module(build_program(random.Random(7)))
+        first = encode_module(build_genome_module(genome_from_seed(7)))
+        second = encode_module(build_genome_module(genome_from_seed(7)))
         assert first == second
+
+    def test_genome_json_roundtrip(self):
+        genome = genome_from_seed(9)
+        assert genome_from_json(genome_to_json(genome)) == genome
 
     def test_cases_pass_on_fixed_substrate(self):
         report = DiffReport()
@@ -483,15 +499,62 @@ class TestFuzz:
         assert "fuzz.encode-idempotence" in _failed_checks(report)
 
     def test_outcomes_cover_values_and_traps(self):
-        import random
-
         kinds = set()
         for seed in range(60):
-            rng = random.Random(seed)
-            module = build_program(rng)
-            arg = rng.randrange(0, 2**31)
-            kinds.add(outcome_of(module, arg, "trap")[0])
+            genome = genome_from_seed(seed)
+            module = build_genome_module(genome)
+            kinds.add(outcome_of(module, genome.arg, "trap")[0])
         assert kinds == {"value", "trap"}  # trap-prone statements do fire
+
+
+def _endpoint_only_touch(self, address, size):
+    """The interior-page regression: only first/last page recorded."""
+    if not self.track_pages or size <= 0:
+        return
+    self.touched_pages.add(address >> 12)
+    self.touched_pages.add((address + size - 1) >> 12)
+
+
+class TestSeededRegression:
+    """A bug seeded into the substrate or the compiler is found within
+    60 fuzz cases from seed 0, by the oracle that owns it."""
+
+    @staticmethod
+    def _fuzz_failures() -> set:
+        report = DiffReport()
+        check_fuzz(60, 0, report)
+        return _failed_checks(report)
+
+    def test_interior_page_bug_found(self, monkeypatch):
+        monkeypatch.setattr(LinearMemory, "_touch", _endpoint_only_touch)
+        assert CHECK_PAGES in self._fuzz_failures()
+
+    def test_unrecorded_elision_breaks_conservation(self, monkeypatch):
+        monkeypatch.setattr(
+            bce_pass, "_record_elision", lambda stats, block_id: None
+        )
+        assert CHECK_COST_COUNTERS in self._fuzz_failures()
+
+    def test_guards_in_loop_header_break_monotonicity(self, monkeypatch):
+        # Hoisted guards appended to the loop header, which runs every
+        # iteration, instead of the preheader, which runs once.
+        blocks = []
+        loop_phase = bce_pass._loop_phase
+        append = bce_pass._append_before_terminator
+
+        def recording_loop_phase(irf, stats, affine_guard_ok=True):
+            blocks[:] = irf.blocks
+            loop_phase(irf, stats, affine_guard_ok)
+
+        def append_to_header(preheader, ins):
+            index = next(i for i, b in enumerate(blocks) if b is preheader)
+            append(blocks[index + 1], ins)
+
+        monkeypatch.setattr(bce_pass, "_loop_phase", recording_loop_phase)
+        monkeypatch.setattr(
+            bce_pass, "_append_before_terminator", append_to_header
+        )
+        assert CHECK_COST_MONOTONE in self._fuzz_failures()
 
 
 # ---------------------------------------------------------------------------

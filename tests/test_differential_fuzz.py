@@ -1,79 +1,51 @@
 """Differential fuzzing across the toolchain.
 
-Hypothesis generates random structured programs (nested loops,
-branches, conditionals, array traffic).  Each program is executed by
-the interpreter in three forms — as built, after an encode→decode
-round trip, and after a WAT print (structural check only) — and the
-observable results must agree exactly.  This catches codec bugs on
-control flow that straight-line round-trip tests cannot reach.
+Hypothesis draws random genomes (:mod:`repro.diffcheck.genome`: loops,
+branches, array traffic, trap-prone arithmetic, out-of-bounds accesses,
+bulk fills) and builds them with ``build_genome_module``, whose field
+normalisation makes any drawn integers valid, so shrinking works on
+genes.  Each program is executed by the interpreter in three forms — as
+built, after an encode→decode round trip, and after a WAT print
+(structural check only) — and the observable results must agree
+exactly.  This catches codec bugs on control flow that straight-line
+round-trip tests cannot reach.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime import Interpreter
+from repro.diffcheck.fuzz import outcome_of
+from repro.diffcheck.genome import GENE_KINDS, Gene, Genome, build_genome_module
 from repro.wasm import decode_module, encode_module, module_to_wat, validate_module
-from repro.wasm.dsl import Const, DslModule, Select
+
+genomes = st.builds(
+    Genome,
+    st.lists(
+        st.builds(
+            Gene, st.sampled_from(GENE_KINDS),
+            st.integers(), st.integers(), st.integers(), st.integers(),
+        ),
+        min_size=1, max_size=5,
+    ).map(tuple),
+    st.integers(0, 2**31 - 1),
+)
 
 
-@st.composite
-def program(draw):
-    """A random program writing into an i32 array, returning a checksum."""
-    n = 16
-    dm = DslModule("fuzz")
-    arr = dm.array_i32("a", n)
-    f = dm.func("run", params=[("seed", "i32")], results=["i32"])
-    seed = f.params[0]
-    i, j = f.i32("i"), f.i32("j")
-    acc = f.i32("acc")
-
-    statements = draw(st.integers(min_value=1, max_value=4))
-    for _ in range(statements):
-        kind = draw(st.sampled_from(["loop", "if", "nested", "while", "store"]))
-        const_a = draw(st.integers(0, 1000))
-        const_b = draw(st.integers(1, 7))
-        if kind == "loop":
-            with f.for_(i, 0, draw(st.integers(1, n))):
-                f.store(arr[i], arr[i] + i * const_b + seed)
-        elif kind == "if":
-            with f.if_((seed & 1).eq(draw(st.integers(0, 1)))) as branch:
-                f.set(acc, acc + const_a)
-                branch.otherwise()
-                f.set(acc, acc - const_a)
-        elif kind == "nested":
-            with f.for_(i, 0, draw(st.integers(1, 5))):
-                with f.for_(j, 0, draw(st.integers(1, 5))):
-                    with f.if_(((i + j) % const_b).eq(0)):
-                        f.store(arr[(i + j) % n], arr[(i + j) % n] ^ const_a)
-        elif kind == "while":
-            f.set(j, const_b)
-            with f.while_(lambda: j < const_a % 50 + 1):
-                f.set(j, j * 2 + 1)
-            f.set(acc, acc + j)
-        else:
-            index = draw(st.integers(0, n - 1))
-            f.store(arr[index], Select(seed > const_a, acc, i) + const_b)
-
-    with f.for_(i, 0, n):
-        f.set(acc, acc * 31 + arr[i])
-    f.ret(acc)
-    return dm.build()
-
-
-@given(program(), st.integers(0, 2**31 - 1))
+@given(genomes)
 @settings(max_examples=60, deadline=None)
-def test_binary_roundtrip_preserves_behaviour(module, seed):
+def test_binary_roundtrip_preserves_behaviour(genome):
+    module = build_genome_module(genome)
     validate_module(module)
-    direct = Interpreter(module, validate=False).invoke("run", seed)
+    direct = outcome_of(module, genome.arg, "trap")
     decoded = decode_module(encode_module(module))
     validate_module(decoded)
-    roundtrip = Interpreter(decoded, validate=False).invoke("run", seed)
-    assert direct == roundtrip
+    assert outcome_of(decoded, genome.arg, "trap") == direct
 
 
-@given(program())
+@given(genomes)
 @settings(max_examples=30, deadline=None)
-def test_wat_printer_never_crashes_and_balances(module):
+def test_wat_printer_never_crashes_and_balances(genome):
+    module = build_genome_module(genome)
     text = module_to_wat(module)
     assert text.count("(") == text.count(")") or '"' in text
     assert "(module" in text
@@ -88,9 +60,10 @@ def test_wat_printer_never_crashes_and_balances(module):
         assert depth == 0
 
 
-@given(program(), st.integers(0, 1000))
+@given(genomes)
 @settings(max_examples=30, deadline=None)
-def test_execution_is_deterministic(module, seed):
-    first = Interpreter(module, validate=False).invoke("run", seed)
-    second = Interpreter(module, validate=False).invoke("run", seed)
+def test_execution_is_deterministic(genome):
+    module = build_genome_module(genome)
+    first = outcome_of(module, genome.arg, "trap")
+    second = outcome_of(module, genome.arg, "trap")
     assert first == second

@@ -1,78 +1,67 @@
-"""The coverage-guided fuzzing campaign (repro.fuzz).
+"""Whole fuzz runs of diffcheck's seeded fuzz phase (repro.diffcheck.fuzz).
 
-Covers the campaign's own contracts rather than the substrate's:
-deterministic coverage collection, jobs-independent campaign reports,
-minimizer soundness, corpus promotion round trips under all three
-execution tiers, the coverage advantage over same-budget random
-seeding, and the acceptance scenario — a seeded reintroduction of the
-interior-page touch regression is found, minimized and promoted
-automatically.
+Covers the run-level contracts rather than single oracles: reports
+and batches that do not depend on ``jobs`` (with and without finds),
+a clean substrate that exercises every oracle without a find, genome
+mutants that always build, byte mutants that reach the decoder's
+rejection paths and nothing else, and the committed campaign WAT
+that replays its genome under every execution tier.
 """
 
+import dataclasses
 import json
+import pathlib
 import random
+import re
 
 import pytest
 
-from repro.diffcheck.fuzz import check_case, check_fuzz, check_module_case
-from repro.diffcheck.report import DiffReport
-from repro.fuzz.campaign import CampaignConfig, run_campaign
-from repro.fuzz.genome import (
-    Gene,
+from repro.diffcheck.fuzz import (
+    CHECK_COST_COUNTERS,
+    CHECK_COST_MONOTONE,
+    CHECK_COST_ORDER,
+    CHECK_ENCODE,
+    CHECK_PAGES,
+    CHECK_ROUNDTRIP,
+    CHECK_STRATEGY,
+    CHECK_TIER,
+    CHECK_TIER_PROFILE,
+    CHECK_TRAPS,
+    CHECK_VALIDATE,
+    check_fuzz,
+)
+from repro.diffcheck.genome import (
+    GENE_KINDS,
     Genome,
     build_genome_module,
-    fill_pages,
     genome_from_json,
     genome_from_seed,
-    genome_to_json,
 )
-from repro.fuzz.minimize import ddmin, minimize_bytes, minimize_genome
-from repro.fuzz.mutators import mutate_bytes, mutate_genome, mutate_memarg
-from repro.fuzz.oracles import run_oracles
-from repro.fuzz.promote import module_to_flat_wat, promote_find
+from repro.diffcheck.report import DiffReport
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.memory import LinearMemory
-from repro.wasm import encode_module, validate_module
-from repro.wasm.coverage import COVERAGE, collecting
-from repro.wasm.errors import Trap
+from repro.runtime.tiering import TIERS
+from repro.wasm import decode_module, encode_module, validate_module
+from repro.wasm.errors import Trap, WasmError
 from repro.wasm.wat_parser import parse_wat
 
 pytestmark = pytest.mark.diff
 
-
-def _run_genome(genome):
-    module = build_genome_module(genome)
-    interp = Interpreter(module, strategy="trap", validate=False)
-    try:
-        return interp.invoke("run", genome.arg)
-    except Trap:
-        return None
+CORPUS_DIR = pathlib.Path(__file__).parent / "fuzz_corpus"
 
 
-class TestCoverage:
-    def test_disabled_by_default_and_cost_free(self):
-        genome = genome_from_seed(3)
-        assert not COVERAGE.enabled
-        _run_genome(genome)
-        assert COVERAGE.edge_count == 0
+def _report_json(cases, base_seed, jobs):
+    report = DiffReport()
+    check_fuzz(cases, base_seed, report, jobs=jobs)
+    return report, json.dumps(report.to_json(), sort_keys=True)
 
-    def test_collection_is_deterministic(self):
-        genome = genome_from_seed(5)
-        snapshots = []
-        for _ in range(2):
-            with collecting():
-                _run_genome(genome)
-                snapshots.append((COVERAGE.snapshot(), COVERAGE.signature()))
-        assert snapshots[0] == snapshots[1]
-        snapshot, _ = snapshots[0]
-        assert snapshot["decoder"] == {}  # nothing decoded in this run
-        assert snapshot["dispatch"], "dispatch edges must be recorded"
 
-    def test_collecting_restores_enabled_state(self):
-        assert not COVERAGE.enabled
-        with collecting():
-            assert COVERAGE.enabled
-        assert not COVERAGE.enabled
+def _endpoint_only_touch(self, address, size):
+    """The interior-page regression: only first/last page recorded."""
+    if not self.track_pages or size <= 0:
+        return
+    self.touched_pages.add(address >> 12)
+    self.touched_pages.add((address + size - 1) >> 12)
 
 
 class TestCheckFuzzDeterminism:
@@ -88,215 +77,120 @@ class TestCheckFuzzDeterminism:
         assert progress[0] == progress[1]
 
 
+class TestCampaign:
+    def test_report_identical_across_jobs(self, monkeypatch):
+        """Finds, not just counts, fold in the same order for any jobs.
+
+        Forked workers inherit the seeded bug, so both runs find it.
+        """
+        monkeypatch.setattr(LinearMemory, "_touch", _endpoint_only_touch)
+        payloads = []
+        for jobs in (1, 2):
+            report, payload = _report_json(40, 0, jobs)
+            assert CHECK_PAGES in {v.check for v in report.violations}, jobs
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
+    def test_clean_substrate_produces_no_finds(self):
+        report, _ = _report_json(60, 1, jobs=1)
+        assert report.ok, [v.render() for v in report.violations]
+        # The run reached every oracle, not only the cheap ones.
+        for check in (
+            CHECK_ENCODE, CHECK_VALIDATE, CHECK_ROUNDTRIP, CHECK_STRATEGY,
+            CHECK_TRAPS, CHECK_TIER, CHECK_TIER_PROFILE, CHECK_PAGES,
+            CHECK_COST_ORDER, CHECK_COST_MONOTONE, CHECK_COST_COUNTERS,
+        ):
+            assert report.counts[check].passed > 0, check
+
+
+def _mutate_genome(genome, rng):
+    """One point mutation with out-of-range values and unknown kinds."""
+    genes = list(genome.genes)
+    index = rng.randrange(len(genes))
+    roll = rng.random()
+    if roll < 0.6:
+        field = rng.choice("abcd")
+        value = rng.randint(-(2**40), 2**40)
+        genes[index] = dataclasses.replace(genes[index], **{field: value})
+    elif roll < 0.75:
+        kind = rng.choice(GENE_KINDS + ("unknown",))
+        genes[index] = dataclasses.replace(genes[index], kind=kind)
+    elif roll < 0.9 and len(genes) < 8:
+        genes.insert(index, genome_from_seed(rng.randrange(2**16)).genes[0])
+    elif len(genes) > 1:
+        del genes[index]
+    return Genome(tuple(genes), genome.arg)
+
+
 class TestMutators:
     def test_genome_mutants_always_build(self):
         rng = random.Random(11)
         genome = genome_from_seed(1)
         for _ in range(100):
-            genome = mutate_genome(genome, rng)
+            genome = _mutate_genome(genome, rng)
             assert genome.genes
-            validate_module(build_genome_module(genome))
-
-    def test_genome_json_roundtrip(self):
-        genome = genome_from_seed(9)
-        assert genome_from_json(genome_to_json(genome)) == genome
-
-
-class TestMinimizer:
-    def test_ddmin_finds_minimal_subset(self):
-        # Failure requires both 3 and 7 to be present.
-        result = ddmin(
-            list(range(10)), lambda items: 3 in items and 7 in items
-        )
-        assert sorted(result) == [3, 7]
-
-    def test_ddmin_never_returns_non_failing(self):
-        result = ddmin([1, 2, 3, 4, 5, 6], lambda items: sum(items) >= 10)
-        assert sum(result) >= 10
-        assert len(result) < 6
-
-    def test_minimize_genome_shrinks_to_responsible_gene(self):
-        noise = tuple(genome_from_seed(2).genes)
-        genome = Genome(noise + (Gene("fill", 9, 1, 100, 9000),), 5)
-
-        def fails(candidate):
-            return any(g.kind == "fill" for g in candidate.genes)
-
-        minimized = minimize_genome(genome, fails)
-        assert fails(minimized)
-        assert len(minimized.genes) == 1
-        assert minimized.genes[0].kind == "fill"
-        # Constants shrink toward small values too.
-        assert abs(minimized.genes[0].c) <= 100
-        assert minimized.arg <= 5
-
-    def test_minimize_bytes_prefix_predicate(self):
-        data = bytes(range(40))
-
-        def fails(candidate):
-            return b"\x05" in candidate and b"\x20" in candidate
-
-        minimized = minimize_bytes(data, fails)
-        assert fails(minimized)
-        assert len(minimized) <= 4
-
-
-class TestPromotion:
-    def test_round_trip_under_all_tiers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
-        monkeypatch.setenv("REPRO_TIER_STRICT", "1")
-        genome = Genome(
-            (Gene("fill", 170, 1, 100, 9000), Gene("loop", 3, 2, 8, 0)), 5
-        )
-        module = build_genome_module(genome)
-        entry = promote_find(
-            module, genome.arg, ["fuzz.page-span"], tmp_path, genome=genome
-        )
-        assert entry["file"].startswith("campaign_")
-        replayed = parse_wat((tmp_path / entry["file"]).read_text())
-        validate_module(replayed)
-
-        def outcome(mod, tier):
-            interp = Interpreter(
-                mod, strategy="trap", validate=False, tier=tier,
-                track_pages=True,
-            )
-            try:
-                value = interp.invoke("run", entry["arg"])
-            except Trap as exc:
-                return ("trap", exc.kind)
-            return (
-                "value", value,
-                interp.memory.load_count, interp.memory.store_count,
-                tuple(sorted(interp.memory.touched_pages)),
-            )
-
-        for tier in ("legacy", "fused", "opt"):
-            assert outcome(replayed, tier) == outcome(module, tier), tier
-        report = check_module_case(replayed, entry["arg"])
-        assert report.ok, "\n".join(v.render() for v in report.violations)
-
-    def test_promotion_is_idempotent(self, tmp_path):
-        genome = genome_from_seed(2)
-        module = build_genome_module(genome)
-        first = promote_find(module, genome.arg, ["fuzz.x"], tmp_path)
-        second = promote_find(module, genome.arg, ["fuzz.x"], tmp_path)
-        assert first["id"] == second["id"]
-        catalogue = json.loads((tmp_path / "seeds.json").read_text())
-        assert len(catalogue["campaign"]) == 1
-
-    def test_flat_wat_preserves_behaviour(self):
-        for seed in range(8):
-            genome = genome_from_seed(seed)
             module = build_genome_module(genome)
-            replayed = parse_wat(module_to_flat_wat(module))
-            validate_module(replayed)
-            assert encode_module(replayed) is not None
-
-
-class TestCampaign:
-    def test_report_identical_across_jobs(self, tmp_path):
-        payloads = []
-        for jobs in (1, 2):
-            result = run_campaign(CampaignConfig(
-                cases=40, seed=1, jobs=jobs, corpus_dir=tmp_path / str(jobs),
-            ))
-            payloads.append(json.dumps(result, sort_keys=True))
-        assert payloads[0] == payloads[1]
-
-    def test_clean_substrate_produces_no_finds(self, tmp_path):
-        result = run_campaign(CampaignConfig(
-            cases=60, seed=1, jobs=1, corpus_dir=tmp_path,
-        ))
-        assert not result["confirmed_divergence"], result["finds"]
-        assert result["finds"] == []
-        assert result["corpus"]["entries"] >= 8
-
-    def test_beats_random_seeding_on_every_map(self, tmp_path):
-        """Same budget, strictly more distinct edges per coverage map."""
-        budget = 60
-        result = run_campaign(CampaignConfig(
-            cases=budget, seed=1, jobs=1, corpus_dir=tmp_path,
-        ))
-        random_edges = set()
-        for seed in range(1, budget + 1):
-            with collecting():
-                check_case(seed, DiffReport())
-                random_edges |= COVERAGE.edge_keys()
-        random_per_map = {}
-        for map_name, _, _ in random_edges:
-            random_per_map[map_name] = random_per_map.get(map_name, 0) + 1
-        campaign_per_map = result["coverage"]["per_map"]
-        for map_name in ("decoder", "validator", "dispatch"):
-            assert campaign_per_map[map_name] > random_per_map[map_name], (
-                map_name, campaign_per_map, random_per_map
-            )
-
-
-def _buggy_touch(self, address, size):
-    """PR 3's interior-page regression: only first/last page recorded."""
-    if not self.track_pages or size <= 0:
-        return
-    self.touched_pages.add(address >> 12)
-    self.touched_pages.add((address + size - 1) >> 12)
-
-
-class TestSeededRegression:
-    def test_interior_page_bug_found_minimized_promoted(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(LinearMemory, "_touch", _buggy_touch)
-        result = run_campaign(CampaignConfig(
-            cases=60, seed=0, jobs=1, corpus_dir=tmp_path,
-            promote=True, max_finds=3,
-        ))
-        assert result["confirmed_divergence"]
-        span = [
-            f for f in result["finds"] if "fuzz.page-span" in f["checks"]
-        ]
-        assert span, result["finds"]
-        find = span[0]
-        # Minimized to the responsible ranged access alone.
-        genome = genome_from_json(find["genome"])
-        assert len(genome.genes) == 1
-        assert genome.genes[0].kind == "fill"
-        assert len(fill_pages(genome)) >= 3  # has interior pages
-        # Promoted as replayable WAT plus a seeds.json campaign entry.
-        assert find["promoted"], find
-        assert (tmp_path / find["promoted"]).exists()
-        catalogue = json.loads((tmp_path / "seeds.json").read_text())
-        promoted_ids = {e["id"] for e in catalogue["campaign"]}
-        assert find["promoted"].split("_")[1].split(".")[0] in promoted_ids
-
-        # With the real (fixed) runtime the promoted find replays green.
-        monkeypatch.undo()
-        replayed = parse_wat((tmp_path / find["promoted"]).read_text())
-        report = DiffReport()
-        check_module_case(replayed, genome.arg, report)
-        run_oracles(replayed, genome.arg, report, {}, genome=genome)
-        assert report.ok, "\n".join(v.render() for v in report.violations)
+            validate_module(module)
+            assert encode_module(module)
 
 
 class TestByteLevelMutants:
     def test_byte_mutants_hit_decoder_rejection_edges(self):
         rng = random.Random(3)
         encoded = encode_module(build_genome_module(genome_from_seed(3)))
-        saw_error_edge = False
+        reasons = set()
         for _ in range(120):
-            mutant = (
-                mutate_memarg(encoded, rng) if rng.random() < 0.5
-                else mutate_bytes(encoded, rng)
-            )
-            with collecting():
-                from repro.wasm import decode_module
-                from repro.wasm.errors import WasmError
+            mutant = bytearray(encoded)
+            for _ in range(rng.randint(1, 3)):
+                mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+            if rng.random() < 0.3:
+                mutant = mutant[: rng.randrange(len(mutant))]
+            # Only WasmError may escape; anything else fails the test.
+            try:
+                module = decode_module(bytes(mutant))
+            except WasmError as exc:
+                # The message up to its first number or quoted bytes.
+                reasons.add(re.split(r"[\d']", str(exc))[0])
+                continue
+            try:
+                validate_module(module)
+            except WasmError:
+                pass
+        header = {"bad magic number (not a wasm binary)",
+                  "unsupported wasm version b"}
+        assert len(reasons - header) >= 8, sorted(reasons)
+
+
+class TestPromotion:
+    def test_round_trip_under_all_tiers(self, monkeypatch):
+        """The committed campaign WAT behaves as its genome does."""
+        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
+        monkeypatch.setenv("REPRO_TIER_STRICT", "1")
+        manifest = json.loads((CORPUS_DIR / "seeds.json").read_text())
+        entries = manifest["campaign"]
+        assert entries
+        for entry in entries:
+            genome = genome_from_json(entry["genome"])
+            built = build_genome_module(genome)
+            replayed = parse_wat((CORPUS_DIR / entry["file"]).read_text())
+            validate_module(replayed)
+
+            def outcome(module, tier):
+                interp = Interpreter(
+                    module, strategy="trap", validate=False, tier=tier,
+                    track_pages=True,
+                )
                 try:
-                    decode_module(mutant)
-                except WasmError:
-                    pass
-                if any(
-                    cur == "^error" for _, cur in COVERAGE.decoder
-                ):
-                    saw_error_edge = True
-                    break
-        assert saw_error_edge, "no decoder rejection edge ever recorded"
+                    value = interp.invoke("run", entry["arg"])
+                except Trap as exc:
+                    return ("trap", exc.kind)
+                return (
+                    "value", value,
+                    interp.memory.load_count, interp.memory.store_count,
+                    tuple(sorted(interp.memory.touched_pages)),
+                )
+
+            for tier in TIERS:
+                assert outcome(replayed, tier) == outcome(built, tier), (
+                    entry["id"], tier
+                )

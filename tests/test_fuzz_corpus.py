@@ -1,22 +1,21 @@
 """Replay the seeded fuzz regression corpus (tests/fuzz_corpus/).
 
 Every entry is a once-found failure promoted to a permanent
-regression: fuzzer seeds go back through the full ``check_case``
-oracle (and additionally through every execution tier), hand-written
-``.wat`` distillations run under the full bounds-strategy x tier
-grid, and campaign finds (the ``"campaign"`` list in seeds.json,
-written by ``leaps-bench fuzz --promote``) replay through the
-campaign's own oracle stack.  See tests/fuzz_corpus/README.md for the
-promotion policy.
+regression: genome entries (the ``"cases"`` and ``"campaign"`` lists
+in seeds.json) go back through the full ``check_module_case`` oracle,
+case genomes additionally through every execution tier for every
+argument in ``"args"``, and the ``.wat`` distillations run under the
+full bounds-strategy x tier grid.  See tests/fuzz_corpus/README.md for
+the promotion policy.
 """
 
 import json
 import pathlib
-import random
 
 import pytest
 
 from repro.diffcheck import fuzz
+from repro.diffcheck.genome import build_genome_module, genome_from_json
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.strategies import STRATEGY_ORDER
 from repro.runtime.tiering import TIERS
@@ -61,8 +60,11 @@ def test_corpus_is_populated():
     "case", SEED_CASES, ids=lambda c: f"seed{c['seed']}"
 )
 def test_seed_passes_full_oracle(case):
-    """The promoted seed must stay green through every diffcheck layer."""
-    report = fuzz.check_case(case["seed"])
+    """The promoted case must stay green through every fuzz oracle."""
+    genome = genome_from_json(case["genome"])
+    report = fuzz.check_module_case(
+        build_genome_module(genome), genome.arg, genome=genome
+    )
     assert report.ok, "\n".join(v.render() for v in report.violations)
 
 
@@ -70,7 +72,7 @@ def test_seed_passes_full_oracle(case):
     "case", SEED_CASES, ids=lambda c: f"seed{c['seed']}"
 )
 def test_seed_tiers_agree(case, monkeypatch):
-    """Execution tiers agree on the seed's module for every strategy.
+    """Execution tiers agree on the case's module for every strategy.
 
     Forced immediate tier-up plus strict mode, so any unexpected
     vectorizer failure on fuzzer-shaped programs is a hard error, and
@@ -78,8 +80,7 @@ def test_seed_tiers_agree(case, monkeypatch):
     """
     monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
     monkeypatch.setenv("REPRO_TIER_STRICT", "1")
-    rng = random.Random(case["seed"])
-    module = fuzz.build_program(rng)
+    module = build_genome_module(genome_from_json(case["genome"]))
     validate_module(module)
     for strategy in STRATEGY_ORDER:
         for arg in SEED_ARGS:
@@ -165,27 +166,22 @@ def test_wat_regression_opt_strict(path, monkeypatch):
 
 
 def test_campaign_entries_replay_clean():
-    """Promoted campaign finds stay green through the campaign oracles.
+    """Promoted campaign finds stay green through every fuzz oracle.
 
     A plain loop (not parametrize) so an empty campaign list is simply
     a no-op rather than a collection error.
     """
-    from repro.diffcheck.fuzz import check_module_case
-    from repro.fuzz.genome import build_genome_module, genome_from_json
-    from repro.fuzz.oracles import run_oracles
-
     for entry in CAMPAIGN_CASES:
-        if "file" in entry:
-            module = parse_wat((CORPUS_DIR / entry["file"]).read_text())
-        else:
-            module = build_genome_module(genome_from_json(entry["genome"]))
-        validate_module(module)
-        report = check_module_case(module, entry["arg"])
         genome = (
             genome_from_json(entry["genome"]) if "genome" in entry else None
         )
-        run_oracles(
-            module, entry["arg"], report, {"id": entry["id"]}, genome=genome
+        if "file" in entry:
+            module = parse_wat((CORPUS_DIR / entry["file"]).read_text())
+        else:
+            module = build_genome_module(genome)
+        validate_module(module)
+        report = fuzz.check_module_case(
+            module, entry["arg"], subject={"id": entry["id"]}, genome=genome
         )
         assert report.ok, entry["id"] + "\n" + "\n".join(
             v.render() for v in report.violations
