@@ -433,6 +433,8 @@ class MeasurementEngine:
             return None
         try:
             raw = json.loads(path.read_text())
+            if not isinstance(raw, dict):
+                return None  # valid JSON, but no entry: recompute
             if raw.get("key") != key:
                 return None  # digest collision on the shortened filename
             measurement = measurement_from_json(raw["measurement"])

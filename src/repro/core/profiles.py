@@ -101,7 +101,9 @@ def profile_for(workload_name: str, size: str) -> Tuple[Module, ExecutionProfile
     profile: Optional[ExecutionProfile] = None
     if disk_path.exists():
         try:
-            profile = _profile_from_json(json.loads(disk_path.read_text()))
+            raw = json.loads(disk_path.read_text())
+            if isinstance(raw, dict):  # any other JSON value is corrupt
+                profile = _profile_from_json(raw)
         except (ValueError, KeyError):
             profile = None  # stale/corrupt cache entry: recompute
     if profile is None:

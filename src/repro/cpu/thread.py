@@ -11,29 +11,27 @@ Thread bodies are simulation processes (generators).  The discipline is:
 
 * ``yield from thread.startup()`` — first statement of every body;
 * ``yield from thread.run(duration, kind)`` — burn CPU time;
-* ``yield from thread.block_on(waitable)`` — leave the CPU while waiting
-  on an event or a lock-acquire generator, then get back on;
+* ``yield from thread.block_on(acquire)`` — leave the CPU while a
+  lock-acquire or gate generator (``lock.acquire_write()``,
+  ``gate.wait()``) waits, then get back on;
 * ``yield from thread.sleep(duration)`` — timed sleep off the CPU;
 * ``thread.finish()`` — final statement, releases the core.
 
 Each of these must run in the process that owns the thread (the one
 :attr:`Engine.active <repro.sim.engine.Engine.active>` names while it
-runs): waiting for the core, for a run slice to end and for a sleep to
-end parks that process (:data:`repro.sim.engine.PARK`), and the core or
-the engine wakes it.  Only :meth:`SimThread.block_on` waits on an
-:class:`~repro.sim.engine.Event`.
+runs): waiting for the core, for a run slice or a sleep to end, for a
+lock or for a gate parks that process (:data:`repro.sim.engine.PARK`),
+and the core, the engine, the lock's release or the gate's opening
+wakes it.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Generator, Union
+from typing import Generator
 
 from repro.cpu.core import Core, USER
-from repro.sim.engine import PARK, Engine, Event
-
-
-Waitable = Union[Event, Generator]
+from repro.sim.engine import PARK, Engine
 
 
 class SimThread:
@@ -63,19 +61,15 @@ class SimThread:
         """Execute ``duration`` seconds of work of the given kind."""
         return self.core.exec(self, duration, kind)
 
-    def block_on(self, waitable: Waitable) -> Generator:
-        """Block off-CPU until ``waitable`` completes, then reschedule.
+    def block_on(self, acquire: Generator) -> Generator:
+        """Block off-CPU until ``acquire`` completes, then reschedule.
 
-        ``waitable`` is either a triggered-later :class:`Event` or a
-        generator such as ``lock.acquire()``.  Returns the waitable's
-        result.
+        ``acquire`` is a lock-acquire or gate generator such as
+        ``lock.acquire_read()``.  Returns its result.
         """
         self.runnable = False
         self.core.release(self)
-        if isinstance(waitable, Event):
-            result = yield waitable
-        else:
-            result = yield from waitable
+        result = yield from acquire
         self.runnable = True
         yield from self.core.acquire(self)
         return result

@@ -2,29 +2,26 @@
 
 This package provides the simulation substrate used by the reproduction:
 a deterministic event loop (:mod:`repro.sim.engine`), generator-based
-processes, and synchronisation primitives (:mod:`repro.sim.resources`)
-modelled on the Linux kernel primitives that matter for the paper —
-most importantly a writer-preferring read/write semaphore that behaves
-like ``mmap_lock``.
+processes, and two synchronisation primitives
+(:mod:`repro.sim.resources`): :class:`RWLock`, a writer-preferring
+read/write semaphore that behaves like the Linux ``mmap_lock``, and
+:class:`Gate`, the harness's timed-region barrier.
 
 The engine is deliberately small and fully deterministic: given the same
 inputs it produces identical event orderings, which keeps every
 experiment in the benchmark harness reproducible bit-for-bit.
 """
 
-from repro.sim.engine import Engine, Event, Delay, Process, SimError
-from repro.sim.resources import Mutex, RWLock, Semaphore, Gate
+from repro.sim.engine import Engine, Delay, Process, SimError
+from repro.sim.resources import RWLock, Gate
 from repro.sim.rng import RngStreams
 
 __all__ = [
     "Engine",
-    "Event",
     "Delay",
     "Process",
     "SimError",
-    "Mutex",
     "RWLock",
-    "Semaphore",
     "Gate",
     "RngStreams",
 ]

@@ -5,28 +5,30 @@ simulated clock.  Concurrency is expressed with *processes*: plain Python
 generators that ``yield`` either
 
 * a :class:`Delay` — suspend the process for a simulated duration, or
-* an :class:`Event` — suspend until the event is triggered, receiving the
-  event's value as the result of the ``yield`` expression, or
-* another :class:`Process` — suspend until that process terminates, or
 * :data:`PARK` — suspend until some other code calls
   :meth:`Engine.wake` on the process; the ``yield`` evaluates to ``None``.
 
-:data:`PARK` is the waiting primitive of the CPU model
-(:mod:`repro.cpu`), which has exactly one waker per wait: the core that
-dispatches a thread, the heap entry that ends its run slice, or the one
-that ends its sleep.  The waker finds the process through
-:attr:`Engine.active` read while the process was running.  A wake costs
-one lane entry, as an :class:`Event` wake-up does, so parking and
-waiting on a fresh event fire in the same order; parking just skips
-building the event.
+Yielding anything else raises :class:`SimError`.
+
+Every wait that is not a fixed duration parks, and each has exactly one
+waker.  In the CPU model (:mod:`repro.cpu`) that is the core that
+dispatches a thread, or the heap entry that ends its run slice or its
+sleep; in :mod:`repro.sim.resources` it is the release that hands an
+``RWLock`` to a queued process, or the opening of a ``Gate``.  The waker
+finds the process through :attr:`Engine.active` read while the process
+was running.  A wake costs one lane entry, as any callback due now does.
+
+An exception raised in a process propagates out of :meth:`Engine.run`.
+Nothing joins a process, so a crash kept on it would go unseen while
+the processes it should have woken wait forever.
 
 Determinism: events scheduled for the same timestamp fire in scheduling
 order (a monotonically increasing sequence number breaks ties), so runs
 are reproducible regardless of hash seeds or dict ordering.
 
-Most callbacks are due at the current time (event wake-ups, wakes,
-process starts, ``Delay(0)``).  Those skip the heap and wait in a FIFO
-lane; see :meth:`Engine.run` for why that keeps the scheduling order.
+Most callbacks are due at the current time (wakes, process starts,
+``Delay(0)``).  Those skip the heap and wait in a FIFO lane; see
+:meth:`Engine.run` for why that keeps the scheduling order.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.trace.events import SIM_EXIT, SIM_SPAWN
 from repro.trace.tracer import TRACE
@@ -67,83 +68,18 @@ class _Park:
 PARK = _Park()
 
 
-class Event:
-    """A one-shot waitable value.
-
-    Processes yield an event to suspend until :meth:`succeed` (or
-    :meth:`fail`) is called.  Multiple processes may wait on the same
-    event; they are resumed in the order they started waiting.
-    """
-
-    __slots__ = ("engine", "_value", "_error", "triggered", "_callbacks", "name")
-
-    def __init__(self, engine: "Engine", name: str = "") -> None:
-        self.engine = engine
-        self.name = name
-        self.triggered = False
-        self._value: Any = None
-        self._error: Optional[BaseException] = None
-        self._callbacks: list[Callable[["Event"], None]] = []
-
-    @property
-    def value(self) -> Any:
-        return self._value
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        if self.triggered:
-            # Deliver on the next tick to preserve run-to-completion
-            # semantics for the caller.
-            engine = self.engine
-            engine._sequence += 1
-            engine._ready.append(partial(callback, self))
-        else:
-            self._callbacks.append(callback)
-
-    def succeed(self, value: Any = None) -> "Event":
-        if self.triggered:
-            raise SimError(f"event {self.name!r} already triggered")
-        self._value = value
-        self._trigger()
-        return self
-
-    def fail(self, error: BaseException) -> "Event":
-        if self.triggered:
-            raise SimError(f"event {self.name!r} already triggered")
-        self._error = error
-        self._trigger()
-        return self
-
-    def _trigger(self) -> None:
-        """Queue every callback on the lane, as ``call_at(now, ...)`` would."""
-        self.triggered = True
-        callbacks = self._callbacks
-        if callbacks:
-            self._callbacks = []
-            engine = self.engine
-            engine._sequence += len(callbacks)
-            ready = engine._ready
-            for callback in callbacks:
-                ready.append(partial(callback, self))
-
-    def result(self) -> Any:
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 ProcessBody = Generator[Any, Any, Any]
 
 
 class Process:
     """A generator-based simulated process.
 
-    The generator may yield :class:`Delay`, :class:`Event`, another
-    :class:`Process` or :data:`PARK`.  When the generator returns,
-    :attr:`done_event` triggers with the return value, so processes
-    compose: a parent can ``yield child`` to join on it.
+    The generator may yield :class:`Delay` or :data:`PARK`.  When it
+    returns, :attr:`alive` clears and :attr:`value` holds its return
+    value; what it raises propagates out of :meth:`Engine.run`.
     """
 
-    __slots__ = ("engine", "body", "name", "done_event", "_alive", "_resume")
+    __slots__ = ("engine", "body", "name", "alive", "value", "_resume")
 
     def __init__(self, engine: "Engine", body: ProcessBody, name: str = "") -> None:
         if not hasattr(body, "send"):
@@ -151,71 +87,43 @@ class Process:
         self.engine = engine
         self.body = body
         self.name = name or getattr(body, "__name__", "process")
-        self.done_event = Event(engine, name=f"{self.name}.done")
-        self._alive = True
-        #: Steps the body with ``None``: the start, a Delay, a wake.
-        self._resume = partial(self._step, None, None)
+        self.alive = True
+        self.value: Any = None
+        #: Steps the body: its start, the end of a Delay, a wake.
+        self._resume = self._step
         if TRACE.enabled:
             TRACE.emit(engine.now, SIM_SPAWN, thread=self.name)
         engine.call_at(engine.now, self._resume)
 
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
-    def _step(self, value: Any, error: Optional[BaseException]) -> None:
-        if not self._alive:
-            return
+    def _step(self) -> None:
         engine = self.engine
         engine.active = self
         try:
-            if error is not None:
-                yielded = self.body.throw(error)
-            else:
-                yielded = self.body.send(value)
+            yielded = self.body.send(None)
         except StopIteration as stop:
-            self._alive = False
-            # ``_resume`` refers back to the process: dropping it lets a
-            # finished process be freed at once, not by the cycle collector.
-            del self._resume
+            self._end()
+            self.value = stop.value
             if TRACE.enabled:
-                TRACE.emit(self.engine.now, SIM_EXIT, thread=self.name)
-            self.done_event.succeed(stop.value)
+                TRACE.emit(engine.now, SIM_EXIT, thread=self.name)
             return
-        except BaseException as exc:  # surface process crashes loudly
-            self._alive = False
-            self.done_event.fail(exc)
-            return
+        except BaseException:
+            self._end()
+            raise
         finally:
             engine.active = None
-        self._wait_on(yielded)
-
-    def _wait_on(self, yielded: Any) -> None:
         if yielded is PARK:
             return
         if isinstance(yielded, Delay):
-            self.engine.call_at(self.engine.now + yielded.duration, self._resume)
-        elif isinstance(yielded, Event):
-            yielded.add_callback(self._on_event)
-        elif isinstance(yielded, Process):
-            yielded.done_event.add_callback(self._on_event)
-        else:
-            self._step(
-                None,
-                SimError(f"process {self.name!r} yielded unsupported value {yielded!r}"),
-            )
+            engine.call_at(engine.now + yielded.duration, self._resume)
+            return
+        self._end()
+        raise SimError(f"process {self.name!r} yielded unsupported value {yielded!r}")
 
-    def _on_event(self, event: Event) -> None:
-        if event._error is not None:
-            self._step(None, event._error)
-        else:
-            self._step(event.value, None)
-
-    def interrupt(self, error: Optional[BaseException] = None) -> None:
-        """Kill the process without running it further."""
-        self._alive = False
-        if not self.done_event.triggered:
-            self.done_event.fail(error or SimError(f"process {self.name!r} interrupted"))
+    def _end(self) -> None:
+        self.alive = False
+        # ``_resume`` refers back to the process: dropping it lets a
+        # finished process be freed at once, not by the cycle collector.
+        del self._resume
 
 
 class Engine:
@@ -247,56 +155,22 @@ class Engine:
     def wake(self, process: Process) -> None:
         """Resume a process that yields (or has yielded) :data:`PARK`.
 
-        Queues the resumption on the lane, exactly where an event the
-        process waited on would queue its wake-up.  The process may
-        still be running, about to park: it resumes after it yields.
-        Call it once per park; a process killed by
-        :meth:`Process.interrupt` is not resumed.
+        Queues the resumption on the lane, as ``call_at(now, ...)``
+        would.  The process may still be running, about to park: it
+        resumes after it yields.  Call it once per park.
         """
         self._sequence += 1
         self._ready.append(process._resume)
 
-    def event(self, name: str = "") -> Event:
-        return Event(self, name)
-
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that triggers ``delay`` time units from now."""
-        event = Event(self, name=f"timeout({delay})")
-        self.call_after(delay, lambda: event.succeed(value))
-        return event
-
     def process(self, body: ProcessBody, name: str = "") -> Process:
         return Process(self, body, name)
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event that triggers once every input event has triggered."""
-        events = list(events)
-        gather = Event(self, name="all_of")
-        remaining = len(events)
-        if remaining == 0:
-            gather.succeed([])
-            return gather
-        results: list[Any] = [None] * remaining
-        state = {"left": remaining}
-
-        def make_cb(index: int) -> Callable[[Event], None]:
-            def cb(event: Event) -> None:
-                results[index] = event.result()
-                state["left"] -= 1
-                if state["left"] == 0:
-                    gather.succeed(results)
-
-            return cb
-
-        for index, event in enumerate(events):
-            event.add_callback(make_cb(index))
-        return gather
 
     def run(self, until: Optional[float] = None) -> float:
         """Run queued events; returns the final simulated time.
 
         With ``until`` set, stops once the next event lies beyond it and
-        fast-forwards the clock to ``until``.
+        fast-forwards the clock to ``until``.  An exception raised by a
+        callback, a process body's included, propagates from here.
 
         When the clock reaches a time, every heap entry due then moves
         to the lane before any of them fires: they were pushed before
@@ -325,6 +199,6 @@ class Engine:
         """Convenience: run a single process to completion and return its value."""
         process = self.process(body, name)
         self.run()
-        if not process.done_event.triggered:
+        if process.alive:
             raise SimError(f"process {process.name!r} deadlocked (no more events)")
-        return process.done_event.result()
+        return process.value

@@ -13,17 +13,22 @@ load-bearing:
   preference, as implemented by the kernel's rwsem handoff logic), which
   is exactly what makes frequent small ``mprotect`` calls so damaging.
 
-All primitives record wait/hold statistics so experiments can report
-contention directly.
+The other primitive is :class:`Gate`, the harness's timed-region
+barrier.
+
+A process that must wait parks (:data:`~repro.sim.engine.PARK`), and
+the release or the opening that ends its wait wakes it
+(:meth:`~repro.sim.engine.Engine.wake`).  The lock records wait/hold
+statistics so experiments can report contention directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Generator, Optional
+from dataclasses import dataclass
+from typing import Deque, Generator
 
-from repro.sim.engine import Delay, Engine, Event, SimError
+from repro.sim.engine import PARK, Delay, Engine, Process, SimError
 from repro.trace.events import LOCK_ACQUIRE, LOCK_RELEASE
 from repro.trace.tracer import TRACE
 
@@ -37,7 +42,6 @@ class LockStats:
     total_wait_time: float = 0.0
     total_hold_time: float = 0.0
     max_wait_time: float = 0.0
-    _hold_started: dict = field(default_factory=dict, repr=False)
 
     def note_wait(self, waited: float) -> None:
         self.acquisitions += 1
@@ -46,55 +50,6 @@ class LockStats:
             self.total_wait_time += waited
             if waited > self.max_wait_time:
                 self.max_wait_time = waited
-
-
-class Mutex:
-    """A simple FIFO mutual-exclusion lock."""
-
-    def __init__(self, engine: Engine, name: str = "mutex") -> None:
-        self.engine = engine
-        self.name = name
-        self.locked = False
-        self._waiters: Deque[Event] = deque()
-        self.stats = LockStats()
-        self._acquired_at: float = 0.0
-
-    def acquire(self) -> Generator:
-        """Process-style acquire; use as ``yield from mutex.acquire()``."""
-        start = self.engine.now
-        if self.locked:
-            event = self.engine.event(f"{self.name}.wait")
-            self._waiters.append(event)
-            yield event
-            # Ownership was handed off in release(): ``locked`` never
-            # dropped, so no same-timestamp acquirer could slip in.
-        else:
-            self.locked = True
-        self._acquired_at = self.engine.now
-        waited = self.engine.now - start
-        self.stats.note_wait(waited)
-        if TRACE.enabled:
-            TRACE.emit(
-                self.engine.now, LOCK_ACQUIRE,
-                lock=self.name, mode="mutex", wait=waited, contended=waited > 0,
-            )
-
-    def release(self) -> None:
-        if not self.locked:
-            raise SimError(f"release of unlocked mutex {self.name!r}")
-        hold = self.engine.now - self._acquired_at
-        self.stats.total_hold_time += hold
-        if TRACE.enabled:
-            TRACE.emit(
-                self.engine.now, LOCK_RELEASE,
-                lock=self.name, mode="mutex", hold=hold,
-            )
-        if self._waiters:
-            # Hand off: the lock stays logically held; the next waiter
-            # resumes and immediately owns it.
-            self._waiters.popleft().succeed()
-        else:
-            self.locked = False
 
 
 class RWLock:
@@ -114,7 +69,7 @@ class RWLock:
         self.name = name
         self.active_readers = 0
         self.active_writer = False
-        self._queue: Deque[tuple[str, Event]] = deque()
+        self._queue: Deque[tuple[str, Process]] = deque()
         self.read_stats = LockStats()
         self.write_stats = LockStats()
         self._writer_acquired_at = 0.0
@@ -138,9 +93,8 @@ class RWLock:
         """``yield from`` style; returns a token to pass to release_read."""
         start = self.engine.now
         if self.read_would_wait():
-            event = self.engine.event(f"{self.name}.rd.wait")
-            self._queue.append((self.READ, event))
-            yield event
+            self._queue.append((self.READ, self.engine.active))
+            yield PARK
             # _wake_next counted this reader as active at wake time
             # (hand-off), so a same-timestamp writer cannot slip in
             # between the wake and this resumption.
@@ -161,9 +115,8 @@ class RWLock:
     def acquire_write(self) -> Generator:
         start = self.engine.now
         if self.write_would_wait():
-            event = self.engine.event(f"{self.name}.wr.wait")
-            self._queue.append((self.WRITE, event))
-            yield event
+            self._queue.append((self.WRITE, self.engine.active))
+            yield PARK
             # Ownership was assigned in _wake_next (hand-off), so no
             # same-timestamp reader or writer can sneak past the queue.
         else:
@@ -216,44 +169,15 @@ class RWLock:
         # trace property suite caught).
         kind, _ = self._queue[0]
         if kind == self.WRITE:
-            _, event = self._queue.popleft()
+            _, process = self._queue.popleft()
             self.active_writer = True
-            event.succeed()
+            self.engine.wake(process)
         else:
             # Grant the whole run of readers at the head of the queue.
             while self._queue and self._queue[0][0] == self.READ:
-                _, event = self._queue.popleft()
+                _, process = self._queue.popleft()
                 self.active_readers += 1
-                event.succeed()
-
-
-class Semaphore:
-    """Counting semaphore with FIFO wakeups."""
-
-    def __init__(self, engine: Engine, permits: int, name: str = "semaphore") -> None:
-        if permits < 0:
-            raise SimError("semaphore permits must be non-negative")
-        self.engine = engine
-        self.name = name
-        self.permits = permits
-        self._waiters: Deque[Event] = deque()
-        self.stats = LockStats()
-
-    def acquire(self) -> Generator:
-        start = self.engine.now
-        if self.permits == 0:
-            event = self.engine.event(f"{self.name}.wait")
-            self._waiters.append(event)
-            yield event
-        else:
-            self.permits -= 1
-        self.stats.note_wait(self.engine.now - start)
-
-    def release(self) -> None:
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self.permits += 1
+                self.engine.wake(process)
 
 
 class Gate:
@@ -268,18 +192,19 @@ class Gate:
         self.engine = engine
         self.name = name
         self.open = False
-        self._waiters: list[Event] = []
+        self._waiters: list[Process] = []
 
     def wait(self) -> Generator:
         if not self.open:
-            event = self.engine.event(f"{self.name}.wait")
-            self._waiters.append(event)
-            yield event
+            self._waiters.append(self.engine.active)
+            yield PARK
         else:
+            # Passing an open gate still costs one lane entry: every
+            # recorded trace and callback count includes it.
             yield Delay(0.0)
 
     def open_gate(self) -> None:
         self.open = True
         waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            event.succeed()
+        for process in waiters:
+            self.engine.wake(process)

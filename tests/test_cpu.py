@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu import Machine, MachineSpec, MACHINE_SPECS, SimThread
-from repro.sim import Engine, Mutex, SimError
+from repro.sim import Engine, RWLock, SimError
 
 
 def small_machine(cores=2, quantum=1.0, switch_cost=0.0):
@@ -119,17 +119,17 @@ class TestBlocking:
     def test_block_on_releases_core_to_other_thread(self):
         engine, machine = small_machine(cores=1, quantum=10.0)
         core = machine.core(0)
-        mutex = Mutex(engine)
+        lock = RWLock(engine)
         trace = []
 
         def locker():
             thread = SimThread(engine, "locker", core)
             yield from thread.startup()
-            yield from thread.block_on(mutex.acquire())
+            yield from thread.block_on(lock.acquire_write())
             yield from thread.run(1.0)
             # Hold the lock while sleeping so `waiter` must block.
             yield from thread.sleep(5.0)
-            mutex.release()
+            lock.release_write()
             trace.append(("locker-release", engine.now))
             thread.finish()
 
@@ -137,10 +137,10 @@ class TestBlocking:
             thread = SimThread(engine, "waiter", core)
             yield from thread.startup()
             yield from thread.run(0.5)
-            yield from thread.block_on(mutex.acquire())
+            yield from thread.block_on(lock.acquire_write())
             trace.append(("waiter-acquired", engine.now))
             yield from thread.run(1.0)
-            mutex.release()
+            lock.release_write()
             thread.finish()
 
         engine.process(locker())

@@ -149,6 +149,16 @@ class TestMeasurementCache:
         # The corrupt file was overwritten with a valid entry.
         assert MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST).cache_hit
 
+    @pytest.mark.parametrize("content", ["[]", "null"])
+    def test_non_object_entry_recomputed(self, isolated_caches, content):
+        # Valid JSON that is not an entry is as corrupt as invalid JSON.
+        MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST)
+        path = next(isolated_caches.glob("*.json"))
+        path.write_text(content)
+        result = MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST)
+        assert not result.cache_hit
+        assert MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST).cache_hit
+
     def test_wrong_key_in_entry_recomputed(self, isolated_caches):
         MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST)
         path = next(isolated_caches.glob("*.json"))

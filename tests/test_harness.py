@@ -6,9 +6,14 @@ V8's helper/GC behaviour, native process isolation, and the
 THP-granularity memory accounting.
 """
 
+import dataclasses
+import signal
+
 import pytest
 
+from repro.core.engine import MeasurementEngine, MeasurementRequest, SweepFailure
 from repro.core.harness import RunMeasurement, run_benchmark
+from repro.core.lifecycle import InstanceLifecycle
 
 
 def bench(workload="trisolv", runtime="wavm", strategy="none", threads=1,
@@ -141,3 +146,53 @@ class TestMemoryAccounting:
         pbc = bench(workload="gemm", threads=1, isa="armv8")
         spec = bench(workload="505.mcf", threads=1, isa="armv8", iterations=2)
         assert spec.mem_avg_bytes > 5 * pbc.mem_avg_bytes
+
+
+class TestCrashedWorker:
+    """A simulated worker that raises fails its request at once.
+
+    The meminfo sampler stops only when the workers finish, so a crash
+    the simulation swallowed would keep the run going forever.
+    """
+
+    BAD = MeasurementRequest(
+        "trisolv", "wavm", "mprotect", "x86_64", threads=1, size="mini",
+        iterations=2,
+    )
+    GOOD = dataclasses.replace(BAD, strategy="none")
+
+    @pytest.fixture(autouse=True)
+    def crash_under_mprotect(self, monkeypatch):
+        run_iteration = InstanceLifecycle.run_iteration
+
+        def crashing(lifecycle):
+            if lifecycle.plan.strategy.name == "mprotect":
+                raise ValueError("boom in worker")
+            return run_iteration(lifecycle)
+
+        monkeypatch.setattr(InstanceLifecycle, "run_iteration", crashing)
+
+        def hung(signum, frame):
+            raise TimeoutError("the simulation hung on a crashed worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_run_benchmark_raises_the_workers_exception(self):
+        with pytest.raises(ValueError, match="boom in worker"):
+            run_benchmark(**dataclasses.asdict(self.BAD))
+
+    def test_sweep_fails_the_row_and_measures_the_rest(self, tmp_path):
+        engine = MeasurementEngine(jobs=1, cache_dir=tmp_path)
+        with pytest.raises(SweepFailure) as failure:
+            engine.run([self.BAD, self.GOOD])
+        errors = failure.value.errors
+        assert [(e.request, e.kind) for e in errors] == [(self.BAD, "ValueError")]
+        bad, good = failure.value.results
+        assert bad.measurement is None
+        assert good.error is None and good.measurement.median_iteration > 0

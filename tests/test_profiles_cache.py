@@ -53,6 +53,17 @@ class TestProfileCache:
         _, profile = profile_for("gemm", "mini")
         assert profile.total_instrs > 1000
 
+    @pytest.mark.parametrize("content", ["[]", "null"])
+    def test_non_object_disk_entry_recomputed(self, isolated_cache, content):
+        # Valid JSON that is not a profile is as corrupt as invalid JSON.
+        profile_for("gemm", "mini")
+        path = next(isolated_cache.glob("gemm-mini-*.json"))
+        path.write_text(content)
+        clear_profile_cache()
+        _, profile = profile_for("gemm", "mini")
+        assert profile.total_instrs > 1000
+        assert json.loads(path.read_text())["workload"] == "gemm"
+
     def test_sizes_cached_separately(self, isolated_cache):
         _, mini = profile_for("gemm", "mini")
         _, small = profile_for("gemm", "small")

@@ -48,17 +48,18 @@ def test_same_time_callbacks_keep_scheduling_order():
     engine = Engine()
     when = 2.0
     order = []
-    wake = engine.event("wake")
+    parked = {}
 
     def waiter():
-        yield wake
-        order.append("event wake-up")
+        parked["process"] = engine.active
+        yield PARK
+        order.append("wake")
 
     def trigger():
         yield Delay(when)
         order.append("trigger")
         engine.call_at(when, lambda: order.append("call_at"))
-        wake.succeed()
+        engine.wake(parked["process"])
         yield Delay(0.0)
         order.append("delay(0)")
 
@@ -67,8 +68,8 @@ def test_same_time_callbacks_keep_scheduling_order():
     # 3, then 5 from inside it: queued for ``when`` after the trigger.
     engine.call_at(1.0, lambda: engine.call_at(when, lambda: order.append("early")))
     engine.run()
-    # 6: call_at, 7: the waiter's wake-up, 8: the Delay(0) resumption.
-    assert order == ["trigger", "early", "call_at", "event wake-up", "delay(0)"]
+    # 6: call_at, 7: the waiter's wake, 8: the Delay(0) resumption.
+    assert order == ["trigger", "early", "call_at", "wake", "delay(0)"]
     assert engine.now == when
     assert engine._sequence == 8
 
@@ -127,138 +128,24 @@ def test_process_runs_and_returns_value():
     assert engine.now == 5.0
 
 
-def test_process_waits_on_event():
-    engine = Engine()
-    event = engine.event("signal")
-    log = []
-
-    def waiter():
-        value = yield event
-        log.append((engine.now, value))
-
-    engine.process(waiter())
-    engine.call_after(4.0, lambda: event.succeed("payload"))
-    engine.run()
-    assert log == [(4.0, "payload")]
-
-
-def test_multiple_waiters_resume_in_wait_order():
-    engine = Engine()
-    event = engine.event()
-    log = []
-
-    def waiter(tag):
-        yield event
-        log.append(tag)
-
-    engine.process(waiter("a"))
-    engine.process(waiter("b"))
-    engine.call_after(1.0, lambda: event.succeed())
-    engine.run()
-    assert log == ["a", "b"]
-
-
-def test_process_join():
+def test_process_crash_propagates_out_of_run():
+    # Kept on the process, the crash would go unseen while the run went
+    # on to the sampler's last tick; the harness's sampler never stops.
     engine = Engine()
 
-    def child():
-        yield Delay(7.0)
-        return 42
-
-    def parent():
-        value = yield engine.process(child())
-        return value + 1
-
-    assert engine.run_process(parent()) == 43
-    assert engine.now == 7.0
-
-
-def test_event_failure_propagates_into_process():
-    engine = Engine()
-    event = engine.event()
-    caught = []
-
-    def body():
-        try:
-            yield event
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    engine.process(body())
-    engine.call_after(1.0, lambda: event.fail(ValueError("boom")))
-    engine.run()
-    assert caught == ["boom"]
-
-
-def test_process_crash_fails_done_event():
-    engine = Engine()
-
-    def body():
+    def crasher():
         yield Delay(1.0)
         raise RuntimeError("crash")
 
-    process = engine.process(body())
-    engine.run()
+    def sampler():
+        for _ in range(1000):
+            yield Delay(0.25)
+
+    process = engine.process(crasher())
+    engine.process(sampler())
     with pytest.raises(RuntimeError, match="crash"):
-        process.done_event.result()
-
-
-def test_double_trigger_rejected():
-    engine = Engine()
-    event = engine.event()
-    event.succeed(1)
-    with pytest.raises(SimError):
-        event.succeed(2)
-
-
-def test_all_of_gathers_results():
-    engine = Engine()
-    first = engine.timeout(1.0, "one")
-    second = engine.timeout(2.0, "two")
-    results = []
-
-    def body():
-        values = yield engine.all_of([first, second])
-        results.append(values)
-
-    engine.process(body())
-    engine.run()
-    assert results == [["one", "two"]]
-    assert engine.now == 2.0
-
-
-def test_all_of_empty_triggers_immediately():
-    engine = Engine()
-    results = []
-
-    def body():
-        values = yield engine.all_of([])
-        results.append(values)
-
-    engine.process(body())
-    engine.run()
-    assert results == [[]]
-
-
-def test_deadlock_detected_by_run_process():
-    engine = Engine()
-
-    def body():
-        yield engine.event("never")
-
-    with pytest.raises(SimError, match="deadlocked"):
-        engine.run_process(body())
-
-
-def test_interrupt_kills_process():
-    engine = Engine()
-
-    def body():
-        yield Delay(100.0)
-
-    process = engine.process(body())
-    engine.call_after(1.0, lambda: process.interrupt())
-    engine.run()
+        engine.run()
+    assert engine.now == 1.0
     assert not process.alive
 
 
@@ -268,10 +155,8 @@ def test_yielding_garbage_raises():
     def body():
         yield "not a waitable"
 
-    process = engine.process(body())
-    engine.run()
     with pytest.raises(SimError, match="unsupported"):
-        process.done_event.result()
+        engine.run_process(body())
 
 
 def test_determinism_across_runs():
@@ -293,26 +178,22 @@ def test_determinism_across_runs():
     assert simulate() == simulate()
 
 
-def _wake_at_shared_timestamp(park: bool):
-    """One process waits; a heap callback at T ends the wait, either by
-    waking the parked process or by succeeding the event it waits on.
-    Returns the firing order and the callbacks scheduled from T on."""
+def test_wake_lands_in_the_event_wake_up_slot():
+    # A heap callback at T wakes a parked process.  The wake joins the
+    # lane behind what is already queued at T, so the other callbacks due
+    # at T, and the one queued by the first of them, run before it.
     engine = Engine()
     order = []
-    signal = engine.event("signal")
-    waiter = {}
+    parked = {}
 
     def body():
-        waiter["process"] = engine.active
-        yield PARK if park else signal
+        parked["process"] = engine.active
+        yield PARK
         order.append("woken")
 
     def end_wait():
         order.append("waker")
-        if park:
-            engine.wake(waiter["process"])
-        else:
-            signal.succeed()
+        engine.wake(parked["process"])
 
     engine.process(body())
     # Due at T before the waker, scheduling more work at T when it fires.
@@ -322,15 +203,9 @@ def _wake_at_shared_timestamp(park: bool):
     engine.run(until=0.5)
     before = engine._sequence
     engine.run()
-    return order, engine._sequence - before
-
-
-def test_wake_lands_in_the_event_wake_up_slot():
-    parked = _wake_at_shared_timestamp(park=True)
-    evented = _wake_at_shared_timestamp(park=False)
-    # Everything already due at T runs before the woken process.
-    assert parked[0] == ["waker", "due at T", "lane at T", "woken"]
-    assert parked == evented
+    assert order == ["waker", "due at T", "lane at T", "woken"]
+    # One lane entry each for the work scheduled at T and the wake.
+    assert engine._sequence - before == 2
 
 
 def test_wake_before_park_resumes_after_the_yield():
@@ -348,28 +223,6 @@ def test_wake_before_park_resumes_after_the_yield():
     engine.run_process(body())
     assert order == ["parking", ("resumed", None)]
     assert engine.active is None
-
-
-def test_interrupted_parked_process_does_not_run():
-    engine = Engine()
-    ran = []
-
-    def body():
-        yield PARK
-        ran.append("resumed")
-
-    process = engine.process(body())
-    engine.run()
-    process.interrupt()
-    before = engine._sequence
-    engine.wake(process)
-    engine.run()
-    assert ran == []
-    assert not process.alive
-    # The wake still costs its lane entry, as an event wake-up would.
-    assert engine._sequence == before + 1
-    with pytest.raises(SimError, match="interrupted"):
-        process.done_event.result()
 
 
 def test_parked_process_without_waker_deadlocks():

@@ -2,94 +2,8 @@
 
 import pytest
 
-from repro.sim import Delay, Engine, Gate, Mutex, RWLock, Semaphore
+from repro.sim import Delay, Engine, Gate, RWLock
 from repro.sim.engine import SimError
-
-
-class TestMutex:
-    def test_uncontended_acquire_is_instant(self):
-        engine = Engine()
-        mutex = Mutex(engine)
-
-        def body():
-            yield from mutex.acquire()
-            assert engine.now == 0.0
-            mutex.release()
-
-        engine.run_process(body())
-        assert mutex.stats.acquisitions == 1
-        assert mutex.stats.contended_acquisitions == 0
-
-    def test_mutual_exclusion(self):
-        engine = Engine()
-        mutex = Mutex(engine)
-        trace = []
-
-        def worker(tag):
-            yield from mutex.acquire()
-            trace.append(("enter", tag, engine.now))
-            yield Delay(2.0)
-            trace.append(("exit", tag, engine.now))
-            mutex.release()
-
-        engine.process(worker("a"))
-        engine.process(worker("b"))
-        engine.run()
-        assert trace == [
-            ("enter", "a", 0.0),
-            ("exit", "a", 2.0),
-            ("enter", "b", 2.0),
-            ("exit", "b", 4.0),
-        ]
-
-    def test_fifo_ordering(self):
-        engine = Engine()
-        mutex = Mutex(engine)
-        order = []
-
-        def holder():
-            yield from mutex.acquire()
-            yield Delay(1.0)
-            mutex.release()
-
-        def waiter(tag, arrival):
-            yield Delay(arrival)
-            yield from mutex.acquire()
-            order.append(tag)
-            mutex.release()
-
-        engine.process(holder())
-        engine.process(waiter("first", 0.1))
-        engine.process(waiter("second", 0.2))
-        engine.process(waiter("third", 0.3))
-        engine.run()
-        assert order == ["first", "second", "third"]
-
-    def test_release_unlocked_raises(self):
-        engine = Engine()
-        mutex = Mutex(engine)
-        with pytest.raises(SimError):
-            mutex.release()
-
-    def test_wait_time_recorded(self):
-        engine = Engine()
-        mutex = Mutex(engine)
-
-        def holder():
-            yield from mutex.acquire()
-            yield Delay(5.0)
-            mutex.release()
-
-        def waiter():
-            yield Delay(1.0)
-            yield from mutex.acquire()
-            mutex.release()
-
-        engine.process(holder())
-        engine.process(waiter())
-        engine.run()
-        assert mutex.stats.total_wait_time == pytest.approx(4.0)
-        assert mutex.stats.max_wait_time == pytest.approx(4.0)
 
 
 class TestRWLock:
@@ -222,30 +136,6 @@ class TestRWLock:
         engine.process(writer())
         engine.run()
         assert lock.write_stats.total_wait_time == pytest.approx(2.0)
-
-
-class TestSemaphore:
-    def test_permits_limit_concurrency(self):
-        engine = Engine()
-        sem = Semaphore(engine, permits=2)
-        active = {"count": 0, "max": 0}
-
-        def worker():
-            yield from sem.acquire()
-            active["count"] += 1
-            active["max"] = max(active["max"], active["count"])
-            yield Delay(1.0)
-            active["count"] -= 1
-            sem.release()
-
-        for _ in range(5):
-            engine.process(worker())
-        engine.run()
-        assert active["max"] == 2
-
-    def test_negative_permits_rejected(self):
-        with pytest.raises(SimError):
-            Semaphore(Engine(), permits=-1)
 
 
 class TestGate:
