@@ -7,15 +7,21 @@ run their measurement grids through this module:
   strategies × ISAs × thread counts, plus size/iterations/warmup).
 * :func:`run` — execute the grid, return flat row dicts (CSV-ready,
   schema in :data:`ROW_SCHEMA`).
-* :func:`measure` — execute the grid, return a
-  :class:`SweepMeasurements` wrapping the full
-  :class:`~repro.core.harness.RunMeasurement` objects with grouping
-  helpers (``per_workload``, ``medians``) for the figure experiments.
+* :func:`measure` — execute one or more grids as a single engine run,
+  return a :class:`SweepMeasurements` wrapping the full
+  :class:`~repro.core.harness.RunMeasurement` objects, looked up per
+  cell with :meth:`SweepMeasurements.cell`.  Each figure experiment
+  makes exactly one such call over its whole grid, so ``--jobs``
+  workers share one pool of cells instead of waiting at a barrier per
+  configuration.
 
 Both entry points share the measurement engine (``--jobs`` fan-out +
-content-addressed cache; see :mod:`repro.core.engine`).  Invalid
-combinations (a runtime without the requested ISA backend or strategy,
-thread counts beyond the machine) are skipped by default — pass
+content-addressed cache; see :mod:`repro.core.engine`).  Bounds-check
+elimination is a field of each spec (``bce``), not process state, so
+BCE-on and BCE-off grids can share one call.  Invalid combinations (a
+runtime without the requested ISA backend or strategy, thread counts
+beyond the machine; the one rule is
+:func:`repro.core.harness.cell_problem`) are skipped by default — pass
 ``strict=True`` to raise instead.
 """
 
@@ -24,9 +30,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.engine import (
     MeasurementEngine,
@@ -34,11 +42,7 @@ from repro.core.engine import (
     MeasurementResult,
     default_engine,
 )
-from repro.core.harness import RunMeasurement
-from repro.cpu.machine import MACHINE_SPECS
-from repro.isa import isa_named
-from repro.runtime.strategies import STRATEGIES
-from repro.runtimes import runtime_named
+from repro.core.harness import RunMeasurement, cell_problem
 from repro.trace.events import SWEEP_GRID
 from repro.trace.tracer import TRACE
 from repro.workloads import WORKLOADS
@@ -106,6 +110,8 @@ class SweepSpec:
     #: measure: mismatched workloads are skipped (or rejected under
     #: ``strict``/``validate()``), like any other invalid combination.
     scenario: str = "compute"
+    #: Whether the compiler runs its bounds-check elimination passes.
+    bce: bool = True
 
     _SEQUENCE_FIELDS = ("workloads", "runtimes", "strategies", "isas", "threads")
 
@@ -135,10 +141,11 @@ class SweepSpec:
     def to_json(self) -> Dict[str, object]:
         """Plain-data form: lists for sequences, scalars otherwise.
 
-        ``scenario`` is omitted at its default: every spec serialised
-        before the axis existed implicitly meant "compute", and the
-        omission keeps their canonical JSON — and hence every
-        already-computed :meth:`digest` — byte-identical.
+        ``scenario`` and ``bce`` are omitted at their defaults: every
+        spec serialised before those fields existed implicitly meant
+        "compute" with BCE on, and the omission keeps their canonical
+        JSON — and hence every already-computed :meth:`digest` —
+        byte-identical.
         """
         raw: Dict[str, object] = {
             "workloads": list(self.workloads),
@@ -152,6 +159,8 @@ class SweepSpec:
         }
         if self.scenario != "compute":
             raw["scenario"] = self.scenario
+        if not self.bce:
+            raw["bce"] = False
         return raw
 
     def canonical_json(self) -> str:
@@ -164,22 +173,18 @@ class SweepSpec:
         """SHA-256 over the canonical JSON: the grid's identity."""
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
+    def _cells(self) -> Iterator[tuple]:
+        """Every (runtime, strategy, isa, threads) cell, valid or not."""
+        for isa, runtime, strategy, threads in itertools.product(
+            self.isas, self.runtimes, self.strategies, self.threads
+        ):
+            yield runtime, strategy, isa, threads
+
     def configurations(self) -> Iterator[tuple]:
         """Valid (runtime, strategy, isa, threads) combinations."""
-        for isa in self.isas:
-            cores = MACHINE_SPECS[isa].cores
-            for runtime in self.runtimes:
-                model = runtime_named(runtime)
-                if not model.supports(isa):
-                    continue
-                for strategy in self.strategies:
-                    if strategy not in model.strategies:
-                        continue
-                    if not _isa_allows(isa, strategy):
-                        continue
-                    for threads in self.threads:
-                        if threads <= cores:
-                            yield (runtime, strategy, isa, threads)
+        for cell in self._cells():
+            if cell_problem(*cell) is None:
+                yield cell
 
     def requests(self) -> List[MeasurementRequest]:
         """The full grid, workloads outermost.
@@ -189,15 +194,16 @@ class SweepSpec:
         once per workload instead of being cycled through the whole
         workload set per configuration.
         """
+        cells = list(self.configurations())
         return [
             MeasurementRequest(
                 workload, runtime, strategy, isa,
                 threads=threads, size=self.size, iterations=self.iterations,
-                warmup=self.warmup,
+                warmup=self.warmup, bce=self.bce,
             )
             for workload in self.workloads
             if _workload_in_scenario(workload, self.scenario)
-            for runtime, strategy, isa, threads in self.configurations()
+            for runtime, strategy, isa, threads in cells
         ]
 
     def validate(self) -> None:
@@ -210,31 +216,10 @@ class SweepSpec:
                     f"outside the {self.scenario!r} scenario "
                     f"(families: {', '.join(_SCENARIO_SUITES[self.scenario])})"
                 )
-        for isa in self.isas:
-            cores = MACHINE_SPECS[isa].cores
-            for runtime in self.runtimes:
-                model = runtime_named(runtime)
-                if not model.supports(isa):
-                    raise ValueError(
-                        f"runtime {runtime} has no {isa} backend (§3.4)"
-                    )
-                for strategy in self.strategies:
-                    if strategy not in model.strategies:
-                        raise ValueError(
-                            f"runtime {runtime} does not support "
-                            f"strategy {strategy}"
-                        )
-                    if not _isa_allows(isa, strategy):
-                        raise ValueError(
-                            f"strategy {strategy} requires a hardware "
-                            f"memory-tagging extension (Arm MTE); ISA {isa} "
-                            "has none — request it on armv8 instead"
-                        )
-            for threads in self.threads:
-                if threads > cores:
-                    raise ValueError(
-                        f"{threads} workers exceed the {cores}-core machine"
-                    )
+        for cell in self._cells():
+            problem = cell_problem(*cell)
+            if problem is not None:
+                raise ValueError(problem)
 
 
 #: Scenario → the workload suites it measures.
@@ -257,20 +242,6 @@ def _workload_in_scenario(workload: str, scenario: str) -> bool:
     return entry.suite in _SCENARIO_SUITES[scenario]
 
 
-def _isa_allows(isa: str, strategy: str) -> bool:
-    """Spec-time mirror of the harness's hardware gating.
-
-    Rejecting (skipping) mte-on-x86_64 here means a strict sweep fails
-    at submission with a clear message instead of deep inside a worker
-    process.  Unknown strategy names fall through — the runtime-support
-    check already handles those.
-    """
-    model = STRATEGIES.get(strategy)
-    if model is None:
-        return True
-    return isa_named(isa).supports_strategy(model)
-
-
 def row_from(result: MeasurementResult) -> Dict[str, object]:
     return {name: extract(result) for name, extract in ROW_SCHEMA.items()}
 
@@ -279,7 +250,6 @@ def row_from(result: MeasurementResult) -> Dict[str, object]:
 class SweepMeasurements:
     """The result of :func:`measure`: requests paired with results."""
 
-    spec: SweepSpec
     requests: List[MeasurementRequest]
     results: List[MeasurementResult]
 
@@ -290,47 +260,46 @@ class SweepMeasurements:
     def rows(self) -> List[Dict[str, object]]:
         return [row_from(result) for result in self.results]
 
-    def by_workload(self) -> Dict[str, List[RunMeasurement]]:
-        grouped: Dict[str, List[RunMeasurement]] = {}
-        for result in self.results:
-            grouped.setdefault(result.measurement.workload, []).append(
-                result.measurement
-            )
-        return grouped
-
-    def per_workload(self) -> Dict[str, RunMeasurement]:
-        """Workload → its single measurement (single-config grids)."""
-        out: Dict[str, RunMeasurement] = {}
-        for workload, group in self.by_workload().items():
-            if len(group) != 1:
+    @cached_property
+    def _by_cell(self) -> Dict[tuple, Tuple[MeasurementRequest, RunMeasurement]]:
+        index: Dict[tuple, Tuple[MeasurementRequest, RunMeasurement]] = {}
+        for r, result in zip(self.requests, self.results):
+            cell = (r.workload, r.runtime, r.strategy, r.isa, r.threads, r.bce)
+            if index.setdefault(cell, (r, result.measurement))[0] != r:
                 raise ValueError(
-                    f"workload {workload} has {len(group)} measurements; "
-                    "per_workload() needs a single-configuration spec"
+                    f"{r.label()} was measured at two sizes or iteration "
+                    "counts; cell() cannot tell them apart"
                 )
-            out[workload] = group[0]
-        return out
+        return index
 
-    def medians(self) -> Dict[str, float]:
-        """Workload → median iteration seconds (single-config grids)."""
-        return {
-            name: m.median_iteration for name, m in self.per_workload().items()
-        }
+    def cell(
+        self,
+        workload: str,
+        runtime: str,
+        strategy: str,
+        isa: str,
+        threads: int = 1,
+        bce: bool = True,
+    ) -> RunMeasurement:
+        """The measurement of one cell of the measured grids."""
+        return self._by_cell[workload, runtime, strategy, isa, threads, bce][1]
 
 
-def _execute_spec(
-    spec: SweepSpec,
+def _execute_specs(
+    specs: Sequence[SweepSpec],
     engine: Optional[MeasurementEngine],
     progress,
     strict: bool,
 ) -> SweepMeasurements:
     if strict:
-        spec.validate()
+        for spec in specs:
+            spec.validate()
     engine = engine if engine is not None else default_engine()
-    requests = spec.requests()
+    requests = [request for spec in specs for request in spec.requests()]
     if TRACE.enabled:
         TRACE.emit(0.0, SWEEP_GRID, requests=len(requests))
     results = engine.run(requests, progress=progress)
-    return SweepMeasurements(spec=spec, requests=requests, results=results)
+    return SweepMeasurements(requests=requests, results=results)
 
 
 def run(
@@ -341,25 +310,28 @@ def run(
     strict: bool = False,
 ) -> List[Dict[str, object]]:
     """Run every valid configuration × workload; returns result rows."""
-    return _execute_spec(spec, engine, progress, strict).rows()
+    return _execute_specs((spec,), engine, progress, strict).rows()
 
 
 def measure(
-    spec: SweepSpec,
-    *,
+    *specs: SweepSpec,
     engine: Optional[MeasurementEngine] = None,
     progress: Optional[Callable[[str], None]] = None,
     strict: bool = False,
     verbose: bool = False,
 ) -> SweepMeasurements:
-    """Run the grid and keep the full measurement objects."""
-    swept = _execute_spec(spec, engine, progress, strict)
+    """Run the grids as one engine run; keep the full measurements.
+
+    The requests of every spec, in spec order, form one grid: cells
+    shared between specs are measured once, and ``--jobs`` workers
+    draw from the whole grid.
+    """
+    swept = _execute_specs(specs, engine, progress, strict)
     if verbose:
         for request, result in zip(swept.requests, swept.results):
             origin = "cache" if result.cache_hit else f"{result.elapsed:.1f}s"
             print(
-                f"    {request.workload:16s} {request.runtime}/"
-                f"{request.strategy}/{request.isa}/t{request.threads}: "
+                f"    {request.label()}: "
                 f"{result.measurement.median_iteration * 1e3:.3f} ms "
                 f"[{origin}]"
             )

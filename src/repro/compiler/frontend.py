@@ -35,10 +35,6 @@ _FLOAT_BINOPS = {
     "add": "fadd", "sub": "fsub", "mul": "fmul", "div": "fdiv",
     "min": "fmin", "max": "fmax", "copysign": "fcopysign",
 }
-_CMP_SUFFIXES = {
-    "eq", "ne", "lt_s", "lt_u", "gt_s", "gt_u",
-    "le_s", "le_u", "ge_s", "ge_u", "lt", "gt", "le", "ge",
-}
 _FLOAT_UNOPS = {
     "neg": "fneg", "abs": "fabs", "sqrt": "fsqrt",
     "ceil": "fround", "floor": "fround", "trunc": "fround", "nearest": "fround",

@@ -120,17 +120,18 @@ FrontHalf = Dict[int, Tuple[IRFunction, BCEStats]]
 
 
 def front_half_inputs(
-    config: CompilerConfig, strategy: BoundsStrategy
+    config: CompilerConfig, strategy: BoundsStrategy, bce: bool = True
 ) -> Tuple[FrozenSet[str], bool]:
     """What the front half depends on besides the module.
 
     The enabled pass set and BCE's affine-guard legality; the ISA, the
     register allocator and the rest of ``config`` only shape the back
     half, so every configuration that agrees on these two can share one
-    optimised IR.
+    optimised IR.  This is the one place that drops the BCE passes:
+    when ``bce`` is off, and for every strategy without inline checks.
     """
     passes = frozenset(config.passes)
-    if not strategy.inline_check:
+    if not (bce and strategy.inline_check):
         # BCE only pays off (and only shows up in cost) when check code
         # is inlined; skipping it entirely for none/mprotect/uffd keeps
         # their code shape — and therefore their figures — bit-for-bit
@@ -169,8 +170,8 @@ def compile_module(
     """Run the full pipeline for every defined function.
 
     ``front`` is :func:`optimise_module`'s result for this module and
-    ``front_half_inputs(config, strategy)``; without it the front half
-    runs here.
+    ``front_half_inputs(config, strategy, bce)``; without it the front
+    half runs here, with BCE on.
     """
     if front is None:
         front = optimise_module(module, *front_half_inputs(config, strategy))

@@ -11,13 +11,11 @@ simulated machine, kernel and runtime models.
 see DESIGN.md §4 for the index.
 """
 
-from repro.core.config import BenchmarkConfig, ScaleModel, PAPER_TARGETS
+from repro.core.config import PAPER_TARGETS
 from repro.core.harness import RunMeasurement, run_benchmark
 from repro.core.profiles import profile_for, clear_profile_cache
 
 __all__ = [
-    "BenchmarkConfig",
-    "ScaleModel",
     "PAPER_TARGETS",
     "RunMeasurement",
     "run_benchmark",

@@ -21,12 +21,13 @@ Every experiment additionally accepts the shared sweep knobs
     --jobs N          # run the sweep across N worker processes
     --no-cache        # ignore and do not write the measurement cache
     --cache-dir DIR   # cache base directory (default: .cache/)
-    --no-bce          # disable the compiler's bounds-check elimination
 
-Measurements are cached content-addressed under ``.cache/measurements``
-(keyed on module digest + calibration constants), so figures sharing a
-grid — fig3's thread sweep feeds fig4/fig5/fig6 — and re-runs are
-near-free.  ``--jobs N`` output is bit-identical to a serial run.
+Each figure measures its whole grid in one engine run.  Measurements
+are cached content-addressed under ``.cache/measurements`` (keyed on
+module digest + calibration constants, and the BCE flag when off), so
+figures sharing a grid — fig3's thread sweep feeds fig4/fig5/fig6 —
+and re-runs are near-free.  ``--jobs N`` output is bit-identical to a
+serial run.
 
 Results are printed as the figures' rows/series and saved under
 ``results/`` as JSON.

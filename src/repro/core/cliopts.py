@@ -1,10 +1,9 @@
 """Shared CLI flags for everything that runs measurement sweeps.
 
 Every experiment, the diffcheck harness and ``trace record`` take the
-same engine knobs (``--jobs/--no-cache/--cache-dir``) plus the global
-``--no-bce`` toggle.  They used to re-declare the engine flags
-individually (so defaults and help text could drift); now they all
-attach this module's argparse *parent*::
+same engine knobs (``--jobs/--no-cache/--cache-dir``).  They used to
+re-declare them individually (so defaults and help text could drift);
+now they all attach this module's argparse *parent*::
 
     parser = argparse.ArgumentParser(parents=[cliopts.sweep_parent()])
     ...
@@ -12,13 +11,14 @@ attach this module's argparse *parent*::
     engine = cliopts.configure_sweep(args)
 
 :func:`configure_sweep` applies the parsed knobs to the process-wide
-measurement engine (and the BCE toggle) and returns the engine.
+measurement engine and returns it.  Bounds-check elimination is not a
+knob: it is a field of each sweep spec, and fig-bce measures both
+settings in one grid.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Optional
 
 
 def _jobs_arg(value: str):
@@ -45,11 +45,6 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", default=None, metavar="DIR",
         help="cache base directory (default: .cache/)",
     )
-    group.add_argument(
-        "--no-bce", action="store_true",
-        help="disable the compiler's bounds-check elimination pass "
-        "(cost-only: outputs are identical, clamp/trap get slower)",
-    )
 
 
 def sweep_parent() -> argparse.ArgumentParser:
@@ -64,16 +59,9 @@ def sweep_parent() -> argparse.ArgumentParser:
 
 
 def configure_sweep(args: argparse.Namespace):
-    """Apply parsed sweep flags process-wide; returns the engine.
-
-    Order matters: the BCE toggle resets the default engine (stale
-    calibration memo + warm pool), so it runs before the engine is
-    (re)configured from the remaining flags.
-    """
+    """Apply parsed sweep flags process-wide; returns the engine."""
     from repro.core.engine import configure
-    from repro.runtimes import set_bce_enabled
 
-    set_bce_enabled(not getattr(args, "no_bce", False))
     return configure(
         jobs=args.jobs, cache=not args.no_cache, cache_dir=args.cache_dir
     )

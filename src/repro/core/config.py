@@ -1,4 +1,4 @@
-"""Benchmark-run configuration and paper-scale targets.
+"""Paper-scale targets: the per-workload anchor of every measurement.
 
 Our functional profiles execute kernels at reduced dimensions
 (``workloads/sizes.py``); system-level experiments must nevertheless
@@ -24,14 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 KiB, MiB = 1024, 1024 * 1024
-
-
-@dataclass(frozen=True)
-class ScaleModel:
-    """Explicit scale override (mostly for tests)."""
-
-    time_scale: float
-    page_scale: float
 
 
 @dataclass(frozen=True)
@@ -96,19 +88,3 @@ PAPER_TARGETS: dict[str, PaperTarget] = {
     "wasi-logappend": PaperTarget(2.0e-3, 2 * MiB),
 }
 
-
-@dataclass(frozen=True)
-class BenchmarkConfig:
-    """One point in the evaluation grid."""
-
-    runtime: str
-    strategy: str
-    isa: str
-    threads: int = 1
-    size: str = "small"
-    iterations: int = 3
-    warmup: int = 1
-    seed: int = 0
-
-    def label(self) -> str:
-        return f"{self.runtime}/{self.strategy}/{self.isa}/t{self.threads}"

@@ -13,10 +13,13 @@ under :func:`repro.api.run`/:func:`repro.api.measure`:
 * **measurement cache** — each finished :class:`RunMeasurement` is
   stored on disk under a content-addressed key:
   SHA-256 over (module digest, runtime, strategy, isa, threads, size,
-  iterations, warmup, calibration-constants hash).  Any change to a
-  workload's encoded Wasm or to the calibration tables changes the key
-  and silently invalidates the entry; corrupt files fall back to
-  recompute.  The cache lives beside the profile cache
+  iterations, warmup, the BCE flag when off, calibration-constants
+  hash).  Any change to a workload's encoded Wasm or to the
+  calibration tables changes the key and silently invalidates the
+  entry; corrupt files fall back to recompute.  BCE is an input of
+  each cell, not process state, so BCE-on and BCE-off cells share
+  one grid, one engine and one cache directory.  The cache lives
+  beside the profile cache
   (``.cache/measurements/`` next to ``.cache/profiles/``).
 * **warm workers** — workers recompute their own profile/compile/
   costing caches from the shared on-disk profile cache instead of
@@ -66,11 +69,27 @@ class MeasurementRequest:
     size: str = "small"
     iterations: int = 3
     warmup: int = 1
+    #: Whether the compiler runs its bounds-check elimination passes.
+    bce: bool = True
+
+    def to_json(self) -> Dict[str, object]:
+        """The :func:`run_benchmark` keyword arguments for this cell.
+
+        ``bce`` is omitted when on, so every cache entry and cache key
+        (:meth:`MeasurementEngine.key_for`) written before the field
+        existed keeps its bytes.
+        """
+        # Shallow: every field is a scalar, and ``asdict``'s deep copy
+        # would cost more than the rest of a cache key.
+        raw = dict(vars(self))
+        if self.bce:
+            del raw["bce"]
+        return raw
 
     def label(self) -> str:
         return (
             f"{self.workload} {self.runtime}/{self.strategy}/"
-            f"{self.isa}/t{self.threads}"
+            f"{self.isa}/t{self.threads}" + ("" if self.bce else "/nobce")
         )
 
 
@@ -395,24 +414,23 @@ class MeasurementEngine:
     # -- keys ------------------------------------------------------------
 
     def key_for(self, request: MeasurementRequest) -> str:
-        """Content-addressed cache key for one request."""
-        payload = {
-            "version": _CACHE_VERSION,
-            "module": module_digest(request.workload, request.size),
+        """Content-addressed cache key for one request.
+
+        The request's own fields enter as :meth:`MeasurementRequest.to_json`
+        writes them, the workload's name replaced by its module digest.
+        """
+        payload = request.to_json()
+        del payload["workload"]
+        payload.update(
+            version=_CACHE_VERSION,
+            module=module_digest(request.workload, request.size),
             # Measurements derive from interpreter-produced profiles, so
             # the key pins the exact interpreter build that profiled.
-            "interp": interpreter_build_digest()[:16],
-            "runtime": request.runtime,
-            "strategy": request.strategy,
-            "isa": request.isa,
-            "threads": request.threads,
-            "size": request.size,
-            "iterations": request.iterations,
-            "warmup": request.warmup,
-            "calibration": calibration_hash(
+            interp=interpreter_build_digest()[:16],
+            calibration=calibration_hash(
                 request.runtime, request.strategy, request.isa, request.workload
             ),
-        }
+        )
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -438,8 +456,10 @@ class MeasurementEngine:
             if raw.get("key") != key:
                 return None  # digest collision on the shortened filename
             measurement = measurement_from_json(raw["measurement"])
-        except (ValueError, KeyError, TypeError):
-            return None  # stale/corrupt/partial cache entry: recompute
+        except (ValueError, KeyError, TypeError, AttributeError):
+            # Stale, corrupt or partial, or a field of the wrong type
+            # (a list where a mapping belongs): recompute.
+            return None
         self._memory[key] = measurement
         return measurement
 
@@ -457,7 +477,7 @@ class MeasurementEngine:
                 json.dumps(
                     {
                         "key": key,
-                        "request": dataclasses.asdict(request),
+                        "request": request.to_json(),
                         "measurement": measurement_to_json(measurement),
                     }
                 )
@@ -521,7 +541,7 @@ class MeasurementEngine:
                 for request, key in misses:
                     started = time.perf_counter()
                     try:
-                        outcome = _execute(dataclasses.asdict(request))
+                        outcome = _execute(request.to_json())
                     except Exception as exc:
                         outcome = _error_outcome(
                             exc, time.perf_counter() - started
@@ -531,7 +551,7 @@ class MeasurementEngine:
                 pool = self._pool()
                 started = time.perf_counter()
                 futures = {
-                    pool.submit(_execute, dataclasses.asdict(request)):
+                    pool.submit(_execute, request.to_json()):
                         (request, key)
                     for request, key in misses
                 }

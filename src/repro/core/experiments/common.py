@@ -5,11 +5,11 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
-from repro.core.harness import RunMeasurement
+from repro import api
+from repro.core.harness import cell_problem
 from repro.runtime.strategies import PAPER_STRATEGY_ORDER
-from repro.runtimes import RUNTIMES, runtime_named
 from repro.workloads import suite_workloads
 
 #: Representative subsets for the system-level (multi-thread) figures:
@@ -34,23 +34,54 @@ def suite_names(suite: str, quick: bool) -> List[str]:
 
 
 def configs_for_isa(isa: str) -> List[tuple]:
-    """(runtime, strategy) combinations available on an ISA (§3.2/3.4)."""
-    combos = []
-    for runtime in RUNTIME_ORDER:
-        model = runtime_named(runtime)
-        if not model.supports(isa):
-            continue
-        # The paper's five strategies only: fig2–fig6 reproduce the
-        # published grids, so the hardware-assisted extensions (mte,
-        # wasm64) stay out of them — fig-cage covers those.
-        for strategy in PAPER_STRATEGY_ORDER:
-            if strategy in model.strategies:
-                combos.append((runtime, strategy))
-    return combos
+    """(runtime, strategy) combinations available on an ISA (§3.2/3.4).
+
+    The paper's five strategies only: fig2–fig6 reproduce the published
+    grids, so the hardware-assisted extensions (mte, wasm64) stay out
+    of them — fig-cage covers those.
+    """
+    return [
+        (runtime, strategy)
+        for runtime in RUNTIME_ORDER
+        for strategy in PAPER_STRATEGY_ORDER
+        if cell_problem(runtime, strategy, isa) is None
+    ]
 
 
-def medians(measurements: Dict[str, RunMeasurement]) -> Dict[str, float]:
-    return {name: m.median_iteration for name, m in measurements.items()}
+def config_specs(
+    workloads: Sequence[str],
+    configs: Sequence[tuple],
+    isa: str,
+    size: str,
+    threads: Sequence[int] = (1,),
+    bce: bool = True,
+) -> List[api.SweepSpec]:
+    """One spec per (runtime, strategy) pair of ``configs``.
+
+    Figures measure a list of pairs, not the product of their runtimes
+    and strategies, so each pair is its own spec; a figure passes them
+    all to its one strict :func:`repro.api.measure` call.
+    """
+    return [
+        api.SweepSpec(
+            workloads, runtimes=(runtime,), strategies=(strategy,),
+            isas=(isa,), threads=tuple(threads), size=size, bce=bce,
+        )
+        for runtime, strategy in configs
+    ]
+
+
+def median_by_workload(
+    swept, workloads, runtime: str, strategy: str, isa: str
+) -> Dict[str, float]:
+    """Workload → median single-thread iteration seconds of one configuration.
+
+    ``swept`` is a figure's one :func:`repro.api.measure` result.
+    """
+    return {
+        name: swept.cell(name, runtime, strategy, isa).median_iteration
+        for name in workloads
+    }
 
 
 def results_dir() -> Path:

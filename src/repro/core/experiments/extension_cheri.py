@@ -23,13 +23,13 @@ The experiment prints the Fig. 2-style single-thread comparison with
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
 from typing import List
 
 from repro import api
 from repro.core import cliopts
 from repro.core.experiments.common import (
     BASELINE,
+    median_by_workload,
     save_results,
     suite_names,
 )
@@ -64,34 +64,31 @@ def install() -> None:
 def run(size: str = "small", quick: bool = True, verbose: bool = False) -> List[dict]:
     install()
     workloads = suite_names("polybench", quick)
-    baseline = api.measure(
+    strategies = ("none", "trap", "mprotect", "uffd", "cheri")
+    swept = api.measure(
         api.SweepSpec(
             workloads, runtimes=(BASELINE,), strategies=("none",),
             isas=("x86_64",), size=size,
         ),
+        api.SweepSpec(
+            workloads, runtimes=("wavm",), strategies=strategies,
+            isas=("x86_64",), size=size,
+        ),
+        api.SweepSpec(
+            ("trisolv",), runtimes=("wavm",), strategies=strategies,
+            isas=("x86_64",), threads=(16,), size=size,
+        ),
         strict=True, verbose=verbose,
-    ).medians()
+    )
+    baseline = median_by_workload(swept, workloads, BASELINE, "none", "x86_64")
     rows: List[dict] = []
-    for strategy in ("none", "trap", "mprotect", "uffd", "cheri"):
-        measured = api.measure(
-            api.SweepSpec(
-                workloads, runtimes=("wavm",), strategies=(strategy,),
-                isas=("x86_64",), size=size,
-            ),
-            strict=True, verbose=verbose,
-        ).medians()
-        single = geomean_of_ratios(measured, baseline)
-        contended = api.measure(
-            api.SweepSpec(
-                ("trisolv",), runtimes=("wavm",), strategies=(strategy,),
-                isas=("x86_64",), threads=(16,), size=size,
-            ),
-            strict=True, verbose=verbose,
-        ).per_workload()["trisolv"]
+    for strategy in strategies:
+        measured = median_by_workload(swept, workloads, "wavm", strategy, "x86_64")
+        contended = swept.cell("trisolv", "wavm", strategy, "x86_64", 16)
         rows.append(
             {
                 "strategy": strategy,
-                "geomean_vs_native_1t": single,
+                "geomean_vs_native_1t": geomean_of_ratios(measured, baseline),
                 "trisolv_util_16t": contended.utilisation.utilisation_percent,
             }
         )

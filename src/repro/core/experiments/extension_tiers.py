@@ -22,6 +22,8 @@ from repro import api
 from repro.core import cliopts
 from repro.core.experiments.common import (
     BASELINE,
+    config_specs,
+    median_by_workload,
     save_results,
     suite_names,
 )
@@ -35,32 +37,27 @@ from repro.stats import geomean_of_ratios
 TIERS = ["wasm3", "v8-liftoff", "v8", "wasmtime", "wavm"]
 
 
-def _medians(workloads, runtime, strategy, size, verbose):
-    return api.measure(
-        api.SweepSpec(
-            workloads, runtimes=(runtime,), strategies=(strategy,),
-            isas=("x86_64",), size=size,
-        ),
-        strict=True, verbose=verbose,
-    ).medians()
-
-
 def run(size: str = "small", quick: bool = True, verbose: bool = False) -> List[dict]:
     workloads = suite_names("polybench", quick)
     isa = isa_named("x86_64")
-    baseline = _medians(workloads, BASELINE, "none", size, verbose)
+    configs = [(name, runtime_named(name).default_strategy) for name in TIERS]
+    swept = api.measure(
+        *config_specs(workloads, [(BASELINE, "none")] + configs, isa.name, size),
+        strict=True, verbose=verbose,
+    )
+    baseline = median_by_workload(swept, workloads, BASELINE, "none", isa.name)
     rows: List[dict] = []
-    for runtime_name in TIERS:
+    for runtime_name, strategy_name in configs:
         runtime = runtime_named(runtime_name)
-        strategy = strategy_named(runtime.default_strategy)
+        strategy = strategy_named(strategy_name)
         compile_seconds = 0.0
         code_ops = 0
         for name in workloads:
             module, _ = profile_for(name, size)
             compile_seconds += runtime.compile_seconds(module)
             code_ops += runtime.code_size_ops(module, isa, strategy)
-        measured = _medians(
-            workloads, runtime_name, runtime.default_strategy, size, verbose
+        measured = median_by_workload(
+            swept, workloads, runtime_name, strategy_name, isa.name
         )
         rows.append(
             {

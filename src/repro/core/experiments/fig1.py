@@ -18,11 +18,12 @@ We regenerate the series per benchmark:
 from __future__ import annotations
 
 import argparse
-from typing import Dict, List
+from typing import List
 
 from repro import api
 from repro.core import cliopts
 from repro.core.experiments.common import (
+    config_specs,
     save_results,
     suite_names,
 )
@@ -30,33 +31,37 @@ from repro.reporting import render_table
 
 ISA = "x86_64"
 
-
-def _medians(workloads, runtime, strategy, size, verbose):
-    return api.measure(
-        api.SweepSpec(
-            workloads, runtimes=(runtime,), strategies=(strategy,),
-            isas=(ISA,), size=size,
-        ),
-        strict=True, verbose=verbose,
-    ).medians()
+#: The measured (runtime, strategy) configurations: the native
+#: baseline, then V8 without checks, with its default and with explicit
+#: checks.
+CONFIGS = (
+    ("native-clang", "none"),
+    ("v8", "none"),
+    ("v8", "mprotect"),
+    ("v8", "trap"),
+)
 
 
 def run(size: str = "small", quick: bool = True, verbose: bool = False) -> List[dict]:
     workloads = suite_names("polybench", quick) + suite_names("spec", quick)
-    native = _medians(workloads, "native-clang", "none", size, verbose)
-    v8_none = _medians(workloads, "v8", "none", size, verbose)
-    v8_default = _medians(workloads, "v8", "mprotect", size, verbose)
-    v8_trap = _medians(workloads, "v8", "trap", size, verbose)
+    swept = api.measure(
+        *config_specs(workloads, CONFIGS, ISA, size),
+        strict=True, verbose=verbose,
+    )
     rows = []
     for name in workloads:
+        native, v8_none, v8_default, v8_trap = (
+            swept.cell(name, runtime, strategy, ISA).median_iteration
+            for runtime, strategy in CONFIGS
+        )
         rows.append(
             {
                 "benchmark": name,
-                "v8_none_vs_native": v8_none[name] / native[name],
-                "v8_default_vs_native": v8_default[name] / native[name],
-                "v8_trap_vs_native": v8_trap[name] / native[name],
-                "default_overhead_pct": 100.0 * (v8_default[name] / v8_none[name] - 1.0),
-                "trap_overhead_pct": 100.0 * (v8_trap[name] / v8_none[name] - 1.0),
+                "v8_none_vs_native": v8_none / native,
+                "v8_default_vs_native": v8_default / native,
+                "v8_trap_vs_native": v8_trap / native,
+                "default_overhead_pct": 100.0 * (v8_default / v8_none - 1.0),
+                "trap_overhead_pct": 100.0 * (v8_trap / v8_none - 1.0),
             }
         )
     return rows

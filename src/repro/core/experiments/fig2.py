@@ -16,7 +16,9 @@ from repro import api
 from repro.core import cliopts
 from repro.core.experiments.common import (
     BASELINE,
+    config_specs,
     configs_for_isa,
+    median_by_workload,
     save_results,
     suite_names,
 )
@@ -34,24 +36,20 @@ SUITES_BY_ISA = {
 def run(
     isa: str, size: str = "small", quick: bool = True, verbose: bool = False
 ) -> List[dict]:
+    suites = {suite: suite_names(suite, quick) for suite in SUITES_BY_ISA[isa]}
+    configs = configs_for_isa(isa)
+    swept = api.measure(
+        *config_specs(
+            [name for names in suites.values() for name in names],
+            [(BASELINE, "none")] + configs, isa, size,
+        ),
+        strict=True, verbose=verbose,
+    )
     rows: List[dict] = []
-    for suite in SUITES_BY_ISA[isa]:
-        workloads = suite_names(suite, quick)
-        baseline = api.measure(
-            api.SweepSpec(
-                workloads, runtimes=(BASELINE,), strategies=("none",),
-                isas=(isa,), size=size,
-            ),
-            strict=True, verbose=verbose,
-        ).medians()
-        for runtime, strategy in configs_for_isa(isa):
-            measured = api.measure(
-                api.SweepSpec(
-                    workloads, runtimes=(runtime,), strategies=(strategy,),
-                    isas=(isa,), size=size,
-                ),
-                strict=True, verbose=verbose,
-            ).medians()
+    for suite, workloads in suites.items():
+        baseline = median_by_workload(swept, workloads, BASELINE, "none", isa)
+        for runtime, strategy in configs:
+            measured = median_by_workload(swept, workloads, runtime, strategy, isa)
             rows.append(
                 {
                     "isa": isa,

@@ -15,11 +15,12 @@ Series: per (runtime, strategy), geomean over benchmarks of
 from __future__ import annotations
 
 import argparse
-from typing import Dict, List
+from typing import List
 
 from repro import api
 from repro.core import cliopts
 from repro.core.experiments.common import (
+    config_specs,
     configs_for_isa,
     save_results,
     suite_names,
@@ -37,23 +38,23 @@ def run(
     suites: tuple = ("polybench", "spec"),
     verbose: bool = False,
 ) -> List[dict]:
+    suite_sets = {suite: suite_names(suite, quick) for suite in suites}
+    configs = configs_for_isa(isa)
+    swept = api.measure(
+        *config_specs(
+            [name for names in suite_sets.values() for name in names],
+            configs, isa, size, THREAD_STEPS,
+        ),
+        strict=True, verbose=verbose,
+    )
     rows: List[dict] = []
-    for suite in suites:
-        workloads = suite_names(suite, quick)
-        for runtime, strategy in configs_for_isa(isa):
-            base: Dict[str, float] = {}
+    for suite, workloads in suite_sets.items():
+        for runtime, strategy in configs:
             for threads in THREAD_STEPS:
-                measured = api.measure(
-                    api.SweepSpec(
-                        workloads, runtimes=(runtime,), strategies=(strategy,),
-                        isas=(isa,), threads=(threads,), size=size,
-                    ),
-                    strict=True, verbose=verbose,
-                ).medians()
-                if threads == 1:
-                    base = measured
                 slowdown = geomean(
-                    measured[name] / base[name] for name in workloads
+                    swept.cell(name, runtime, strategy, isa, threads).median_iteration
+                    / swept.cell(name, runtime, strategy, isa).median_iteration
+                    for name in workloads
                 )
                 rows.append(
                     {

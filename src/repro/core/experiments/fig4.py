@@ -17,6 +17,7 @@ from typing import List
 from repro import api
 from repro.core import cliopts
 from repro.core.experiments.common import (
+    config_specs,
     configs_for_isa,
     save_results,
     suite_names,
@@ -33,21 +34,25 @@ def run(
     thread_steps: tuple = (1, 16),
     verbose: bool = False,
 ) -> List[dict]:
+    suite_sets = {suite: suite_names(suite, quick) for suite in suites}
+    configs = configs_for_isa(isa)
+    swept = api.measure(
+        *config_specs(
+            [name for names in suite_sets.values() for name in names],
+            configs, isa, size, thread_steps,
+        ),
+        strict=True, verbose=verbose,
+    )
     rows: List[dict] = []
-    for suite in suites:
-        workloads = suite_names(suite, quick)
-        for runtime, strategy in configs_for_isa(isa):
+    for suite, workloads in suite_sets.items():
+        for runtime, strategy in configs:
             for threads in thread_steps:
-                measurements = api.measure(
-                    api.SweepSpec(
-                        workloads, runtimes=(runtime,), strategies=(strategy,),
-                        isas=(isa,), threads=(threads,), size=size,
-                    ),
-                    strict=True, verbose=verbose,
-                ).per_workload()
+                cells = [
+                    swept.cell(name, runtime, strategy, isa, threads)
+                    for name in workloads
+                ]
                 utilisation = geomean(
-                    m.utilisation.utilisation_percent
-                    for m in measurements.values()
+                    m.utilisation.utilisation_percent for m in cells
                 )
                 rows.append(
                     {

@@ -15,6 +15,7 @@ from typing import List
 from repro import api
 from repro.core import cliopts
 from repro.core.experiments.common import (
+    config_specs,
     configs_for_isa,
     save_results,
     suite_names,
@@ -31,21 +32,25 @@ def run(
     thread_steps: tuple = (1, 16),
     verbose: bool = False,
 ) -> List[dict]:
+    suite_sets = {suite: suite_names(suite, quick) for suite in suites}
+    configs = configs_for_isa(isa)
+    swept = api.measure(
+        *config_specs(
+            [name for names in suite_sets.values() for name in names],
+            configs, isa, size, thread_steps,
+        ),
+        strict=True, verbose=verbose,
+    )
     rows: List[dict] = []
-    for suite in suites:
-        workloads = suite_names(suite, quick)
-        for runtime, strategy in configs_for_isa(isa):
+    for suite, workloads in suite_sets.items():
+        for runtime, strategy in configs:
             for threads in thread_steps:
-                measurements = api.measure(
-                    api.SweepSpec(
-                        workloads, runtimes=(runtime,), strategies=(strategy,),
-                        isas=(isa,), threads=(threads,), size=size,
-                    ),
-                    strict=True, verbose=verbose,
-                ).per_workload()
+                cells = [
+                    swept.cell(name, runtime, strategy, isa, threads)
+                    for name in workloads
+                ]
                 rate = geomean(
-                    max(m.utilisation.context_switches_per_sec, 1.0)
-                    for m in measurements.values()
+                    max(m.utilisation.context_switches_per_sec, 1.0) for m in cells
                 )
                 rows.append(
                     {

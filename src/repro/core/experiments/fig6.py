@@ -16,6 +16,7 @@ from typing import List
 from repro import api
 from repro.core import cliopts
 from repro.core.experiments.common import (
+    config_specs,
     configs_for_isa,
     save_results,
     suite_names,
@@ -31,20 +32,22 @@ def run(
     threads: int = 16,
     verbose: bool = False,
 ) -> List[dict]:
+    suite_sets = {suite: suite_names(suite, quick) for suite in suites}
+    configs = configs_for_isa(isa)
+    swept = api.measure(
+        *config_specs(
+            [name for names in suite_sets.values() for name in names],
+            configs, isa, size, (threads,),
+        ),
+        strict=True, verbose=verbose,
+    )
     rows: List[dict] = []
-    for suite in suites:
-        workloads = suite_names(suite, quick)
-        for runtime, strategy in configs_for_isa(isa):
-            measurements = api.measure(
-                api.SweepSpec(
-                    workloads, runtimes=(runtime,), strategies=(strategy,),
-                    isas=(isa,), threads=(threads,), size=size,
-                ),
-                strict=True, verbose=verbose,
-            ).per_workload()
-            average = sum(m.mem_avg_bytes for m in measurements.values()) / len(
-                measurements
-            )
+    for suite, workloads in suite_sets.items():
+        for runtime, strategy in configs:
+            average = sum(
+                swept.cell(name, runtime, strategy, isa, threads).mem_avg_bytes
+                for name in workloads
+            ) / len(workloads)
             rows.append(
                 {
                     "isa": isa,

@@ -5,9 +5,9 @@ wasm module implies: TurboFan and WAVM's LLVM pipeline eliminate
 dominated checks, hoist loop-invariant guards and widen per-iteration
 checks into a single guard per induction variable; Cranelift only
 eliminates dominated checks (§2.1's spectrum of check-removal
-aggressiveness).  This experiment quantifies that by re-measuring the
-inline-check strategies (``clamp``/``trap``) with the pass force
-disabled:
+aggressiveness).  This experiment quantifies that by measuring the
+inline-check strategies (``clamp``/``trap``) with the pass on and off,
+both halves in one grid (``bce`` is a field of each sweep spec):
 
 * ``median_ms`` / ``median_ms_nobce``  — measured cost with the
   compiler's BCE configuration vs with the pass off;
@@ -24,28 +24,18 @@ diffcheck ``bce`` phase asserts they are byte-identical.
 from __future__ import annotations
 
 import argparse
-from typing import Dict, List
+from typing import List
 
 from repro import api
 from repro.core import cliopts
-from repro.core.experiments.common import save_results, suite_names
+from repro.core.experiments.common import config_specs, save_results, suite_names
+from repro.core.harness import cell_problem
 from repro.reporting import render_table
-from repro.runtimes import bce_enabled, runtime_named, set_bce_enabled
 
 #: Compiling runtimes only: wasm3 interprets (checks stay in the
 #: dispatch loop) and the native baselines have nothing to elide.
 RUNTIMES = ("wavm", "wasmtime", "v8")
 STRATEGIES = ("clamp", "trap")
-
-
-def _per_workload(workloads, runtime, strategy, isa, size, verbose):
-    return api.measure(
-        api.SweepSpec(
-            workloads, runtimes=(runtime,), strategies=(strategy,),
-            isas=(isa,), size=size,
-        ),
-        strict=True, verbose=verbose,
-    ).per_workload()
 
 
 def run(
@@ -55,42 +45,37 @@ def run(
     verbose: bool = False,
 ) -> List[dict]:
     workloads = suite_names("polybench", quick)
+    configs = [
+        (runtime, strategy)
+        for runtime in RUNTIMES
+        for strategy in STRATEGIES
+        if cell_problem(runtime, strategy, isa) is None
+    ]
+    swept = api.measure(
+        *config_specs(workloads, configs, isa, size),
+        *config_specs(workloads, configs, isa, size, bce=False),
+        strict=True, verbose=verbose,
+    )
     rows: List[dict] = []
-    was_enabled = bce_enabled()
-    try:
-        for runtime in RUNTIMES:
-            if not runtime_named(runtime).supports(isa):
-                continue
-            for strategy in STRATEGIES:
-                set_bce_enabled(True)
-                with_bce = _per_workload(
-                    workloads, runtime, strategy, isa, size, verbose
-                )
-                set_bce_enabled(False)
-                without = _per_workload(
-                    workloads, runtime, strategy, isa, size, verbose
-                )
-                for name in workloads:
-                    on, off = with_bce[name], without[name]
-                    saving = 1.0 - on.median_iteration / off.median_iteration
-                    rows.append(
-                        {
-                            "benchmark": name,
-                            "runtime": runtime,
-                            "strategy": strategy,
-                            "isa": isa,
-                            "median_ms": on.median_iteration * 1e3,
-                            "median_ms_nobce": off.median_iteration * 1e3,
-                            "bce_saving_pct": 100.0 * saving,
-                            "checks_emitted": on.bounds_checks.get("emitted", 0),
-                            "checks_elided": on.bounds_checks.get("elided", 0),
-                            "checks_emitted_nobce": off.bounds_checks.get(
-                                "emitted", 0
-                            ),
-                        }
-                    )
-    finally:
-        set_bce_enabled(was_enabled)
+    for runtime, strategy in configs:
+        for name in workloads:
+            on = swept.cell(name, runtime, strategy, isa)
+            off = swept.cell(name, runtime, strategy, isa, bce=False)
+            saving = 1.0 - on.median_iteration / off.median_iteration
+            rows.append(
+                {
+                    "benchmark": name,
+                    "runtime": runtime,
+                    "strategy": strategy,
+                    "isa": isa,
+                    "median_ms": on.median_iteration * 1e3,
+                    "median_ms_nobce": off.median_iteration * 1e3,
+                    "bce_saving_pct": 100.0 * saving,
+                    "checks_emitted": on.bounds_checks.get("emitted", 0),
+                    "checks_elided": on.bounds_checks.get("elided", 0),
+                    "checks_emitted_nobce": off.bounds_checks.get("emitted", 0),
+                }
+            )
     return rows
 
 

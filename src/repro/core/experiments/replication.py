@@ -14,37 +14,42 @@ this experiment regenerates the same comparisons from our models:
 from __future__ import annotations
 
 import argparse
-from typing import Dict, List
+from typing import List
 
 from repro import api
 from repro.core import cliopts
 from repro.core.experiments.common import (
+    config_specs,
+    median_by_workload,
     save_results,
     suite_names,
 )
 from repro.reporting import render_table
 from repro.stats import geomean_of_ratios
 
-
-def _medians(workloads, runtime, strategy, isa, size, verbose):
-    return api.measure(
-        api.SweepSpec(
-            workloads, runtimes=(runtime,), strategies=(strategy,),
-            isas=(isa,), size=size,
-        ),
-        strict=True, verbose=verbose,
-    ).medians()
+NATIVE = ("native-clang", "none")
+V8 = ("v8", "mprotect")
+WASM3 = ("wasm3", "trap")
+WAVM = ("wavm", "mprotect")
 
 
 def run(size: str = "small", quick: bool = True, verbose: bool = False) -> List[dict]:
-    rows: List[dict] = []
     pbc = suite_names("polybench", quick)
     spec = suite_names("spec", quick)
+    swept = api.measure(
+        *config_specs(pbc, (NATIVE, V8, WASM3, WAVM), "x86_64", size),
+        *config_specs(pbc, (V8, WASM3), "armv8", size),
+        *config_specs(pbc, (V8, WASM3), "riscv64", size),
+        *config_specs(spec, (NATIVE, V8), "x86_64", size),
+        *config_specs(spec, (NATIVE, V8), "armv8", size),
+        strict=True, verbose=verbose,
+    )
+    rows: List[dict] = []
 
     # Wasm3 vs V8-TurboFan on PolyBench, per ISA (default strategies).
     for isa in ("x86_64", "armv8", "riscv64"):
-        v8 = _medians(pbc, "v8", "mprotect", isa, size, verbose)
-        wasm3 = _medians(pbc, "wasm3", "trap", isa, size, verbose)
+        v8 = median_by_workload(swept, pbc, *V8, isa)
+        wasm3 = median_by_workload(swept, pbc, *WASM3, isa)
         rows.append(
             {
                 "claim": f"wasm3-vs-v8-{isa}",
@@ -54,8 +59,8 @@ def run(size: str = "small", quick: bool = True, verbose: bool = False) -> List[
         )
 
     # Rossberg: per-benchmark V8 vs native on PolyBench (x86-64).
-    native = _medians(pbc, "native-clang", "none", "x86_64", size, verbose)
-    v8 = _medians(pbc, "v8", "mprotect", "x86_64", size, verbose)
+    native = median_by_workload(swept, pbc, *NATIVE, "x86_64")
+    v8 = median_by_workload(swept, pbc, *V8, "x86_64")
     ratios = {name: v8[name] / native[name] for name in pbc}
     within_10pct = sum(1 for r in ratios.values() if r <= 1.10)
     within_2x = sum(1 for r in ratios.values() if r <= 2.0)
@@ -76,8 +81,8 @@ def run(size: str = "small", quick: bool = True, verbose: bool = False) -> List[
 
     # Jangda: SPEC V8 slowdown vs native, x86-64 and Armv8.
     for isa, paper_value in (("x86_64", "1.69x"), ("armv8", "1.76x")):
-        native = _medians(spec, "native-clang", "none", isa, size, verbose)
-        v8 = _medians(spec, "v8", "mprotect", isa, size, verbose)
+        native = median_by_workload(swept, spec, *NATIVE, isa)
+        v8 = median_by_workload(swept, spec, *V8, isa)
         rows.append(
             {
                 "claim": f"jangda-spec-v8-{isa}",
@@ -87,8 +92,8 @@ def run(size: str = "small", quick: bool = True, verbose: bool = False) -> List[
         )
 
     # Headline §1.3: WAVM overhead on x86-64.
-    pbc_native = _medians(pbc, "native-clang", "none", "x86_64", size, verbose)
-    wavm = _medians(pbc, "wavm", "mprotect", "x86_64", size, verbose)
+    pbc_native = median_by_workload(swept, pbc, *NATIVE, "x86_64")
+    wavm = median_by_workload(swept, pbc, *WAVM, "x86_64")
     rows.append(
         {
             "claim": "wavm-overhead-x86",

@@ -23,7 +23,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.config import PAPER_TARGETS, ScaleModel
+from repro.core.config import PAPER_TARGETS
 from repro.core.lifecycle import InstanceLifecycle, make_plan
 from repro.core.profiles import profile_for
 from repro.cpu.core import USER
@@ -89,10 +89,30 @@ class RunMeasurement:
     def median_iteration(self) -> float:
         return statistics.median(self.iteration_seconds)
 
-    @property
-    def throughput_per_sec(self) -> float:
-        """Aggregate measured iterations per wall-clock second."""
-        return len(self.iteration_seconds) / self.wall_seconds
+
+def cell_problem(
+    runtime: str, strategy: str, isa: str, threads: int = 1
+) -> Optional[str]:
+    """Why a (runtime, strategy, ISA, threads) cell cannot run, or None.
+
+    The one validity rule: sweep specs skip (or, strictly, reject) the
+    cells it names, and :func:`run_benchmark` raises its reason.
+    """
+    model = runtime_named(runtime)
+    if not model.supports(isa):
+        return f"runtime {runtime} has no {isa} backend (§3.4)"
+    if strategy not in model.strategies:
+        return f"runtime {runtime} does not support strategy {strategy}"
+    if not isa_named(isa).supports_strategy(strategy_named(strategy)):
+        return (
+            f"strategy {strategy} requires a hardware memory-tagging "
+            f"extension (Arm MTE); ISA {isa} has none — request it on "
+            "armv8 instead"
+        )
+    cores = MACHINE_SPECS[isa].cores
+    if threads > cores:
+        return f"{threads} workers exceed the {cores}-core machine"
+    return None
 
 
 def run_benchmark(
@@ -104,25 +124,22 @@ def run_benchmark(
     size: str = "small",
     iterations: int = 3,
     warmup: int = 1,
-    scale: Optional[ScaleModel] = None,
+    bce: bool = True,
 ) -> RunMeasurement:
-    """Run one benchmark configuration through the system simulation."""
+    """Run one benchmark configuration through the system simulation.
+
+    ``bce=False`` prices the code without the compiler's bounds-check
+    elimination passes.
+    """
+    # Unknown names raise here, each with its own lookup's message.
     runtime_model = runtime_named(runtime)
     strategy_model = strategy_named(strategy)
     isa_model = isa_named(isa)
-    workload_entry = workload_named(workload)
-    if not runtime_model.supports(isa):
-        raise ValueError(f"runtime {runtime} has no {isa} backend (§3.4)")
-    if strategy not in runtime_model.strategies:
-        raise ValueError(f"runtime {runtime} does not support strategy {strategy}")
-    if not isa_model.supports_strategy(strategy_model):
-        raise ValueError(
-            f"strategy {strategy} requires a hardware memory-tagging "
-            f"extension (Arm MTE); ISA {isa} has none — run it on armv8"
-        )
+    workload_named(workload)
+    problem = cell_problem(runtime, strategy, isa, threads)
+    if problem is not None:
+        raise ValueError(problem)
     spec = MACHINE_SPECS[isa]
-    if threads > spec.cores:
-        raise ValueError(f"{threads} workers exceed the {spec.cores}-core machine")
 
     if TRACE.enabled:
         # Opens a run segment: all pre-simulation events (compile,
@@ -134,31 +151,27 @@ def run_benchmark(
         )
 
     module, profile = profile_for(workload, size)
-    cycles = runtime_model.cycles(module, profile, isa_model, strategy_model)
-    bounds_checks = runtime_model.check_stats(
-        module, profile, isa_model, strategy_model
+    cycles = runtime_model.cycles(
+        module, profile, isa_model, strategy_model, bce
     )
-    if scale is not None:
-        time_scale = scale.time_scale
-        memory_bytes = int(profile.pages_touched * 4096 * scale.page_scale)
-    else:
-        # Anchor the iteration duration to the paper-scale native-x86
-        # estimate; every other configuration inherits the same scale,
-        # so relative runtime/strategy/ISA differences pass through.
-        target = PAPER_TARGETS[workload]
-        anchor = runtime_named("native-clang")
-        anchor_cycles = anchor.cycles(
-            module, profile, isa_named("x86_64"), strategy_named("none")
-        )
-        anchor_seconds = anchor_cycles / MACHINE_SPECS["x86_64"].frequency_hz
-        time_scale = target.iteration_seconds / anchor_seconds
-        memory_bytes = target.memory_bytes
+    bounds_checks = runtime_model.check_stats(
+        module, profile, isa_model, strategy_model, bce
+    )
+    # Anchor the iteration duration to the paper-scale native-x86
+    # estimate; every other configuration inherits the same scale,
+    # so relative runtime/strategy/ISA differences pass through.
+    target = PAPER_TARGETS[workload]
+    anchor = runtime_named("native-clang")
+    anchor_cycles = anchor.cycles(
+        module, profile, isa_named("x86_64"), strategy_named("none")
+    )
+    anchor_seconds = anchor_cycles / MACHINE_SPECS["x86_64"].frequency_hz
     plan = make_plan(
         cycles=cycles,
         frequency_hz=spec.frequency_hz,
         strategy=strategy_model,
-        time_scale=time_scale,
-        memory_bytes=memory_bytes,
+        time_scale=target.iteration_seconds / anchor_seconds,
+        memory_bytes=target.memory_bytes,
         native=runtime_model.is_native,
         # One worker's GC cadence at 1 thread; with more isolates the
         # shared heap fills faster and every stop-the-world pause stops

@@ -104,8 +104,10 @@ def profile_for(workload_name: str, size: str) -> Tuple[Module, ExecutionProfile
             raw = json.loads(disk_path.read_text())
             if isinstance(raw, dict):  # any other JSON value is corrupt
                 profile = _profile_from_json(raw)
-        except (ValueError, KeyError):
-            profile = None  # stale/corrupt cache entry: recompute
+        except (ValueError, KeyError, TypeError, AttributeError):
+            # Stale or corrupt, or a field of the wrong type (a list
+            # where a mapping belongs): recompute and overwrite.
+            profile = None
     if profile is None:
         # WASI workloads link against a fresh host environment; the
         # module itself stays the memoised one (same digest) since

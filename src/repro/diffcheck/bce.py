@@ -1,9 +1,11 @@
 """Differential check: bounds-check elimination is *cost-only*.
 
 The BCE pass (:mod:`repro.compiler.bce`) may only remove work, never
-change what a program computes or touches.  This phase re-runs the
-selected workloads with the pass force-disabled and compares against
-the default (pass enabled) run:
+change what a program computes or touches.  This phase runs the
+selected workloads with the pass off (``run_benchmark(bce=False)``)
+and compares against the default (pass enabled) run.  It calls the
+harness directly, uncached: measurement keys do not cover compiler
+source, so a cached run could hide a change to the pass.
 
 * **identical off the inline path** — for strategies with no inline
   check sequence (``none``/``mprotect``/``uffd``) the pass is stripped
@@ -27,11 +29,9 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.core.engine import measurement_to_json
-from repro.core.harness import RunMeasurement, run_benchmark
+from repro.core.harness import RunMeasurement, cell_problem, run_benchmark
 from repro.diffcheck.report import DiffReport
-from repro.isa import isa_named
 from repro.runtime.strategies import STRATEGY_ORDER, strategy_named
-from repro.runtimes import bce_enabled, runtime_named, set_bce_enabled
 
 CHECK_IDENTICAL = "bce.cost-only-identical"
 CHECK_MONOTONE = "bce.inline-cost-monotone"
@@ -62,10 +62,11 @@ def counters_conserved(on: Mapping[str, int], off: Mapping[str, int]) -> bool:
 
 
 def _measure(
-    workload: str, runtime: str, strategy: str, isa: str, size: str
+    workload: str, runtime: str, strategy: str, isa: str, size: str, bce: bool
 ) -> RunMeasurement:
     return run_benchmark(
-        workload, runtime, strategy, isa, threads=1, size=size, iterations=2
+        workload, runtime, strategy, isa, threads=1, size=size, iterations=2,
+        bce=bce,
     )
 
 
@@ -76,27 +77,14 @@ def check_bce(
     report: DiffReport,
 ) -> None:
     """Compare every configuration with BCE enabled vs disabled."""
-    was_enabled = bce_enabled()
-    try:
-        for workload in workloads:
-            for runtime in _RUNTIMES:
-                model = runtime_named(runtime)
-                if not model.supports(isa):
+    for workload in workloads:
+        for runtime in _RUNTIMES:
+            for strategy in STRATEGY_ORDER:
+                if cell_problem(runtime, strategy, isa) is not None:
                     continue
-                for strategy in STRATEGY_ORDER:
-                    if strategy not in model.strategies:
-                        continue
-                    if not isa_named(isa).supports_strategy(
-                        strategy_named(strategy)
-                    ):
-                        continue  # mte needs the tagging extension
-                    set_bce_enabled(True)
-                    on = _measure(workload, runtime, strategy, isa, size)
-                    set_bce_enabled(False)
-                    off = _measure(workload, runtime, strategy, isa, size)
-                    _compare(workload, runtime, strategy, isa, on, off, report)
-    finally:
-        set_bce_enabled(was_enabled)
+                on = _measure(workload, runtime, strategy, isa, size, True)
+                off = _measure(workload, runtime, strategy, isa, size, False)
+                _compare(workload, runtime, strategy, isa, on, off, report)
 
 
 def _compare(

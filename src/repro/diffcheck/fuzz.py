@@ -41,7 +41,6 @@ from the worker count.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -56,6 +55,7 @@ from repro.compiler.pipeline import (
 )
 from repro.compiler.timing import check_counts_for_profile, cycles_for_profile
 from repro.core.engine import _pool_context
+from repro.core.harness import cell_problem
 from repro.diffcheck.bce import (
     COUNTERS_RULE,
     counters_conserved,
@@ -94,9 +94,6 @@ CHECK_HARNESS = "fuzz.harness-error"
 
 #: Strategies whose out-of-bounds behaviour is a trap.
 _TRAPPING = ("trap", "mprotect", "uffd", "mte", "wasm64")
-
-#: The passes :func:`_check_cost` strips for its BCE-off side.
-_BCE_PASSES = frozenset({"bce", "bceloop"})
 
 
 def _invoke(interp: Interpreter, arg: int):
@@ -347,9 +344,9 @@ def _check_cost(
 
     * the strategies obey the sweep phase's compute-cost ordering
       (:data:`repro.diffcheck.invariants._COMPUTE_PAIRS`);
-    * on the inline-check strategies, the same config without
-      ``bce``/``bceloop`` never prices cheaper and the dynamic check
-      counters conserve (the ``bce`` phase's two pricing rules);
+    * on the inline-check strategies, the same config with BCE off
+      never prices cheaper and the dynamic check counters conserve
+      (the ``bce`` phase's two pricing rules);
     * pricing raises nothing.
 
     Programs with bulk-memory ops are skipped: the cost model does not
@@ -363,8 +360,8 @@ def _check_cost(
     # strategy and runtime that agrees on those shares one front half.
     fronts = {}
 
-    def price(config, isa, strategy) -> Tuple[float, dict]:
-        inputs = front_half_inputs(config, strategy)
+    def price(config, isa, strategy, bce=True) -> Tuple[float, dict]:
+        inputs = front_half_inputs(config, strategy, bce)
         front = fronts.get(inputs)
         if front is None:
             front = fronts[inputs] = optimise_module(module, *inputs)
@@ -378,23 +375,24 @@ def _check_cost(
         if model.compiler is None or model.is_native:
             continue
         config = model.compiler
-        config_off = dataclasses.replace(
-            config, passes=config.passes - _BCE_PASSES
-        )
         for isa in ISAS.values():
-            if not model.supports(isa.name):
-                continue
+            names = [
+                name for name in model.strategies
+                if cell_problem(model.name, name, isa.name) is None
+            ]
+            if not names:
+                continue  # no backend for this ISA
             where = dict(subject, runtime=model.name, isa=isa.name)
             cycles = {}
             try:
-                for name in model.strategies:
+                for name in names:
                     strategy = strategy_named(name)
-                    if not isa.supports_strategy(strategy):
-                        continue
                     cycles[name], checks_on = price(config, isa, strategy)
                     if not strategy.inline_check:
                         continue
-                    cycles_off, checks_off = price(config_off, isa, strategy)
+                    cycles_off, checks_off = price(
+                        config, isa, strategy, bce=False
+                    )
                     report.check(
                         CHECK_COST_MONOTONE,
                         inline_cost_monotone(cycles[name], cycles_off),

@@ -10,15 +10,6 @@ vs-thread isolation).
 """
 
 from repro.runtimes.base import RuntimeModel
-from repro.runtimes.registry import (
-    RUNTIMES,
-    WASM_RUNTIMES,
-    bce_enabled,
-    runtime_named,
-    set_bce_enabled,
-)
+from repro.runtimes.registry import RUNTIMES, WASM_RUNTIMES, runtime_named
 
-__all__ = [
-    "RuntimeModel", "RUNTIMES", "WASM_RUNTIMES", "bce_enabled",
-    "runtime_named", "set_bce_enabled",
-]
+__all__ = ["RuntimeModel", "RUNTIMES", "WASM_RUNTIMES", "runtime_named"]

@@ -76,18 +76,19 @@ class RuntimeModel:
         Tuple[int, FrozenSet[str], bool],
         Tuple[FrontHalf, Module, Dict[Tuple[str, str], CompiledModule]],
     ] = field(default_factory=dict, repr=False)
-    #: Block-costing results per (module, profile, isa, strategy): the
-    #: costing walk over every block of every function is pure, so one
-    #: run prices the configuration for all subsequent measurements
-    #: (thread sweeps re-price the identical module dozens of times).
-    #: Entries keep a strong reference to the keyed objects so an id()
-    #: can never be recycled onto a different module/profile.
-    _cycles_cache: Dict[Tuple[int, int, str, str], Tuple[float, object, object]] = field(
+    #: Block-costing results per (module, profile, isa, strategy, BCE
+    #: flag): the costing walk over every block of every function is
+    #: pure, so one run prices the configuration for all subsequent
+    #: measurements (thread sweeps re-price the identical module dozens
+    #: of times).  Entries keep a strong reference to the keyed objects
+    #: so an id() can never be recycled onto a different module/profile.
+    _cycles_cache: Dict[Tuple[int, int, str, str, bool], Tuple[float, object, object]] = field(
         default_factory=dict, repr=False
     )
     #: Dynamic bounds-check counters per (module, profile, isa,
-    #: strategy), same keying/lifetime discipline as ``_cycles_cache``.
-    _check_cache: Dict[Tuple[int, int, str, str], Tuple[Dict[str, int], object, object]] = field(
+    #: strategy, BCE flag), same keying/lifetime discipline as
+    #: ``_cycles_cache``.
+    _check_cache: Dict[Tuple[int, int, str, str, bool], Tuple[Dict[str, int], object, object]] = field(
         default_factory=dict, repr=False
     )
 
@@ -99,11 +100,20 @@ class RuntimeModel:
         return isa_name in self.supported_isas
 
     def compiled(
-        self, module: Module, isa: IsaModel, strategy: BoundsStrategy
+        self,
+        module: Module,
+        isa: IsaModel,
+        strategy: BoundsStrategy,
+        bce: bool = True,
     ) -> CompiledModule:
+        """The module compiled for one ISA and strategy.
+
+        ``bce=False`` compiles without the bounds-check elimination
+        passes this runtime's compiler would otherwise run.
+        """
         if self.compiler is None:
             raise ValueError(f"runtime {self.name} does not compile code")
-        passes, affine_guard_ok = front_half_inputs(self.compiler, strategy)
+        passes, affine_guard_ok = front_half_inputs(self.compiler, strategy, bce)
         key = (id(module), passes, affine_guard_ok)
         entry = self._cache.get(key)
         if entry is None:
@@ -132,11 +142,12 @@ class RuntimeModel:
         profile: ExecutionProfile,
         isa: IsaModel,
         strategy: BoundsStrategy,
+        bce: bool = True,
     ) -> float:
         """Single-thread execution cycles for one run of the workload."""
         if not self.supports(isa.name):
             raise ValueError(f"runtime {self.name} has no {isa.name} backend")
-        key = (id(module), id(profile), isa.name, strategy.name)
+        key = (id(module), id(profile), isa.name, strategy.name, bce)
         cached = self._cycles_cache.get(key)
         if cached is not None:
             if TRACE.enabled:
@@ -150,7 +161,9 @@ class RuntimeModel:
             result = interpreter_cycles(profile, isa)
         else:
             result = (
-                cycles_for_profile(self.compiled(module, isa, strategy), profile)
+                cycles_for_profile(
+                    self.compiled(module, isa, strategy, bce), profile
+                )
                 * self.schedule_overhead
             )
         self._cycles_cache[key] = (result, module, profile)
@@ -168,6 +181,7 @@ class RuntimeModel:
         profile: ExecutionProfile,
         isa: IsaModel,
         strategy: BoundsStrategy,
+        bce: bool = True,
     ) -> Dict[str, int]:
         """Dynamic bounds-check counts for one run: emitted vs elided.
 
@@ -181,11 +195,11 @@ class RuntimeModel:
             return {"emitted": profile.mem_loads + profile.mem_stores, "elided": 0}
         if self.compiler is None or not strategy.inline_check:
             return {"emitted": 0, "elided": 0}
-        key = (id(module), id(profile), isa.name, strategy.name)
+        key = (id(module), id(profile), isa.name, strategy.name, bce)
         cached = self._check_cache.get(key)
         if cached is None:
             stats = check_counts_for_profile(
-                self.compiled(module, isa, strategy), profile
+                self.compiled(module, isa, strategy, bce), profile
             )
             cached = (stats, module, profile)
             self._check_cache[key] = cached

@@ -24,9 +24,6 @@ Calibration notes (targets from the paper, §1.3, §4.1, §4.4):
 
 from __future__ import annotations
 
-import dataclasses
-import os
-
 from repro.compiler.pipeline import ALL_PASSES, CompilerConfig
 from repro.runtimes.base import RuntimeModel
 
@@ -180,67 +177,3 @@ def runtime_named(name: str) -> RuntimeModel:
             f"unknown runtime {name!r}; choose from {sorted(RUNTIMES)}"
         ) from None
 
-
-# ----------------------------------------------------------------------
-# Global BCE toggle (`--no-bce` / REPRO_NO_BCE)
-# ----------------------------------------------------------------------
-#: Each model's full pass set as registered above, so the toggle can
-#: restore it after a `--no-bce` run.
-_DEFAULT_PASSES = {
-    model.name: model.compiler.passes
-    for model in RUNTIMES.values()
-    if model.compiler is not None
-}
-
-_bce_enabled = True
-
-
-def bce_enabled() -> bool:
-    return _bce_enabled
-
-
-def set_bce_enabled(enabled: bool, _reset_engine: bool = True) -> None:
-    """Strip (or restore) the BCE passes on every registered runtime.
-
-    Mutates the shared ``RuntimeModel`` instances in place, so every
-    cache that could hold pre-toggle results is dropped: the models'
-    own compile/costing/check caches here, plus the measurement
-    engine's calibration-hash memo and warm worker pool (fork workers
-    inherit the registry state they were spawned with).  The
-    ``REPRO_NO_BCE`` environment flag mirrors the toggle so
-    freshly-spawned (non-fork) pool workers re-apply it at import
-    time.
-    """
-    global _bce_enabled
-    enabled = bool(enabled)
-    if enabled == _bce_enabled:
-        return
-    for model in RUNTIMES.values():
-        if model.compiler is None:
-            continue
-        passes = _DEFAULT_PASSES[model.name]
-        if not enabled:
-            passes = passes - {"bce", "bceloop"}
-        model.compiler = dataclasses.replace(model.compiler, passes=passes)
-        model._cache.clear()
-        model._cycles_cache.clear()
-        model._check_cache.clear()
-    _bce_enabled = enabled
-    if enabled:
-        os.environ.pop("REPRO_NO_BCE", None)
-    else:
-        os.environ["REPRO_NO_BCE"] = "1"
-    if _reset_engine:
-        # Imported lazily — the engine module imports this one.
-        from repro.core import engine as _engine
-
-        _engine._calibration_memo.clear()
-        _engine.reset_default_engine()
-
-
-if os.environ.get("REPRO_NO_BCE"):
-    # Honour the flag in freshly-spawned pool workers: flip the default
-    # through the same path as the CLI toggle.  No engine exists this
-    # early (and importing it here would be circular), so skip the
-    # engine reset.
-    set_bce_enabled(False, _reset_engine=False)

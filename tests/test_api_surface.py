@@ -15,7 +15,6 @@ import pytest
 
 from repro import api
 from repro.core.engine import MeasurementEngine
-from repro.runtimes.registry import bce_enabled, set_bce_enabled
 
 SPEC = api.SweepSpec(
     workloads=["gemm"],
@@ -69,13 +68,14 @@ class TestSurfaceSnapshot:
             "iterations": 3,
             "warmup": 1,
             "scenario": "compute",
+            "bce": True,
         }
         # Frozen: specs are shareable cache keys, not mutable state.
         with pytest.raises(dataclasses.FrozenInstanceError):
             SPEC.size = "large"
 
     def test_sweep_measurements_shape(self):
-        for name in ("rows", "by_workload", "per_workload", "medians"):
+        for name in ("rows", "cell"):
             assert callable(getattr(api.SweepMeasurements, name)), name
 
     def test_validate_raises_where_configurations_skips(self):
@@ -166,6 +166,15 @@ class TestSpecCanonicalization:
             "3650189a8d55988f9ef35f16a38cc9ca"
         )
 
+    def test_bce_off_round_trips_and_is_its_own_grid(self):
+        off = dataclasses.replace(SPEC, bce=False)
+        assert "bce" not in SPEC.to_json()
+        assert off.to_json()["bce"] is False
+        assert api.SweepSpec(**off.to_json()) == off
+        assert off.digest() != SPEC.digest()
+        assert all(not request.bce for request in off.requests())
+        assert all(request.bce for request in SPEC.requests())
+
     def test_scenario_filters_mismatched_workloads(self):
         mixed = api.SweepSpec(
             workloads=["gemm", "wasi-grep"], scenario="wasi"
@@ -191,14 +200,28 @@ class TestSpecCanonicalization:
 
 class TestEquivalence:
     def test_bce_disabled_rows_elide_nothing(self):
-        assert bce_enabled()
-        try:
-            set_bce_enabled(False)
-            rows = api.run(SPEC, engine=engine())
-        finally:
-            set_bce_enabled(True)
+        rows = api.run(dataclasses.replace(SPEC, bce=False), engine=engine())
         assert rows
         assert all(row["checks_elided"] == 0 for row in rows)
+
+    def test_cell_looks_up_each_grid_of_one_call(self):
+        off = dataclasses.replace(SPEC, strategies=("trap",), bce=False)
+        swept = api.measure(SPEC, off, engine=engine())
+        assert len(swept.requests) == len(SPEC.requests()) + len(off.requests())
+        on = swept.cell("gemm", "v8", "trap", "x86_64")
+        assert swept.cell("gemm", "v8", "trap", "x86_64", bce=False) is not on
+        assert on.bounds_checks["elided"] > 0
+        assert swept.cell(
+            "gemm", "v8", "trap", "x86_64", bce=False
+        ).bounds_checks["elided"] == 0
+        with pytest.raises(KeyError):
+            swept.cell("gemm", "v8", "clamp", "x86_64")
+
+    def test_cell_rejects_a_cell_measured_at_two_sizes(self):
+        small = dataclasses.replace(SPEC, iterations=1)
+        swept = api.measure(SPEC, small, engine=engine())
+        with pytest.raises(ValueError, match="two sizes"):
+            swept.cell("gemm", "v8", "trap", "x86_64")
 
     def test_bce_rows_report_counter_movement(self):
         rows = api.run(SPEC, engine=engine())

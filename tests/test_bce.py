@@ -2,11 +2,9 @@
 
 Dominance-phase legality is exercised on hand-built IR (precise control
 over scope paths and facts); the loop phase runs on DSL-built kernels
-through the real frontend; gating, conservation and the global toggle
+through the real frontend; gating, conservation and the per-cell BCE flag
 go through the full pipeline.
 """
-
-import os
 
 import pytest
 
@@ -14,11 +12,17 @@ from repro.compiler.bce import BCEStats, bounds_check_elimination
 from repro.compiler.frontend import lower_function, lower_module
 from repro.compiler.ir import IRFunction, IRInstr
 from repro.compiler.passes import run_passes
-from repro.compiler.pipeline import ALL_PASSES, CompilerConfig, compile_module
+from repro.compiler.pipeline import (
+    ALL_PASSES,
+    CompilerConfig,
+    compile_module,
+    front_half_inputs,
+)
+from repro.core.engine import MeasurementEngine, MeasurementRequest
 from repro.compiler.timing import check_counts_for_profile, cycles_for_profile
 from repro.isa import isa_named
 from repro.runtime import Interpreter, strategy_named
-from repro.runtimes.registry import RUNTIMES, bce_enabled, set_bce_enabled
+from repro.runtimes.registry import RUNTIMES
 from repro.wasm.dsl import DslModule
 
 X86 = isa_named("x86_64")
@@ -279,7 +283,7 @@ class TestPipelineGating:
 
 
 # ----------------------------------------------------------------------
-# Configuration + the global toggle
+# Configuration + the per-cell BCE flag
 # ----------------------------------------------------------------------
 class TestConfigAndToggle:
     def test_bceloop_requires_bce(self):
@@ -289,24 +293,30 @@ class TestConfigAndToggle:
                 regalloc_quality=1.0, addressing_fusion=True,
             )
 
-    def test_set_bce_enabled_strips_and_restores_passes(self):
-        assert bce_enabled()
-        v8 = RUNTIMES["v8"]
-        default = v8.compiler.passes
-        assert {"bce", "bceloop"} <= default
-        try:
-            set_bce_enabled(False)
-            assert not bce_enabled()
-            assert "bce" not in v8.compiler.passes
-            assert "bceloop" not in v8.compiler.passes
-            assert os.environ.get("REPRO_NO_BCE") == "1"
-        finally:
-            set_bce_enabled(True)
-        assert bce_enabled()
-        assert v8.compiler.passes == default
-        assert "REPRO_NO_BCE" not in os.environ
+    def test_bce_off_strips_only_the_bce_passes(self):
+        v8 = RUNTIMES["v8"].compiler
+        assert {"bce", "bceloop"} <= v8.passes
+        trap = strategy_named("trap")
+        on, _ = front_half_inputs(v8, trap)
+        off, _ = front_half_inputs(v8, trap, bce=False)
+        assert on == v8.passes
+        assert off == v8.passes - {"bce", "bceloop"}
+        # Strategies without inline checks never run the passes.
+        mprotect = strategy_named("mprotect")
+        assert front_half_inputs(v8, mprotect) == front_half_inputs(
+            v8, mprotect, bce=False
+        )
 
-    def test_toggle_is_idempotent(self):
-        before = RUNTIMES["wavm"].compiler.passes
-        set_bce_enabled(True)
-        assert RUNTIMES["wavm"].compiler.passes == before
+    def test_bce_off_request_gets_its_own_key(self):
+        engine = MeasurementEngine(cache=False)
+        default = MeasurementRequest("gemm", "v8", "trap", "x86_64", size="mini")
+        off = MeasurementRequest(
+            "gemm", "v8", "trap", "x86_64", size="mini", bce=False
+        )
+        assert engine.key_for(off) != engine.key_for(default)
+        explicit = MeasurementRequest(
+            "gemm", "v8", "trap", "x86_64", size="mini", bce=True
+        )
+        assert engine.key_for(explicit) == engine.key_for(default)
+        assert "bce" not in default.to_json()
+        assert off.to_json()["bce"] is False

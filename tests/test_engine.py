@@ -149,11 +149,20 @@ class TestMeasurementCache:
         # The corrupt file was overwritten with a valid entry.
         assert MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST).cache_hit
 
-    @pytest.mark.parametrize("content", ["[]", "null"])
+    @pytest.mark.parametrize("content", [
+        "[]",
+        "null",
+        # An entry whose measurement has a field of the wrong type.
+        pytest.param({"kernel_stats": []}, id="kernel_stats-list"),
+    ])
     def test_non_object_entry_recomputed(self, isolated_caches, content):
         # Valid JSON that is not an entry is as corrupt as invalid JSON.
         MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST)
         path = next(isolated_caches.glob("*.json"))
+        if isinstance(content, dict):
+            raw = json.loads(path.read_text())
+            raw["measurement"].update(content)
+            content = json.dumps(raw)
         path.write_text(content)
         result = MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST)
         assert not result.cache_hit

@@ -8,7 +8,22 @@ import json
 
 import pytest
 
-from repro.core.experiments import fig1, fig2, fig3, fig4, fig5, fig6, replication
+from repro import api
+from repro.core import cli, engine
+from repro.core.experiments import (
+    extension_cheri,
+    extension_tiers,
+    fig1,
+    fig2,
+    fig3,
+    fig4,
+    fig5,
+    fig6,
+    fig_bce,
+    fig_cage,
+    fig_wasi,
+    replication,
+)
 from repro.core.experiments.common import (
     PBC_QUICK,
     SPEC_QUICK,
@@ -24,7 +39,10 @@ FAST_SPEC = ["519.lbm"]
 
 @pytest.fixture(autouse=True)
 def small_sets(monkeypatch):
-    for module in (fig1, fig2, fig3, fig4, fig5, fig6, replication):
+    for module in (
+        fig1, fig2, fig3, fig4, fig5, fig6, fig_bce, replication,
+        extension_cheri, extension_tiers,
+    ):
         monkeypatch.setattr(
             module,
             "suite_names",
@@ -163,6 +181,65 @@ class TestPersistence:
         path = save_results("fig1-test", rows)
         loaded = json.loads(path.read_text())
         assert loaded[0]["benchmark"] == rows[0]["benchmark"]
+
+
+class TestFigBce:
+    def test_bce_never_slows_a_row_and_cells_stay_in_cache_dir(
+        self, tmp_path, monkeypatch
+    ):
+        workdir = tmp_path / "cwd"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        cache = tmp_path / "cache"
+        engine.configure(cache_dir=cache)
+        try:
+            rows = fig_bce.run(size="mini")
+        finally:
+            engine.reset_default_engine()
+        # 2 kernels x 3 runtimes x 2 inline strategies.
+        assert len(rows) == 12
+        for row in rows:
+            assert row["median_ms"] <= row["median_ms_nobce"], row
+            assert row["checks_emitted"] <= row["checks_emitted_nobce"], row
+        # Both halves of the grid land in the configured directory:
+        # nothing goes to the working directory's default cache.
+        assert len(list((cache / "measurements").glob("*.json"))) == 24
+        assert not (workdir / ".cache").exists()
+
+
+#: A small call of every experiment's ``run()``, by CLI name.
+FIGURE_RUNS = {
+    "fig1": lambda: fig1.run(size="mini"),
+    "fig2": lambda: fig2.run("riscv64", size="mini"),
+    "fig3": lambda: fig3.run(size="mini", suites=("polybench",)),
+    "fig4": lambda: fig4.run(size="mini", suites=("polybench",)),
+    "fig5": lambda: fig5.run(size="mini", suites=("polybench",)),
+    "fig6": lambda: fig6.run(size="mini", suites=("polybench",)),
+    "fig-bce": lambda: fig_bce.run(size="mini"),
+    "fig-cage": lambda: fig_cage.run(size="mini", thread_steps=(1,)),
+    "fig-wasi": lambda: fig_wasi.run(size="mini", thread_steps=(1,)),
+    "replication": lambda: replication.run(size="mini"),
+    "cheri": lambda: extension_cheri.run(size="mini"),
+    "tiers": lambda: extension_tiers.run(size="mini"),
+}
+
+
+def test_every_experiment_is_covered():
+    assert set(FIGURE_RUNS) == set(cli._EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_RUNS))
+def test_run_makes_one_measure_call(name, monkeypatch):
+    calls = []
+    measure = api.measure
+
+    def counting(*specs, **kwargs):
+        calls.append(specs)
+        return measure(*specs, **kwargs)
+
+    monkeypatch.setattr(api, "measure", counting)
+    FIGURE_RUNS[name]()
+    assert len(calls) == 1
 
 
 class TestCheriExtension:

@@ -53,16 +53,28 @@ class TestProfileCache:
         _, profile = profile_for("gemm", "mini")
         assert profile.total_instrs > 1000
 
-    @pytest.mark.parametrize("content", ["[]", "null"])
+    @pytest.mark.parametrize("content", [
+        "[]",
+        "null",
+        # A profile with a field of the wrong type.
+        pytest.param({"instr_counts": []}, id="instr_counts-list"),
+        pytest.param({"grow_events": 5}, id="grow_events-int"),
+    ])
     def test_non_object_disk_entry_recomputed(self, isolated_cache, content):
         # Valid JSON that is not a profile is as corrupt as invalid JSON.
         profile_for("gemm", "mini")
         path = next(isolated_cache.glob("gemm-mini-*.json"))
+        original = path.read_text()
+        if isinstance(content, dict):
+            raw = json.loads(original)
+            raw.update(content)
+            content = json.dumps(raw)
         path.write_text(content)
         clear_profile_cache()
         _, profile = profile_for("gemm", "mini")
         assert profile.total_instrs > 1000
         assert json.loads(path.read_text())["workload"] == "gemm"
+        assert path.read_text() == original  # overwritten, not skipped
 
     def test_sizes_cached_separately(self, isolated_cache):
         _, mini = profile_for("gemm", "mini")
