@@ -73,7 +73,6 @@ class CompiledModule:
 
     module: Module
     isa: IsaModel
-    config: CompilerConfig
     strategy: BoundsStrategy
     functions: Dict[int, CompiledFunction] = field(default_factory=dict)
 
@@ -175,7 +174,7 @@ def compile_module(
     """
     if front is None:
         front = optimise_module(module, *front_half_inputs(config, strategy))
-    compiled = CompiledModule(module, isa, config, strategy)
+    compiled = CompiledModule(module, isa, strategy)
     extra_access_ops = config.baseline_access_ops
     if strategy.signal_on_oob or strategy.inline_check:
         extra_access_ops += config.signal_strategy_access_ops

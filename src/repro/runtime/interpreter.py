@@ -29,10 +29,20 @@ all three have bit-identical observables:
   the baseline ``benchmarks/interp_bench.py`` measures the fast path
   against on the same machine;
 * ``fused`` — pre-decoded handler table with superinstruction fusion
-  (:mod:`repro.runtime.predecode`) and struct-based fast memory
-  closures;
+  (:mod:`repro.runtime.predecode`), loop handlers and struct-based fast
+  memory closures;
 * ``opt`` (the default) — ``fused`` plus the tier-2 whole-function
   compiler (:mod:`repro.runtime.vectorize`) for hot functions.
+
+A *loop handler* (:func:`_gen_loop`) runs one innermost loop of the
+shape :func:`repro.runtime.predecode.find_loops` accepts, from entry to
+exit, in one dispatch instead of one per fused region per iteration.
+It counts every tier-1 dispatch unit of the body as tier-1 dispatch
+would and adds those counts in a ``finally``, so a trap mid-loop leaves
+exactly the per-pc, load and store counts tier-1 dispatch leaves.
+Tier-1 code (closures, regions, loop handlers) is built the first time
+tier 1 runs a function, never for one that tier 2 runs from its first
+call.
 """
 
 from __future__ import annotations
@@ -416,36 +426,34 @@ class Interpreter:
             self._depth -= 1
             raise ExhaustionError("call stack exhausted")
         try:
-            code = self._code_cache.get(func_index)
-            if code is None:
-                code = self._compile(func_index, func)
-                self._code_cache[func_index] = code
-                if self.collect_profile:
-                    self._counts[func_index] = [0] * len(code)
             frame = _Frame(args + _default_locals(func.locals))
-            n = len(code)
+            n = len(func.body)
             # The function body itself is a branch target (depth ==
             # number of open blocks): branching to it returns.
             frame.labels.append((n, 0, len(func_type.results)))
+            counts = None
+            if self.collect_profile:
+                counts = self._counts.get(func_index)
+                if counts is None:
+                    counts = self._counts[func_index] = [0] * n
             state = self._tiering
             if state is not None:
                 handler = state.handler_for(func_index, func)
-                if handler is not None and (
-                    handler(
-                        frame,
-                        self._counts[func_index]
-                        if self.collect_profile
-                        else None,
-                    )
-                    < 0
-                ):
+                if handler is not None and handler(frame, counts) < 0:
                     arity = len(func_type.results)
                     return frame.stack[-arity:] if arity else []
                 # handler returned 0: entry guard failed (deopt);
                 # the frame is untouched, run the whole call on tier 1.
+            # Tier-1 code is built when tier 1 first runs the function,
+            # so one that tier 2 runs from its first call never pays
+            # for closures, regions or loop handlers.
+            code = self._code_cache.get(func_index)
+            if code is None:
+                code = self._code_cache[func_index] = self._compile(
+                    func_index, func
+                )
             pc = 0
-            if self.collect_profile:
-                counts = self._counts[func_index]
+            if counts is not None:
                 while pc < n:
                     counts[pc] += 1
                     pc = code[pc](frame)
@@ -470,39 +478,31 @@ class Interpreter:
             ]
         plan = self._plans[func_index - self._num_imported]
         matches = plan.matches
+        memory = self.instance.memory
         code = [
             self._make_closure(pc, ins, matches, len(body), fast_mem=True)
             for pc, ins in enumerate(body)
         ]
         applied: List[predecode.FusedRegion] = []
+        in_loops = set()
+        for loop in plan.loops:
+            handler = _generated(
+                _gen_loop, loop, body, memory, self._counts.get(func_index)
+            )
+            if handler is not None:
+                code[loop.head] = handler
+                applied.extend(loop.regions)
+                in_loops.update(loop.regions)
         for region in plan.regions:
-            handler = self._make_fused(region, body)
+            if region in in_loops:
+                continue  # a loop handler runs it
+            handler = _generated(_gen_region, region, body, memory, len(body))
             if handler is not None:
                 code[region.head] = handler
                 applied.append(region)
         if applied:
             self._fused_regions[func_index] = applied
         return code
-
-    # ------------------------------------------------------------------
-    # Superinstruction handlers (fused dispatch)
-    # ------------------------------------------------------------------
-    def _make_fused(
-        self, region: predecode.FusedRegion, body: Sequence[Instr]
-    ) -> Optional[Callable]:
-        """Compile one region into a single Python handler, or None.
-
-        Returning None leaves the region unfused (every pc dispatches
-        its ordinary closure), which is always semantically safe.
-        """
-        try:
-            return _gen_region(region, body, self.instance.memory, len(body))
-        except Exception:
-            # Falling back to per-op dispatch is always semantically
-            # safe; REPRO_TIER_STRICT=1 (set in CI) surfaces the bug.
-            if tiering.strict():
-                raise
-            return None
 
     def _make_closure(self, pc, ins, matches, body_len, fast_mem=False):
         op = ins.op
@@ -764,6 +764,21 @@ class Interpreter:
         raise NotImplementedError(f"no interpreter support for {op}")  # pragma: no cover
 
 
+def _generated(gen: Callable, *args) -> Optional[Callable]:
+    """A fused-tier handler from ``gen(*args)``, or None if codegen fails.
+
+    None leaves the region or loop on per-unit dispatch, which is
+    always semantically safe; REPRO_TIER_STRICT=1 (set in CI) raises
+    instead, so the codegen bug surfaces.
+    """
+    try:
+        return gen(*args)
+    except Exception:
+        if tiering.strict():
+            raise
+        return None
+
+
 class _Frame:
     __slots__ = ("stack", "locals", "labels")
 
@@ -936,6 +951,16 @@ def _slow_load(memory: LinearMemory, addr: int, size: int, unpack_from):
     return unpack_from(memory.data, effective)[0]
 
 
+def _slow_store(memory: LinearMemory, addr: int, size: int, pack_into, value):
+    """Out-of-bounds store: defer to the strategy, like store_bytes."""
+    effective = memory._check(addr, size, write=True)
+    if effective < 0:
+        return  # 'none': write lands in the guard scratch area
+    if memory.track_pages:
+        memory._touch(effective, size)
+    pack_into(memory.data, effective, value)
+
+
 def _value_loader(memory: LinearMemory, op: str) -> Callable[[int], Any]:
     """Return fn(effective_addr) -> value for one typed load op."""
     fmt, mask = _FAST_LOAD[op]
@@ -1002,12 +1027,7 @@ def _value_storer(memory: LinearMemory, op: str) -> Callable[[int, Any], None]:
                     touched.update(range(first, last + 1))
             pack_into(data, addr, value)
             return
-        effective = memory._check(addr, size, write=True)
-        if effective < 0:
-            return  # 'none': write lands in the guard scratch area
-        if track:
-            memory._touch(effective, size)
-        pack_into(data, effective, value)
+        _slow_store(memory, addr, size, pack_into, value)
 
     return store
 
@@ -1052,14 +1072,16 @@ def _const_value(ins: Instr) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Superinstruction code generator
+# Superinstruction and loop-handler code generator
 # ----------------------------------------------------------------------
-# Each fused region compiles to ONE Python function via symbolic stack
-# evaluation: walking the region's instructions with a compile-time
-# stack of expression strings turns e.g. the 10-op PolyBench address
-# chain ``local.get;const;mul;local.get;add;const;mul;const;add;load``
-# into a single statement.  The hot numeric ops inline as expressions
-# that are textually identical to the corresponding _BINOPS lambdas;
+# Each fused region and each loop handler compiles to ONE Python
+# function via symbolic stack evaluation: walking the instructions with
+# a compile-time stack of expression strings turns e.g. the 10-op
+# PolyBench address chain
+# ``local.get;const;mul;local.get;add;const;mul;const;add;load`` into a
+# few statements.  The hot numeric ops inline as expression templates
+# that compute what the corresponding _BINOPS/_UNOPS functions do
+# (tests/test_interpreter.py checks each on boundary operands);
 # everything else calls the table function, so fused semantics are the
 # interpreter's semantics by construction.
 
@@ -1097,6 +1119,13 @@ for _ty, _cmps in (
 ):
     for _cmp, _sym in _cmps:
         _INLINE_BINOPS[f"{_ty}.{_cmp}"] = f"(1 if {{0}} {_sym} {{1}} else 0)"
+# Signed compares of canonical unsigned values: flipping the sign bit
+# maps signed order onto unsigned order, with no s32/s64 call.
+for _ty, _bias in (("i32", 1 << 31), ("i64", 1 << 63)):
+    for _cmp, _sym in (("lt_s", "<"), ("gt_s", ">"), ("le_s", "<="), ("ge_s", ">=")):
+        _INLINE_BINOPS[f"{_ty}.{_cmp}"] = (
+            f"(1 if ({{0}} ^ {_bias}) {_sym} ({{1}} ^ {_bias}) else 0)"
+        )
 
 #: op -> expression template ({0}=operand); MUST mirror _UNOPS.
 _INLINE_UNOPS: Dict[str, str] = {
@@ -1106,156 +1135,335 @@ _INLINE_UNOPS: Dict[str, str] = {
 }
 
 
-def _gen_region(
-    region, body: Sequence[Instr], memory: LinearMemory, body_len: int
-) -> Optional[Callable]:
-    """Compile one fused region to a single handler function.
+class _Translator:
+    """Symbolic-stack translation of straight-line Wasm ops to Python.
 
-    The symbolic stack ``sym`` holds, for every value the region has
-    (conceptually) pushed, a pure Python expression: a local slot
-    ``L[i]``, an int literal, a bound constant, or a temp assigned by
-    an earlier statement.  Real frame-stack traffic only happens when
-    the region consumes values pushed *before* it (inline ``S.pop()``
-    in exactly the order the unfused interpreter would pop them) and
-    in the final flush that pushes leftover expressions.  Because all
-    expressions are pure, every interleaving matches the unfused one.
+    The one op translator behind both handler kinds: a fused region
+    (:func:`_gen_region`, this class) and a loop handler
+    (:func:`_gen_loop`, :class:`_LoopTranslator`).  The symbolic stack
+    ``sym`` holds, for every value the code has (conceptually) pushed
+    and not yet consumed, a pure Python expression: a local, an int
+    literal, a bound constant, or a temp assigned by an earlier
+    statement.  Every other op is emitted as a statement in program
+    order; only constants and local reads stay unevaluated, and writing
+    a local first materialises the pending reads of that local, so
+    every statement sees the values the unfused interpreter would.
+
+    A region reads and writes locals through ``L = f.locals``, pops
+    values pushed before it off ``S = f.stack`` and calls the fast
+    memory closures.
     """
-    head = region.head
-    after = head + region.length
-    ins_list = list(body[head:after])
-    env: Dict[str, Any] = {"_branch": _branch}
-    lines: List[str] = []
-    sym: List[str] = []
-    counts = {"t": 0, "u": 0}
 
-    def bind(value: Any) -> str:
-        name = f"_e{len(env)}"
-        env[name] = value
+    def __init__(self, memory: Optional[LinearMemory]) -> None:
+        self.memory = memory
+        self.env: Dict[str, Any] = {}
+        self.lines: List[str] = []
+        self.sym: List[str] = []
+        self.temps = 0
+        self.underflows = 0
+
+    def bind(self, value: Any) -> str:
+        name = f"_e{len(self.env)}"
+        self.env[name] = value
         return name
 
-    def emit(stmt: str) -> None:
-        lines.append("    " + stmt)
+    def emit(self, stmt: str, depth: int = 0) -> None:
+        self.lines.append("    " * depth + stmt)
 
-    def new_temp(expr: str) -> str:
-        name = f"t{counts['t']}"
-        counts["t"] += 1
-        emit(f"{name} = {expr}")
+    def fresh(self) -> str:
+        name = f"t{self.temps}"
+        self.temps += 1
         return name
 
-    def pop() -> str:
-        if sym:
-            return sym.pop()
+    def new_temp(self, expr: str) -> str:
+        name = self.fresh()
+        self.emit(f"{name} = {expr}")
+        return name
+
+    def pop(self) -> str:
+        if self.sym:
+            return self.sym.pop()
         # Underflow: the region consumes a value pushed before it.
-        name = f"u{counts['u']}"
-        counts["u"] += 1
-        emit(f"{name} = S.pop()")
+        name = f"u{self.underflows}"
+        self.underflows += 1
+        self.emit(f"{name} = S.pop()")
         return name
 
-    def flush_locals() -> None:
-        # Materialise pending L[...] reads before a local is written so
-        # they observe the pre-assignment value, as unfused ops did.
-        for idx, expr in enumerate(sym):
-            if "L[" in expr:
-                sym[idx] = new_temp(expr)
-
-    def flush_stack() -> None:
+    def flush_stack(self) -> None:
+        sym = self.sym
         if len(sym) == 1:
-            emit(f"S.append({sym[0]})")
+            self.emit(f"S.append({sym[0]})")
         elif sym:
-            emit(f"S.extend(({', '.join(sym)}))")
+            self.emit(f"S.extend(({', '.join(sym)}))")
         sym.clear()
 
-    start = 0
-    if ins_list[0].op == "loop":
-        # The loop label must be live before anything else runs; ops
-        # inside the loop cannot pop below it, so no underflow precedes.
-        emit(f"f.labels.append(({head}, len(S), 0))")
-        start = 1
+    def local(self, index: int) -> str:
+        return f"L[{index}]"
 
-    terminated = False
-    for ins in ins_list[start:]:
+    def translate(self, ins: Instr) -> None:
+        """Emit one non-branch op; raise on one it does not handle."""
         op = ins.op
+        sym = self.sym
         if op == "local.get":
-            sym.append(f"L[{ins.args[0]}]")
-        elif op == "local.set":
-            flush_locals()
-            value = pop()
-            emit(f"L[{ins.args[0]}] = {value}")
-        elif op == "local.tee":
-            flush_locals()
-            value = pop()
-            sym.append(value)
-            emit(f"L[{ins.args[0]}] = {value}")
+            sym.append(self.local(ins.args[0]))
+        elif op in ("local.set", "local.tee"):
+            target = self.local(ins.args[0])
+            for idx, expr in enumerate(sym):
+                if expr == target:
+                    sym[idx] = self.new_temp(expr)
+            value = self.pop()
+            self.emit(f"{target} = {value}")
+            if op == "local.tee":
+                sym.append(value)
         elif op in ("i32.const", "i64.const"):
             sym.append(repr(_const_value(ins)))
         elif op in ("f32.const", "f64.const"):
-            sym.append(bind(_const_value(ins)))
+            sym.append(self.bind(_const_value(ins)))
         elif op == "drop":
-            pop()
+            self.pop()
         elif op == "select":
-            cond = pop()
-            second = pop()
-            first = pop()
-            sym.append(new_temp(f"({first} if {cond} else {second})"))
+            cond = self.pop()
+            second = self.pop()
+            first = self.pop()
+            sym.append(self.new_temp(f"({first} if {cond} else {second})"))
         elif op in predecode.LOAD_NAMES:
-            addr = pop()
-            loader = bind(_value_loader(memory, op))
-            offset = ins.args[1]
-            expr = f"{loader}({addr} + {offset})" if offset else f"{loader}({addr})"
-            sym.append(expr)  # last op of the region: no temp needed
+            addr = self.effective(self.pop(), ins.args[1])
+            sym.append(self.load(op, addr))
         elif op in predecode.STORE_NAMES:
-            value = pop()
-            addr = pop()
-            storer = bind(_value_storer(memory, op))
-            offset = ins.args[1]
-            target = f"{addr} + {offset}" if offset else addr
-            emit(f"{storer}({target}, {value})")
-        elif op == "br":
-            flush_stack()
-            emit(f"return _branch(f, {ins.args[0]})")
-            terminated = True
-        elif op == "br_if":
-            cond = pop()
-            flush_stack()
-            emit(f"if {cond}:")
-            lines.append(f"        return _branch(f, {ins.args[0]})")
-        elif op == "return":
-            flush_stack()
-            emit(f"return {body_len}")
-            terminated = True
+            value = self.pop()
+            addr = self.effective(self.pop(), ins.args[1])
+            self.store(op, addr, value)
         elif op in _BINOPS:
-            rhs = pop()
-            lhs = pop()
+            rhs = self.pop()
+            lhs = self.pop()
             template = _INLINE_BINOPS.get(op)
             if template is not None:
                 expr = template.format(lhs, rhs)
             else:
-                expr = f"{bind(_BINOPS[op])}({lhs}, {rhs})"
-            sym.append(new_temp(expr))
+                expr = f"{self.bind(_BINOPS[op])}({lhs}, {rhs})"
+            sym.append(self.new_temp(expr))
         elif op in _UNOPS:
-            operand = pop()
+            operand = self.pop()
             template = _INLINE_UNOPS.get(op)
             if template is not None:
                 expr = template.format(operand)
             else:
-                expr = f"{bind(_UNOPS[op])}({operand})"
-            sym.append(new_temp(expr))
-        else:  # pragma: no cover - planner only schedules known ops
-            return None
-    if not terminated:
-        flush_stack()
-        emit(f"return {after}")
+                expr = f"{self.bind(_UNOPS[op])}({operand})"
+            sym.append(self.new_temp(expr))
+        else:
+            raise NotImplementedError(f"no fused translation for {op}")
 
-    # Bind the environment through default parameters: defaults live in
-    # the function object, so handler-time lookups are all LOAD_FAST.
-    params = "".join(f", {name}={name}" for name in env)
-    source = "\n".join(
-        [f"def _fused(f{params}):", "    L = f.locals", "    S = f.stack"]
-        + lines
-    ) + "\n"
-    namespace = dict(env)
-    exec(compile(source, f"<fused:{head}+{region.length}>", "exec"), namespace)
-    return namespace["_fused"]
+    def effective(self, addr: str, offset: int) -> str:
+        return self.new_temp(f"{addr} + {offset}") if offset else addr
+
+    def load(self, op: str, addr: str) -> str:
+        loader = self.bind(_value_loader(self.memory, op))
+        return self.new_temp(f"{loader}({addr})")
+
+    def store(self, op: str, addr: str, value: str) -> None:
+        storer = self.bind(_value_storer(self.memory, op))
+        self.emit(f"{storer}({addr}, {value})")
+
+    def build(self, name: str, lines: List[str], filename: str) -> Callable:
+        """Compile ``def name(f): lines`` with the environment bound.
+
+        The environment is bound through default parameters: defaults
+        live in the function object, so handler-time lookups are all
+        LOAD_FAST.
+        """
+        params = "".join(f", {key}={key}" for key in self.env)
+        source = "\n".join(
+            [f"def {name}(f{params}):"] + ["    " + line for line in lines]
+        ) + "\n"
+        namespace = dict(self.env)
+        exec(compile(source, filename, "exec"), namespace)
+        return namespace[name]
+
+
+class _LoopTranslator(_Translator):
+    """The op translator for a loop handler's body.
+
+    Locals live in Python locals (``l<i>``) and the frame stack is
+    never touched.  In-bounds loads and stores are inlined against
+    ``n = len(data)``, hoisted out of the loop, and counted in ``nl``
+    and ``ns``; with the page-touch rule of :func:`_value_loader`/
+    :func:`_value_storer`, they leave the same observables.  Any other
+    access takes :func:`_slow_load`/:func:`_slow_store`.
+    """
+
+    def local(self, index: int) -> str:
+        return f"l{index}"
+
+    def pop(self) -> str:
+        # Validation forbids popping below the loop's label.
+        return self.sym.pop()
+
+    def load(self, op: str, addr: str) -> str:
+        fmt, mask = _FAST_LOAD[op]
+        packer = struct.Struct(fmt)
+        unpack = self.bind(packer.unpack_from)
+        masked = f" & {mask}" if mask is not None else ""
+        value = self.fresh()
+        self.env["_slow_load"] = _slow_load
+        self.emit("nl += 1")
+        self._inline_access(
+            addr,
+            packer.size,
+            f"{value} = {unpack}(data, {addr})[0]{masked}",
+            f"{value} = _slow_load(mem, {addr}, {packer.size}, {unpack}){masked}",
+        )
+        return value
+
+    def store(self, op: str, addr: str, value: str) -> None:
+        fmt, mask = _FAST_STORE[op]
+        packer = struct.Struct(fmt)
+        pack = self.bind(packer.pack_into)
+        if mask is not None:
+            value = self.new_temp(f"{value} & {mask}")
+        self.env["_slow_store"] = _slow_store
+        self.emit("ns += 1")
+        self._inline_access(
+            addr,
+            packer.size,
+            f"{pack}(data, {addr}, {value})",
+            f"_slow_store(mem, {addr}, {packer.size}, {pack}, {value})",
+        )
+
+    def _inline_access(self, addr: str, size: int, fast: str, slow: str) -> None:
+        """``fast`` in bounds, after adding the access's one or two 4 KiB
+        pages to the touched set; ``slow`` otherwise."""
+        memory = self.memory
+        self.env["data"] = memory.data
+        self.env["mem"] = memory
+        self.emit(f"if {addr} + {size} <= n:")
+        if memory.track_pages:
+            self.env["touch"] = memory.touched_pages.add
+            self.emit(f"touch({addr} >> 12)", 1)
+            if size > 1:
+                self.emit(f"if {addr} & 4095 > {4096 - size}:", 1)
+                self.emit(f"touch(({addr} >> 12) + 1)", 2)
+        self.emit(fast, 1)
+        self.emit("else:")
+        self.emit(slow, 1)
+
+
+def _gen_region(
+    region, body: Sequence[Instr], memory: LinearMemory, body_len: int
+) -> Callable:
+    """Compile one fused region to a single handler function.
+
+    Real frame-stack traffic only happens when the region consumes
+    values pushed *before* it (inline ``S.pop()`` in exactly the order
+    the unfused interpreter would pop them) and in the final flush that
+    pushes leftover expressions.
+    """
+    head = region.head
+    after = head + region.length
+    gen = _Translator(memory)
+    gen.env["_branch"] = _branch
+    instrs = body[head:after]
+    if instrs[0].op == "loop":
+        # The loop label must be live before anything else runs; ops
+        # inside the loop cannot pop below it, so no underflow precedes.
+        gen.emit(f"f.labels.append(({head}, len(S), 0))")
+        instrs = instrs[1:]
+    terminated = False
+    for ins in instrs:
+        op = ins.op
+        if op == "br_if":
+            cond = gen.pop()
+            gen.flush_stack()
+            gen.emit(f"if {cond}:")
+            gen.emit(f"return _branch(f, {ins.args[0]})", 1)
+        elif op == "br":
+            gen.flush_stack()
+            gen.emit(f"return _branch(f, {ins.args[0]})")
+            terminated = True
+        elif op == "return":
+            gen.flush_stack()
+            gen.emit(f"return {body_len}")
+            terminated = True
+        else:
+            gen.translate(ins)
+    if not terminated:
+        gen.flush_stack()
+        gen.emit(f"return {after}")
+    return gen.build(
+        "_fused",
+        ["L = f.locals", "S = f.stack"] + gen.lines,
+        f"<fused:{head}+{region.length}>",
+    )
+
+
+def _gen_loop(
+    loop, body: Sequence[Instr], memory: Optional[LinearMemory], counts
+) -> Callable:
+    """Compile one innermost loop (a ``predecode.FusedLoop``) to a handler.
+
+    Installed at the ``block`` pc, the handler runs every iteration in
+    one Python ``while True`` and returns the pc after the block.  It
+    keeps one local counter per tier-1 dispatch unit of the body (a
+    fused region or a single pc), bumped where tier-1 dispatch would
+    count it, plus local load and store counts; a ``finally`` adds them
+    to ``counts`` (None when not profiling) and to the memory's
+    counters, so a trap mid-loop leaves exactly the counts tier-1
+    dispatch leaves.  Values left on the stack when a branch is taken
+    are dropped with the symbolic stack, as ``_branch`` would drop them.
+    """
+    gen = _LoopTranslator(memory)
+    regions = {region.head: region for region in loop.regions}
+    units: List[int] = []
+    unit_end = 0
+    for pc in range(loop.head + 1, loop.end - 1):
+        if pc >= unit_end:
+            region = regions.get(pc)
+            unit_end = pc + (region.length if region is not None else 1)
+            if counts is not None:
+                gen.emit(f"c{len(units)} += 1")
+            units.append(pc)
+        ins = body[pc]
+        if ins.op == "br_if":
+            gen.emit(f"if {gen.pop()}:")
+            gen.emit("continue" if ins.args[0] == 0 else "break", 1)
+        elif ins.op not in ("loop", "br"):  # the closing br 0 loops
+            gen.translate(ins)
+
+    inner = body[loop.head + 2 : loop.end - 2]
+    loads = any(ins.op in predecode.LOAD_NAMES for ins in inner)
+    stores = any(ins.op in predecode.STORE_NAMES for ins in inner)
+    used = {ins.args[0] for ins in inner if ins.op.startswith("local.")}
+    written = {ins.args[0] for ins in inner if ins.op in ("local.set", "local.tee")}
+    prologue = ["L = f.locals"] + [f"l{i} = L[{i}]" for i in sorted(used)]
+    flush: List[str] = []
+    if counts is not None:
+        gen.env["counts"] = counts
+        prologue.append(" = ".join(f"c{k}" for k in range(len(units))) + " = 0")
+        flush += [f"counts[{pc}] += c{k}" for k, pc in enumerate(units)]
+    if loads or stores:
+        # No call or memory.grow in the body: the size cannot change.
+        prologue.append("n = len(data)")
+    if loads:
+        prologue.append("nl = 0")
+        flush.append("mem.load_count += nl")
+    if stores:
+        prologue.append("ns = 0")
+        flush.append("mem.store_count += ns")
+    # A body of pure ops emits nothing unless it counts; "pass" keeps
+    # such a (never-ending) loop valid Python.
+    lines = ["while True:"] + ["    " + line for line in gen.lines or ["pass"]]
+    if flush:
+        lines = (
+            ["try:"]
+            + ["    " + line for line in lines]
+            + ["finally:"]
+            + ["    " + line for line in flush]
+        )
+    epilogue = [f"L[{i}] = l{i}" for i in sorted(written)]
+    return gen.build(
+        "_loop",
+        prologue + lines + epilogue + [f"return {loop.end + 1}"],
+        f"<loop:{loop.head}..{loop.end}>",
+    )
 
 
 # ----------------------------------------------------------------------

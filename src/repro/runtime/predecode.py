@@ -9,7 +9,9 @@ execution starts:
 * ``targets`` — every pc that can be entered non-sequentially (branch
   landing sites); fusion must never swallow one of these;
 * ``regions`` — the superinstruction schedule: non-overlapping runs of
-  instructions that one fused handler executes in a single dispatch.
+  instructions that one fused handler executes in a single dispatch;
+* ``loops`` — innermost loops of one fixed shape (:func:`find_loops`)
+  that one *loop handler* runs from entry to exit in a single dispatch.
 
 Plans are pure data (deterministic functions of the body), built in
 memory once per interpreter at module load; the ``legacy`` tier builds
@@ -29,6 +31,10 @@ interpreter's handlers):
    pc's count and can be reconstructed exactly at profile time;
 3. regions contain no calls, so no reentrancy can observe the
    (elided) transient stack states.
+
+A loop handler keeps these rules: it counts each region (and each
+unfused pc) of the loop body once per execution, exactly as tier-1
+dispatch would, so the same reconstruction applies to it.
 """
 
 from __future__ import annotations
@@ -103,7 +109,9 @@ STORE_NAMES = frozenset(
 # The interpreter compiles each region to one Python function via
 # symbolic stack evaluation (see ``interpreter._gen_region``), so a
 # whole PolyBench inner-loop statement collapses into a single
-# dispatch.
+# dispatch.  A loop of the shape :func:`find_loops` accepts goes one
+# step further: ``interpreter._gen_loop`` runs all of its iterations,
+# with every region inside it, in a single dispatch.
 
 #: Pure ops: no traps, no control transfer, no memory side effects.
 SAFE_OPS = (
@@ -143,6 +151,32 @@ class FusedRegion:
         return range(self.head + 1, self.head + self.length)
 
 
+#: Ops a loop body may hold besides ``br_if 0|1`` and its closing
+#: ``br 0``: everything a fused region may hold except branches.  There
+#: is no call, ``memory.grow`` or nested control among them, so linear
+#: memory cannot resize while a loop handler runs.
+LOOP_BODY_OPS = (
+    SAFE_OPS | LOAD_NAMES | STORE_NAMES | TRAPPING_BINOPS | TRAPPING_UNOPS
+)
+
+
+@dataclass(frozen=True)
+class FusedLoop:
+    """One innermost loop that a single loop handler runs.
+
+    ``head`` is the ``block`` pc and ``head + 1`` its ``loop``; ``end``
+    is the block's ``end`` and ``end - 1`` the loop's.  The body ends
+    in ``br 0`` at ``end - 2``, so neither ``end`` ever executes: the
+    only way out is a taken ``br_if 1``, which lands on ``end + 1``.
+    ``regions`` are the fusion regions inside the body; each of them,
+    and each body pc outside them, is one tier-1 dispatch unit.
+    """
+
+    head: int
+    end: int
+    regions: Tuple[FusedRegion, ...]
+
+
 @dataclass
 class FunctionPlan:
     """Pre-decode result for one function body."""
@@ -153,6 +187,8 @@ class FunctionPlan:
     targets: frozenset = frozenset()
     #: non-overlapping fusion regions, ordered by head pc.
     regions: List[FusedRegion] = field(default_factory=list)
+    #: innermost loops a loop handler can run, ordered by head pc.
+    loops: List[FusedLoop] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -237,12 +273,53 @@ def find_regions(
     return regions
 
 
+def find_loops(
+    body: Sequence[Instr],
+    matches: Dict[int, Any],
+    regions: Sequence[FusedRegion],
+) -> List[FusedLoop]:
+    """Every innermost loop of the one shape a loop handler runs.
+
+    The shape is ``block`` + ``loop``, both without results, whose
+    ``end``s are adjacent; a body of :data:`LOOP_BODY_OPS` and
+    ``br_if 0|1`` only; and a last body op ``br 0``.  Other loops stay
+    on tier-1 dispatch.
+    """
+    loops: List[FusedLoop] = []
+    for pc in range(len(body) - 1):
+        block, loop = body[pc], body[pc + 1]
+        if (
+            block.op != "block"
+            or loop.op != "loop"
+            or block.args[0] is not None
+            or loop.args[0] is not None
+        ):
+            continue
+        end = matches[pc][0]
+        last = end - 2
+        if matches[pc + 1][0] != end - 1 or last < pc + 2:
+            continue
+        if body[last].op != "br" or body[last].args[0] != 0:
+            continue
+        if all(
+            ins.op in LOOP_BODY_OPS
+            or (ins.op == "br_if" and ins.args[0] in (0, 1))
+            for ins in body[pc + 2 : last]
+        ):
+            inner = tuple(r for r in regions if pc < r.head < end)
+            loops.append(FusedLoop(pc, end, inner))
+    return loops
+
+
 def plan_function(body: Sequence[Instr]) -> FunctionPlan:
     """Pre-decode one function body."""
     matches = match_control(body)
     targets = jump_targets(body, matches)
     regions = find_regions(body, targets)
-    return FunctionPlan(matches=matches, targets=targets, regions=regions)
+    loops = find_loops(body, matches, regions)
+    return FunctionPlan(
+        matches=matches, targets=targets, regions=regions, loops=loops
+    )
 
 
 def plans_for_module(module) -> Dict[int, FunctionPlan]:

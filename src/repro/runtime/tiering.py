@@ -4,7 +4,8 @@ The interpreter has three tiers, selected by the ``tier`` constructor
 parameter or ``REPRO_TIER``; this is its only execution knob:
 
 * ``legacy`` — the original per-op closure dispatch, unfused;
-* ``fused``  — pre-decoded superinstruction dispatch;
+* ``fused``  — pre-decoded superinstruction dispatch, with one loop
+  handler per innermost loop of the supported shape;
 * ``opt``    — fused dispatch plus the tier-2 whole-function compiler
   (:mod:`repro.runtime.vectorize`) for functions that get hot.
 
@@ -18,8 +19,9 @@ interpreter from its pre-decode plans.
 Tier-2 execution is bit-identical to the other tiers by construction
 (see :mod:`repro.runtime.vectorize`).  ``REPRO_TIER_STRICT=1`` (set in
 CI) turns an *unexpected* failure in either silent fallback into a
-hard error: tier-2 compile/install falling back to tier 1, and
-fused-region codegen falling back to per-op closures.
+hard error: tier-2 compile/install falling back to tier 1, fused-region
+codegen falling back to per-op closures, and loop-handler codegen
+falling back to per-region dispatch.
 """
 
 from __future__ import annotations

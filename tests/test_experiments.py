@@ -37,6 +37,25 @@ FAST_PBC = ["gemm", "trisolv"]
 FAST_SPEC = ["519.lbm"]
 
 
+@pytest.fixture(autouse=True, scope="module")
+def fresh_measurements(tmp_path_factory):
+    """Measure every cell of this module into an empty cache.
+
+    Measurement keys do not cover compiler, simulation or kernel
+    source, so cells left in ``./.cache/measurements`` by older code
+    could otherwise pass these shape checks.  Profiles stay on the
+    committed files.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(
+            "REPRO_MEASUREMENT_CACHE_DIR",
+            str(tmp_path_factory.mktemp("measurements")),
+        )
+        engine.reset_default_engine()
+        yield
+        engine.reset_default_engine()
+
+
 @pytest.fixture(autouse=True)
 def small_sets(monkeypatch):
     for module in (

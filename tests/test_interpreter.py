@@ -355,3 +355,51 @@ class TestGlobals:
         interp = Interpreter(mb.build())
         assert interp.invoke("bump") == 6
         assert interp.invoke("bump") == 7
+
+
+# ----------------------------------------------------------------------
+# Fused-code templates mirror the operator tables
+# ----------------------------------------------------------------------
+from repro.runtime import interpreter as _interp  # noqa: E402
+from repro.wasm import opcodes  # noqa: E402
+
+_INT_BOUNDARIES = {
+    "i32": (0, 1, 2**31 - 1, 2**31, 2**32 - 1),
+    "i64": (0, 1, 2**63 - 1, 2**63, 2**64 - 1),
+}
+_FLOAT_BOUNDARIES = (
+    0.0, -0.0, 1.0, -1.5, 2.0**-1074, 3.4028234663852886e38,
+    math.inf, -math.inf, math.nan,
+)
+
+
+def _operands(op):
+    ty = opcodes.BY_NAME[op].params[0]
+    return _INT_BOUNDARIES.get(ty, _FLOAT_BOUNDARIES)
+
+
+def _same(a, b):
+    if isinstance(a, float) or isinstance(b, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+class TestInlineTemplates:
+    """Every inline template computes what its table function does."""
+
+    @pytest.mark.parametrize("op", sorted(_interp._INLINE_BINOPS))
+    def test_binop_template(self, op):
+        fn = eval(
+            "lambda a, b: " + _interp._INLINE_BINOPS[op].format("a", "b")
+        )
+        table = _interp._BINOPS[op]
+        for a in _operands(op):
+            for b in _operands(op):
+                assert _same(fn(a, b), table(a, b)), (op, a, b)
+
+    @pytest.mark.parametrize("op", sorted(_interp._INLINE_UNOPS))
+    def test_unop_template(self, op):
+        fn = eval("lambda a: " + _interp._INLINE_UNOPS[op].format("a"))
+        table = _interp._UNOPS[op]
+        for a in _operands(op):
+            assert _same(fn(a), table(a)), (op, a)

@@ -1,10 +1,19 @@
 """Tests for the profile cache (memory + disk)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.core.profiles import clear_profile_cache, profile_for
+from repro.core.profiles import (
+    _profile_from_json,
+    clear_profile_cache,
+    module_digest,
+    profile_for,
+)
+
+#: The profiles committed with the repository.
+COMMITTED = Path(__file__).resolve().parents[1] / ".cache" / "profiles"
 
 
 @pytest.fixture(autouse=True)
@@ -88,3 +97,31 @@ class TestProfileCache:
             f.unlink()
         _, second = profile_for("505.mcf", "mini")
         assert first.instr_counts == second.instr_counts
+
+
+class TestCommittedProfiles:
+    """The committed profiles hold what this interpreter computes.
+
+    Profile files are named by workload, size and module digest only,
+    so nothing else notices an interpreter change that moves a count.
+    Parsed content is compared, not bytes: files written before the
+    ``syscalls`` key existed lack it, and it reads back as empty.
+    """
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(COMMITTED.glob("*-mini-*.json")),
+        ids=lambda path: path.name.rsplit("-", 1)[0],
+    )
+    def test_mini_profile_recomputes_equal(self, path, isolated_cache):
+        committed = _profile_from_json(json.loads(path.read_text()))
+        workload, size = committed.workload, committed.size
+        assert path.name == (
+            f"{workload.replace('/', '_')}-{size}-"
+            f"{module_digest(workload, size)[:16]}.json"
+        ), "stale file: its module digest is not the workload's"
+        _, recomputed = profile_for(workload, size)
+        assert recomputed == committed
+
+    def test_committed_profiles_are_found(self):
+        assert list(COMMITTED.glob("*-mini-*.json"))
