@@ -346,23 +346,22 @@ def _pool_context():
 # --------------------------------------------------------------------------
 # Worker entry point (module-level so it pickles under 'spawn' too).
 
-def _execute(payload: dict) -> dict:
+def _execute(request: MeasurementRequest) -> MeasurementResult:
     """Run one request in a (possibly worker) process."""
     started = time.perf_counter()
-    measurement = run_benchmark(**payload)
-    return {
-        "measurement": measurement_to_json(measurement),
-        "elapsed": time.perf_counter() - started,
-    }
+    measurement = run_benchmark(**request.to_json())
+    return MeasurementResult(
+        measurement, False, time.perf_counter() - started
+    )
 
 
-def _error_outcome(exc: BaseException, elapsed: float) -> dict:
-    """The outcome shape :meth:`MeasurementEngine._finish` expects for a
-    request whose execution raised instead of measuring."""
-    return {
-        "error": {"kind": type(exc).__name__, "message": str(exc)},
-        "elapsed": elapsed,
-    }
+def _failed(
+    request: MeasurementRequest, exc: Exception, elapsed: float
+) -> MeasurementResult:
+    """The result of a request whose execution raised instead of
+    measuring."""
+    error = MeasurementError(request, type(exc).__name__, str(exc))
+    return MeasurementResult(None, False, elapsed, error=error)
 
 
 def resolve_jobs(jobs) -> int:
@@ -541,32 +540,31 @@ class MeasurementEngine:
                 for request, key in misses:
                     started = time.perf_counter()
                     try:
-                        outcome = _execute(request.to_json())
+                        result = _execute(request)
                     except Exception as exc:
-                        outcome = _error_outcome(
-                            exc, time.perf_counter() - started
+                        result = _failed(
+                            request, exc, time.perf_counter() - started
                         )
-                    self._finish(request, key, outcome, results, progress)
+                    self._finish(request, key, result, results, progress)
             else:
                 pool = self._pool()
                 started = time.perf_counter()
                 futures = {
-                    pool.submit(_execute, request.to_json()):
-                        (request, key)
+                    pool.submit(_execute, request): (request, key)
                     for request, key in misses
                 }
                 for future in as_completed(futures):
                     request, key = futures[future]
                     try:
-                        outcome = future.result()
+                        result = future.result()
                     except Exception as exc:
                         # One worker exception no longer poisons the
                         # whole map(): the other futures keep running
                         # and their results are kept (and cached).
-                        outcome = _error_outcome(
-                            exc, time.perf_counter() - started
+                        result = _failed(
+                            request, exc, time.perf_counter() - started
                         )
-                    self._finish(request, key, outcome, results, progress)
+                    self._finish(request, key, result, results, progress)
 
         ordered = [results[key] for key in keys]
         errors, seen = [], set()
@@ -605,20 +603,9 @@ class MeasurementEngine:
             self._finalizer = None
             self._executor = None
 
-    def _finish(self, request, key, outcome, results, progress) -> None:
-        if "error" in outcome:
-            error = MeasurementError(
-                request=request,
-                kind=outcome["error"]["kind"],
-                message=outcome["error"]["message"],
-            )
-            result = MeasurementResult(
-                None, False, outcome["elapsed"], error=error
-            )
-        else:
-            measurement = measurement_from_json(outcome["measurement"])
-            self._store(request, key, measurement)
-            result = MeasurementResult(measurement, False, outcome["elapsed"])
+    def _finish(self, request, key, result, results, progress) -> None:
+        if result.ok:
+            self._store(request, key, result.measurement)
         self._resolve(request, key, result, results, progress)
 
     def _resolve(self, request, key, result, results, progress) -> None:

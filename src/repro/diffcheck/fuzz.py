@@ -41,10 +41,8 @@ from the worker count.
 
 from __future__ import annotations
 
-import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from typing import Optional, Tuple
 
 from repro.compiler.frontend import BULK_MEMORY_OPS
@@ -268,20 +266,6 @@ def check_module_case(
     return report
 
 
-@contextmanager
-def _forced_tier_up():
-    """Run with REPRO_TIER_THRESHOLD=0 so 'opt' tiers up immediately."""
-    prior = os.environ.get("REPRO_TIER_THRESHOLD")
-    os.environ["REPRO_TIER_THRESHOLD"] = "0"
-    try:
-        yield
-    finally:
-        if prior is None:
-            del os.environ["REPRO_TIER_THRESHOLD"]
-        else:
-            os.environ["REPRO_TIER_THRESHOLD"] = prior
-
-
 def _tier_run(module, arg: int, tier: str):
     """(outcome, profile) of one profiled 'trap' run under ``tier``."""
     interp = Interpreter(
@@ -302,34 +286,29 @@ def _profile_digest(profile: ExecutionProfile) -> dict:
 def _check_tiers(
     module, arg: int, report: DiffReport, subject: dict
 ) -> ExecutionProfile:
-    """Every tier against ``fused``; returns the ``fused`` profile.
-
-    Tier-up is forced on the first call so ``opt`` runs its tier-2
-    code rather than hiding behind the warm-up threshold.
-    """
+    """Every tier against ``fused``; returns the ``fused`` profile."""
     baseline_tier = "fused"
-    with _forced_tier_up():
-        baseline, base_profile = _tier_run(module, arg, baseline_tier)
-        for tier in TIERS:
-            if tier == baseline_tier:
-                continue
-            outcome, profile = _tier_run(module, arg, tier)
-            report.check(
-                CHECK_TIER,
-                outcome == baseline,
-                subject=dict(subject, tier=tier),
-                detail=f"tier '{tier}' diverges from '{baseline_tier}'",
-                expected=baseline,
-                actual=outcome,
-            )
-            report.check(
-                CHECK_TIER_PROFILE,
-                profile.instr_counts == base_profile.instr_counts,
-                subject=dict(subject, tier=tier),
-                detail="per-pc instruction profile differs across tiers",
-                expected=_profile_digest(base_profile),
-                actual=_profile_digest(profile),
-            )
+    baseline, base_profile = _tier_run(module, arg, baseline_tier)
+    for tier in TIERS:
+        if tier == baseline_tier:
+            continue
+        outcome, profile = _tier_run(module, arg, tier)
+        report.check(
+            CHECK_TIER,
+            outcome == baseline,
+            subject=dict(subject, tier=tier),
+            detail=f"tier '{tier}' diverges from '{baseline_tier}'",
+            expected=baseline,
+            actual=outcome,
+        )
+        report.check(
+            CHECK_TIER_PROFILE,
+            profile.instr_counts == base_profile.instr_counts,
+            subject=dict(subject, tier=tier),
+            detail="per-pc instruction profile differs across tiers",
+            expected=_profile_digest(base_profile),
+            actual=_profile_digest(profile),
+        )
     return base_profile
 
 

@@ -438,7 +438,7 @@ class Interpreter:
                     counts = self._counts[func_index] = [0] * n
             state = self._tiering
             if state is not None:
-                handler = state.handler_for(func_index, func)
+                handler = state.handler_for(func_index)
                 if handler is not None and handler(frame, counts) < 0:
                     arity = len(func_type.results)
                     return frame.stack[-arity:] if arity else []

@@ -7,14 +7,14 @@ parameter or ``REPRO_TIER``; this is its only execution knob:
 * ``fused``  — pre-decoded superinstruction dispatch, with one loop
   handler per innermost loop of the supported shape;
 * ``opt``    — fused dispatch plus the tier-2 whole-function compiler
-  (:mod:`repro.runtime.vectorize`) for functions that get hot.
+  (:mod:`repro.runtime.vectorize`) for every function of its shape.
 
-Tier-up is per function and profile-driven: every invocation adds the
-function's instruction count to its score, and once the score crosses
-``REPRO_TIER_THRESHOLD`` (default 64: one call of any non-trivial
-body, a few dozen calls of a tiny one) the whole module is compiled to
-tier-2 artifacts.  Artifacts are pure data, built in memory once per
-interpreter from its pre-decode plans.
+Tier-up is per function and happens at its first call: the first call
+of any function compiles the whole module to tier-2 artifacts, and
+each function's handler (or None, for a body outside the tier-2 shape)
+is installed at its own first call and reused by every later one.
+Artifacts are pure data, built in memory once per interpreter from its
+pre-decode plans.
 
 Tier-2 execution is bit-identical to the other tiers by construction
 (see :mod:`repro.runtime.vectorize`).  ``REPRO_TIER_STRICT=1`` (set in
@@ -37,15 +37,6 @@ TIERS = ("legacy", "fused", "opt")
 #: Tier used when neither the ``tier`` parameter nor ``REPRO_TIER``
 #: names one.
 DEFAULT_TIER = "opt"
-
-
-def tier_threshold() -> int:
-    """Tier-up score threshold (instruction count x invocations).
-
-    A malformed ``REPRO_TIER_THRESHOLD`` raises ``ValueError``, like an
-    unknown ``REPRO_TIER``, instead of silently meaning the default.
-    """
-    return int(os.environ.get("REPRO_TIER_THRESHOLD", "64"))
 
 
 def strict() -> bool:
@@ -84,14 +75,12 @@ _MEM_KINDS = frozenset(("data", "mem", "touched", "track"))
 class TierState:
     """Per-interpreter tier-up bookkeeping.
 
-    Owns the invocation scores, the lazily compiled whole-module
-    artifact set, and the installed (memory-bound) tier-2 handlers.
+    Owns the lazily compiled whole-module artifact set and the
+    installed (memory-bound) tier-2 handlers.
     """
 
     def __init__(self, interp) -> None:
         self._interp = interp
-        self.threshold = tier_threshold()
-        self.scores: Dict[int, int] = {}
         #: absolute func index -> handler, or None once known ineligible.
         self.handlers: Dict[int, Optional[Callable]] = {}
         self._artifacts: Optional[Dict[int, dict]] = None
@@ -102,19 +91,15 @@ class TierState:
             self._artifacts = artifacts_for_module(interp.module, interp._plans)
         return self._artifacts
 
-    def handler_for(self, func_index: int, func) -> Optional[Callable]:
+    def handler_for(self, func_index: int) -> Optional[Callable]:
         """The tier-2 handler for one function, or None.
 
-        None means "keep dispatching on tier 1" — either the function
-        is not hot enough yet, or it is outside the tier-2 shape.
+        None means "keep dispatching on tier 1": the function is
+        outside the tier-2 shape, or its install failed.
         """
         cached = self.handlers.get(func_index, _MISS)
         if cached is not _MISS:
             return cached
-        score = self.scores.get(func_index, 0) + max(1, len(func.body))
-        if score < self.threshold:
-            self.scores[func_index] = score
-            return None
         handler: Optional[Callable] = None
         try:
             artifact = self.artifacts().get(

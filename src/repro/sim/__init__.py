@@ -14,7 +14,6 @@ experiment in the benchmark harness reproducible bit-for-bit.
 
 from repro.sim.engine import Engine, Delay, Process, SimError
 from repro.sim.resources import RWLock, Gate
-from repro.sim.rng import RngStreams
 
 __all__ = [
     "Engine",
@@ -23,5 +22,4 @@ __all__ = [
     "SimError",
     "RWLock",
     "Gate",
-    "RngStreams",
 ]

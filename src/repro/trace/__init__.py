@@ -4,7 +4,7 @@ The package has three layers:
 
 * :mod:`repro.trace.events` / :mod:`repro.trace.tracer` — the record
   type, the process-local :data:`TRACE` singleton the instrumented
-  modules guard on, and the sinks (list, ring buffer, JSONL, null);
+  modules guard on, and the sinks (list, JSONL);
 * :mod:`repro.trace.summary` — aggregation of a trace into per-phase /
   per-lock / per-strategy counters, structural invariant checks, and
   *reconciliation* of trace-derived totals against a
@@ -25,8 +25,6 @@ from repro.trace.tracer import (
     TRACE,
     JsonlSink,
     ListSink,
-    NullSink,
-    RingBufferSink,
     TraceError,
     Tracer,
     read_jsonl,
@@ -40,9 +38,7 @@ __all__ = [
     "Tracer",
     "TraceError",
     "ListSink",
-    "RingBufferSink",
     "JsonlSink",
-    "NullSink",
     "tracing",
     "read_jsonl",
     "write_jsonl",

@@ -11,9 +11,8 @@ Design constraints (ISSUE 2 tentpole):
   work, takes a lock, or perturbs RNG state; an enabled tracer produces
   the same measurements as a disabled one.
 * **Pluggable sinks.**  A sink is anything with ``append(event)``:
-  an unbounded list (tests, summaries), a bounded ring buffer (long
-  runs, keep the tail), a JSONL file (persist for ``trace summarize`` /
-  ``chrome://tracing``), or a null sink (overhead measurement).
+  an unbounded list (tests, summaries) or a JSONL file (persist for
+  ``trace summarize`` / ``chrome://tracing``).
 
 The tracer is process-local, like the measurement engine's default
 instance: worker processes of a parallel sweep have their own disabled
@@ -23,7 +22,6 @@ tracer, so ``--jobs N`` runs are unaffected by tracing in the parent.
 from __future__ import annotations
 
 import json
-from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Union
@@ -45,36 +43,6 @@ class ListSink:
 
     def append(self, event: TraceEvent) -> None:
         self.events.append(event)
-
-
-class RingBufferSink:
-    """Keep only the most recent ``capacity`` events (flight recorder)."""
-
-    __slots__ = ("_buffer",)
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise TraceError(f"ring buffer capacity must be positive: {capacity}")
-        self._buffer: deque = deque(maxlen=capacity)
-
-    def append(self, event: TraceEvent) -> None:
-        self._buffer.append(event)
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        return list(self._buffer)
-
-
-class NullSink:
-    """Discard everything (measures instrumentation overhead alone)."""
-
-    __slots__ = ()
-
-    #: Shared empty view so ``sink.events`` is uniform across sinks.
-    events: List[TraceEvent] = []
-
-    def append(self, event: TraceEvent) -> None:
-        pass
 
 
 class JsonlSink:

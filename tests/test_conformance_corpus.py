@@ -76,13 +76,12 @@ def test_corpus_is_populated():
 def test_tiers_agree(path, monkeypatch):
     """All three execution tiers are bit-identical on the corpus.
 
-    ``REPRO_TIER_THRESHOLD=0`` forces immediate tier-up so the opt
-    tier's whole-function compiler actually runs where it can;
-    ``REPRO_TIER_STRICT=1`` turns unexpected fused-codegen and
-    vectorizer failures into hard errors instead of silent fallbacks.
+    The opt tier's whole-function compiler runs from each function's
+    first call wherever it can; ``REPRO_TIER_STRICT=1`` turns unexpected
+    fused-codegen and vectorizer failures into hard errors instead of
+    silent fallbacks.
     Agreement covers outcomes *and* the reconstructed per-pc profile.
     """
-    monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
     monkeypatch.setenv("REPRO_TIER_STRICT", "1")
     module = parse_wat(path.read_text())
     validate_module(module)
@@ -102,7 +101,6 @@ def test_tiers_agree(path, monkeypatch):
 
 def test_tier2_compiles_some_of_the_corpus(monkeypatch):
     """The opt tier must engage on the corpus, not just bail out."""
-    monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
     monkeypatch.setenv("REPRO_TIER_STRICT", "1")
     installed = 0
     for path in CORPUS:

@@ -164,7 +164,6 @@ class TestByteLevelMutants:
 class TestPromotion:
     def test_round_trip_under_all_tiers(self, monkeypatch):
         """The committed campaign WAT behaves as its genome does."""
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.setenv("REPRO_TIER_STRICT", "1")
         manifest = json.loads((CORPUS_DIR / "seeds.json").read_text())
         entries = manifest["campaign"]

@@ -74,11 +74,10 @@ def test_seed_passes_full_oracle(case):
 def test_seed_tiers_agree(case, monkeypatch):
     """Execution tiers agree on the case's module for every strategy.
 
-    Forced immediate tier-up plus strict mode, so any unexpected
-    vectorizer failure on fuzzer-shaped programs is a hard error, and
-    any divergence in value/loads/stores/pages is caught.
+    Strict mode, so any unexpected vectorizer failure on fuzzer-shaped
+    programs is a hard error, and any divergence in
+    value/loads/stores/pages is caught.
     """
-    monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
     monkeypatch.setenv("REPRO_TIER_STRICT", "1")
     module = build_genome_module(genome_from_json(case["genome"]))
     validate_module(module)
@@ -146,13 +145,11 @@ def test_wat_regression_opt_strict(path, monkeypatch):
     """Corpus replays under the optimizing tier in strict mode.
 
     ``REPRO_TIER_STRICT=1`` turns any tier-2 bailout into a hard
-    error and ``REPRO_TIER_THRESHOLD=0`` forces immediate tier-up, so
-    this catches both vectorizer divergence and silent fallback on
-    every distilled regression shape.
+    error, so this catches both vectorizer divergence and silent
+    fallback on every distilled regression shape.
     """
     monkeypatch.setenv("REPRO_TIER", "opt")
     monkeypatch.setenv("REPRO_TIER_STRICT", "1")
-    monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
     module = parse_wat(path.read_text())
     validate_module(module)
     for strategy in STRATEGY_ORDER:

@@ -1,6 +1,6 @@
 """Tests for the execution tiers (tiering.py + vectorize.py).
 
-Covers tier resolution and its validation, the tier-up heuristic,
+Covers tier resolution and its validation, tier-up at first call,
 bit-identical observables between the ``opt`` tier and the fused
 reference (outputs, memory counters, touched pages, reconstructed
 per-pc profiles), the entry-guard deopt path, traps inside a fused-tier
@@ -86,47 +86,18 @@ class TestTierResolution:
         with pytest.raises(ValueError):
             Interpreter(module, tier="turbofan")
 
-    def test_malformed_threshold_rejected(self, monkeypatch):
-        # A typo must not silently stop forcing tier-up.
-        module, _ = module_for("trisolv", "mini")
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "O")
-        with pytest.raises(ValueError):
-            Interpreter(module, tier="opt")
-
 
 class TestTierUpHeuristic:
-    def test_cold_functions_stay_on_tier1(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", str(10**9))
-        module, _ = module_for("gemm", "mini")
-        _, interp = _observables(module, "opt")
-        assert not any(interp._tiering.handlers.values())
-
-    def test_hot_functions_tier_up(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
+    def test_hot_functions_tier_up(self):
         module, _ = module_for("gemm", "mini")
         _, interp = _observables(module, "opt")
         installed = [h for h in interp._tiering.handlers.values() if h]
         assert len(installed) >= 2  # init and kernel
 
-    def test_score_accumulates_across_calls(self, monkeypatch):
-        # Threshold just above one kernel-body score: the second call
-        # must tier up even though the first did not.
-        module, _ = module_for("gemm", "mini")
-        body_len = len(module.funcs[0].body)
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", str(body_len + 1))
-        interp = Interpreter(module, tier="opt")
-        interp.invoke("bench")
-        first = sum(1 for h in interp._tiering.handlers.values() if h)
-        interp.invoke("bench")
-        second = sum(1 for h in interp._tiering.handlers.values() if h)
-        assert second >= first
-        assert second >= 1
-
 
 class TestBitIdentity:
     @pytest.mark.parametrize("workload", ["gemm", "trisolv", "jacobi-2d"])
     def test_opt_matches_fused_mini(self, workload, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.setenv("REPRO_TIER_STRICT", "1")
         module, _ = module_for(workload, "mini")
         reference, _ = _observables(module, "fused")
@@ -138,7 +109,6 @@ class TestBitIdentity:
     def test_opt_matches_fused_small_numpy_path(self, monkeypatch):
         # small trip counts reach vectorize.VEC_MIN, so the NumPy
         # batched path (not just the scalar codegen) is exercised.
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.setenv("REPRO_TIER_STRICT", "1")
         module, _ = module_for("gemm", "small")
         reference, _ = _observables(module, "fused")
@@ -181,7 +151,6 @@ class TestDeopt:
         """NEED (80 KiB) exceeds the one-page memory: the guard must
         deopt before any side effect and tier 1 must produce the trap,
         identically to the fused reference."""
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.setenv("REPRO_TIER_STRICT", "1")
         module = parse_wat(DEOPT_WAT)
         validate_module(module)
@@ -257,7 +226,6 @@ class TestStrictness:
     @pytest.mark.parametrize("point", sorted(FALLBACKS))
     def test_strict_raises(self, point, monkeypatch):
         inject, tier, _ = FALLBACKS[point]
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.setenv("REPRO_TIER_STRICT", "1")
         inject(monkeypatch)
         module, _ = module_for("trisolv", "mini")
@@ -268,7 +236,6 @@ class TestStrictness:
     @pytest.mark.parametrize("point", sorted(FALLBACKS))
     def test_non_strict_falls_back(self, point, monkeypatch):
         inject, tier, fell_back = FALLBACKS[point]
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.delenv("REPRO_TIER_STRICT", raising=False)
         module, _ = module_for("trisolv", "mini")
         reference, _ = _observables(module, "legacy")
@@ -487,7 +454,6 @@ class TestLoopHandlerTraps:
 
 class TestLazyTier1Build:
     def test_tier2_from_first_call_builds_no_tier1_code(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_THRESHOLD", "0")
         monkeypatch.setenv("REPRO_TIER_STRICT", "1")
         module, _ = module_for("gemm", "mini")
         reference, _ = _observables(module, "fused")

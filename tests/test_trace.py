@@ -23,8 +23,6 @@ from repro.trace.tracer import (
     TRACE,
     JsonlSink,
     ListSink,
-    NullSink,
-    RingBufferSink,
     TraceError,
     read_jsonl,
     tracing,
@@ -73,17 +71,6 @@ class TestTracer:
         seqs = [event.seq for event in sink.events]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == 5
-
-    def test_ring_buffer_keeps_latest(self):
-        with tracing(RingBufferSink(3)) as sink:
-            for index in range(10):
-                TRACE.emit(float(index), "sim.spawn", thread=f"t{index}")
-        assert [event.ts for event in sink.events] == [7.0, 8.0, 9.0]
-
-    def test_null_sink_discards(self):
-        with tracing(NullSink()) as sink:
-            TRACE.emit(0.0, "sim.spawn", thread="t")
-        assert sink.events == []
 
 
 class TestJsonl:
