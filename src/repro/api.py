@@ -261,11 +261,11 @@ class SweepMeasurements:
         return [row_from(result) for result in self.results]
 
     @cached_property
-    def _by_cell(self) -> Dict[tuple, Tuple[MeasurementRequest, RunMeasurement]]:
-        index: Dict[tuple, Tuple[MeasurementRequest, RunMeasurement]] = {}
+    def _by_cell(self) -> Dict[tuple, Tuple[MeasurementRequest, MeasurementResult]]:
+        index: Dict[tuple, Tuple[MeasurementRequest, MeasurementResult]] = {}
         for r, result in zip(self.requests, self.results):
             cell = (r.workload, r.runtime, r.strategy, r.isa, r.threads, r.bce)
-            if index.setdefault(cell, (r, result.measurement))[0] != r:
+            if index.setdefault(cell, (r, result))[0] != r:
                 raise ValueError(
                     f"{r.label()} was measured at two sizes or iteration "
                     "counts; cell() cannot tell them apart"
@@ -281,8 +281,16 @@ class SweepMeasurements:
         threads: int = 1,
         bce: bool = True,
     ) -> RunMeasurement:
-        """The measurement of one cell of the measured grids."""
-        return self._by_cell[workload, runtime, strategy, isa, threads, bce][1]
+        """The measurement of one cell of the measured grids.
+
+        A cell whose measurement failed (results taken from a
+        :class:`~repro.core.engine.SweepFailure`) raises, naming the
+        cell and its error.
+        """
+        result = self._by_cell[workload, runtime, strategy, isa, threads, bce][1]
+        if result.error is not None:
+            raise RuntimeError(f"failed cell {result.error.label()}")
+        return result.measurement
 
 
 def _execute_specs(

@@ -156,9 +156,9 @@ class SweepFailure(RuntimeError):
 # Calibration hash: every constant that feeds one measurement's values.
 
 #: RuntimeModel fields that are presentation/availability metadata, not
-#: cost calibration — excluded so registering an extra strategy (the
-#: CHERI extension mutates ``model.strategies``) does not invalidate
-#: unrelated cached measurements.
+#: cost calibration — excluded so a runtime's strategy list can grow
+#: (``cheri`` on wavm, wasmtime and v8) without moving the cache key of
+#: any cell it already had.
 _NON_CALIBRATION_FIELDS = {"display", "strategies", "default_strategy"}
 
 
@@ -335,8 +335,8 @@ def _shutdown_pool(executor: ProcessPoolExecutor) -> None:
 
 def _pool_context():
     """Prefer ``fork`` workers: they inherit the parent's in-memory
-    profile/compile caches and any extension strategies registered at
-    runtime (newer Pythons default to forkserver, which would not)."""
+    profile/compile caches (newer Pythons default to forkserver, which
+    would not)."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # platform without fork: workers rebuild state
@@ -691,8 +691,7 @@ def configure(
         current.cache_enabled,
         current.cache_dir,
     ):
-        # Same settings: keep the warm pool and in-memory results
-        # (``leaps-bench all`` reconfigures before every figure).
+        # Same settings: keep the warm pool and in-memory results.
         return current
     current.close()
     _default_engine = replacement

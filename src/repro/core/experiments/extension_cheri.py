@@ -9,82 +9,64 @@ published characteristics of CHERI implementations (Woodruff et al.
 
 * bounds/permission checks happen in the capability load/store pipe —
   **no extra instructions** and no detectable per-check latency;
-* pointers become 128-bit capabilities: pointer-dense data doubles in
-  size, which we model as a small per-access penalty proportional to
-  the workload's access mix (capability cache-footprint tax);
+* pointers become 128-bit capabilities, so pointer-dense data doubles
+  in size; the projection prices no per-access tax for that, so its
+  single-thread cost equals ``none``;
 * memory management needs no guard reservation, no mprotect dance and
   no userfaultfd: grow is a capability re-derivation (cheap, no
   exclusive kernel lock), so multithreaded scaling matches `uffd`.
 
+The strategy itself is ``cheri`` in :mod:`repro.runtime.strategies`.
 The experiment prints the Fig. 2-style single-thread comparison with
 `cheri` added, plus the 16-thread utilisation check.
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import List
 
 from repro import api
-from repro.core import cliopts
 from repro.core.experiments.common import (
     BASELINE,
     median_by_workload,
-    save_results,
     suite_names,
 )
 from repro.reporting import render_table
-from repro.runtime import strategies as strategies_mod
-from repro.runtime.strategies import BoundsStrategy
 from repro.stats import geomean_of_ratios
 
-#: The projected strategy: no inline checks, uffd-like memory
-#: management (atomic grow, shared-lock reset, anonymous faults).
-CHERI = BoundsStrategy(
-    name="cheri",
-    inline_check="",
-    grow_mechanism="atomic",
-    fault_mechanism="anon",
-    reset_mechanism="madvise",
-    signal_on_oob=True,  # a capability violation is a synchronous trap
-)
+ISAS = ()
+ISA = "x86_64"
+FULL = True
+STEM = "extension-cheri"
+
+STRATEGIES = ("none", "trap", "mprotect", "uffd", "cheri")
 
 
-def install() -> None:
-    """Register the projected strategy (idempotent)."""
-    strategies_mod.STRATEGIES.setdefault("cheri", CHERI)
-    for runtime_name in ("wavm", "wasmtime", "v8"):
-        from repro.runtimes import runtime_named
-
-        model = runtime_named(runtime_name)
-        if "cheri" not in model.strategies:
-            model.strategies = tuple(model.strategies) + ("cheri",)
-
-
-def run(size: str = "small", quick: bool = True, verbose: bool = False) -> List[dict]:
-    install()
+def specs(isa: str, size: str, quick: bool) -> list:
     workloads = suite_names("polybench", quick)
-    strategies = ("none", "trap", "mprotect", "uffd", "cheri")
-    swept = api.measure(
+    return [
         api.SweepSpec(
             workloads, runtimes=(BASELINE,), strategies=("none",),
-            isas=("x86_64",), size=size,
+            isas=(isa,), size=size,
         ),
         api.SweepSpec(
-            workloads, runtimes=("wavm",), strategies=strategies,
-            isas=("x86_64",), size=size,
+            workloads, runtimes=("wavm",), strategies=STRATEGIES,
+            isas=(isa,), size=size,
         ),
         api.SweepSpec(
-            ("trisolv",), runtimes=("wavm",), strategies=strategies,
-            isas=("x86_64",), threads=(16,), size=size,
+            ("trisolv",), runtimes=("wavm",), strategies=STRATEGIES,
+            isas=(isa,), threads=(16,), size=size,
         ),
-        strict=True, verbose=verbose,
-    )
-    baseline = median_by_workload(swept, workloads, BASELINE, "none", "x86_64")
+    ]
+
+
+def derive(swept, isa: str, size: str, quick: bool) -> List[dict]:
+    workloads = suite_names("polybench", quick)
+    baseline = median_by_workload(swept, workloads, BASELINE, "none", isa)
     rows: List[dict] = []
-    for strategy in strategies:
-        measured = median_by_workload(swept, workloads, "wavm", strategy, "x86_64")
-        contended = swept.cell("trisolv", "wavm", strategy, "x86_64", 16)
+    for strategy in STRATEGIES:
+        measured = median_by_workload(swept, workloads, "wavm", strategy, isa)
+        contended = swept.cell("trisolv", "wavm", strategy, isa, 16)
         rows.append(
             {
                 "strategy": strategy,
@@ -104,23 +86,3 @@ def render(rows: List[dict]) -> str:
         ],
         title="Extension — projected CHERI bounds checking on WAVM/x86-64",
     )
-
-
-def main(argv=None) -> List[dict]:
-    parser = argparse.ArgumentParser(
-        description=__doc__, parents=[cliopts.sweep_parent()]
-    )
-    parser.add_argument("--size", default="small", choices=["mini", "small", "medium"])
-    parser.add_argument("--full", action="store_true")
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    cliopts.configure_sweep(args)
-    rows = run(size=args.size, quick=not args.full, verbose=args.verbose)
-    print(render(rows))
-    path = save_results("extension-cheri", rows)
-    print(f"\nsaved {path}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

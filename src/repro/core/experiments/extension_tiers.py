@@ -15,16 +15,12 @@ tier (which Titzer compares and the paper's related work names):
 
 from __future__ import annotations
 
-import argparse
 from typing import List
 
-from repro import api
-from repro.core import cliopts
 from repro.core.experiments.common import (
     BASELINE,
     config_specs,
     median_by_workload,
-    save_results,
     suite_names,
 )
 from repro.core.profiles import profile_for
@@ -34,20 +30,31 @@ from repro.runtime import strategy_named
 from repro.runtimes import runtime_named
 from repro.stats import geomean_of_ratios
 
+ISAS = ()
+ISA = "x86_64"
+FULL = True
+STEM = "extension-tiers"
+
 TIERS = ["wasm3", "v8-liftoff", "v8", "wasmtime", "wavm"]
 
 
-def run(size: str = "small", quick: bool = True, verbose: bool = False) -> List[dict]:
-    workloads = suite_names("polybench", quick)
-    isa = isa_named("x86_64")
-    configs = [(name, runtime_named(name).default_strategy) for name in TIERS]
-    swept = api.measure(
-        *config_specs(workloads, [(BASELINE, "none")] + configs, isa.name, size),
-        strict=True, verbose=verbose,
+def _configs() -> List[tuple]:
+    return [(name, runtime_named(name).default_strategy) for name in TIERS]
+
+
+def specs(isa: str, size: str, quick: bool) -> list:
+    return config_specs(
+        suite_names("polybench", quick),
+        [(BASELINE, "none")] + _configs(), isa, size,
     )
-    baseline = median_by_workload(swept, workloads, BASELINE, "none", isa.name)
+
+
+def derive(swept, isa: str, size: str, quick: bool) -> List[dict]:
+    workloads = suite_names("polybench", quick)
+    model = isa_named(isa)
+    baseline = median_by_workload(swept, workloads, BASELINE, "none", isa)
     rows: List[dict] = []
-    for runtime_name, strategy_name in configs:
+    for runtime_name, strategy_name in _configs():
         runtime = runtime_named(runtime_name)
         strategy = strategy_named(strategy_name)
         compile_seconds = 0.0
@@ -55,9 +62,9 @@ def run(size: str = "small", quick: bool = True, verbose: bool = False) -> List[
         for name in workloads:
             module, _ = profile_for(name, size)
             compile_seconds += runtime.compile_seconds(module)
-            code_ops += runtime.code_size_ops(module, isa, strategy)
+            code_ops += runtime.code_size_ops(module, model, strategy)
         measured = median_by_workload(
-            swept, workloads, runtime_name, strategy_name, isa.name
+            swept, workloads, runtime_name, strategy_name, isa
         )
         rows.append(
             {
@@ -79,23 +86,3 @@ def render(rows: List[dict]) -> str:
         ],
         title="Extension — tier trade-off (PolyBench modules, x86-64)",
     )
-
-
-def main(argv=None) -> List[dict]:
-    parser = argparse.ArgumentParser(
-        description=__doc__, parents=[cliopts.sweep_parent()]
-    )
-    parser.add_argument("--size", default="small", choices=["mini", "small", "medium"])
-    parser.add_argument("--full", action="store_true")
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    cliopts.configure_sweep(args)
-    rows = run(size=args.size, quick=not args.full, verbose=args.verbose)
-    print(render(rows))
-    path = save_results("extension-tiers", rows)
-    print(f"\nsaved {path}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -17,19 +17,15 @@ We regenerate the series per benchmark:
 
 from __future__ import annotations
 
-import argparse
 from typing import List
 
-from repro import api
-from repro.core import cliopts
-from repro.core.experiments.common import (
-    config_specs,
-    save_results,
-    suite_names,
-)
+from repro.core.experiments.common import config_specs, suite_names
 from repro.reporting import render_table
 
+ISAS = ()
 ISA = "x86_64"
+FULL = True
+STEM = "fig1"
 
 #: The measured (runtime, strategy) configurations: the native
 #: baseline, then V8 without checks, with its default and with explicit
@@ -42,16 +38,19 @@ CONFIGS = (
 )
 
 
-def run(size: str = "small", quick: bool = True, verbose: bool = False) -> List[dict]:
-    workloads = suite_names("polybench", quick) + suite_names("spec", quick)
-    swept = api.measure(
-        *config_specs(workloads, CONFIGS, ISA, size),
-        strict=True, verbose=verbose,
-    )
+def _workloads(quick: bool) -> List[str]:
+    return suite_names("polybench", quick) + suite_names("spec", quick)
+
+
+def specs(isa: str, size: str, quick: bool) -> list:
+    return config_specs(_workloads(quick), CONFIGS, isa, size)
+
+
+def derive(swept, isa: str, size: str, quick: bool) -> List[dict]:
     rows = []
-    for name in workloads:
+    for name in _workloads(quick):
         native, v8_none, v8_default, v8_trap = (
-            swept.cell(name, runtime, strategy, ISA).median_iteration
+            swept.cell(name, runtime, strategy, isa).median_iteration
             for runtime, strategy in CONFIGS
         )
         rows.append(
@@ -68,7 +67,7 @@ def run(size: str = "small", quick: bool = True, verbose: bool = False) -> List[
 
 
 def render(rows: List[dict]) -> str:
-    table = render_table(
+    return render_table(
         ["benchmark", "v8-none/nat", "v8-default/nat", "v8-trap/nat",
          "default ovh %", "trap ovh %"],
         [
@@ -85,24 +84,3 @@ def render(rows: List[dict]) -> str:
         title="Fig. 1 — V8-TurboFan bounds-checking cost on x86-64 "
               "(execution time vs native Clang)",
     )
-    return table
-
-
-def main(argv=None) -> List[dict]:
-    parser = argparse.ArgumentParser(
-        description=__doc__, parents=[cliopts.sweep_parent()]
-    )
-    parser.add_argument("--size", default="small", choices=["mini", "small", "medium"])
-    parser.add_argument("--full", action="store_true", help="all 37 workloads")
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    cliopts.configure_sweep(args)
-    rows = run(size=args.size, quick=not args.full, verbose=args.verbose)
-    print(render(rows))
-    path = save_results("fig1", rows)
-    print(f"\nsaved {path}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

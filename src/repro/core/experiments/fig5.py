@@ -9,60 +9,31 @@ its helper threads oversubscribe the fully-pinned machine.
 
 from __future__ import annotations
 
-import argparse
 from typing import List
 
-from repro import api
-from repro.core import cliopts
-from repro.core.experiments.common import (
-    config_specs,
-    configs_for_isa,
-    save_results,
-    suite_names,
-)
+from repro.core.experiments.common import scaling_rows, scaling_specs
 from repro.reporting import render_table
 from repro.stats import geomean
 
+ISAS = ("x86_64", "armv8")
+ISA = "x86_64"
+FULL = True
+STEM = "fig5-{isa}"
 
-def run(
-    isa: str = "x86_64",
-    size: str = "small",
-    quick: bool = True,
-    suites: tuple = ("polybench", "spec"),
-    thread_steps: tuple = (1, 16),
-    verbose: bool = False,
-) -> List[dict]:
-    suite_sets = {suite: suite_names(suite, quick) for suite in suites}
-    configs = configs_for_isa(isa)
-    swept = api.measure(
-        *config_specs(
-            [name for names in suite_sets.values() for name in names],
-            configs, isa, size, thread_steps,
+THREAD_STEPS = (1, 16)
+
+
+def specs(isa: str, size: str, quick: bool) -> list:
+    return scaling_specs(isa, size, quick, THREAD_STEPS)
+
+
+def derive(swept, isa: str, size: str, quick: bool) -> List[dict]:
+    return scaling_rows(
+        swept, isa, quick, THREAD_STEPS, "ctx_per_sec",
+        lambda cells, t: geomean(
+            max(m.utilisation.context_switches_per_sec, 1.0) for m in cells(t)
         ),
-        strict=True, verbose=verbose,
     )
-    rows: List[dict] = []
-    for suite, workloads in suite_sets.items():
-        for runtime, strategy in configs:
-            for threads in thread_steps:
-                cells = [
-                    swept.cell(name, runtime, strategy, isa, threads)
-                    for name in workloads
-                ]
-                rate = geomean(
-                    max(m.utilisation.context_switches_per_sec, 1.0) for m in cells
-                )
-                rows.append(
-                    {
-                        "isa": isa,
-                        "suite": suite,
-                        "runtime": runtime,
-                        "strategy": strategy,
-                        "threads": threads,
-                        "ctx_per_sec": rate,
-                    }
-                )
-    return rows
 
 
 def render(rows: List[dict]) -> str:
@@ -85,24 +56,3 @@ def render(rows: List[dict]) -> str:
                 )
             )
     return "\n\n".join(blocks)
-
-
-def main(argv=None) -> List[dict]:
-    parser = argparse.ArgumentParser(
-        description=__doc__, parents=[cliopts.sweep_parent()]
-    )
-    parser.add_argument("--isa", default="x86_64", choices=["x86_64", "armv8"])
-    parser.add_argument("--size", default="small", choices=["mini", "small", "medium"])
-    parser.add_argument("--full", action="store_true")
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    cliopts.configure_sweep(args)
-    rows = run(isa=args.isa, size=args.size, quick=not args.full, verbose=args.verbose)
-    print(render(rows))
-    path = save_results(f"fig5-{args.isa}", rows)
-    print(f"\nsaved {path}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -23,14 +23,15 @@ diffcheck ``bce`` phase asserts they are byte-identical.
 
 from __future__ import annotations
 
-import argparse
 from typing import List
 
-from repro import api
-from repro.core import cliopts
-from repro.core.experiments.common import config_specs, save_results, suite_names
-from repro.core.harness import cell_problem
+from repro.core.experiments.common import config_specs, configs_for_isa, suite_names
 from repro.reporting import render_table
+
+ISAS = ("x86_64", "armv8")
+ISA = "x86_64"
+FULL = True
+STEM = "fig-bce"
 
 #: Compiling runtimes only: wasm3 interprets (checks stay in the
 #: dispatch loop) and the native baselines have nothing to elide.
@@ -38,27 +39,18 @@ RUNTIMES = ("wavm", "wasmtime", "v8")
 STRATEGIES = ("clamp", "trap")
 
 
-def run(
-    isa: str = "x86_64",
-    size: str = "small",
-    quick: bool = True,
-    verbose: bool = False,
-) -> List[dict]:
+def specs(isa: str, size: str, quick: bool) -> list:
     workloads = suite_names("polybench", quick)
-    configs = [
-        (runtime, strategy)
-        for runtime in RUNTIMES
-        for strategy in STRATEGIES
-        if cell_problem(runtime, strategy, isa) is None
-    ]
-    swept = api.measure(
-        *config_specs(workloads, configs, isa, size),
-        *config_specs(workloads, configs, isa, size, bce=False),
-        strict=True, verbose=verbose,
+    configs = configs_for_isa(isa, RUNTIMES, STRATEGIES)
+    return config_specs(workloads, configs, isa, size) + config_specs(
+        workloads, configs, isa, size, bce=False
     )
+
+
+def derive(swept, isa: str, size: str, quick: bool) -> List[dict]:
     rows: List[dict] = []
-    for runtime, strategy in configs:
-        for name in workloads:
+    for runtime, strategy in configs_for_isa(isa, RUNTIMES, STRATEGIES):
+        for name in suite_names("polybench", quick):
             on = swept.cell(name, runtime, strategy, isa)
             off = swept.cell(name, runtime, strategy, isa, bce=False)
             saving = 1.0 - on.median_iteration / off.median_iteration
@@ -79,7 +71,7 @@ def run(
     return rows
 
 
-def render(rows: List[dict], isa: str) -> str:
+def render(rows: List[dict]) -> str:
     blocks = []
     for runtime in RUNTIMES:
         for strategy in STRATEGIES:
@@ -105,30 +97,9 @@ def render(rows: List[dict], isa: str) -> str:
                         for r in subset
                     ],
                     title=(
-                        f"Fig. BCE ({isa}, {runtime}/{strategy}) — "
+                        f"Fig. BCE ({subset[0]['isa']}, {runtime}/{strategy}) — "
                         "bounds-check elimination effect"
                     ),
                 )
             )
     return "\n\n".join(blocks)
-
-
-def main(argv=None) -> List[dict]:
-    parser = argparse.ArgumentParser(
-        description=__doc__, parents=[cliopts.sweep_parent()]
-    )
-    parser.add_argument("--isa", default="x86_64", choices=["x86_64", "armv8"])
-    parser.add_argument("--size", default="small", choices=["mini", "small", "medium"])
-    parser.add_argument("--full", action="store_true")
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    cliopts.configure_sweep(args)
-    rows = run(isa=args.isa, size=args.size, quick=not args.full, verbose=args.verbose)
-    print(render(rows, args.isa))
-    path = save_results("fig-bce", rows)
-    print(f"\nsaved {path}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -23,15 +23,18 @@ it pays explicit-check costs plus the checks BCE could no longer pool.
 
 from __future__ import annotations
 
-import argparse
 from typing import List
 
 from repro import api
-from repro.core import cliopts
-from repro.core.experiments.common import save_results
+from repro.core.experiments.common import strategies_for
 from repro.reporting import render_table
 from repro.runtime.strategies import STRATEGY_ORDER
 from repro.stats import geomean
+
+ISAS = ("armv8", "x86_64")
+ISA = "armv8"
+FULL = False
+STEM = "fig-cage-{isa}"
 
 #: Short-iteration, memory-touching kernels — the ones the paper shows
 #: are contention-sensitive, so the mprotect-vs-mte scaling gap is
@@ -45,37 +48,26 @@ RUNTIME = "wavm"
 THREAD_STEPS = (1, 4, 16)
 
 
-def run(
-    isa: str = "armv8",
-    size: str = "small",
-    thread_steps: tuple = THREAD_STEPS,
-    verbose: bool = False,
-) -> List[dict]:
-    swept = api.measure(
+def specs(isa: str, size: str, quick: bool) -> list:
+    return [
         api.SweepSpec(
             WORKLOADS,
             runtimes=(RUNTIME,),
-            strategies=tuple(STRATEGY_ORDER),
+            strategies=tuple(strategies_for(RUNTIME, isa)),
             isas=(isa,),
-            threads=tuple(thread_steps),
+            threads=THREAD_STEPS,
             size=size,
-        ),
-        verbose=verbose,
-    )
-    # strategy -> workload -> threads -> measurement (non-strict grid:
-    # on x86_64 the mte rows are skipped, not errors).
-    grid: dict = {}
-    for m in swept.measurements:
-        grid.setdefault(m.strategy, {}).setdefault(m.workload, {})[m.threads] = m
+        )
+    ]
 
+
+def derive(swept, isa: str, size: str, quick: bool) -> List[dict]:
     rows: List[dict] = []
-    for strategy in STRATEGY_ORDER:
-        per_workload = grid.get(strategy)
-        if not per_workload:
-            continue
-        for workload, by_threads in per_workload.items():
-            base = by_threads[min(by_threads)].median_iteration
-            for threads, m in sorted(by_threads.items()):
+    for strategy in strategies_for(RUNTIME, isa):
+        for workload in WORKLOADS:
+            base = swept.cell(workload, RUNTIME, strategy, isa).median_iteration
+            for threads in THREAD_STEPS:
+                m = swept.cell(workload, RUNTIME, strategy, isa, threads)
                 rows.append(
                     {
                         "isa": isa,
@@ -139,23 +131,3 @@ def render(rows: List[dict]) -> str:
         )
     )
     return "\n\n".join(blocks)
-
-
-def main(argv=None) -> List[dict]:
-    parser = argparse.ArgumentParser(
-        description=__doc__, parents=[cliopts.sweep_parent()]
-    )
-    parser.add_argument("--isa", default="armv8", choices=["armv8", "x86_64"])
-    parser.add_argument("--size", default="small", choices=["mini", "small", "medium"])
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    cliopts.configure_sweep(args)
-    rows = run(isa=args.isa, size=args.size, verbose=args.verbose)
-    print(render(rows))
-    path = save_results(f"fig-cage-{args.isa}", rows)
-    print(f"\nsaved {path}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

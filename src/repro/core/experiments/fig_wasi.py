@@ -23,21 +23,23 @@ why the default ISA is armv8 — the only modelled core with MTE.
 
 from __future__ import annotations
 
-import argparse
 from typing import Dict, List
 
 from repro import api
-from repro.core import cliopts
-from repro.core.experiments.common import save_results
+from repro.core.experiments.common import strategies_for
 from repro.core.harness import run_benchmark
 from repro.reporting import render_table
-from repro.runtime.strategies import STRATEGY_ORDER
 from repro.trace.histogram import (
     histograms_to_json,
     latency_histograms,
     render_histograms,
 )
 from repro.trace.tracer import tracing
+
+ISAS = ("armv8", "x86_64")
+ISA = "armv8"
+FULL = False
+STEM = "fig-wasi-{isa}"
 
 WORKLOADS = ("wasi-grep", "wasi-checksum", "wasi-montecarlo", "wasi-logappend")
 
@@ -51,46 +53,46 @@ THREAD_STEPS = (1, 4)
 _TRACE_STRATEGY = "none"
 
 
-def run(
-    isa: str = "armv8",
-    size: str = "small",
-    thread_steps: tuple = THREAD_STEPS,
-    verbose: bool = False,
-) -> dict:
-    swept = api.measure(
+def specs(isa: str, size: str, quick: bool) -> list:
+    return [
         api.SweepSpec(
             WORKLOADS,
             runtimes=(RUNTIME,),
-            strategies=tuple(STRATEGY_ORDER),
+            strategies=tuple(strategies_for(RUNTIME, isa)),
             isas=(isa,),
-            threads=tuple(thread_steps),
+            threads=THREAD_STEPS,
             size=size,
             scenario="wasi",
-        ),
-        verbose=verbose,
-    )
+        )
+    ]
+
+
+def derive(swept, isa: str, size: str, quick: bool) -> dict:
     rows: List[dict] = []
-    for m in swept.measurements:
-        syscall_calls = sum(
-            int(entry["calls"]) for entry in m.syscall_stats.values()
-        )
-        rows.append(
-            {
-                "isa": isa,
-                "runtime": RUNTIME,
-                "workload": m.workload,
-                "strategy": m.strategy,
-                "threads": m.threads,
-                "median_ms": m.median_iteration * 1e3,
-                "syscall_ms": m.syscall_seconds * 1e3,
-                "syscall_share": m.syscall_seconds / m.median_iteration,
-                "syscall_calls": syscall_calls,
-                "wasi_calls": m.kernel_stats.get("wasi_calls", 0),
-                "wasi_bytes": m.kernel_stats.get("wasi_bytes", 0),
-                "utilisation_percent": m.utilisation.utilisation_percent,
-                "mmap_write_wait_ms": m.mmap_write_wait * 1e3,
-            }
-        )
+    for workload in WORKLOADS:
+        for strategy in strategies_for(RUNTIME, isa):
+            for threads in THREAD_STEPS:
+                m = swept.cell(workload, RUNTIME, strategy, isa, threads)
+                syscall_calls = sum(
+                    int(entry["calls"]) for entry in m.syscall_stats.values()
+                )
+                rows.append(
+                    {
+                        "isa": isa,
+                        "runtime": RUNTIME,
+                        "workload": workload,
+                        "strategy": strategy,
+                        "threads": threads,
+                        "median_ms": m.median_iteration * 1e3,
+                        "syscall_ms": m.syscall_seconds * 1e3,
+                        "syscall_share": m.syscall_seconds / m.median_iteration,
+                        "syscall_calls": syscall_calls,
+                        "wasi_calls": m.kernel_stats.get("wasi_calls", 0),
+                        "wasi_bytes": m.kernel_stats.get("wasi_bytes", 0),
+                        "utilisation_percent": m.utilisation.utilisation_percent,
+                        "mmap_write_wait_ms": m.mmap_write_wait * 1e3,
+                    }
+                )
 
     # One traced run per workload feeds the latency histograms; the
     # per-call latency model carries no strategy term, so a single
@@ -147,23 +149,3 @@ def render(payload: dict) -> str:
             + render_histograms(restored)
         )
     return "\n\n".join(blocks)
-
-
-def main(argv=None) -> dict:
-    parser = argparse.ArgumentParser(
-        description=__doc__, parents=[cliopts.sweep_parent()]
-    )
-    parser.add_argument("--isa", default="armv8", choices=["armv8", "x86_64"])
-    parser.add_argument("--size", default="small", choices=["mini", "small", "medium"])
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    cliopts.configure_sweep(args)
-    payload = run(isa=args.isa, size=args.size, verbose=args.verbose)
-    print(render(payload))
-    path = save_results(f"fig-wasi-{args.isa}", payload)
-    print(f"\nsaved {path}")
-    return payload
-
-
-if __name__ == "__main__":
-    main()

@@ -13,19 +13,20 @@ this experiment regenerates the same comparisons from our models:
 
 from __future__ import annotations
 
-import argparse
 from typing import List
 
-from repro import api
-from repro.core import cliopts
 from repro.core.experiments.common import (
     config_specs,
     median_by_workload,
-    save_results,
     suite_names,
 )
 from repro.reporting import render_table
 from repro.stats import geomean_of_ratios
+
+ISAS = ()
+ISA = None
+FULL = True
+STEM = "replication"
 
 NATIVE = ("native-clang", "none")
 V8 = ("v8", "mprotect")
@@ -33,17 +34,21 @@ WASM3 = ("wasm3", "trap")
 WAVM = ("wavm", "mprotect")
 
 
-def run(size: str = "small", quick: bool = True, verbose: bool = False) -> List[dict]:
+def specs(isa: str, size: str, quick: bool) -> list:
     pbc = suite_names("polybench", quick)
     spec = suite_names("spec", quick)
-    swept = api.measure(
+    return [
         *config_specs(pbc, (NATIVE, V8, WASM3, WAVM), "x86_64", size),
         *config_specs(pbc, (V8, WASM3), "armv8", size),
         *config_specs(pbc, (V8, WASM3), "riscv64", size),
         *config_specs(spec, (NATIVE, V8), "x86_64", size),
         *config_specs(spec, (NATIVE, V8), "armv8", size),
-        strict=True, verbose=verbose,
-    )
+    ]
+
+
+def derive(swept, isa: str, size: str, quick: bool) -> List[dict]:
+    pbc = suite_names("polybench", quick)
+    spec = suite_names("spec", quick)
     rows: List[dict] = []
 
     # Wasm3 vs V8-TurboFan on PolyBench, per ISA (default strategies).
@@ -110,23 +115,3 @@ def render(rows: List[dict]) -> str:
         [(r["claim"], r["paper"], r["measured"]) for r in rows],
         title="§4.4 replication of previous results",
     )
-
-
-def main(argv=None) -> List[dict]:
-    parser = argparse.ArgumentParser(
-        description=__doc__, parents=[cliopts.sweep_parent()]
-    )
-    parser.add_argument("--size", default="small", choices=["mini", "small", "medium"])
-    parser.add_argument("--full", action="store_true")
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    cliopts.configure_sweep(args)
-    rows = run(size=args.size, quick=not args.full, verbose=args.verbose)
-    print(render(rows))
-    path = save_results("replication", rows)
-    print(f"\nsaved {path}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -42,7 +42,6 @@ from the worker count.
 from __future__ import annotations
 
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Tuple
 
 from repro.compiler.frontend import BULK_MEMORY_OPS
@@ -52,7 +51,6 @@ from repro.compiler.pipeline import (
     optimise_module,
 )
 from repro.compiler.timing import check_counts_for_profile, cycles_for_profile
-from repro.core.engine import _pool_context
 from repro.core.harness import cell_problem
 from repro.diffcheck.bce import (
     COUNTERS_RULE,
@@ -66,7 +64,7 @@ from repro.diffcheck.genome import (
     genome_from_seed,
 )
 from repro.diffcheck.invariants import _COMPUTE_PAIRS, _check_order
-from repro.diffcheck.report import DiffReport
+from repro.diffcheck.report import DiffReport, fan_out
 from repro.isa import ISAS
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.profile import ExecutionProfile
@@ -435,18 +433,7 @@ def check_fuzz(
     chunks = [
         tuple(seeds[i : i + _CHUNK]) for i in range(0, len(seeds), _CHUNK)
     ]
-    if jobs <= 1 or len(chunks) <= 1:
-        for batch in chunks:
-            report.merge_json(_check_chunk_json(batch))
-            if progress is not None:
-                progress(f"seeds {batch[0]}..{batch[-1]}")
-        return
-    with ProcessPoolExecutor(
-        max_workers=jobs, mp_context=_pool_context()
-    ) as pool:
-        for batch, partial in zip(
-            chunks, pool.map(_check_chunk_json, chunks, chunksize=1)
-        ):
-            report.merge_json(partial)
-            if progress is not None:
-                progress(f"seeds {batch[0]}..{batch[-1]}")
+    fan_out(
+        report, _check_chunk_json, chunks,
+        lambda batch: f"seeds {batch[0]}..{batch[-1]}", jobs, progress,
+    )

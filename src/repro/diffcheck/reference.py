@@ -19,14 +19,12 @@ the engine's ``--jobs`` knob via a fork-preferring process pool.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import _pool_context
-from repro.diffcheck.report import DiffReport
+from repro.diffcheck.report import DiffReport, fan_out
 from repro.runtime.strategies import STRATEGY_ORDER
 from repro.wasm.errors import Trap
 from repro.workloads import workload_named
@@ -181,18 +179,7 @@ def check_reference(
 ) -> None:
     """Run the cross-strategy phase over many workloads into ``report``."""
     payloads = [(name, size, tuple(strategies)) for name in workloads]
-    if jobs <= 1 or len(payloads) <= 1:
-        for payload in payloads:
-            report.merge_json(_check_workload_json(payload))
-            if progress is not None:
-                progress(payload[0])
-        return
-    with ProcessPoolExecutor(
-        max_workers=jobs, mp_context=_pool_context()
-    ) as pool:
-        for payload, partial in zip(
-            payloads, pool.map(_check_workload_json, payloads, chunksize=1)
-        ):
-            report.merge_json(partial)
-            if progress is not None:
-                progress(payload[0])
+    fan_out(
+        report, _check_workload_json, payloads,
+        lambda payload: payload[0], jobs, progress,
+    )

@@ -12,8 +12,12 @@ report that the parent folds together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
+
+from repro.core.engine import _pool_context
 
 #: Bump when the JSON report layout changes.
 REPORT_VERSION = 1
@@ -171,3 +175,29 @@ class DiffReport:
                 line += f", {counts.skipped} skipped"
             lines.append(line)
         return lines
+
+
+def fan_out(
+    report: DiffReport,
+    work: Callable[[object], dict],
+    payloads: Sequence,
+    label: Callable[[object], str],
+    jobs: int = 1,
+    progress=None,
+) -> None:
+    """Fold ``work(payload)``, a serialised partial report, into
+    ``report`` for each payload in order, serially or across ``jobs``
+    worker processes: the merge order and ``progress(label(payload))``
+    calls, and so the report, are the same for every ``jobs``."""
+    with ExitStack() as stack:
+        if jobs <= 1 or len(payloads) <= 1:
+            partials = map(work, payloads)
+        else:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=jobs, mp_context=_pool_context())
+            )
+            partials = pool.map(work, payloads, chunksize=1)
+        for payload, partial in zip(payloads, partials):
+            report.merge_json(partial)
+            if progress is not None:
+                progress(label(payload))

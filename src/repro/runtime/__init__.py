@@ -2,7 +2,8 @@
 
 * :mod:`memory` — linear memory instances with page-touch tracking;
 * :mod:`strategies` — the paper's five bounds-checking strategies
-  (``none``, ``clamp``, ``trap``, ``mprotect``, ``uffd``) as objects
+  (``none``, ``clamp``, ``trap``, ``mprotect``, ``uffd``) plus the
+  ``mte``, ``wasm64`` and projected ``cheri`` extensions, as objects
   that define both the *functional* out-of-bounds semantics and the
   *code shape* each strategy asks the compiler to emit;
 * :mod:`interpreter` — a threaded-interpreter-style functional engine:

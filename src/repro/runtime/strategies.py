@@ -35,11 +35,18 @@ wasm64     cmp+branch    64-bit memory: no 8 GiB guard region exists,
                          so explicit checks are mandatory and the
                          guard-page strategies are rejected outright;
                          grow is bookkeeping, reset via madvise
+cheri      none          projected CHERI capabilities: the capability
+                         load/store pipe checks bounds; grow is a
+                         capability re-derivation (atomic, like
+                         *uffd*), faults are anonymous, reset via
+                         madvise; OOB = capability trap
 =========  ============  ===========================================
 
 The first five rows are the paper's strategy axis
 (:data:`PAPER_STRATEGY_ORDER`); ``mte`` models CAGE-style hardware tag
 checking and ``wasm64`` the eWAPA 64-bit-memory regime (see PAPERS.md).
+``cheri`` is the paper's §2.3 outlook, measured only by the ``cheri``
+experiment, so it stays out of :data:`STRATEGY_ORDER`.
 """
 
 from __future__ import annotations
@@ -168,10 +175,20 @@ STRATEGIES: dict[str, BoundsStrategy] = {
         signal_on_oob=False,
         addr_bits=64,
     ),
+    "cheri": BoundsStrategy(
+        name="cheri",
+        inline_check="",
+        grow_mechanism="atomic",
+        fault_mechanism="anon",
+        reset_mechanism="madvise",
+        signal_on_oob=True,  # a capability violation is a synchronous trap
+    ),
 }
 
 #: The order figures present strategies in.  The paper's five come
-#: first, then the hardware-assisted extensions.
+#: first, then the hardware-assisted extensions; the projected
+#: ``cheri`` is left out, so fig-cage, fig-wasi and diffcheck do not
+#: sweep it.
 STRATEGY_ORDER = ["none", "clamp", "trap", "mprotect", "uffd", "mte", "wasm64"]
 
 #: Exactly the paper's §3.1 strategy axis — fig2–fig6 grids iterate
@@ -183,9 +200,8 @@ def strategy_named(name: str) -> BoundsStrategy:
     try:
         return STRATEGIES[name]
     except KeyError:
-        # List the documented order first, then any runtime-registered
-        # extensions (e.g. the projected 'cheri' strategy) so the
-        # message always matches what the figures and docs show.
+        # The documented order first, then the strategies outside it
+        # (the projected 'cheri').
         extras = sorted(set(STRATEGIES) - set(STRATEGY_ORDER))
         raise ValueError(
             f"unknown bounds strategy {name!r}; choose from "

@@ -37,6 +37,10 @@ _TURBOFAN_PASSES = frozenset(
     {"constfold", "cse", "licm", "dce", "bce", "bceloop"}
 )
 
+#: The three optimising Wasm runtimes also take the projected CHERI
+#: strategy (§2.3), which only the ``cheri`` experiment measures.
+_WITH_CHERI = RuntimeModel.strategies + ("cheri",)
+
 NATIVE_CLANG = RuntimeModel(
     name="native-clang",
     display="Native Clang 13",
@@ -84,6 +88,7 @@ WAVM = RuntimeModel(
     schedule_overhead=1.13,
     supported_isas=frozenset({"x86_64", "armv8"}),
     compile_seconds_per_instr=25e-6,  # LLVM -O2 via MCJIT
+    strategies=_WITH_CHERI,
 )
 
 WASMTIME = RuntimeModel(
@@ -100,6 +105,7 @@ WASMTIME = RuntimeModel(
     schedule_overhead=1.16,
     supported_isas=frozenset({"x86_64", "armv8"}),
     compile_seconds_per_instr=2.5e-6,  # Cranelift: ~10x faster than LLVM
+    strategies=_WITH_CHERI,
 )
 
 #: V8's baseline tier: a single-pass compiler that trades code
@@ -146,6 +152,7 @@ V8 = RuntimeModel(
     gc_pause_interval=60e-3,
     gc_pause_duration=1.8e-3,
     compile_seconds_per_instr=6e-6,
+    strategies=_WITH_CHERI,
 )
 
 WASM3 = RuntimeModel(

@@ -218,6 +218,24 @@ class TestParallelDeterminism:
         assert results[0].measurement == results[1].measurement
 
 
+class TestStaticStrategies:
+    def test_warm_pool_measures_cheri(self, isolated_caches):
+        """``cheri`` is registered at import, so a worker pool forked
+        for an earlier grid measures it like any other strategy."""
+        eng = MeasurementEngine(jobs=2, cache_dir=isolated_caches)
+        try:
+            eng.run(TestParallelDeterminism.GRID[:4])
+            results = eng.run(
+                [
+                    dataclasses.replace(REQUEST, strategy="cheri", threads=t)
+                    for t in (1, 4)
+                ]
+            )
+        finally:
+            eng.close()
+        assert [r.measurement.strategy for r in results] == ["cheri", "cheri"]
+
+
 class TestAutoJobs:
     """--jobs auto: size the pool to the machine, serial when it loses.
 

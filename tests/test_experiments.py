@@ -10,25 +10,11 @@ import pytest
 
 from repro import api
 from repro.core import cli, engine
-from repro.core.experiments import (
-    extension_cheri,
-    extension_tiers,
-    fig1,
-    fig2,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig_bce,
-    fig_cage,
-    fig_wasi,
-    replication,
-)
+from repro.core.experiments import common, extension_cheri, fig1, fig_cage, fig_wasi
 from repro.core.experiments.common import (
     PBC_QUICK,
     SPEC_QUICK,
     configs_for_isa,
-    suite_names,
 )
 
 # Narrow sets keep the suite fast; contention shapes survive because
@@ -41,21 +27,30 @@ FAST_SPEC = ["519.lbm"]
 SPREAD_PBC = FAST_PBC + ["jacobi-2d"]
 
 
-def _use_sets(monkeypatch, module, pbc):
-    monkeypatch.setattr(
-        module,
-        "suite_names",
-        lambda suite, quick: pbc if suite == "polybench" else FAST_SPEC,
-    )
-
-
 @pytest.fixture(autouse=True)
 def small_sets(monkeypatch):
-    for module in (
-        fig1, fig2, fig3, fig4, fig5, fig6, fig_bce, replication,
-        extension_cheri, extension_tiers,
-    ):
-        _use_sets(monkeypatch, module, FAST_PBC)
+    """The quick workload sets, PolyBench alone in fig3–fig6 (at mini
+    size a 16-thread 519.lbm cell takes about 0.4 s, a PolyBench cell
+    about 10 ms), and fig-cage/fig-wasi at one thread."""
+    monkeypatch.setattr(common, "PBC_QUICK", FAST_PBC)
+    monkeypatch.setattr(common, "SPEC_QUICK", FAST_SPEC)
+    monkeypatch.setattr(common, "SCALING_SUITES", ("polybench",))
+    for module in (fig_cage, fig_wasi):
+        monkeypatch.setattr(module, "THREAD_STEPS", (1,))
+
+
+@pytest.fixture
+def figure(tmp_path_factory, monkeypatch):
+    """Run one subcommand at mini size through the CLI; its saved payload."""
+
+    def run(name, *flags):
+        out = tmp_path_factory.mktemp("results")
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(out))
+        assert cli.main([name, "--size", "mini", "--jobs", "1", *flags]) == 0
+        (saved,) = out.glob("*.json")
+        return json.loads(saved.read_text())
+
+    return run
 
 
 class TestCommon:
@@ -74,9 +69,9 @@ class TestCommon:
 
 
 class TestFig1:
-    def test_rows_and_invariants(self, monkeypatch):
-        _use_sets(monkeypatch, fig1, SPREAD_PBC)
-        rows = fig1.run(size="mini")
+    def test_rows_and_invariants(self, figure, monkeypatch):
+        monkeypatch.setattr(common, "PBC_QUICK", SPREAD_PBC)
+        rows = figure("fig1")
         assert {r["benchmark"] for r in rows} == set(SPREAD_PBC + FAST_SPEC)
         for row in rows:
             # Checks can only slow V8 down.
@@ -85,12 +80,11 @@ class TestFig1:
         # The spread exists: some benchmarks pay visibly, some don't.
         overheads = [row["trap_overhead_pct"] for row in rows]
         assert max(overheads) > 2 * max(1.0, min(overheads))
-        assert "Fig. 1" in fig1.render(rows)
 
 
 class TestFig2:
-    def test_x86_ordering(self):
-        rows = fig2.run("x86_64", size="mini")
+    def test_x86_ordering(self, figure):
+        rows = figure("fig2", "--isa", "x86_64")["x86_64"]
         by = {
             (r["suite"], r["runtime"], r["strategy"]): r["geomean_vs_native"]
             for r in rows
@@ -109,8 +103,8 @@ class TestFig2:
         v8_gap = by[("polybench", "v8", "mprotect")] - by[("polybench", "v8", "none")]
         assert 0.03 < v8_gap < 0.25
 
-    def test_armv8_trap_gap(self):
-        rows = fig2.run("armv8", size="mini")
+    def test_armv8_trap_gap(self, figure):
+        rows = figure("fig2", "--isa", "armv8")["armv8"]
         by = {
             (r["suite"], r["runtime"], r["strategy"]): r["geomean_vs_native"]
             for r in rows
@@ -120,15 +114,15 @@ class TestFig2:
         gap = by[("polybench", "wavm", "trap")] / by[("polybench", "wavm", "none")]
         assert 1.0 < gap < 1.6
 
-    def test_riscv_has_no_spec_and_no_cranelift(self):
-        rows = fig2.run("riscv64", size="mini")
+    def test_riscv_has_no_spec_and_no_cranelift(self, figure):
+        rows = figure("fig2", "--isa", "riscv64")["riscv64"]
         assert {r["suite"] for r in rows} == {"polybench"}
         assert {r["runtime"] for r in rows} == {"native-gcc", "v8", "wasm3"}
 
 
 class TestFig3:
-    def test_mprotect_scales_worst_on_polybench(self):
-        rows = fig3.run(isa="x86_64", size="mini", suites=("polybench",))
+    def test_mprotect_scales_worst_on_polybench(self, figure):
+        rows = figure("fig3")
         at16 = {
             (r["runtime"], r["strategy"]): r["slowdown_vs_1t"]
             for r in rows
@@ -143,8 +137,8 @@ class TestFig3:
 
 
 class TestFig4:
-    def test_utilisation_shapes(self):
-        rows = fig4.run(isa="x86_64", size="mini", suites=("polybench",))
+    def test_utilisation_shapes(self, figure):
+        rows = figure("fig4")
         by = {
             (r["runtime"], r["strategy"], r["threads"]): r["utilisation_percent"]
             for r in rows
@@ -161,8 +155,8 @@ class TestFig4:
 
 
 class TestFig5:
-    def test_v8_context_switch_blowup(self):
-        rows = fig5.run(isa="x86_64", size="mini", suites=("polybench",))
+    def test_v8_context_switch_blowup(self, figure):
+        rows = figure("fig5")
         by = {
             (r["runtime"], r["strategy"], r["threads"]): r["ctx_per_sec"]
             for r in rows
@@ -174,15 +168,14 @@ class TestFig5:
 
 
 class TestFig6:
-    def test_memory_insensitive_to_strategy_but_not_isa(self):
-        x86_rows = fig6.run(isa="x86_64", size="mini", suites=("polybench",))
-        arm_rows = fig6.run(isa="armv8", size="mini", suites=("polybench",))
-        x86 = {
-            (r["runtime"], r["strategy"]): r["mem_avg_mib"] for r in x86_rows
-        }
-        arm = {
-            (r["runtime"], r["strategy"]): r["mem_avg_mib"] for r in arm_rows
-        }
+    def test_memory_insensitive_to_strategy_but_not_isa(self, figure):
+        x86, arm = (
+            {
+                (r["runtime"], r["strategy"]): r["mem_avg_mib"]
+                for r in figure("fig6", "--isa", isa)
+            }
+            for isa in ("x86_64", "armv8")
+        )
         # Strategy-insensitive within a runtime (paper: "no significant
         # variance"): every strategy within 2x of every other.
         values = [x86[("wavm", s)] for s in ("none", "trap", "mprotect", "uffd")]
@@ -192,9 +185,9 @@ class TestFig6:
 
 
 class TestReplication:
-    def test_all_claims_present(self, monkeypatch):
-        _use_sets(monkeypatch, replication, SPREAD_PBC)
-        rows = replication.run(size="mini")
+    def test_all_claims_present(self, figure, monkeypatch):
+        monkeypatch.setattr(common, "PBC_QUICK", SPREAD_PBC)
+        rows = figure("replication")
         by = {r["claim"]: r["measured"] for r in rows}
         assert "jangda-spec-v8-x86_64" in by
         assert "wavm-overhead-x86" in by
@@ -207,12 +200,9 @@ class TestReplication:
 class TestPersistence:
     def test_results_saved_as_json(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        rows = fig1.run(size="mini")
-        from repro.core.experiments.common import save_results
-
-        path = save_results("fig1-test", rows)
-        loaded = json.loads(path.read_text())
-        assert loaded[0]["benchmark"] == rows[0]["benchmark"]
+        assert cli.main(["fig1", "--size", "mini", "--jobs", "1"]) == 0
+        loaded = json.loads((tmp_path / "fig1.json").read_text())
+        assert [row["benchmark"] for row in loaded] == FAST_PBC + FAST_SPEC
 
 
 class TestFigBce:
@@ -222,12 +212,16 @@ class TestFigBce:
         workdir = tmp_path / "cwd"
         workdir.mkdir()
         monkeypatch.chdir(workdir)
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
         cache = tmp_path / "cache"
-        engine.configure(cache_dir=cache)
         try:
-            rows = fig_bce.run(size="mini")
+            assert cli.main(
+                ["fig-bce", "--size", "mini", "--jobs", "1",
+                 "--cache-dir", str(cache)]
+            ) == 0
         finally:
             engine.reset_default_engine()
+        rows = json.loads((tmp_path / "results" / "fig-bce.json").read_text())
         # 2 kernels x 3 runtimes x 2 inline strategies.
         assert len(rows) == 12
         for row in rows:
@@ -239,20 +233,20 @@ class TestFigBce:
         assert not (workdir / ".cache").exists()
 
 
-#: A small call of every experiment's ``run()``, by CLI name.
+#: The flags of a small run of every subcommand, by CLI name.
 FIGURE_RUNS = {
-    "fig1": lambda: fig1.run(size="mini"),
-    "fig2": lambda: fig2.run("riscv64", size="mini"),
-    "fig3": lambda: fig3.run(size="mini", suites=("polybench",)),
-    "fig4": lambda: fig4.run(size="mini", suites=("polybench",)),
-    "fig5": lambda: fig5.run(size="mini", suites=("polybench",)),
-    "fig6": lambda: fig6.run(size="mini", suites=("polybench",)),
-    "fig-bce": lambda: fig_bce.run(size="mini"),
-    "fig-cage": lambda: fig_cage.run(size="mini", thread_steps=(1,)),
-    "fig-wasi": lambda: fig_wasi.run(size="mini", thread_steps=(1,)),
-    "replication": lambda: replication.run(size="mini"),
-    "cheri": lambda: extension_cheri.run(size="mini"),
-    "tiers": lambda: extension_tiers.run(size="mini"),
+    "fig1": (),
+    "fig2": ("--isa", "riscv64"),
+    "fig3": (),
+    "fig4": (),
+    "fig5": (),
+    "fig6": (),
+    "fig-bce": (),
+    "fig-cage": (),
+    "fig-wasi": (),
+    "replication": (),
+    "cheri": (),
+    "tiers": (),
 }
 
 
@@ -260,8 +254,9 @@ def test_every_experiment_is_covered():
     assert set(FIGURE_RUNS) == set(cli._EXPERIMENTS)
 
 
-@pytest.mark.parametrize("name", sorted(FIGURE_RUNS))
-def test_run_makes_one_measure_call(name, monkeypatch):
+@pytest.fixture
+def measure_calls(monkeypatch):
+    """Every :func:`repro.api.measure` call's specs, in call order."""
     calls = []
     measure = api.measure
 
@@ -270,18 +265,21 @@ def test_run_makes_one_measure_call(name, monkeypatch):
         return measure(*specs, **kwargs)
 
     monkeypatch.setattr(api, "measure", counting)
-    FIGURE_RUNS[name]()
-    assert len(calls) == 1
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_RUNS))
+def test_run_makes_one_measure_call(name, figure, measure_calls):
+    figure(name, *FIGURE_RUNS[name])
+    assert len(measure_calls) == 1
 
 
 class TestCheriExtension:
-    def test_projected_strategy_behaves_like_uffd_at_scale(self, monkeypatch):
-        from repro.core.experiments import extension_cheri
-
-        monkeypatch.setattr(
-            extension_cheri, "suite_names", lambda suite, quick: ["trisolv"]
-        )
-        rows = extension_cheri.run(size="mini")
+    def test_projected_strategy_behaves_like_uffd_at_scale(
+        self, figure, monkeypatch
+    ):
+        monkeypatch.setattr(common, "PBC_QUICK", ["trisolv"])
+        rows = figure("cheri")
         by = {r["strategy"]: r for r in rows}
         # No inline code: single-thread cost equals `none` exactly.
         assert by["cheri"]["geomean_vs_native_1t"] == pytest.approx(
@@ -290,3 +288,59 @@ class TestCheriExtension:
         # No exclusive-lock traffic: scales like uffd, not mprotect.
         assert by["cheri"]["trisolv_util_16t"] > 1550
         assert by["mprotect"]["trisolv_util_16t"] < 1500
+
+
+class TestAll:
+    """``leaps-bench all``: one grid, and per-figure failures."""
+
+    def test_one_measure_call_writes_what_each_figure_writes(
+        self, tmp_path, monkeypatch, measure_calls
+    ):
+        together, alone = tmp_path / "all", tmp_path / "alone"
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(together))
+        assert cli.main(["all", "--size", "mini", "--jobs", "1"]) == 0
+        assert len(measure_calls) == 1
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(alone))
+        for name in cli._EXPERIMENTS:
+            assert cli.main([name, "--size", "mini", "--jobs", "1"]) == 0
+        files = sorted(path.name for path in alone.iterdir())
+        assert len(files) == len(cli._EXPERIMENTS)
+        assert sorted(path.name for path in together.iterdir()) == files
+        for name in files:
+            assert (together / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_failed_cell_fails_only_the_figures_that_read_it(
+        self, tmp_path, monkeypatch, capsys, measure_calls
+    ):
+        """fig1 reads v8/trap, cheri does not: fig1 reports the failed
+        cell, cheri still prints and saves, and the exit status is 1."""
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_DEBUG", raising=False)
+        monkeypatch.setattr(common, "PBC_QUICK", ["gemm"])
+        monkeypatch.setattr(common, "SPEC_QUICK", [])
+        monkeypatch.setattr(
+            cli, "_EXPERIMENTS", {"fig1": fig1, "cheri": extension_cheri}
+        )
+        real = engine.run_benchmark
+
+        def poisoned(**payload):
+            if payload["runtime"] == "v8" and payload["strategy"] == "trap":
+                raise RuntimeError("simulated poisoned config")
+            return real(**payload)
+
+        monkeypatch.setattr(engine, "run_benchmark", poisoned)
+        status = cli.main(
+            ["all", "--size", "mini", "--jobs", "1", "--no-cache"]
+        )
+        out, err = capsys.readouterr()
+        assert status == 1
+        assert len(measure_calls) == 1
+        assert (
+            "fig1: error: failed cell gemm v8/trap/x86_64/t1: "
+            "RuntimeError: simulated poisoned config"
+        ) in err
+        assert "cheri" not in err
+        assert "Extension — projected CHERI" in out
+        assert [path.name for path in tmp_path.iterdir()] == [
+            "extension-cheri.json"
+        ]

@@ -1,47 +1,6 @@
-"""Tests for static module metrics and the sweep runner."""
-
-import pytest
+"""Tests for the sweep runner."""
 
 from repro.api import FIELDS, SweepSpec, run, to_csv
-from repro.core.profiles import profile_for
-from repro.wasm.metrics import module_stats
-
-
-class TestModuleStats:
-    @pytest.fixture(scope="class")
-    def gemm_stats(self):
-        module, _ = profile_for("gemm", "mini")
-        return module_stats(module)
-
-    def test_function_inventory(self, gemm_stats):
-        names = {f.name for f in gemm_stats.functions}
-        assert {"init", "kernel", "bench"} <= names
-
-    def test_instruction_counts_consistent(self, gemm_stats):
-        assert gemm_stats.total_instructions == sum(
-            gemm_stats.opcode_histogram.values()
-        )
-
-    def test_kernel_has_nested_loops(self, gemm_stats):
-        kernel = next(f for f in gemm_stats.functions if f.name == "kernel")
-        assert kernel.max_nesting >= 6  # 3 loops, each block+loop
-
-    def test_memory_ops_counted(self, gemm_stats):
-        assert gemm_stats.static_memory_op_fraction > 0.02
-        kernel = next(f for f in gemm_stats.functions if f.name == "kernel")
-        assert kernel.memory_ops > 0
-
-    def test_binary_size_positive(self, gemm_stats):
-        assert gemm_stats.binary_bytes > 100
-        assert gemm_stats.memory_pages >= 1
-
-    def test_top_opcodes(self, gemm_stats):
-        top = dict(gemm_stats.top_opcodes(5))
-        assert "local.get" in top or "i32.const" in top
-
-    def test_bench_calls_init_and_kernel(self, gemm_stats):
-        bench = next(f for f in gemm_stats.functions if f.name == "bench")
-        assert bench.calls == 2
 
 
 class TestSweepSpec:
