@@ -296,7 +296,6 @@ class SweepMeasurements:
 def _execute_specs(
     specs: Sequence[SweepSpec],
     engine: Optional[MeasurementEngine],
-    progress,
     strict: bool,
 ) -> SweepMeasurements:
     if strict:
@@ -306,7 +305,7 @@ def _execute_specs(
     requests = [request for spec in specs for request in spec.requests()]
     if TRACE.enabled:
         TRACE.emit(0.0, SWEEP_GRID, requests=len(requests))
-    results = engine.run(requests, progress=progress)
+    results = engine.run(requests)
     return SweepMeasurements(requests=requests, results=results)
 
 
@@ -314,17 +313,15 @@ def run(
     spec: SweepSpec,
     *,
     engine: Optional[MeasurementEngine] = None,
-    progress: Optional[Callable[[str], None]] = None,
     strict: bool = False,
 ) -> List[Dict[str, object]]:
     """Run every valid configuration × workload; returns result rows."""
-    return _execute_specs((spec,), engine, progress, strict).rows()
+    return _execute_specs((spec,), engine, strict).rows()
 
 
 def measure(
     *specs: SweepSpec,
     engine: Optional[MeasurementEngine] = None,
-    progress: Optional[Callable[[str], None]] = None,
     strict: bool = False,
     verbose: bool = False,
 ) -> SweepMeasurements:
@@ -334,7 +331,7 @@ def measure(
     shared between specs are measured once, and ``--jobs`` workers
     draw from the whole grid.
     """
-    swept = _execute_specs(specs, engine, progress, strict)
+    swept = _execute_specs(specs, engine, strict)
     if verbose:
         for request, result in zip(swept.requests, swept.results):
             origin = "cache" if result.cache_hit else f"{result.elapsed:.1f}s"

@@ -1,9 +1,9 @@
 """Shared CLI flags for everything that runs measurement sweeps.
 
-Every experiment, the diffcheck harness and ``trace record`` take the
-same engine knobs (``--jobs/--no-cache/--cache-dir``).  They used to
-re-declare them individually (so defaults and help text could drift);
-now they all attach this module's argparse *parent*::
+Every experiment and the diffcheck harness take the same engine knobs
+(``--jobs/--no-cache/--cache-dir``).  They used to re-declare them
+individually (so defaults and help text could drift); now they all
+attach this module's argparse *parent*::
 
     parser = argparse.ArgumentParser(parents=[cliopts.sweep_parent()])
     ...
@@ -34,8 +34,8 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--jobs", type=_jobs_arg, default="auto", metavar="N",
         help="worker processes for the sweep, or 'auto' to size to the "
-        "machine with a serial fallback for single-CPU hosts and small "
-        "grids (default: auto)",
+        "machine with a serial fallback for single-CPU hosts "
+        "(default: auto)",
     )
     group.add_argument(
         "--no-cache", action="store_true",

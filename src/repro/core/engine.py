@@ -1,15 +1,16 @@
 """The measurement engine: parallel sweeps + content-addressed caching.
 
 Regenerating the paper's figures walks a grid of
-(37 workloads × 6 runtimes × 5 strategies × 3 ISAs × {1,4,16} threads);
+(41 workloads × 7 runtimes × 8 strategies × 3 ISAs × {1,4,16} threads);
 the figure experiments also overlap heavily (fig3–fig6 all need the
 same thread-scaling measurements).  This module is the execution layer
 under :func:`repro.api.run`/:func:`repro.api.measure`:
 
-* **fan-out** — grids run across a ``ProcessPoolExecutor`` with a
-  ``--jobs N`` knob.  Every simulation RNG stream is seeded, so results
-  are bit-identical to a serial run regardless of worker count or
-  scheduling order.
+* **fan-out** — a grid's cache misses run across a
+  ``ProcessPoolExecutor`` with a ``--jobs N`` knob, opened for that
+  one run and shut down before it returns.  Every simulation RNG
+  stream is seeded, so results are bit-identical to a serial run
+  regardless of worker count or scheduling order.
 * **measurement cache** — each finished :class:`RunMeasurement` is
   stored on disk under a content-addressed key:
   SHA-256 over (module digest, runtime, strategy, isa, threads, size,
@@ -21,14 +22,16 @@ under :func:`repro.api.run`/:func:`repro.api.measure`:
   one grid, one engine and one cache directory.  The cache lives
   beside the profile cache
   (``.cache/measurements/`` next to ``.cache/profiles/``).
-* **warm workers** — workers recompute their own profile/compile/
-  costing caches from the shared on-disk profile cache instead of
-  shipping modules over pickle, so the pool never serialises on the
+* **workers** — each worker profiles, compiles and prices its cells
+  itself, reading the shared on-disk profile cache, instead of being
+  shipped modules over pickle, so the pool never serialises on the
   parent.  Within one process the per-runtime compile and block-costing
   caches (:mod:`repro.runtimes.base`) make repeated configurations
   near-free.
 
-Serial (``jobs=1``) execution never touches the pool, so library users
+An engine keeps no worker and no result between runs: what one run
+leaves the next is the files under its cache directory.  A serial run
+(``jobs=1``, or a single miss) never starts a worker, so library users
 and tests pay nothing for the machinery.
 """
 
@@ -40,14 +43,14 @@ import json
 import multiprocessing
 import os
 import time
-import weakref
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.core import profiles
 from repro.core.harness import RunMeasurement, run_benchmark
-from repro.core.profiles import module_digest
+from repro.core.profiles import module_digest, read_entry, write_entry
 from repro.runtime.predecode import interpreter_build_digest
 from repro.oskernel.procstat import UtilisationSample
 from repro.trace.events import MEASURE_REQUEST
@@ -329,10 +332,6 @@ def measurement_from_json(raw: dict) -> RunMeasurement:
     )
 
 
-def _shutdown_pool(executor: ProcessPoolExecutor) -> None:
-    executor.shutdown(wait=False, cancel_futures=True)
-
-
 def _pool_context():
     """Prefer ``fork`` workers: they inherit the parent's in-memory
     profile/compile caches (newer Pythons default to forkserver, which
@@ -379,9 +378,8 @@ def resolve_jobs(jobs) -> int:
     return max(1, int(jobs))
 
 
-#: With jobs="auto", grids with fewer misses than this run serially:
-#: pool spin-up (fork + import) costs more than it saves.
-_MIN_PARALLEL_MISSES = 4
+#: Where measurement files live unless an engine is given a directory.
+DEFAULT_DIR = Path(".cache") / "measurements"
 
 
 class MeasurementEngine:
@@ -393,22 +391,9 @@ class MeasurementEngine:
         cache: bool = True,
         cache_dir: Optional[os.PathLike] = None,
     ) -> None:
-        #: As requested ("auto" or an int); ``jobs`` is the resolved count.
-        self.jobs_requested = jobs
         self.jobs = resolve_jobs(jobs)
         self.cache_enabled = cache
-        #: In-process result cache, so a figure that reuses another's
-        #: cells in the same process does not re-read them from disk.
-        self._memory: Dict[str, RunMeasurement] = {}
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._finalizer: Optional[weakref.finalize] = None
-        if cache_dir is not None:
-            self.cache_dir = Path(cache_dir)
-        else:
-            root = os.environ.get("REPRO_MEASUREMENT_CACHE_DIR")
-            self.cache_dir = (
-                Path(root) if root else Path(".cache") / "measurements"
-            )
+        self.cache_dir = Path(cache_dir) if cache_dir is not None else DEFAULT_DIR
 
     # -- keys ------------------------------------------------------------
 
@@ -442,61 +427,38 @@ class MeasurementEngine:
     def _load(self, request: MeasurementRequest, key: str) -> Optional[RunMeasurement]:
         if not self.cache_enabled:
             return None
-        cached = self._memory.get(key)
-        if cached is not None:
-            return cached
-        path = self._path_for(request, key)
-        if not path.exists():
-            return None
-        try:
-            raw = json.loads(path.read_text())
-            if not isinstance(raw, dict):
-                return None  # valid JSON, but no entry: recompute
+
+        def decode(raw: dict) -> Optional[RunMeasurement]:
             if raw.get("key") != key:
                 return None  # digest collision on the shortened filename
-            measurement = measurement_from_json(raw["measurement"])
-        except (ValueError, KeyError, TypeError, AttributeError):
-            # Stale, corrupt or partial, or a field of the wrong type
-            # (a list where a mapping belongs): recompute.
-            return None
-        self._memory[key] = measurement
-        return measurement
+            return measurement_from_json(raw["measurement"])
+
+        return read_entry(self._path_for(request, key), decode)
 
     def _store(
         self, request: MeasurementRequest, key: str, measurement: RunMeasurement
     ) -> None:
-        if not self.cache_enabled:
-            return
-        self._memory[key] = measurement
-        path = self._path_for(request, key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(
-                json.dumps(
-                    {
-                        "key": key,
-                        "request": request.to_json(),
-                        "measurement": measurement_to_json(measurement),
-                    }
-                )
+        if self.cache_enabled:
+            write_entry(
+                self._path_for(request, key),
+                {
+                    "key": key,
+                    "request": request.to_json(),
+                    "measurement": measurement_to_json(measurement),
+                },
             )
-            tmp.replace(path)
-        except OSError:
-            pass  # read-only filesystem: in-memory cache still works
 
     # -- execution -------------------------------------------------------
 
     def run(
-        self,
-        requests: Sequence[MeasurementRequest],
-        progress=None,
+        self, requests: Sequence[MeasurementRequest]
     ) -> List[MeasurementResult]:
         """Execute requests, returning results in request order.
 
         Duplicate requests are computed once.  Misses run serially
-        in-process when ``jobs == 1`` and across the process pool
-        otherwise; either way the values are identical.
+        in-process when ``jobs == 1`` or there is only one, and
+        otherwise across a process pool that lives for this call only;
+        either way the values are identical.
 
         Fault isolation: a request whose execution raises does not
         abort the sweep — every other request still runs and every
@@ -517,54 +479,27 @@ class MeasurementEngine:
                 result = MeasurementResult(
                     cached, True, time.perf_counter() - started
                 )
-                self._resolve(request, key, result, results, progress)
+                self._resolve(request, key, result, results)
             else:
                 scheduled.add(key)
                 misses.append((request, key))
 
-        # Workload-major order: consecutive requests for one workload
-        # land in the same worker chunk (or run back-to-back serially),
-        # so each process profiles/compiles a module once and re-prices
-        # it from its in-memory caches for the rest of the group.
+        # Workload-major order: run serially, a module is profiled and
+        # compiled once and its later cells re-price it from the
+        # process's in-memory caches; the pool gets one ``submit`` per
+        # cell, in this same order.
         misses.sort(key=lambda item: (item[0].workload, item[0].size))
 
-        if misses:
-            serial = self.jobs == 1 or len(misses) == 1
-            if (
-                not serial
-                and self.jobs_requested == "auto"
-                and len(misses) < _MIN_PARALLEL_MISSES
-            ):
-                serial = True  # auto: tiny grid, pool spin-up dominates
-            if serial:
-                for request, key in misses:
-                    started = time.perf_counter()
-                    try:
-                        result = _execute(request)
-                    except Exception as exc:
-                        result = _failed(
-                            request, exc, time.perf_counter() - started
-                        )
-                    self._finish(request, key, result, results, progress)
-            else:
-                pool = self._pool()
+        if len(misses) > 1 and self.jobs > 1:
+            self._run_pooled(misses, results)
+        else:
+            for request, key in misses:
                 started = time.perf_counter()
-                futures = {
-                    pool.submit(_execute, request): (request, key)
-                    for request, key in misses
-                }
-                for future in as_completed(futures):
-                    request, key = futures[future]
-                    try:
-                        result = future.result()
-                    except Exception as exc:
-                        # One worker exception no longer poisons the
-                        # whole map(): the other futures keep running
-                        # and their results are kept (and cached).
-                        result = _failed(
-                            request, exc, time.perf_counter() - started
-                        )
-                    self._finish(request, key, result, results, progress)
+                try:
+                    result = _execute(request)
+                except Exception as exc:
+                    result = _failed(request, exc, time.perf_counter() - started)
+                self._finish(request, key, result, results)
 
         ordered = [results[key] for key in keys]
         errors, seen = [], set()
@@ -576,47 +511,52 @@ class MeasurementEngine:
             raise SweepFailure(errors, ordered)
         return ordered
 
-    def _pool(self) -> ProcessPoolExecutor:
-        """The engine's worker pool, created once and reused.
+    def _run_pooled(self, misses: List[tuple], results: dict) -> None:
+        """Measure ``misses`` across a pool opened for them alone.
 
-        A figure pipeline issues dozens of small grids; keeping the
-        workers alive across ``run()`` calls lets each accumulate warm
-        profile/compile/costing caches instead of re-deriving them
-        after every fork.
+        Each worker starts on the parent's profile directory.  The pool
+        is shut down, pending cells cancelled, before this returns or
+        raises, so no worker outlives the run.
         """
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=_pool_context()
-            )
-            self._finalizer = weakref.finalize(
-                self, _shutdown_pool, self._executor
-            )
-        return self._executor
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(misses)),
+            mp_context=_pool_context(),
+            initializer=profiles.set_cache_dir,
+            initargs=(profiles.cache_dir,),
+        )
+        try:
+            started = time.perf_counter()
+            futures = {
+                pool.submit(_execute, request): (request, key)
+                for request, key in misses
+            }
+            for future in as_completed(futures):
+                request, key = futures[future]
+                try:
+                    result = future.result()
+                except Exception as exc:
+                    # One worker exception does not poison the grid:
+                    # the other futures keep running and their results
+                    # are kept (and cached).
+                    result = _failed(
+                        request, exc, time.perf_counter() - started
+                    )
+                self._finish(request, key, result, results)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
-    def close(self) -> None:
-        """Shut the worker pool down (also runs when the engine is GC'd).
-
-        Abandons in-flight work (``cancel_futures``).
-        """
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-            self._executor = None
-
-    def _finish(self, request, key, result, results, progress) -> None:
+    def _finish(self, request, key, result, results) -> None:
         if result.ok:
             self._store(request, key, result.measurement)
-        self._resolve(request, key, result, results, progress)
+        self._resolve(request, key, result, results)
 
-    def _resolve(self, request, key, result, results, progress) -> None:
+    def _resolve(self, request, key, result, results) -> None:
         results[key] = result
         if TRACE.enabled:
             TRACE.emit(
                 0.0, MEASURE_REQUEST, label=request.label(),
                 cache_hit=result.cache_hit, error=result.error is not None,
             )
-        if progress is not None:
-            progress(request.label())
 
     def measure_one(self, request: MeasurementRequest) -> MeasurementResult:
         return self.run([request])[0]
@@ -626,33 +566,6 @@ class MeasurementEngine:
 # Process-wide default engine shared by every experiment.
 
 _default_engine: Optional[MeasurementEngine] = None
-
-#: REPRO_CACHE_DIR value that preceded our first override (None = the
-#: variable was unset), and whether an override is currently active.
-#: ``configure(cache_dir=...)`` points the profile cache into the
-#: requested base; reconfiguring *without* a cache_dir must restore the
-#: pre-override value, or profile caches silently stay pinned to a
-#: stale directory for the rest of the process.
-_profile_env_prior: Optional[str] = None
-_profile_env_overridden = False
-
-
-def _apply_profile_cache_env(base: Optional[Path]) -> None:
-    global _profile_env_prior, _profile_env_overridden
-    if base is not None:
-        if not _profile_env_overridden:
-            _profile_env_prior = os.environ.get("REPRO_CACHE_DIR")
-            _profile_env_overridden = True
-        # One base directory for the whole cache family: profiles move
-        # with the measurements so --cache-dir isolates everything.
-        os.environ["REPRO_CACHE_DIR"] = str(base / "profiles")
-    elif _profile_env_overridden:
-        if _profile_env_prior is None:
-            os.environ.pop("REPRO_CACHE_DIR", None)
-        else:
-            os.environ["REPRO_CACHE_DIR"] = _profile_env_prior
-        _profile_env_prior = None
-        _profile_env_overridden = False
 
 
 def default_engine() -> MeasurementEngine:
@@ -669,40 +582,29 @@ def configure(
 ) -> MeasurementEngine:
     """(Re)configure the process-wide engine; returns it.
 
-    ``jobs`` is an int or ``"auto"`` (size to the machine, serial
-    fallback for small grids); None keeps the current setting.
+    ``jobs`` is an int or ``"auto"`` (see :func:`resolve_jobs`) and
+    ``cache`` a bool; None keeps the current setting.  ``cache_dir`` is
+    the base of both caches, measurements under ``measurements/`` and
+    profiles under ``profiles/`` (None: their default directories).
+    With the cache off, neither cache is read or written.
     """
     global _default_engine
     current = default_engine()
     base = Path(cache_dir) if cache_dir is not None else None
-    _apply_profile_cache_env(base)
-    replacement = MeasurementEngine(
-        jobs=current.jobs_requested if jobs is None else jobs,
+    engine = MeasurementEngine(
+        jobs=current.jobs if jobs is None else jobs,
         cache=current.cache_enabled if cache is None else cache,
         cache_dir=base / "measurements" if base is not None else None,
     )
-    settings = (
-        replacement.jobs_requested,
-        replacement.cache_enabled,
-        replacement.cache_dir,
-    )
-    if settings == (
-        current.jobs_requested,
-        current.cache_enabled,
-        current.cache_dir,
-    ):
-        # Same settings: keep the warm pool and in-memory results.
-        return current
-    current.close()
-    _default_engine = replacement
-    return _default_engine
+    profile_dir = base / "profiles" if base is not None else profiles.DEFAULT_DIR
+    profiles.set_cache_dir(profile_dir if engine.cache_enabled else None)
+    _default_engine = engine
+    return engine
 
 
 def reset_default_engine() -> None:
-    """Drop the process-wide engine (tests); undoes any env override."""
+    """Drop the process-wide engine and restore the default profile
+    directory (tests)."""
     global _default_engine
-    if _default_engine is not None:
-        _default_engine.close()
     _default_engine = None
-    _apply_profile_cache_env(None)
-
+    profiles.set_cache_dir(profiles.DEFAULT_DIR)

@@ -24,7 +24,7 @@ from repro.stats import geomean_of_ratios
 ISAS = ("x86_64", "armv8", "riscv64", "all")
 ISA = "all"
 FULL = True
-STEM = "fig2"
+STEM = "fig2-{isa}"
 
 #: Suites per ISA: the 1 GiB RISC-V board cannot run SPEC (§3.4).
 SUITES_BY_ISA = {

@@ -31,7 +31,7 @@ from repro.reporting import render_table
 ISAS = ("x86_64", "armv8")
 ISA = "x86_64"
 FULL = True
-STEM = "fig-bce"
+STEM = "fig-bce-{isa}"
 
 #: Compiling runtimes only: wasm3 interprets (checks stay in the
 #: dispatch loop) and the native baselines have nothing to elide.

@@ -2,10 +2,14 @@
 
 The profiling interpreter run is the expensive step of the pipeline
 (it executes the whole workload in Python), so results are cached both
-in-process and on disk (``.cache/profiles/`` under the repository or
-current directory).  Profiles are deterministic, so the cache never
+in-process and on disk, under :data:`cache_dir` (``.cache/profiles/``
+under the current directory unless the measurement engine's
+``configure`` moves it).  Profiles are deterministic, so the cache never
 needs invalidation except when workload definitions change — the cache
 key includes a hash of the workload's encoded Wasm module.
+
+:func:`read_entry` and :func:`write_entry` read and write every cache
+file, profiles and measurements alike.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.profile import ExecutionProfile
@@ -25,12 +29,55 @@ from repro.workloads import workload_named
 _memory_cache: Dict[Tuple[str, str], Tuple[Module, ExecutionProfile]] = {}
 _module_cache: Dict[Tuple[str, str], Tuple[Module, str]] = {}
 
+#: Where profile files live unless the engine is configured otherwise.
+DEFAULT_DIR = Path(".cache") / "profiles"
 
-def _cache_dir() -> Path:
-    root = os.environ.get("REPRO_CACHE_DIR")
-    if root:
-        return Path(root)
-    return Path(".cache") / "profiles"
+#: The directory profile files are read from and written to; None reads
+#: and writes none.  Set it with :func:`set_cache_dir`.
+cache_dir: Optional[Path] = DEFAULT_DIR
+
+_T = TypeVar("_T")
+
+
+def set_cache_dir(directory: Optional[os.PathLike]) -> None:
+    """Read and write profile files under ``directory`` (None: nowhere).
+
+    The measurement engine's ``configure`` calls this, and so does each
+    of its pool workers at start-up, with the parent's setting: a
+    worker started by ``spawn`` inherits no module state.
+    """
+    global cache_dir
+    cache_dir = None if directory is None else Path(directory)
+
+
+def read_entry(path: Path, decode: Callable[[dict], Optional[_T]]) -> Optional[_T]:
+    """``decode`` of the JSON object stored at ``path``.
+
+    None, so the caller recomputes, when the file is missing, corrupt,
+    not a JSON object, or holds a field of the wrong type (a list where
+    a mapping belongs).
+    """
+    try:
+        raw = json.loads(path.read_text())
+        return decode(raw) if isinstance(raw, dict) else None
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+
+
+def write_entry(path: Path, entry: dict) -> None:
+    """Store ``entry`` as JSON at ``path``, atomically.
+
+    The bytes go to a file of this process's own, which then replaces
+    ``path``: a concurrent reader sees the old entry or the new one,
+    never a half-written file.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        tmp.write_text(json.dumps(entry))
+        tmp.replace(path)
+    except OSError:
+        pass  # read-only filesystem: the caller keeps its value
 
 
 def _profile_to_json(profile: ExecutionProfile) -> dict:
@@ -95,19 +142,11 @@ def profile_for(workload_name: str, size: str) -> Tuple[Module, ExecutionProfile
         return _memory_cache[key]
 
     module, full_digest = module_for(workload_name, size)
-    digest = full_digest[:16]
-    disk_path = _cache_dir() / f"{workload_name.replace('/', '_')}-{size}-{digest}.json"
-
-    profile: Optional[ExecutionProfile] = None
-    if disk_path.exists():
-        try:
-            raw = json.loads(disk_path.read_text())
-            if isinstance(raw, dict):  # any other JSON value is corrupt
-                profile = _profile_from_json(raw)
-        except (ValueError, KeyError, TypeError, AttributeError):
-            # Stale or corrupt, or a field of the wrong type (a list
-            # where a mapping belongs): recompute and overwrite.
-            profile = None
+    path = profile = None
+    if cache_dir is not None:
+        stem = f"{workload_name.replace('/', '_')}-{size}-{full_digest[:16]}"
+        path = cache_dir / f"{stem}.json"
+        profile = read_entry(path, _profile_from_json)
     if profile is None:
         # WASI workloads link against a fresh host environment; the
         # module itself stays the memoised one (same digest) since
@@ -126,11 +165,8 @@ def profile_for(workload_name: str, size: str) -> Tuple[Module, ExecutionProfile
         profile = interp.take_profile(workload_name, size)
         if env is not None:
             profile.syscalls = env.recorder.snapshot()
-        try:
-            disk_path.parent.mkdir(parents=True, exist_ok=True)
-            disk_path.write_text(json.dumps(_profile_to_json(profile)))
-        except OSError:
-            pass  # read-only filesystem: in-memory cache still works
+        if path is not None:
+            write_entry(path, _profile_to_json(profile))
 
     _memory_cache[key] = (module, profile)
     return module, profile

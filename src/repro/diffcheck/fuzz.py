@@ -30,13 +30,12 @@ cases fan out across worker processes deterministically.
 Determinism contract (``check_fuzz``): for a fixed ``(cases,
 base_seed)`` the case list is always the seeds ``base_seed ..
 base_seed + cases - 1`` in ascending order, partitioned into
-fixed-size batches of :data:`_CHUNK` seeds.  The batch list, the
-per-batch ``progress`` callbacks, and the merged report (check
-counts *and* violation order) are identical for every ``jobs`` value —
-worker processes only change *who* executes a batch, never what the
-batches are or the order their results fold into the report.  The
-batch size is a module constant precisely so it can never be derived
-from the worker count.
+fixed-size batches of :data:`_CHUNK` seeds.  The batch list and the
+merged report (check counts *and* violation order) are identical for
+every ``jobs`` value — worker processes only change *who* executes a
+batch, never what the batches are or the order their results fold
+into the report.  The batch size is a module constant precisely so it
+can never be derived from the worker count.
 """
 
 from __future__ import annotations
@@ -411,8 +410,7 @@ def _check_chunk_json(payload: Tuple[int, ...]) -> dict:
 #: Seeds per worker batch.  A fixed constant — never derived from the
 #: worker count — so ``--jobs 1`` and ``--jobs N`` enumerate the exact
 #: same batch list in the same order (see the module docstring's
-#: determinism contract; the old ``len(seeds) // (jobs * 4)`` sizing
-#: made batching, and therefore progress output, depend on ``jobs``).
+#: determinism contract).
 _CHUNK = 16
 
 
@@ -421,7 +419,6 @@ def check_fuzz(
     base_seed: int,
     report: DiffReport,
     jobs: int = 1,
-    progress=None,
 ) -> None:
     """Run ``cases`` seeded cases (seeds base_seed..base_seed+cases-1).
 
@@ -433,7 +430,4 @@ def check_fuzz(
     chunks = [
         tuple(seeds[i : i + _CHUNK]) for i in range(0, len(seeds), _CHUNK)
     ]
-    fan_out(
-        report, _check_chunk_json, chunks,
-        lambda batch: f"seeds {batch[0]}..{batch[-1]}", jobs, progress,
-    )
+    fan_out(report, _check_chunk_json, chunks, jobs)

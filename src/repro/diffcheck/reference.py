@@ -175,11 +175,7 @@ def check_reference(
     strategies: Sequence[str],
     report: DiffReport,
     jobs: int = 1,
-    progress=None,
 ) -> None:
     """Run the cross-strategy phase over many workloads into ``report``."""
     payloads = [(name, size, tuple(strategies)) for name in workloads]
-    fan_out(
-        report, _check_workload_json, payloads,
-        lambda payload: payload[0], jobs, progress,
-    )
+    fan_out(report, _check_workload_json, payloads, jobs)

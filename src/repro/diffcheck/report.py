@@ -181,14 +181,12 @@ def fan_out(
     report: DiffReport,
     work: Callable[[object], dict],
     payloads: Sequence,
-    label: Callable[[object], str],
     jobs: int = 1,
-    progress=None,
 ) -> None:
     """Fold ``work(payload)``, a serialised partial report, into
     ``report`` for each payload in order, serially or across ``jobs``
-    worker processes: the merge order and ``progress(label(payload))``
-    calls, and so the report, are the same for every ``jobs``."""
+    worker processes: the merge order, and so the report, are the same
+    for every ``jobs``."""
     with ExitStack() as stack:
         if jobs <= 1 or len(payloads) <= 1:
             partials = map(work, payloads)
@@ -197,7 +195,5 @@ def fan_out(
                 ProcessPoolExecutor(max_workers=jobs, mp_context=_pool_context())
             )
             partials = pool.map(work, payloads, chunksize=1)
-        for payload, partial in zip(payloads, partials):
+        for partial in partials:
             report.merge_json(partial)
-            if progress is not None:
-                progress(label(payload))

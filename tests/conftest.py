@@ -30,9 +30,8 @@ def fresh_measurements(tmp_path_factory):
     files in the checkout.  Profiles stay on the committed files.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv(
-            "REPRO_MEASUREMENT_CACHE_DIR",
-            str(tmp_path_factory.mktemp("measurements")),
+        patch.setattr(
+            engine, "DEFAULT_DIR", tmp_path_factory.mktemp("measurements")
         )
         engine.reset_default_engine()
         yield

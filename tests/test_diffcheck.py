@@ -607,11 +607,8 @@ class TestCli:
         assert diffcheck_cli.main(["--phases", "nope"]) == 2
 
     def test_sweep_phase_smoke(self, tmp_path, capsys):
-        import os
-
         from repro.core.engine import reset_default_engine
 
-        saved = os.environ.get("REPRO_CACHE_DIR")
         try:
             code = diffcheck_cli.main(
                 ["--phases", "sweep", "--workload", "trisolv",
@@ -619,11 +616,7 @@ class TestCli:
             )
         finally:
             # --cache-dir redirects the process-wide engine and the
-            # profile-cache env var; put both back for later tests.
+            # profile directory; put both back for later tests.
             reset_default_engine()
-            if saved is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = saved
         assert code == 0
         assert "measurements under invariants" in capsys.readouterr().out

@@ -23,6 +23,7 @@ from repro.core.engine import (
     measurement_to_json,
 )
 from repro.api import FIELDS, SweepSpec, run, to_csv
+from repro.core import profiles
 from repro.core.profiles import clear_profile_cache
 
 
@@ -32,14 +33,12 @@ def isolated_caches(tmp_path, monkeypatch):
 
     Cache-writing tests ALSO pass this directory explicitly as
     ``cache_dir=`` so they cannot leak a stray ``.cache/measurements``
-    into the working tree even if the env-var plumbing changes.
+    into the working tree even if the default changes.
     """
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "profiles"))
-    monkeypatch.setenv(
-        "REPRO_MEASUREMENT_CACHE_DIR", str(tmp_path / "measurements")
-    )
     clear_profile_cache()
     engine_mod.reset_default_engine()
+    monkeypatch.setattr(profiles, "cache_dir", tmp_path / "profiles")
+    monkeypatch.setattr(engine_mod, "DEFAULT_DIR", tmp_path / "measurements")
     yield tmp_path / "measurements"
     clear_profile_cache()
     engine_mod.reset_default_engine()
@@ -61,15 +60,6 @@ class TestMeasurementCache:
         second = MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST)
         assert second.cache_hit
         assert second.measurement == first.measurement
-
-    def test_memory_cache_skips_disk(self, isolated_caches):
-        eng = MeasurementEngine(cache_dir=isolated_caches)
-        first = eng.measure_one(REQUEST)
-        for path in isolated_caches.glob("*.json"):
-            path.unlink()
-        again = eng.measure_one(REQUEST)
-        assert again.cache_hit
-        assert again.measurement == first.measurement
 
     def test_cache_disabled(self, isolated_caches):
         eng = MeasurementEngine(cache=False, cache_dir=isolated_caches)
@@ -220,19 +210,16 @@ class TestParallelDeterminism:
 
 class TestStaticStrategies:
     def test_warm_pool_measures_cheri(self, isolated_caches):
-        """``cheri`` is registered at import, so a worker pool forked
-        for an earlier grid measures it like any other strategy."""
+        """``cheri`` is registered at import, so a worker pool measures
+        it like any other strategy, after an earlier grid too."""
         eng = MeasurementEngine(jobs=2, cache_dir=isolated_caches)
-        try:
-            eng.run(TestParallelDeterminism.GRID[:4])
-            results = eng.run(
-                [
-                    dataclasses.replace(REQUEST, strategy="cheri", threads=t)
-                    for t in (1, 4)
-                ]
-            )
-        finally:
-            eng.close()
+        eng.run(TestParallelDeterminism.GRID[:4])
+        results = eng.run(
+            [
+                dataclasses.replace(REQUEST, strategy="cheri", threads=t)
+                for t in (1, 4)
+            ]
+        )
         assert [r.measurement.strategy for r in results] == ["cheri", "cheri"]
 
 
@@ -260,23 +247,6 @@ class TestAutoJobs:
         assert engine_mod.resolve_jobs(4) == 4
         assert engine_mod.resolve_jobs(0) == 1
 
-    def test_auto_small_grid_never_touches_the_pool(self, monkeypatch):
-        monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 8)
-        eng = MeasurementEngine(jobs="auto", cache=False)
-        assert eng.jobs == 8
-
-        def _no_pool():
-            raise AssertionError("pool spawned for a below-floor grid")
-
-        monkeypatch.setattr(eng, "_pool", _no_pool)
-        grid = [
-            dataclasses.replace(REQUEST, strategy=s)
-            for s in ("none", "trap", "mprotect")
-        ]
-        assert len(grid) < engine_mod._MIN_PARALLEL_MISSES
-        results = eng.run(grid)
-        assert len(results) == 3
-
     def test_cli_default_is_auto(self):
         import argparse
 
@@ -288,9 +258,7 @@ class TestAutoJobs:
 
     def test_configure_accepts_auto(self, monkeypatch):
         monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 1)
-        eng = engine_mod.configure(jobs="auto")
-        assert eng.jobs_requested == "auto"
-        assert eng.jobs == 1
+        assert engine_mod.configure(jobs="auto").jobs == 1
 
 
 def _synthetic_measurement(request: MeasurementRequest, wall: float):
@@ -389,11 +357,9 @@ class TestFaultIsolation:
     ):
         self._poison_trap(monkeypatch)
         eng = MeasurementEngine(jobs=2, cache_dir=isolated_caches)
-        try:
-            with pytest.raises(SweepFailure) as excinfo:
-                eng.run(self.GOOD + [self.POISON])
-        finally:
-            eng.close()
+        with pytest.raises(SweepFailure) as excinfo:
+            eng.run(self.GOOD + [self.POISON])
+        assert not multiprocessing.active_children()
         assert [e.request for e in excinfo.value.errors] == [self.POISON]
         self._assert_per_row_results(excinfo.value, isolated_caches)
         # The siblings' results survived the worker exception and were
@@ -402,37 +368,52 @@ class TestFaultIsolation:
         assert all(r.cache_hit for r in retry)
 
 
-class TestConfigureEnvLifecycle:
-    """configure(cache_dir=...) must not leak REPRO_CACHE_DIR overrides."""
+class TestNoStateBetweenSweeps:
+    """Between runs the engine keeps nothing but its cache files."""
 
-    def test_reset_restores_prior_value(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "orig"))
-        engine_mod.configure(cache_dir=tmp_path / "override")
-        assert os.environ["REPRO_CACHE_DIR"] == str(
-            tmp_path / "override" / "profiles"
+    def test_no_worker_outlives_a_pooled_run(self):
+        MeasurementEngine(jobs=2, cache=False).run(
+            TestParallelDeterminism.GRID[:3]
         )
-        engine_mod.reset_default_engine()
-        assert os.environ["REPRO_CACHE_DIR"] == str(tmp_path / "orig")
+        assert not multiprocessing.active_children()
 
-    def test_reset_unsets_when_previously_unset(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        engine_mod.configure(cache_dir=tmp_path / "override")
-        assert "REPRO_CACHE_DIR" in os.environ
-        engine_mod.reset_default_engine()
-        assert "REPRO_CACHE_DIR" not in os.environ
+    def test_configure_leaves_the_environment_alone(self, tmp_path):
+        before = dict(os.environ)
+        engine_mod.configure(cache_dir=tmp_path / "base")
+        assert dict(os.environ) == before
+        engine_mod.configure(jobs=1)
+        assert dict(os.environ) == before
 
-    def test_reconfigure_without_cache_dir_restores(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "orig"))
-        engine_mod.configure(cache_dir=tmp_path / "a")
-        # Re-pointing keeps tracking the ORIGINAL value, not "a".
-        engine_mod.configure(cache_dir=tmp_path / "b")
-        assert os.environ["REPRO_CACHE_DIR"] == str(
-            tmp_path / "b" / "profiles"
+    def test_cache_dir_moves_both_caches(self, tmp_path, monkeypatch):
+        """Spawned workers inherit no module state: they profile into
+        ``--cache-dir`` only because the pool initializer says so."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            engine_mod, "_pool_context",
+            lambda: multiprocessing.get_context("spawn"),
         )
-        engine_mod.configure(jobs=1)  # no cache_dir: override must end
-        assert os.environ["REPRO_CACHE_DIR"] == str(tmp_path / "orig")
+        base = tmp_path / "base"
+        engine_mod.configure(jobs=2, cache_dir=base)
+        engine_mod.default_engine().run(
+            [REQUEST, dataclasses.replace(REQUEST, strategy="none")]
+        )
+        written = sorted(
+            p.relative_to(tmp_path).parent.as_posix()
+            for p in tmp_path.rglob("trisolv-mini-*.json")
+        )
+        assert written == [
+            "base/measurements", "base/measurements", "base/profiles"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base"]
+        # Without a cache_dir, profiles are back in their default place.
+        engine_mod.configure(jobs=1)
+        assert profiles.cache_dir == profiles.DEFAULT_DIR
+
+    def test_no_cache_reads_and_writes_neither_cache(self, tmp_path):
+        engine_mod.configure(jobs=1, cache=False, cache_dir=tmp_path)
+        result = engine_mod.default_engine().measure_one(REQUEST)
+        assert not result.cache_hit
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 def _hammer_cache(cache_dir: str, wall: float, rounds: int) -> None:
@@ -459,8 +440,7 @@ def _hammer_cache(cache_dir: str, wall: float, rounds: int) -> None:
             print(f"foreign value: {loaded.wall_seconds}", file=sys.stderr)
             sys.exit(1)
         # Also exercise the engine's own (corruption-masking) loader
-        # from a cold memory cache, as a second concurrent reader.
-        eng._memory.clear()
+        # as a second concurrent reader.
         if eng._load(REQUEST, key) is None:
             print("entry vanished", file=sys.stderr)
             sys.exit(1)

@@ -119,6 +119,18 @@ class TestFig2:
         assert {r["suite"] for r in rows} == {"polybench"}
         assert {r["runtime"] for r in rows} == {"native-gcc", "v8", "wasm3"}
 
+    def test_each_isa_keeps_its_own_results_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        assert cli.main(["fig2", "--size", "mini", "--jobs", "1",
+                         "--isa", "x86_64"]) == 0
+        first = (tmp_path / "fig2-x86_64.json").read_bytes()
+        assert cli.main(["fig2", "--size", "mini", "--jobs", "1",
+                         "--isa", "riscv64"]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "fig2-riscv64.json", "fig2-x86_64.json"
+        ]
+        assert (tmp_path / "fig2-x86_64.json").read_bytes() == first
+
 
 class TestFig3:
     def test_mprotect_scales_worst_on_polybench(self, figure):
@@ -221,7 +233,9 @@ class TestFigBce:
             ) == 0
         finally:
             engine.reset_default_engine()
-        rows = json.loads((tmp_path / "results" / "fig-bce.json").read_text())
+        rows = json.loads(
+            (tmp_path / "results" / "fig-bce-x86_64.json").read_text()
+        )
         # 2 kernels x 3 runtimes x 2 inline strategies.
         assert len(rows) == 12
         for row in rows:
@@ -252,6 +266,16 @@ FIGURE_RUNS = {
 
 def test_every_experiment_is_covered():
     assert set(FIGURE_RUNS) == set(cli._EXPERIMENTS)
+
+
+def test_results_file_names_its_isa_exactly_when_isa_is_a_flag():
+    """A figure run at two ``--isa`` values writes two files."""
+    mismatched = [
+        name
+        for name, figure in cli._EXPERIMENTS.items()
+        if ("{isa}" in figure.STEM) != bool(figure.ISAS)
+    ]
+    assert mismatched == []
 
 
 @pytest.fixture

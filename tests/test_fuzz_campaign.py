@@ -66,15 +66,12 @@ def _endpoint_only_touch(self, address, size):
 
 class TestCheckFuzzDeterminism:
     def test_jobs_do_not_change_report_or_batches(self):
-        reports, progress = [], []
+        reports = []
         for jobs in (1, 2):
             report = DiffReport()
-            lines = []
-            check_fuzz(40, 0, report, jobs=jobs, progress=lines.append)
+            check_fuzz(40, 0, report, jobs=jobs)
             reports.append(json.dumps(report.to_json(), sort_keys=True))
-            progress.append(lines)
         assert reports[0] == reports[1]
-        assert progress[0] == progress[1]
 
 
 class TestCampaign:

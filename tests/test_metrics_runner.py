@@ -29,10 +29,8 @@ class TestSweepSpec:
             size="mini",
             iterations=2,
         )
-        seen = []
-        rows = run(spec, progress=seen.append)
+        rows = run(spec)
         assert len(rows) == 2
-        assert len(seen) == 2
         for row in rows:
             assert set(FIELDS) <= set(row)
             assert row["median_ms"] > 0

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import profiles
 from repro.core.profiles import (
     _profile_from_json,
     clear_profile_cache,
@@ -18,7 +19,7 @@ COMMITTED = Path(__file__).resolve().parents[1] / ".cache" / "profiles"
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(profiles, "cache_dir", tmp_path)
     clear_profile_cache()
     yield tmp_path
     clear_profile_cache()

@@ -13,6 +13,7 @@ import struct
 
 import pytest
 
+from repro.core import profiles
 from repro.core.profiles import clear_profile_cache, module_for
 from repro.runtime import interpreter, vectorize
 from repro.runtime.interpreter import Interpreter
@@ -23,7 +24,7 @@ from repro.wasm.wat_parser import parse_wat
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(profiles, "cache_dir", tmp_path)
     clear_profile_cache()
     yield tmp_path
     clear_profile_cache()
