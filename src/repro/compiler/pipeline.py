@@ -69,11 +69,14 @@ class CompiledFunction:
 
 @dataclass
 class CompiledModule:
-    """The costed result of compiling a module for one configuration."""
+    """The costed result of compiling a module for one configuration.
+
+    Strategies that emit the same code (see :func:`selection_config`)
+    may share one result, so it names no strategy.
+    """
 
     module: Module
     isa: IsaModel
-    strategy: BoundsStrategy
     functions: Dict[int, CompiledFunction] = field(default_factory=dict)
 
     @property
@@ -159,37 +162,79 @@ def optimise_module(
     return front
 
 
+def selection_config(
+    config: CompilerConfig, strategy: BoundsStrategy
+) -> SelectionConfig:
+    """Instruction selection's knobs for ``config`` under ``strategy``.
+
+    This is all a back end reads from the strategy, so strategies that
+    agree on it compile to the same code: ``none``, ``mprotect`` and
+    ``uffd`` inline nothing, and differ only where a runtime charges
+    bookkeeping ops for signal-based checking (V8).
+    """
+    extra_access_ops = config.baseline_access_ops
+    if strategy.signal_on_oob or strategy.inline_check:
+        extra_access_ops += config.signal_strategy_access_ops
+    return SelectionConfig(
+        inline_check=strategy.inline_check,
+        extra_access_ops=extra_access_ops,
+        addressing_fusion=config.addressing_fusion,
+    )
+
+
+def _memoised(memo: Optional[dict], key: tuple, irf: IRFunction, build, *args):
+    """``build(*args)``, looked up in ``memo`` under ``key`` when given.
+
+    ``key`` holds ``id(irf)``; the entry keeps ``irf`` alive, so that id
+    can never be recycled onto another function while the entry lives.
+    """
+    if memo is None:
+        return build(*args)
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (build(*args), irf)
+    return entry[0]
+
+
 def compile_module(
     module: Module,
     isa: IsaModel,
     config: CompilerConfig,
     strategy: BoundsStrategy,
     front: Optional[FrontHalf] = None,
+    memo: Optional[dict] = None,
 ) -> CompiledModule:
     """Run the full pipeline for every defined function.
 
     ``front`` is :func:`optimise_module`'s result for this module and
     ``front_half_inputs(config, strategy, bce)``; without it the front
-    half runs here, with BCE on.
+    half runs here, with BCE on.  ``memo`` keeps each function's
+    instruction selection and spill estimate across calls, keyed on
+    exactly what each reads, so back ends that differ in nothing those
+    read (x86_64 and armv8 agree on fusion and ``select``; every
+    strategy gets the same spills) share them.
     """
     if front is None:
         front = optimise_module(module, *front_half_inputs(config, strategy))
-    compiled = CompiledModule(module, isa, strategy)
-    extra_access_ops = config.baseline_access_ops
-    if strategy.signal_on_oob or strategy.inline_check:
-        extra_access_ops += config.signal_strategy_access_ops
-    selection = SelectionConfig(
-        inline_check=strategy.inline_check,
-        extra_access_ops=extra_access_ops,
-        addressing_fusion=config.addressing_fusion,
-    )
+    compiled = CompiledModule(module, isa)
+    selection = selection_config(config, strategy)
+    isel_isa = (isa.addressing_fusion, isa.has_select)
+    spill_budget = (isa.int_regs, isa.float_regs, config.regalloc_quality)
     for func_index, (irf, bce_stats) in front.items():
-        machine_ops = select_function(irf, isa, selection)
+        selected = _memoised(
+            memo, ("isel", id(irf), isel_isa, selection), irf,
+            select_function, irf, isa, selection,
+        )
+        spills = _memoised(
+            memo, ("spills", id(irf), spill_budget), irf,
+            estimate_spills, irf, isa, config.regalloc_quality,
+        )
+        # Copies: the selected lists may be shared with other back ends.
+        machine_ops = {block_id: list(ops) for block_id, ops in selected.items()}
         if config.stack_checks and irf.blocks:
             # Stack-limit compare+branch in the prologue (entry block).
             entry = irf.blocks[0].id
             machine_ops.setdefault(entry, []).insert(0, OPK.CMP_BRANCH)
-        spills = estimate_spills(irf, isa, config.regalloc_quality)
         for block_id, count in spills.per_block.items():
             machine_ops.setdefault(block_id, []).extend([OPK.SPILL] * count)
         block_cycles = {}

@@ -49,17 +49,16 @@ def estimate_spills(irf: IRFunction, isa: IsaModel, quality: float) -> SpillRepo
     uses: Dict[int, List[int]] = {}
     use_depth: Dict[int, int] = {}
     pos_block: Dict[int, int] = {}
-    pos_depth: Dict[int, int] = {}
 
     pos = 0
     for block in irf.blocks:
+        depth = block.loop_depth
         for ins in block.instrs:
             pos_block[pos] = block.id
-            pos_depth[pos] = block.loop_depth
             for src in ins.srcs:
                 last_use[src] = pos
                 uses.setdefault(src, []).append(pos)
-                use_depth[src] = max(use_depth.get(src, 0), block.loop_depth)
+                use_depth[src] = max(use_depth.get(src, 0), depth)
             if ins.dest is not None and ins.dest not in def_pos:
                 def_pos[ins.dest] = pos
                 is_float[ins.dest] = ins.valtype in _FLOAT_TYPES

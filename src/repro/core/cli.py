@@ -22,7 +22,7 @@ on to them.  Every experiment also accepts the shared sweep knobs
 (:mod:`repro.core.cliopts`)::
 
     --jobs N          # run the sweep across N worker processes
-    --no-cache        # ignore and do not write the measurement cache
+    --no-cache        # read/write neither measurement nor profile cache
     --cache-dir DIR   # cache base directory (default: .cache/)
 
 A figure measures its whole grid in one engine run, and ``all``

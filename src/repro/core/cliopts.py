@@ -39,7 +39,8 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--no-cache", action="store_true",
-        help="ignore and do not write the measurement cache",
+        help="recompute: read and write neither the measurement nor the "
+        "profile cache",
     )
     group.add_argument(
         "--cache-dir", default=None, metavar="DIR",

@@ -25,9 +25,10 @@ under :func:`repro.api.run`/:func:`repro.api.measure`:
 * **workers** — each worker profiles, compiles and prices its cells
   itself, reading the shared on-disk profile cache, instead of being
   shipped modules over pickle, so the pool never serialises on the
-  parent.  Within one process the per-runtime compile and block-costing
-  caches (:mod:`repro.runtimes.base`) make repeated configurations
-  near-free.
+  parent.  Within one process the compile store every runtime model
+  shares and the per-runtime block-costing caches
+  (:mod:`repro.runtimes.base`) compile each distinct input once and
+  make repeated configurations near-free.
 
 An engine keeps no worker and no result between runs: what one run
 leaves the next is the files under its cache directory.  A serial run

@@ -44,11 +44,6 @@ import traceback
 from typing import Optional, Tuple
 
 from repro.compiler.frontend import BULK_MEMORY_OPS
-from repro.compiler.pipeline import (
-    compile_module,
-    front_half_inputs,
-    optimise_module,
-)
 from repro.compiler.timing import check_counts_for_profile, cycles_for_profile
 from repro.core.harness import cell_problem
 from repro.diffcheck.bce import (
@@ -69,6 +64,7 @@ from repro.runtime.interpreter import Interpreter
 from repro.runtime.profile import ExecutionProfile
 from repro.runtime.strategies import STRATEGY_ORDER, strategy_named
 from repro.runtime.tiering import TIERS
+from repro.runtimes.base import compile_cached
 from repro.runtimes.registry import RUNTIMES
 from repro.wasm import decode_module, encode_module, validate_module
 from repro.wasm.errors import Trap, ValidationError, WasmError
@@ -332,16 +328,12 @@ def _check_cost(
         ins.op in BULK_MEMORY_OPS for func in module.funcs for ins in func.body
     ):
         return
-    # Optimised IR per (pass set, affine-guard legality): every ISA,
-    # strategy and runtime that agrees on those shares one front half.
-    fronts = {}
+    # A compile store for this case only, so a campaign does not keep
+    # every generated module's IR.
+    store = {}
 
     def price(config, isa, strategy, bce=True) -> Tuple[float, dict]:
-        inputs = front_half_inputs(config, strategy, bce)
-        front = fronts.get(inputs)
-        if front is None:
-            front = fronts[inputs] = optimise_module(module, *inputs)
-        compiled = compile_module(module, isa, config, strategy, front)
+        compiled, _ = compile_cached(store, module, isa, config, strategy, bce)
         return (
             cycles_for_profile(compiled, profile),
             check_counts_for_profile(compiled, profile),

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import ClassVar, Dict, FrozenSet, Optional, Tuple
 
 from repro.compiler.pipeline import (
     CompiledModule,
     CompilerConfig,
-    FrontHalf,
     compile_module,
     front_half_inputs,
     optimise_module,
+    selection_config,
 )
 from repro.compiler.timing import (
     check_counts_for_profile,
@@ -24,6 +24,49 @@ from repro.runtime.strategies import BoundsStrategy
 from repro.trace.events import RUNTIME_COMPILE, RUNTIME_COSTING
 from repro.trace.tracer import TRACE
 from repro.wasm.module import Module
+
+
+def compile_cached(
+    store: dict,
+    module: Module,
+    isa: IsaModel,
+    config: CompilerConfig,
+    strategy: BoundsStrategy,
+    bce: bool = True,
+) -> Tuple[CompiledModule, bool]:
+    """The module compiled through ``store``; also whether it was there.
+
+    Each stage is keyed on exactly the inputs it reads, so every
+    configuration that agrees on them shares one result:
+
+    * the front half on (module, pass set, affine-guard legality) —
+      :func:`~repro.compiler.pipeline.front_half_inputs`;
+    * the back end on (front half, ``config``, ISA, the strategy's
+      :func:`~repro.compiler.pipeline.selection_config`);
+    * instruction selection and the spill estimate per function, inside
+      :func:`compile_module`.
+
+    Every entry keeps what its key names by id (the module, an IR
+    function) alive, so no id can be recycled while the entry lives,
+    and clearing ``store`` frees every IR built through it.
+    """
+    passes, affine_guard_ok = front_half_inputs(config, strategy, bce)
+    front_key = ("front", id(module), passes, affine_guard_ok)
+    front = store.get(front_key)
+    if front is None:
+        front = store[front_key] = (
+            optimise_module(module, passes, affine_guard_ok), module,
+        )
+    back_key = (
+        "back", front_key, config, isa.name, selection_config(config, strategy),
+    )
+    compiled = store.get(back_key)
+    if compiled is not None:
+        return compiled, True
+    compiled = store[back_key] = compile_module(
+        module, isa, config, strategy, front[0], store,
+    )
+    return compiled, False
 
 
 @dataclass
@@ -66,16 +109,12 @@ class RuntimeModel:
     #: compile-speed/code-quality trade-off Titzer [29] tabulates
     #: (LLVM slowest, baseline tiers and interpreters near-free).
     compile_seconds_per_instr: float = 0.0
-    #: Compiled code per (module, enabled passes, affine-guard
-    #: legality): the inputs of the ISA-independent front half.  Each
-    #: entry holds that front half, a strong reference to the module (so
-    #: its id() can never be recycled onto a different module) and the
-    #: back-end result per (isa, strategy), all sharing the front half's
-    #: IR.
-    _cache: Dict[
-        Tuple[int, FrozenSet[str], bool],
-        Tuple[FrontHalf, Module, Dict[Tuple[str, str], CompiledModule]],
-    ] = field(default_factory=dict, repr=False)
+    #: The compile store every runtime model shares (one class-level
+    #: dict, see :func:`compile_cached`): native-clang, native-gcc and
+    #: wavm cells without inline checks read one IR, and ``none``,
+    #: ``mprotect`` and ``uffd`` one back end wherever they emit the
+    #: same code.  Clearing it through any model empties it for all.
+    _cache: ClassVar[dict] = {}
     #: Block-costing results per (module, profile, isa, strategy, BCE
     #: flag): the costing walk over every block of every function is
     #: pure, so one run prices the configuration for all subsequent
@@ -113,20 +152,9 @@ class RuntimeModel:
         """
         if self.compiler is None:
             raise ValueError(f"runtime {self.name} does not compile code")
-        passes, affine_guard_ok = front_half_inputs(self.compiler, strategy, bce)
-        key = (id(module), passes, affine_guard_ok)
-        entry = self._cache.get(key)
-        if entry is None:
-            entry = self._cache[key] = (
-                optimise_module(module, passes, affine_guard_ok), module, {},
-            )
-        front, _, backends = entry
-        compiled = backends.get((isa.name, strategy.name))
-        cached = compiled is not None
-        if not cached:
-            compiled = backends[isa.name, strategy.name] = compile_module(
-                module, isa, self.compiler, strategy, front,
-            )
+        compiled, cached = compile_cached(
+            self._cache, module, isa, self.compiler, strategy, bce,
+        )
         if TRACE.enabled:
             # Pre-simulation work: stamped at t=0 of the enclosing run.
             TRACE.emit(

@@ -1,6 +1,7 @@
 """Tests for the runtime models and their paper-mandated invariants."""
 
-import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.isa import isa_named
 from repro.runtime import strategy_named
 from repro.runtime.strategies import STRATEGY_ORDER
 from repro.runtimes import RUNTIMES, WASM_RUNTIMES, runtime_named
+from repro.runtimes.base import RuntimeModel
 
 
 @pytest.fixture(scope="module")
@@ -130,10 +132,10 @@ class TestCycleInvariants:
         second = runtime.compiled(module, isa_named("x86_64"), strategy_named("none"))
         assert first is second
 
-    def test_shared_front_half_matches_fresh_compile(self):
+    def test_shared_front_half_matches_fresh_compile(self, monkeypatch):
         """Every memoised compile equals a fresh one, whichever
-        configuration first built the IR it shares, and the IR is
-        shared exactly where the front half's inputs agree."""
+        configuration first built the IR, op lists or back end it
+        shares, and each is shared exactly where its inputs agree."""
         compiling = [
             name for name, model in RUNTIMES.items() if model.compiler is not None
         ]
@@ -144,15 +146,12 @@ class TestCycleInvariants:
             strategies=STRATEGY_ORDER, isas=("x86_64", "armv8", "riscv64"),
             size="mini",
         )
-        # Private copies, so no other test's compiles are reused here.
-        models = {
-            name: dataclasses.replace(runtime_named(name), _cache={})
-            for name in compiling
-        }
+        # A fresh shared store, so no other test's compiles are reused.
+        monkeypatch.setattr(RuntimeModel, "_cache", {})
         compiled = {}
         for request in spec.requests():
             module, _ = profile_for(request.workload, request.size)
-            model = models[request.runtime]
+            model = runtime_named(request.runtime)
             isa = isa_named(request.isa)
             strategy = strategy_named(request.strategy)
             got = model.compiled(module, isa, strategy)
@@ -196,6 +195,40 @@ class TestCycleInvariants:
                         assert shared(none, (workload, runtime, strategy, isa))
                     assert not shared(none, trap)
                     assert not shared(trap, (workload, runtime, "wasm64", isa))
+            for isa in ("x86_64", "armv8"):
+                # Without inline checks the LLVM-like runtimes agree on
+                # the pass set, and so do Cranelift and TurboFan.
+                wavm = (workload, "wavm", "none", isa)
+                for native in ("native-clang", "native-gcc"):
+                    assert shared(wavm, (workload, native, "none", isa))
+                assert shared(
+                    (workload, "wasmtime", "none", isa),
+                    (workload, "v8", "none", isa),
+                )
+                # Strategies that emit the same code share one back
+                # end; V8 charges a bookkeeping op per access under
+                # mprotect but not under none.
+                for strategy in ("mprotect", "uffd"):
+                    assert compiled[wavm] is compiled[
+                        workload, "wavm", strategy, isa
+                    ]
+                assert compiled[workload, "v8", "none", isa] is not compiled[
+                    workload, "v8", "mprotect", isa
+                ]
+
+    def test_clearing_the_store_frees_the_ir(self, gemm):
+        """Clearing every model's ``_cache`` frees the IR compiled
+        through it, so no process keeps a module's IR past that."""
+        module, _ = gemm
+        compiled = runtime_named("wavm").compiled(
+            module, isa_named("x86_64"), strategy_named("trap")
+        )
+        irf = weakref.ref(next(iter(compiled.functions.values())).irf)
+        del compiled
+        for model in RUNTIMES.values():
+            model._cache.clear()
+        gc.collect()
+        assert irf() is None
 
 
 class TestTierTradeoff:
