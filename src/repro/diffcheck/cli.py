@@ -35,13 +35,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 
 def _build_parser() -> argparse.ArgumentParser:
     from repro.core import cliopts
-    from repro.runtime.tiering import TIERS
 
     parser = argparse.ArgumentParser(
         prog="leaps-bench diffcheck",
@@ -87,13 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=0,
         help="base seed for the fuzz phase (default: 0)",
-    )
-    parser.add_argument(
-        "--tier", default=None, choices=TIERS,
-        help="pin the interpreter execution tier for every phase "
-        "(bisection aid: a divergence that disappears at --tier legacy "
-        "is a fast-path bug (fusion or fast memory closures), one that "
-        "appears only at --tier opt is a tier-2 vectorizer bug)",
     )
     parser.add_argument(
         "--json", default=None, metavar="PATH",
@@ -152,11 +143,6 @@ def main(argv=None) -> int:
     from repro.diffcheck.report import DiffReport
     from repro.runtime.predecode import interpreter_build_digest
     from repro.runtime.strategies import STRATEGY_ORDER
-    from repro.runtime.tiering import DEFAULT_TIER
-
-    if args.tier:
-        # Via the environment so ProcessPool workers inherit it too.
-        os.environ["REPRO_TIER"] = args.tier
 
     phases = [p.strip() for p in args.phases.split(",") if p.strip()]
     unknown = set(phases) - {"axioms", "reference", "sweep", "bce", "fuzz"}
@@ -215,10 +201,9 @@ def main(argv=None) -> int:
 
     if args.json:
         # Header first so a report is attributable to the exact
-        # interpreter build (and tier) that ran it.
+        # interpreter build that ran it.
         payload = {
             "interpreter_build": interpreter_build_digest(),
-            "tier": os.environ.get("REPRO_TIER") or DEFAULT_TIER,
             **report.to_json(),
         }
         with open(args.json, "w") as handle:

@@ -60,10 +60,9 @@ from repro.diffcheck.genome import (
 from repro.diffcheck.invariants import _COMPUTE_PAIRS, _check_order
 from repro.diffcheck.report import DiffReport, fan_out
 from repro.isa import ISAS
-from repro.runtime.interpreter import Interpreter
+from repro.runtime.interpreter import TIERS, Interpreter
 from repro.runtime.profile import ExecutionProfile
 from repro.runtime.strategies import STRATEGY_ORDER, strategy_named
-from repro.runtime.tiering import TIERS
 from repro.runtimes.base import compile_cached
 from repro.runtimes.registry import RUNTIMES
 from repro.wasm import decode_module, encode_module, validate_module

@@ -20,9 +20,8 @@ Value conventions: i32/i64 are canonical *unsigned* Python ints
 (0 ≤ v < 2**N); f32/f64 are Python floats, with f32 results rounded
 through single precision.
 
-Execution tiers (``tier=`` / ``REPRO_TIER``, see
-:mod:`repro.runtime.tiering`), the interpreter's only execution knob;
-all three have bit-identical observables:
+Execution tiers (``tier=``, one of :data:`TIERS`), the interpreter's
+only execution knob; all three have bit-identical observables:
 
 * ``legacy`` — the original one-closure-per-op build, unfused, kept
   verbatim as the reference the cross-tier tests compare against and
@@ -32,7 +31,14 @@ all three have bit-identical observables:
   (:mod:`repro.runtime.predecode`), loop handlers and struct-based fast
   memory closures;
 * ``opt`` (the default) — ``fused`` plus the tier-2 whole-function
-  compiler (:mod:`repro.runtime.vectorize`) for hot functions.
+  compiler (:mod:`repro.runtime.vectorize`), which compiles each
+  function at its first call; a function outside its shape stays on
+  ``fused`` dispatch.
+
+Generated code of every kind — fused regions, loop handlers and
+tier-2 functions — is compiled against the live instance: each Python
+object it uses (memory, operator functions, constants, count lists) is
+bound as it is when the code is generated (:func:`_build`).
 
 A *loop handler* (:func:`_gen_loop`) runs one innermost loop of the
 shape :func:`repro.runtime.predecode.find_loops` accepts, from entry to
@@ -48,13 +54,12 @@ call.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.runtime import predecode, tiering
+from repro.runtime import predecode, vectorize
 from repro.runtime.memory import LinearMemory
 from repro.runtime.profile import ExecutionProfile
 from repro.runtime.strategies import BoundsStrategy, strategy_named
@@ -66,6 +71,9 @@ from repro.wasm.validator import validate_module
 
 M32 = 0xFFFFFFFF
 M64 = 0xFFFFFFFFFFFFFFFF
+
+#: Execution tiers, slowest first.
+TIERS = ("legacy", "fused", "opt")
 
 # Each simulated wasm call consumes a handful of Python frames; raise
 # CPython's limit once at import so the interpreter's own depth guard
@@ -240,7 +248,7 @@ class Interpreter:
         validate: bool = True,
         collect_profile: bool = True,
         track_pages: bool = True,
-        tier: Optional[str] = None,
+        tier: str = "opt",
     ) -> None:
         if validate:
             validate_module(module)
@@ -249,9 +257,7 @@ class Interpreter:
         self.strategy = strategy or strategy_named("trap")
         self.module = module
         self.collect_profile = collect_profile
-        if tier is None:
-            tier = os.environ.get("REPRO_TIER") or tiering.DEFAULT_TIER
-        if tier not in tiering.TIERS:
+        if tier not in TIERS:
             raise ValueError(f"unknown tier {tier!r}")
         self.tier = tier
         self._num_imported = len(module.imports)
@@ -265,7 +271,11 @@ class Interpreter:
         self._code_cache: Dict[int, List[Callable]] = {}
         self._counts: Dict[int, List[int]] = {}
         self._depth = 0
-        self._tiering = tiering.TierState(self) if tier == "opt" else None
+        #: absolute func index -> tier-2 handler, or None for a function
+        #: outside the tier-2 shape; None as a whole below ``opt``.
+        self._tier2: Optional[Dict[int, Optional[Callable]]] = (
+            {} if tier == "opt" else None
+        )
         if module.start is not None:
             self.call_function(module.start, [])
 
@@ -436,10 +446,15 @@ class Interpreter:
                 counts = self._counts.get(func_index)
                 if counts is None:
                     counts = self._counts[func_index] = [0] * n
-            state = self._tiering
-            if state is not None:
-                handler = state.handler_for(func_index)
-                if handler is not None and handler(frame, counts) < 0:
+            tier2 = self._tier2
+            if tier2 is not None:
+                if func_index in tier2:
+                    handler = tier2[func_index]
+                else:
+                    handler = tier2[func_index] = self._tier_up(
+                        func_index, func, func_type, counts
+                    )
+                if handler is not None and handler(frame) < 0:
                     arity = len(func_type.results)
                     return frame.stack[-arity:] if arity else []
                 # handler returned 0: entry guard failed (deopt);
@@ -466,8 +481,26 @@ class Interpreter:
             self._depth -= 1
 
     # ------------------------------------------------------------------
-    # Compilation to closures
+    # Compilation
     # ------------------------------------------------------------------
+    def _tier_up(
+        self,
+        func_index: int,
+        func: Function,
+        func_type: FuncType,
+        counts: Optional[List[int]],
+    ) -> Optional[Callable]:
+        """The tier-2 handler of one function, or None outside its shape."""
+        return vectorize.compile_function(
+            func.body,
+            self._plans[func_index - self._num_imported].matches,
+            [t.value for t in func_type.params] + [t.value for t in func.locals],
+            len(func_type.params),
+            len(func_type.results),
+            self.instance.memory,
+            counts,
+        )
+
     def _compile(self, func_index: int, func: Function) -> List[Callable]:
         body = func.body
         if self.tier == "legacy":
@@ -486,20 +519,16 @@ class Interpreter:
         applied: List[predecode.FusedRegion] = []
         in_loops = set()
         for loop in plan.loops:
-            handler = _generated(
-                _gen_loop, loop, body, memory, self._counts.get(func_index)
+            code[loop.head] = _gen_loop(
+                loop, body, memory, self._counts.get(func_index)
             )
-            if handler is not None:
-                code[loop.head] = handler
-                applied.extend(loop.regions)
-                in_loops.update(loop.regions)
+            applied.extend(loop.regions)
+            in_loops.update(loop.regions)
         for region in plan.regions:
             if region in in_loops:
                 continue  # a loop handler runs it
-            handler = _generated(_gen_region, region, body, memory, len(body))
-            if handler is not None:
-                code[region.head] = handler
-                applied.append(region)
+            code[region.head] = _gen_region(region, body, memory, len(body))
+            applied.append(region)
         if applied:
             self._fused_regions[func_index] = applied
         return code
@@ -762,21 +791,6 @@ class Interpreter:
 
             return run_binop
         raise NotImplementedError(f"no interpreter support for {op}")  # pragma: no cover
-
-
-def _generated(gen: Callable, *args) -> Optional[Callable]:
-    """A fused-tier handler from ``gen(*args)``, or None if codegen fails.
-
-    None leaves the region or loop on per-unit dispatch, which is
-    always semantically safe; REPRO_TIER_STRICT=1 (set in CI) raises
-    instead, so the codegen bug surfaces.
-    """
-    try:
-        return gen(*args)
-    except Exception:
-        if tiering.strict():
-            raise
-        return None
 
 
 class _Frame:
@@ -1264,20 +1278,22 @@ class _Translator:
         storer = self.bind(_value_storer(self.memory, op))
         self.emit(f"{storer}({addr}, {value})")
 
-    def build(self, name: str, lines: List[str], filename: str) -> Callable:
-        """Compile ``def name(f): lines`` with the environment bound.
 
-        The environment is bound through default parameters: defaults
-        live in the function object, so handler-time lookups are all
-        LOAD_FAST.
-        """
-        params = "".join(f", {key}={key}" for key in self.env)
-        source = "\n".join(
-            [f"def {name}(f{params}):"] + ["    " + line for line in lines]
-        ) + "\n"
-        namespace = dict(self.env)
-        exec(compile(source, filename, "exec"), namespace)
-        return namespace[name]
+def _build(
+    name: str, env: Dict[str, Any], lines: List[str], filename: str
+) -> Callable:
+    """Compile ``def name(f): lines`` with the environment ``env`` bound.
+
+    The environment is bound through default parameters: defaults live
+    in the function object, so handler-time lookups are all LOAD_FAST.
+    """
+    params = "".join(f", {key}={key}" for key in env)
+    source = "\n".join(
+        [f"def {name}(f{params}):"] + ["    " + line for line in lines]
+    ) + "\n"
+    namespace = dict(env)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
 
 
 class _LoopTranslator(_Translator):
@@ -1388,8 +1404,9 @@ def _gen_region(
     if not terminated:
         gen.flush_stack()
         gen.emit(f"return {after}")
-    return gen.build(
+    return _build(
         "_fused",
+        gen.env,
         ["L = f.locals", "S = f.stack"] + gen.lines,
         f"<fused:{head}+{region.length}>",
     )
@@ -1459,8 +1476,9 @@ def _gen_loop(
             + ["    " + line for line in flush]
         )
     epilogue = [f"L[{i}] = l{i}" for i in sorted(written)]
-    return gen.build(
+    return _build(
         "_loop",
+        gen.env,
         prologue + lines + epilogue + [f"return {loop.end + 1}"],
         f"<loop:{loop.head}..{loop.end}>",
     )

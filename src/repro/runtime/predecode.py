@@ -17,7 +17,8 @@ Plans are pure data (deterministic functions of the body), built in
 memory once per interpreter at module load; the ``legacy`` tier builds
 none.
 
-:func:`interpreter_build_digest` hashes the interpreter sources.
+:func:`interpreter_build_digest` hashes the interpreter sources: this
+file, ``interpreter.py``, ``memory.py`` and ``vectorize.py``.
 Measurement cache keys embed it, and ``leaps-bench diffcheck --json``
 embeds it so an equivalence report is attributable to an exact
 interpreter build.
@@ -343,11 +344,11 @@ def interpreter_build_digest() -> str:
     Identifies the exact semantics+fusion implementation a run used;
     embedded in measurement cache keys and diffcheck reports.
     """
-    # Deferred: circular (interpreter/tiering import this module).
-    from repro.runtime import interpreter, memory, tiering, vectorize
+    # Deferred: circular (interpreter/vectorize import this module).
+    from repro.runtime import interpreter, memory, vectorize
 
     digest = hashlib.sha256()
-    for module in (interpreter, memory, tiering, vectorize):
+    for module in (interpreter, memory, vectorize):
         digest.update(Path(module.__file__).read_bytes())
     digest.update(Path(__file__).read_bytes())
     return digest.hexdigest()

@@ -37,17 +37,23 @@ tiers.  Three mechanisms make that possible:
   ``end`` pcs of the block/loop pair never execute at all in the
   recognised loop shape and map to no counter.
 
-Compilation failures raise :class:`Bailout` internally and surface as
-``{"eligible": False}`` artifacts; the function then simply stays on
-tier 1.  NumPy ineligibility (:class:`VecBail`) is never an error —
-the scalar compiled loop is kept instead.
+:func:`compile_function` runs at a function's first call and binds
+every Python object the generated code uses — the instance's memory,
+the interpreter's operator functions, float constants as they are (so
+a NaN keeps its sign and payload), the per-pc count list — when it
+generates the code, as the interpreter's tier-1 handlers do.  A body
+outside the supported shape raises :class:`Bailout` internally and the
+function simply stays on tier 1; any other exception is a compiler bug
+and propagates.  NumPy ineligibility (:class:`VecBail`) is never an
+error — the scalar compiled loop is kept instead.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.runtime import interpreter as I
 from repro.runtime.predecode import (
     BINOP_NAMES,
     CMP_NAMES,
@@ -58,6 +64,7 @@ from repro.runtime.predecode import (
     TRAPPING_UNOPS,
     UNOP_NAMES,
 )
+from repro.wasm.errors import Trap
 
 try:  # NumPy is optional: scalar codegen carries the perf floor alone.
     import numpy as _np
@@ -70,7 +77,6 @@ except Exception:  # pragma: no cover - environment without numpy
 VEC_MIN = 16
 
 M32 = 0xFFFFFFFF
-M64 = 0xFFFFFFFFFFFFFFFF
 I31 = 1 << 31  # exclusive bound for "plain arithmetic is exact"
 PAGE = 4096
 
@@ -83,28 +89,11 @@ class VecBail(Exception):
     """One loop cannot use the NumPy path (scalar loop still emitted)."""
 
 
-def _to_f32(x: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", x))[0]
-
-
-_TABLES = None
-
-
-def _tables():
-    """Interpreter op tables, imported lazily to avoid a module cycle."""
-    global _TABLES
-    if _TABLES is None:
-        from repro.runtime import interpreter as I
-
-        _TABLES = (
-            I._INLINE_BINOPS,
-            I._INLINE_UNOPS,
-            I._FAST_LOAD,
-            I._FAST_STORE,
-            I._BINOPS,
-            I._UNOPS,
-        )
-    return _TABLES
+#: What folding a constant expression through the interpreter's
+#: operator tables may raise: a trap, or an f32 result too large for
+#: ``struct`` to round.  Such a body stays on tier 1, which raises the
+#: same only if the expression runs.
+_FOLD_ERRORS = (Trap, OverflowError)
 
 
 #: Signed i32 compares become plain Python compares when both operands
@@ -147,23 +136,25 @@ class Val:
 
 
 class _Compiler:
-    def __init__(self, body, matches, local_types, n_params, n_results):
+    def __init__(
+        self, body, matches, local_types, n_params, n_results, memory, counts
+    ):
         self.body = body
         self.matches = matches
         self.local_types = list(local_types)
         self.n_params = n_params
         self.n_results = n_results
+        self.memory = memory
+        self.counts = counts
         self.lines: List[str] = []
-        self.indent = 1
-        self.env: Dict[Tuple, str] = {}
-        self.env_order: List[Tuple[str, str, Any]] = []
+        self.indent = 0
+        #: name -> the object the generated code sees under that name.
+        self.env: Dict[str, Any] = {}
         self.counter_pcs: List[List[int]] = []
         self.ntmp = 0
         self.nm = 0
         self.nb = 0
         self.need = 0
-        self.uses_mem = False
-        self.uses_np = False
         self.lver = [0] * len(self.local_types)
         self.lvals: List[Val] = []
         for i, ty in enumerate(self.local_types):
@@ -198,20 +189,10 @@ class _Compiler:
         self.ntmp += 1
         return name
 
-    def bind(self, kind: str, arg: Any = None, prefix: str = "_x") -> str:
-        key = (kind, arg)
-        name = self.env.get(key)
-        if name is None:
-            name = f"{prefix}{len(self.env)}"
-            self.env[key] = name
-            self.env_order.append((name, kind, arg))
-        return name
-
-    def bind_fixed(self, name: str, kind: str) -> str:
-        key = (kind, None)
-        if key not in self.env:
-            self.env[key] = name
-            self.env_order.append((name, kind, None))
+    def bind(self, value: Any, prefix: str) -> str:
+        """A fresh name under which the generated code sees ``value``."""
+        name = f"{prefix}{len(self.env)}"
+        self.env[name] = value
         return name
 
     def new_counter(self, pcs: Sequence[int] = ()) -> int:
@@ -244,11 +225,14 @@ class _Compiler:
                 )
 
     def _touch_mem(self) -> None:
-        self.uses_mem = True
-        self.bind_fixed("data", "data")
-        self.bind_fixed("mem", "mem")
-        self.bind_fixed("T", "touched")
-        self.bind_fixed("track", "track")
+        memory = self.memory
+        if memory is None:
+            raise Bailout("memory access in a module without memory")
+        env = self.env
+        env["data"] = memory.data
+        env["mem"] = memory
+        env["T"] = memory.touched_pages
+        env["track"] = memory.track_pages
 
     def _const_val(self, value: Any, ty: str) -> Val:
         node = ("const", value, ty)
@@ -258,7 +242,9 @@ class _Compiler:
                 repr(value), ty, node, ival=iv, aff={None: value} if iv else None
             )
         if value != value or value in (float("inf"), float("-inf")):
-            return Val(self.bind("const", repr(value), "_k"), ty, node)
+            # No literal spells these; a NaN is bound as it is, so its
+            # sign and payload survive.
+            return Val(self.bind(value, "_k"), ty, node)
         return Val(repr(value), ty, node)
 
     def _node_ival(self, node) -> Optional[Tuple[int, int]]:
@@ -287,7 +273,6 @@ class _Compiler:
 
     # -- operators -----------------------------------------------------
     def _binop(self, op: str) -> None:
-        inline_bin, _, _, _, binops, _ = _tables()
         b = self.sym.pop()
         a = self.sym.pop()
         ty = op.split(".", 1)[0]
@@ -295,9 +280,9 @@ class _Compiler:
         locs = a.locs | b.locs
         if a.node[0] == "const" and b.node[0] == "const":
             try:
-                value = binops[op](a.node[1], b.node[1])
-            except Exception as exc:
-                raise Bailout(f"{op} on constants traps: {exc}")
+                value = I._BINOPS[op](a.node[1], b.node[1])
+            except _FOLD_ERRORS as exc:
+                raise Bailout(f"{op} on constants raises: {exc}")
             self.sym.append(self._const_val(value, rty))
             return
 
@@ -313,7 +298,7 @@ class _Compiler:
                 else:
                     py = f"(1 if {a.py} {sym} {b.py} else 0)"
             if py is None:
-                template = inline_bin.get(op)
+                template = I._INLINE_BINOPS.get(op)
                 if template is not None:
                     py = template.format(a.py, b.py)
         elif ty == "i32" and a.ival is not None and b.ival is not None:
@@ -350,7 +335,7 @@ class _Compiler:
                 py = aff = None
 
         if py is None:
-            template = inline_bin.get(op)
+            template = I._INLINE_BINOPS.get(op)
             if template is not None:
                 py = template.format(a.py, b.py)
             elif op in TRAPPING_BINOPS:
@@ -364,9 +349,9 @@ class _Compiler:
                 bits = 32 if ty == "i32" else 64
                 if op.endswith("div_s") and d == (1 << bits) - 1:
                     raise Bailout(f"{op} by constant -1 may overflow")
-                py = f"{self.bind('bin', op, '_f')}({a.py}, {b.py})"
+                py = f"{self.bind(I._BINOPS[op], '_f')}({a.py}, {b.py})"
             else:
-                py = f"{self.bind('bin', op, '_f')}({a.py}, {b.py})"
+                py = f"{self.bind(I._BINOPS[op], '_f')}({a.py}, {b.py})"
         node = ("bin", op, a.node, b.node, iv)
         self.sym.append(Val(py, rty, node, ival=iv, aff=aff, locs=locs))
 
@@ -394,14 +379,13 @@ class _Compiler:
         return None
 
     def _unop(self, op: str) -> None:
-        _, inline_un, _, _, _, unops = _tables()
         a = self.sym.pop()
         rty = op.split(".", 1)[0]
         if a.node[0] == "const":
             try:
-                value = unops[op](a.node[1])
-            except Exception as exc:
-                raise Bailout(f"{op} on constant traps: {exc}")
+                value = I._UNOPS[op](a.node[1])
+            except _FOLD_ERRORS as exc:
+                raise Bailout(f"{op} on constant raises: {exc}")
             self.sym.append(self._const_val(value, rty))
             return
         if op in TRAPPING_UNOPS:
@@ -409,26 +393,25 @@ class _Compiler:
         iv = None
         if op in ("i32.eqz", "i64.eqz"):
             iv = (0, 1)
-        template = inline_un.get(op)
+        template = I._INLINE_UNOPS.get(op)
         if template is not None:
             py = template.format(a.py)
         elif op == "f64.convert_i32_s" and a.ival is not None:
             py = f"float({a.py})"
         else:
-            py = f"{self.bind('un', op, '_g')}({a.py})"
+            py = f"{self.bind(I._UNOPS[op], '_g')}({a.py})"
         node = ("un", op, a.node, iv)
         self.sym.append(Val(py, rty, node, ival=iv, locs=a.locs))
 
     # -- memory --------------------------------------------------------
     def _access(self, ins, stream_ctx, kind):
         """Common address handling; returns (eff_expr, fmt, mask, size, si)."""
-        _, _, fast_load, fast_store, _, _ = _tables()
         op = ins.op
         offset = ins.args[1]
         if kind == "load":
-            fmt, mask = fast_load[op]
+            fmt, mask = I._FAST_LOAD[op]
         else:
-            fmt, mask = fast_store[op]
+            fmt, mask = I._FAST_STORE[op]
         size = struct.calcsize(fmt)
         addr = self.sym.pop()
         if addr.ival is None:
@@ -470,7 +453,7 @@ class _Compiler:
         value = self.sym.pop()
         eff, fmt, mask, size, si = self._access(ins, stream_ctx, "store")
         vpy = value.py if mask is None else f"({value.py} & {mask})"
-        pk = self.bind("p", fmt, "_p")
+        pk = self.bind(struct.Struct(fmt).pack_into, "_p")
         self.emit(f"{pk}(data, {eff}, {vpy})")
         if stream_ctx is not None:
             if si is not None:
@@ -520,15 +503,7 @@ class _Compiler:
                     stream_ctx["vec_ok"] = False
                 self._local_set(ins.args[0])
             elif op in CONST_NAMES:
-                raw = ins.args[0]
-                if op == "i32.const":
-                    self.sym.append(self._const_val(raw & M32, "i32"))
-                elif op == "i64.const":
-                    self.sym.append(self._const_val(raw & M64, "i64"))
-                elif op == "f32.const":
-                    self.sym.append(self._const_val(_to_f32(float(raw)), "f32"))
-                else:
-                    self.sym.append(self._const_val(float(raw), "f64"))
+                self.sym.append(self._const_val(I._const_value(ins), op[:3]))
             elif op == "drop":
                 self.sym.pop()
             elif op == "select":
@@ -567,7 +542,7 @@ class _Compiler:
         offset = ins.args[1]
         addr_node = self.sym[-1].node  # captured before _access pops it
         eff, fmt, mask, size, _si = self._access(ins, stream_ctx, "load")
-        un = self.bind("u", fmt, "_u")
+        un = self.bind(struct.Struct(fmt).unpack_from, "_u")
         t = self._tmp()
         if mask is None:
             self.emit(f"{t} = {un}(data, {eff})[0]")
@@ -616,15 +591,7 @@ class _Compiler:
             ins = body[pc]
             op = ins.op
             if op in CONST_NAMES:
-                raw = ins.args[0]
-                if op == "i32.const":
-                    self.sym.append(self._const_val(raw & M32, "i32"))
-                elif op == "i64.const":
-                    self.sym.append(self._const_val(raw & M64, "i64"))
-                elif op == "f32.const":
-                    self.sym.append(self._const_val(_to_f32(float(raw)), "f32"))
-                else:
-                    self.sym.append(self._const_val(float(raw), "f64"))
+                self.sym.append(self._const_val(I._const_value(ins), op[:3]))
             elif op == "local.get":
                 index = ins.args[0]
                 lv = self.lvals[index]
@@ -798,10 +765,8 @@ class _Compiler:
                 vec = None
         if vec is not None:
             vec_lines, alias = vec
-            self.uses_np = True
-            self.bind_fixed("_np", "np")
-            self.bind_fixed("_vm", "vecmin")
-            cond = f"_np is not None and {mv} >= _vm"
+            self.env["_np"] = _np
+            cond = f"{mv} >= {VEC_MIN}"
             if alias:
                 cond += f" and ({alias})"
             self.emit(f"if {cond}:")
@@ -947,8 +912,9 @@ class _Compiler:
                 expr, isvec = self._vecgen(vn[3])
                 if s["si"] in self._vec["names"]:
                     raise VecBail  # rest reads the accumulator cell
-                un = self.bind("u", "<d", "_u")
-                pk = self.bind("p", "<d", "_p")
+                packer = struct.Struct("<d")
+                un = self.bind(packer.unpack_from, "_u")
+                pk = self.bind(packer.pack_into, "_p")
                 op = "+" if vn[1] == "f64.add" else "-"
                 lines.append(f"_acc = {un}(data, {stream['name']})[0]")
                 if isvec:
@@ -1059,7 +1025,7 @@ class _Compiler:
                 # Loop-invariant cell: alias checks guarantee no store
                 # writes it, so one scalar read is exact.
                 name = f"_s{si}"
-                un = self.bind("u", "<d", "_u")
+                un = self.bind(struct.Struct("<d").unpack_from, "_u")
                 self._vec["lines"].append(f"{name} = {un}(data, {st['name']})[0]")
                 isvec = False
             elif stride % 8 == 0:
@@ -1088,7 +1054,7 @@ class _Compiler:
             if isinstance(val, float) and (
                 val != val or val in (float("inf"), float("-inf"))
             ):
-                return self.bind("const", repr(val), "_k"), False
+                return self.bind(val, "_k"), False
             return repr(val), False
         if kind == "local":
             _, j, ver = node
@@ -1115,7 +1081,7 @@ class _Compiler:
                 return f"({a} {sym} {b})", isvec
             if op == "f64.div":
                 if not isvec:
-                    return f"{self.bind('bin', op, '_f')}({a}, {b})", False
+                    return f"{self.bind(I._BINOPS[op], '_f')}({a}, {b})", False
                 return f"({a} / {b})", True
             if iv is None:
                 raise VecBail
@@ -1142,7 +1108,8 @@ class _Compiler:
         raise VecBail
 
     # -- assembly ------------------------------------------------------
-    def compile(self) -> dict:
+    def compile(self):
+        """The handler ``fn(frame) -> -1 (done) | 0 (deopt)``."""
         c0 = self.new_counter()
         self.emit(f"c{c0} += 1")
         self._walk(0, len(self.body), c0, None)
@@ -1151,111 +1118,54 @@ class _Compiler:
                 f"body ends with {len(self.sym)} values, "
                 f"expected {self.n_results}"
             )
-        results = [v.py for v in self.sym]
 
-        src = [""]  # header slot, filled once every env name is bound
-        pad = "    "
+        src = []
         nlocals = len(self.local_types)
         if nlocals:
-            src.append(pad + "L = f.locals")
+            src.append("L = f.locals")
             for i in range(0, nlocals, 8):
                 src.append(
-                    pad
-                    + "; ".join(
+                    "; ".join(
                         f"l{j} = L[{j}]" for j in range(i, min(i + 8, nlocals))
                     )
                 )
-        if self.uses_mem and self.need:
-            src.append(pad + f"if len(data) < {self.need}: return 0")
+        if self.need:
+            src.append(f"if len(data) < {self.need}: return 0")
         ncounters = len(self.counter_pcs)
         for i in range(0, ncounters, 8):
             src.append(
-                pad
-                + "; ".join(
-                    f"c{j} = 0" for j in range(i, min(i + 8, ncounters))
-                )
+                "; ".join(f"c{j} = 0" for j in range(i, min(i + 8, ncounters)))
             )
         src.extend(self.lines)
-        flushes = [
-            (i, pcs) for i, pcs in enumerate(self.counter_pcs) if pcs
-        ]
-        if flushes:
-            src.append(pad + "if C is not None:")
-            for i, pcs in flushes:
-                name = self.bind("pcs", tuple(pcs), "_P")
-                src.append(pad * 2 + f"if c{i}:")
-                src.append(pad * 3 + f"for _pc in {name}: C[_pc] += c{i}")
-        if results:
-            src.append(pad + "S = f.stack")
-            for py in results:
-                src.append(pad + f"S.append({py})")
-        src.append(pad + "return -1")
-        args = ", ".join(f"{n}={n}" for n, _, _ in self.env_order)
-        src[0] = f"def _t2(f, C{', ' + args if args else ''}):"
-
-        env = [
-            [name, kind, list(arg) if isinstance(arg, tuple) else arg]
-            for name, kind, arg in self.env_order
-        ]
-        return {
-            "eligible": True,
-            "source": "\n".join(src),
-            "env": env,
-            "need": self.need,
-        }
+        if self.counts is not None:
+            self.env["C"] = self.counts
+            for i, pcs in enumerate(self.counter_pcs):
+                if pcs:
+                    name = self.bind(tuple(pcs), "_P")
+                    src.append(f"if c{i}:")
+                    src.append(f"    for _pc in {name}: C[_pc] += c{i}")
+        if self.sym:
+            src.append("S = f.stack")
+            for v in self.sym:
+                src.append(f"S.append({v.py})")
+        src.append("return -1")
+        return I._build("_t2", self.env, src, "<tier2>")
 
 
 def compile_function(
-    body, matches, local_types, n_params, n_results
-) -> dict:
-    """Compile one function body to a tier-2 artifact (pure data).
+    body, matches, local_types, n_params, n_results, memory, counts
+) -> Optional[Callable]:
+    """Compile one function body against one instance.
 
-    Returns ``{"eligible": False, "reason": ...}`` when the body falls
-    outside the supported shape; never raises :class:`Bailout`.
+    ``memory`` is the instance's linear memory (None without one) and
+    ``counts`` the function's per-pc count list (None when not
+    profiling).  Returns the handler ``fn(frame) -> -1 (done) | 0
+    (deopt)``, or None when the body falls outside the supported shape;
+    never raises :class:`Bailout`.
     """
     try:
-        compiler = _Compiler(body, matches, local_types, n_params, n_results)
-        return compiler.compile()
-    except Bailout as exc:
-        return {"eligible": False, "reason": str(exc)}
-
-
-def install(artifact: dict, memory):
-    """Bind an eligible artifact against one instance's memory.
-
-    Returns the handler ``fn(frame, counts) -> -1 (done) | 0 (deopt)``.
-    """
-    from repro.runtime import interpreter as I
-
-    scope: Dict[str, Any] = {}
-    binds: Dict[str, Any] = {}
-    for name, kind, arg in artifact["env"]:
-        if kind == "u":
-            binds[name] = struct.Struct(arg).unpack_from
-        elif kind == "p":
-            binds[name] = struct.Struct(arg).pack_into
-        elif kind == "bin":
-            binds[name] = I._BINOPS[arg]
-        elif kind == "un":
-            binds[name] = I._UNOPS[arg]
-        elif kind == "np":
-            binds[name] = _np
-        elif kind == "vecmin":
-            binds[name] = VEC_MIN
-        elif kind == "const":
-            binds[name] = float(arg)
-        elif kind == "pcs":
-            binds[name] = tuple(arg)
-        elif kind == "data":
-            binds[name] = memory.data
-        elif kind == "mem":
-            binds[name] = memory
-        elif kind == "touched":
-            binds[name] = memory.touched_pages
-        elif kind == "track":
-            binds[name] = memory.track_pages
-        else:  # pragma: no cover - the compiler emits only these kinds
-            raise ValueError(f"unknown env kind {kind!r}")
-    scope.update(binds)
-    exec(compile(artifact["source"], "<tier2>", "exec"), scope)
-    return scope["_t2"]
+        return _Compiler(
+            body, matches, local_types, n_params, n_results, memory, counts
+        ).compile()
+    except Bailout:
+        return None

@@ -73,16 +73,14 @@ def test_corpus_is_populated():
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
-def test_tiers_agree(path, monkeypatch):
+def test_tiers_agree(path):
     """All three execution tiers are bit-identical on the corpus.
 
     The opt tier's whole-function compiler runs from each function's
-    first call wherever it can; ``REPRO_TIER_STRICT=1`` turns unexpected
-    fused-codegen and vectorizer failures into hard errors instead of
-    silent fallbacks.
+    first call wherever it can; an unexpected fused-codegen or
+    vectorizer failure propagates as a hard error.
     Agreement covers outcomes *and* the reconstructed per-pc profile.
     """
-    monkeypatch.setenv("REPRO_TIER_STRICT", "1")
     module = parse_wat(path.read_text())
     validate_module(module)
     # Wire round trip: the binary form must reproduce the module.
@@ -99,9 +97,8 @@ def test_tiers_agree(path, monkeypatch):
             )
 
 
-def test_tier2_compiles_some_of_the_corpus(monkeypatch):
+def test_tier2_compiles_some_of_the_corpus():
     """The opt tier must engage on the corpus, not just bail out."""
-    monkeypatch.setenv("REPRO_TIER_STRICT", "1")
     installed = 0
     for path in CORPUS:
         module = parse_wat(path.read_text())
@@ -113,7 +110,7 @@ def test_tier2_compiles_some_of_the_corpus(monkeypatch):
                 except Trap:
                     pass
         installed += sum(
-            1 for handler in interp._tiering.handlers.values() if handler
+            1 for handler in interp._tier2.values() if handler
         )
     assert installed > 0, "tier-2 installed zero handlers across the corpus"
 

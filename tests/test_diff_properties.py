@@ -10,15 +10,13 @@ round trip of an f32-computing module).
 """
 
 import math
-import os
 import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.diffcheck.genome import build_genome_module, genome_from_seed
-from repro.runtime.interpreter import Interpreter, to_f32
-from repro.runtime.tiering import TIERS
+from repro.runtime.interpreter import TIERS, Interpreter, to_f32
 from repro.wasm import decode_module, encode_module, validate_module
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.errors import DecodeError, Trap, WasmError
@@ -166,11 +164,9 @@ class TestFusionEquivalence:
     For generated programs (the diffcheck fuzzer's genomes, so
     shrinking happens on the seed), every execution tier must produce
     bit-identical return values, memory load/store counts, touched-page
-    sets and per-pc profiles.  Each tier is pinned explicitly, so an
-    ambient ``REPRO_TIER`` cannot collapse the comparison, and
-    ``REPRO_TIER_STRICT`` turns any silent fused-codegen or tier-2
-    fallback into a hard failure, so a property violation here cannot
-    hide behind the ``legacy`` path.
+    sets and per-pc profiles.  Each tier is pinned explicitly, and a
+    fused-codegen or tier-2 failure propagates as a hard failure, so a
+    property violation here cannot hide behind the ``legacy`` path.
     """
 
     @staticmethod
@@ -194,18 +190,10 @@ class TestFusionEquivalence:
     def test_dispatch_modes_agree(self, seed, arg):
         module = build_genome_module(genome_from_seed(seed))
         validate_module(module)
-        previous = os.environ.get("REPRO_TIER_STRICT")
-        os.environ["REPRO_TIER_STRICT"] = "1"
-        try:
-            reference = self._observe(module, arg, "fused")
-            for tier in TIERS:
-                if tier != "fused":
-                    assert self._observe(module, arg, tier) == reference
-        finally:
-            if previous is None:
-                del os.environ["REPRO_TIER_STRICT"]
-            else:
-                os.environ["REPRO_TIER_STRICT"] = previous
+        reference = self._observe(module, arg, "fused")
+        for tier in TIERS:
+            if tier != "fused":
+                assert self._observe(module, arg, tier) == reference
 
     @given(st.integers(0, 10**9), st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)

@@ -38,9 +38,8 @@ from repro.diffcheck.genome import (
     genome_from_seed,
 )
 from repro.diffcheck.report import DiffReport
-from repro.runtime.interpreter import Interpreter
+from repro.runtime.interpreter import TIERS, Interpreter
 from repro.runtime.memory import LinearMemory
-from repro.runtime.tiering import TIERS
 from repro.wasm import decode_module, encode_module, validate_module
 from repro.wasm.errors import Trap, WasmError
 from repro.wasm.wat_parser import parse_wat
@@ -159,9 +158,8 @@ class TestByteLevelMutants:
 
 
 class TestPromotion:
-    def test_round_trip_under_all_tiers(self, monkeypatch):
+    def test_round_trip_under_all_tiers(self):
         """The committed campaign WAT behaves as its genome does."""
-        monkeypatch.setenv("REPRO_TIER_STRICT", "1")
         manifest = json.loads((CORPUS_DIR / "seeds.json").read_text())
         entries = manifest["campaign"]
         assert entries

@@ -16,9 +16,8 @@ import pytest
 
 from repro.diffcheck import fuzz
 from repro.diffcheck.genome import build_genome_module, genome_from_json
-from repro.runtime.interpreter import Interpreter
+from repro.runtime.interpreter import TIERS, Interpreter
 from repro.runtime.strategies import STRATEGY_ORDER
-from repro.runtime.tiering import TIERS
 from repro.wasm import decode_module, encode_module, validate_module
 from repro.wasm.errors import Trap
 from repro.wasm.wat_parser import parse_wat
@@ -71,14 +70,13 @@ def test_seed_passes_full_oracle(case):
 @pytest.mark.parametrize(
     "case", SEED_CASES, ids=lambda c: f"seed{c['seed']}"
 )
-def test_seed_tiers_agree(case, monkeypatch):
+def test_seed_tiers_agree(case):
     """Execution tiers agree on the case's module for every strategy.
 
-    Strict mode, so any unexpected vectorizer failure on fuzzer-shaped
-    programs is a hard error, and any divergence in
-    value/loads/stores/pages is caught.
+    An unexpected vectorizer failure on fuzzer-shaped programs is a
+    hard error, and any divergence in value/loads/stores/pages is
+    caught.
     """
-    monkeypatch.setenv("REPRO_TIER_STRICT", "1")
     module = build_genome_module(genome_from_json(case["genome"]))
     validate_module(module)
     for strategy in STRATEGY_ORDER:
@@ -93,7 +91,7 @@ def test_seed_tiers_agree(case, monkeypatch):
 
 
 @pytest.mark.parametrize("path", WAT_CASES, ids=lambda p: p.stem)
-def test_wat_regression_grid(path, monkeypatch):
+def test_wat_regression_grid(path):
     """Distilled regressions agree across strategies and execution tiers.
 
     Within one strategy every tier must be bit-identical.
@@ -102,7 +100,6 @@ def test_wat_regression_grid(path, monkeypatch):
     strategy traps, all trapping strategies report the same kind and
     clamp/none complete without trapping.
     """
-    monkeypatch.setenv("REPRO_TIER_STRICT", "1")
     module = parse_wat(path.read_text())
     validate_module(module)
     module = decode_module(encode_module(module))
@@ -141,15 +138,13 @@ def test_wat_regression_grid(path, monkeypatch):
 
 
 @pytest.mark.parametrize("path", WAT_CASES, ids=lambda p: p.stem)
-def test_wat_regression_opt_strict(path, monkeypatch):
-    """Corpus replays under the optimizing tier in strict mode.
+def test_wat_regression_opt_strict(path):
+    """Corpus replays under the optimizing tier against ``fused``.
 
-    ``REPRO_TIER_STRICT=1`` turns any tier-2 bailout into a hard
-    error, so this catches both vectorizer divergence and silent
-    fallback on every distilled regression shape.
+    A tier-2 codegen failure propagates, so this catches both
+    vectorizer divergence and a compiler crash on every distilled
+    regression shape.
     """
-    monkeypatch.setenv("REPRO_TIER", "opt")
-    monkeypatch.setenv("REPRO_TIER_STRICT", "1")
     module = parse_wat(path.read_text())
     validate_module(module)
     for strategy in STRATEGY_ORDER:
@@ -158,7 +153,7 @@ def test_wat_regression_opt_strict(path, monkeypatch):
             observed = _outcome(module, arg, strategy, tier="opt")
             assert observed == reference, (
                 f"{path.name} arg={arg} {strategy}: "
-                "opt tier diverges from fused under strict replay"
+                "opt tier diverges from fused"
             )
 
 

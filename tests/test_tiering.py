@@ -1,14 +1,16 @@
-"""Tests for the execution tiers (tiering.py + vectorize.py).
+"""Tests for the execution tiers (interpreter.py + vectorize.py).
 
-Covers tier resolution and its validation, tier-up at first call,
-bit-identical observables between the ``opt`` tier and the fused
-reference (outputs, memory counters, touched pages, reconstructed
-per-pc profiles), the entry-guard deopt path, traps inside a fused-tier
-loop handler, the lazy tier-1 build, and ``REPRO_TIER_STRICT`` over
-every silent fallback (tier-2 install, fused-region and loop-handler
-codegen).
+Covers tier selection and its validation, tier-up at each function's
+first call, bit-identical observables between the tiers (outputs,
+memory counters, touched pages, reconstructed per-pc profiles) on
+every registered workload and on float constants whose bits no
+literal spells, the entry-guard deopt path, traps inside a fused-tier
+loop handler, the lazy tier-1 build, and that a codegen failure in
+tier 2, a fused region or a loop handler propagates instead of
+falling back.
 """
 
+import hashlib
 import struct
 
 import pytest
@@ -16,10 +18,14 @@ import pytest
 from repro.core import profiles
 from repro.core.profiles import clear_profile_cache, module_for
 from repro.runtime import interpreter, vectorize
-from repro.runtime.interpreter import Interpreter
-from repro.wasm import validate_module
+from repro.runtime.interpreter import TIERS, Interpreter
+from repro.wasm import decode_module, encode_module, validate_module
+from repro.wasm.builder import ModuleBuilder
 from repro.wasm.errors import Trap
+from repro.wasm.types import ValType
 from repro.wasm.wat_parser import parse_wat
+from repro.workloads.base import instantiate
+from repro.workloads.registry import WORKLOADS
 
 
 @pytest.fixture(autouse=True)
@@ -63,24 +69,17 @@ class TestTierResolution:
         interp = Interpreter(module)
         assert interp.tier == "opt"
         assert interp._plans
-        assert interp._tiering is not None
+        assert interp._tier2 is not None
 
     def test_tier_param_picks_dispatch(self):
         module, _ = module_for("trisolv", "mini")
         legacy = Interpreter(module, tier="legacy")
         assert legacy.tier == "legacy"
-        assert not legacy._plans and legacy._tiering is None
+        assert not legacy._plans and legacy._tier2 is None
         fused = Interpreter(module, tier="fused")
         assert fused.tier == "fused"
-        assert fused._plans and fused._tiering is None
-        assert Interpreter(module, tier="opt")._tiering is not None
-
-    def test_tier_env_var(self, monkeypatch):
-        module, _ = module_for("trisolv", "mini")
-        monkeypatch.setenv("REPRO_TIER", "legacy")
-        assert Interpreter(module).tier == "legacy"
-        monkeypatch.setenv("REPRO_TIER", "opt")
-        assert Interpreter(module)._tiering is not None
+        assert fused._plans and fused._tier2 is None
+        assert Interpreter(module, tier="opt")._tier2 is not None
 
     def test_unknown_tier_rejected(self):
         module, _ = module_for("trisolv", "mini")
@@ -88,29 +87,65 @@ class TestTierResolution:
             Interpreter(module, tier="turbofan")
 
 
+#: ``run`` calls ``$inc`` twice; ``unused`` is exported but never called.
+CALLS_WAT = """
+(module
+  (func $inc (param i32) (result i32)
+    local.get 0
+    i32.const 1
+    i32.add)
+  (func (export "run") (result i32)
+    i32.const 1
+    call $inc
+    call $inc)
+  (func (export "unused") (result i32)
+    i32.const 7))
+"""
+
+
 class TestTierUpHeuristic:
     def test_hot_functions_tier_up(self):
         module, _ = module_for("gemm", "mini")
         _, interp = _observables(module, "opt")
-        installed = [h for h in interp._tiering.handlers.values() if h]
+        installed = [h for h in interp._tier2.values() if h]
         assert len(installed) >= 2  # init and kernel
+
+    def test_each_function_compiles_once_at_its_first_call(self, monkeypatch):
+        compiled = []
+        compile_function = vectorize.compile_function
+
+        def record(body, *args):
+            compiled.append(body)
+            return compile_function(body, *args)
+
+        monkeypatch.setattr(vectorize, "compile_function", record)
+        module = parse_wat(CALLS_WAT)
+        interp = Interpreter(module)
+        inc, run, _unused = (func.body for func in module.funcs)
+        assert not compiled  # nothing compiles before a call
+        assert interp.invoke("run") == 3
+        assert interp.invoke("run") == 3
+        # ``run`` (outside the tier-2 shape: it calls) compiles before
+        # the callee it calls, neither compiles again, and ``unused``
+        # never compiles.
+        assert [id(body) for body in compiled] == [id(run), id(inc)]
+        assert interp._tier2[1] is None and interp._tier2[0] is not None
+        assert 2 not in interp._tier2
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("workload", ["gemm", "trisolv", "jacobi-2d"])
-    def test_opt_matches_fused_mini(self, workload, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_STRICT", "1")
+    def test_opt_matches_fused_mini(self, workload):
         module, _ = module_for(workload, "mini")
         reference, _ = _observables(module, "fused")
         observed, interp = _observables(module, "opt")
-        assert any(interp._tiering.handlers.values())
+        assert any(interp._tier2.values())
         for key, value in reference.items():
             assert observed[key] == value, f"{workload}: {key} differs"
 
-    def test_opt_matches_fused_small_numpy_path(self, monkeypatch):
+    def test_opt_matches_fused_small_numpy_path(self):
         # small trip counts reach vectorize.VEC_MIN, so the NumPy
         # batched path (not just the scalar codegen) is exercised.
-        monkeypatch.setenv("REPRO_TIER_STRICT", "1")
         module, _ = module_for("gemm", "small")
         reference, _ = _observables(module, "fused")
         observed, _ = _observables(module, "opt")
@@ -148,11 +183,10 @@ DEOPT_WAT = """
 
 
 class TestDeopt:
-    def test_entry_guard_falls_back_to_tier1(self, monkeypatch):
+    def test_entry_guard_falls_back_to_tier1(self):
         """NEED (80 KiB) exceeds the one-page memory: the guard must
         deopt before any side effect and tier 1 must produce the trap,
         identically to the fused reference."""
-        monkeypatch.setenv("REPRO_TIER_STRICT", "1")
         module = parse_wat(DEOPT_WAT)
         validate_module(module)
 
@@ -169,14 +203,14 @@ class TestDeopt:
         assert reference[0] == "trap"
         # The handler *was* installed — the trap proves the deopt path
         # ran (tier-2 bodies never trap; the guard bailed first).
-        assert any(interp._tiering.handlers.values())
+        assert any(interp._tier2.values())
 
 
-def _fail_tier2_install(monkeypatch):
-    def boom(artifact, memory):
-        raise RuntimeError("injected tier-2 install failure")
+def _fail_tier2_codegen(monkeypatch):
+    def boom(*args):
+        raise RuntimeError("injected tier-2 codegen failure")
 
-    monkeypatch.setattr(vectorize, "install", boom)
+    monkeypatch.setattr(vectorize, "compile_function", boom)
 
 
 def _fail_loop_codegen(monkeypatch):
@@ -191,7 +225,6 @@ def _fail_fused_codegen(monkeypatch):
         raise RuntimeError("injected fused codegen failure")
 
     monkeypatch.setattr(interpreter, "_gen_region", boom)
-    _fail_loop_codegen(monkeypatch)
 
 
 def _loop_handlers(interp):
@@ -204,46 +237,25 @@ def _loop_handlers(interp):
     }
 
 
-#: (injection, tier that exercises it, how to read "it fell back").
-FALLBACKS = {
-    "tier2": (
-        _fail_tier2_install, "opt",
-        lambda interp: not any(interp._tiering.handlers.values()),
-    ),
-    "fused": (
-        _fail_fused_codegen, "fused",
-        lambda interp: not interp._fused_regions,
-    ),
-    "loop": (
-        _fail_loop_codegen, "fused",
-        lambda interp: interp._fused_regions and not _loop_handlers(interp),
-    ),
+#: codegen point -> (injection, tier that reaches it).
+CODEGEN = {
+    "tier2": (_fail_tier2_codegen, "opt"),
+    "fused": (_fail_fused_codegen, "fused"),
+    "loop": (_fail_loop_codegen, "fused"),
 }
 
 
 class TestStrictness:
-    """One switch, ``REPRO_TIER_STRICT``, governs every silent fallback."""
+    """No codegen failure is hidden behind a slower tier."""
 
-    @pytest.mark.parametrize("point", sorted(FALLBACKS))
+    @pytest.mark.parametrize("point", sorted(CODEGEN))
     def test_strict_raises(self, point, monkeypatch):
-        inject, tier, _ = FALLBACKS[point]
-        monkeypatch.setenv("REPRO_TIER_STRICT", "1")
+        inject, tier = CODEGEN[point]
         inject(monkeypatch)
         module, _ = module_for("trisolv", "mini")
         interp = Interpreter(module, tier=tier)
         with pytest.raises(RuntimeError, match="injected"):
             interp.invoke("bench")
-
-    @pytest.mark.parametrize("point", sorted(FALLBACKS))
-    def test_non_strict_falls_back(self, point, monkeypatch):
-        inject, tier, fell_back = FALLBACKS[point]
-        monkeypatch.delenv("REPRO_TIER_STRICT", raising=False)
-        module, _ = module_for("trisolv", "mini")
-        reference, _ = _observables(module, "legacy")
-        inject(monkeypatch)
-        observed, interp = _observables(module, tier)
-        assert fell_back(interp)
-        assert observed == reference
 
 
 # ----------------------------------------------------------------------
@@ -416,10 +428,6 @@ class TestLoopHandlerTraps:
     must leave the counts the handler's ``finally`` adds.
     """
 
-    @pytest.fixture(autouse=True)
-    def strict(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_STRICT", "1")
-
     @pytest.mark.parametrize("strategy", ["trap", "clamp", "none"])
     @pytest.mark.parametrize("base", [0, 4094, 118776, 118782])
     def test_out_of_bounds_access(self, strategy, base):
@@ -454,12 +462,137 @@ class TestLoopHandlerTraps:
 
 
 class TestLazyTier1Build:
-    def test_tier2_from_first_call_builds_no_tier1_code(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_STRICT", "1")
+    def test_tier2_from_first_call_builds_no_tier1_code(self):
         module, _ = module_for("gemm", "mini")
         reference, _ = _observables(module, "fused")
         observed, interp = _observables(module, "opt")
-        tier2 = {i for i, h in interp._tiering.handlers.items() if h}
+        tier2 = {i for i, h in interp._tier2.items() if h}
         assert tier2
         assert not tier2 & set(interp._code_cache)
         assert observed == reference
+
+
+# ----------------------------------------------------------------------
+# Float constants whose bits no literal spells
+# ----------------------------------------------------------------------
+def _float_of(ty, bits):
+    fmt = ("<f", "<I") if ty == "f32" else ("<d", "<Q")
+    return struct.unpack(fmt[0], struct.pack(fmt[1], bits))[0]
+
+
+def _const_store_module(consts):
+    """``run`` stores each (type, bits) constant at 8*k, in order, then
+    reloads every slot as an integer of the same width.
+
+    Built with ``ModuleBuilder`` and sent through the binary encoder
+    and decoder: the WAT parser reads float literals with ``float()``,
+    which cannot spell a NaN payload.
+    """
+    mb = ModuleBuilder()
+    mb.add_memory(1)
+    results = tuple(ValType.I32 if ty == "f32" else ValType.I64 for ty, _ in consts)
+    fb = mb.func("run", results=results, export=True)
+    for k, (ty, bits) in enumerate(consts):
+        fb.emit("i32.const", 8 * k)
+        fb.emit(f"{ty}.const", _float_of(ty, bits))
+        fb.emit(f"{ty}.store", 2, 0)
+    for k, (ty, _) in enumerate(consts):
+        fb.emit("i32.const", 8 * k)
+        fb.emit("i32.load" if ty == "f32" else "i64.load", 2, 0)
+    module = decode_module(encode_module(mb.build()))
+    validate_module(module)
+    return module
+
+
+def _const_fill_module(bits, trips):
+    """``run`` stores one f64 constant to slots 0..trips-1 in a counted
+    loop (NumPy-batched under tier 2 from ``VEC_MIN`` trips), then
+    reloads the last slot as an i64."""
+    mb = ModuleBuilder()
+    mb.add_memory(1)
+    fb = mb.func("run", results=(ValType.I64,), export=True)
+    i = fb.add_local(ValType.I32)
+    with fb.block() as done:
+        with fb.loop() as again:
+            fb.emit("local.get", i).emit("i32.const", trips).emit("i32.ge_s")
+            fb.br_if(done)
+            fb.emit("local.get", i).emit("i32.const", 8).emit("i32.mul")
+            fb.emit("f64.const", _float_of("f64", bits))
+            fb.emit("f64.store", 3, 0)
+            fb.emit("local.get", i).emit("i32.const", 1).emit("i32.add")
+            fb.emit("local.set", i)
+            fb.br(again)
+    fb.emit("i32.const", 8 * (trips - 1)).emit("i64.load", 3, 0)
+    module = decode_module(encode_module(mb.build()))
+    validate_module(module)
+    return module
+
+
+#: Each case's constants, stored and reloaded in one function.
+FLOAT_CONSTS = {
+    "f64-signalling-nan": [("f64", 0x7FF0000000000001)],
+    "f64-negative-nan": [("f64", 0xFFF8000000000123)],
+    "f32-nan-payload": [("f32", 0x7FC00001)],
+    "f32-negative-nan": [("f32", 0xFFC00123)],
+    "two-f64-payloads": [("f64", 0x7FF8000000000001), ("f64", 0x7FF8000000000002)],
+    "two-f32-payloads": [("f32", 0x7FC00001), ("f32", 0x7FC00002)],
+    "infinities": [("f64", 0xFFF0000000000000), ("f32", 0x7F800000)],
+}
+
+
+class TestFloatConstantBits:
+    """Every tier stores a float constant's exact bits, NaN or not."""
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("case", sorted(FLOAT_CONSTS))
+    def test_stored_bits_survive(self, case, tier):
+        consts = FLOAT_CONSTS[case]
+        interp = Interpreter(_const_store_module(consts), tier=tier)
+        out = interp.invoke("run")
+        out = out if isinstance(out, tuple) else (out,)
+        assert [hex(v) for v in out] == [hex(bits) for _, bits in consts]
+        if tier == "opt":
+            assert interp._tier2[0] is not None
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("trips", [3, vectorize.VEC_MIN + 16])
+    def test_nan_fill_loop(self, tier, trips):
+        bits = 0xFFF8000000000123
+        interp = Interpreter(_const_fill_module(bits, trips), tier=tier)
+        assert hex(interp.invoke("run")) == hex(bits)
+        if tier == "opt":
+            # The handler holds the NumPy-batched loop and the scalar
+            # one; the trip count picks one of them at run time.
+            handler = interp._tier2[0]
+            assert handler is not None
+            assert "_np" in handler.__code__.co_varnames
+
+
+# ----------------------------------------------------------------------
+# Every registered workload, every tier
+# ----------------------------------------------------------------------
+def _workload_observables(name, tier):
+    interp, _env = instantiate(
+        WORKLOADS[name].build("mini"),
+        collect_profile=True, track_pages=True, tier=tier,
+    )
+    out = _bits(interp.invoke("bench"))
+    profile = interp.take_profile(name, "mini")
+    memory = interp.memory
+    return {
+        "out": out,
+        "memory": hashlib.sha256(memory.data).hexdigest(),
+        "instr_counts": profile.instr_counts,
+        "mem_loads": profile.mem_loads,
+        "mem_stores": profile.mem_stores,
+        "touched_pages": sorted(memory.touched_pages),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_agrees_across_tiers(name):
+    reference = _workload_observables(name, "legacy")
+    for tier in ("fused", "opt"):
+        observed = _workload_observables(name, tier)
+        for key, value in reference.items():
+            assert observed[key] == value, f"{name}: {key} differs on {tier}"
