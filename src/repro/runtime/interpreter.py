@@ -38,17 +38,21 @@ only execution knob; all three have bit-identical observables:
 Generated code of every kind — fused regions, loop handlers and
 tier-2 functions — is compiled against the live instance: each Python
 object it uses (memory, operator functions, constants, count lists) is
-bound as it is when the code is generated (:func:`_build`).
+bound as it is when the code is generated (:func:`_build`).  Fused
+regions and loop handlers translate their ops through one symbolic-
+stack translator (:class:`_Codegen`).
 
-A *loop handler* (:func:`_gen_loop`) runs one innermost loop of the
-shape :func:`repro.runtime.predecode.find_loops` accepts, from entry to
-exit, in one dispatch instead of one per fused region per iteration.
-It counts every tier-1 dispatch unit of the body as tier-1 dispatch
-would and adds those counts in a ``finally``, so a trap mid-loop leaves
-exactly the per-pc, load and store counts tier-1 dispatch leaves.
-Tier-1 code (closures, regions, loop handlers) is built the first time
-tier 1 runs a function, never for one that tier 2 runs from its first
-call.
+A *loop handler* (:func:`_gen_nest`) runs one outermost call-free
+loop nest, as :func:`repro.runtime.predecode.find_nests` finds them,
+from entry to exit in one dispatch instead of one per fused region per
+iteration: nested loops, ``if``/``else`` and branches to any label
+inside the nest included.  It keeps one counter per straight-line
+segment of the nest, computes values invariant over a loop once before
+that loop, and adds its counts, and the load and store totals they
+imply, in a ``finally``; a trap mid-nest leaves exactly the per-pc,
+load, store and page counts tier-1 dispatch leaves.  Tier-1 code
+(closures, regions, loop handlers) is built the first time tier 1 runs
+a function, never for one that tier 2 runs from its first call.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runtime import predecode, vectorize
@@ -96,8 +100,16 @@ def s64(v: int) -> int:
 
 
 def to_f32(x: float) -> float:
-    """Round a Python float through IEEE single precision."""
-    return struct.unpack("<f", struct.pack("<f", x))[0]
+    """Round a Python float through IEEE single precision.
+
+    ``struct`` raises OverflowError exactly when the rounded result is
+    infinite and ``x`` is not, where IEEE rounding gives a signed
+    infinity.
+    """
+    try:
+        return struct.unpack("<f", struct.pack("<f", x))[0]
+    except OverflowError:
+        return math.copysign(_INF, x)
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -518,12 +530,12 @@ class Interpreter:
         ]
         applied: List[predecode.FusedRegion] = []
         in_loops = set()
-        for loop in plan.loops:
-            code[loop.head] = _gen_loop(
-                loop, body, memory, self._counts.get(func_index)
+        for nest in plan.loops:
+            code[nest.head] = _gen_nest(
+                nest, body, matches, memory, self._counts.get(func_index)
             )
-            applied.extend(loop.regions)
-            in_loops.update(loop.regions)
+            applied.extend(nest.regions)
+            in_loops.update(nest.regions)
         for region in plan.regions:
             if region in in_loops:
                 continue  # a loop handler runs it
@@ -1089,57 +1101,75 @@ def _const_value(ins: Instr) -> Any:
 # Superinstruction and loop-handler code generator
 # ----------------------------------------------------------------------
 # Each fused region and each loop handler compiles to ONE Python
-# function via symbolic stack evaluation: walking the instructions with
-# a compile-time stack of expression strings turns e.g. the 10-op
-# PolyBench address chain
-# ``local.get;const;mul;local.get;add;const;mul;const;add;load`` into a
-# few statements.  The hot numeric ops inline as expression templates
-# that compute what the corresponding _BINOPS/_UNOPS functions do
-# (tests/test_interpreter.py checks each on boundary operands);
-# everything else calls the table function, so fused semantics are the
-# interpreter's semantics by construction.
+# function via symbolic stack evaluation (:class:`_Codegen`): walking
+# the instructions with a compile-time stack of pure Python expressions
+# turns e.g. the 10-op PolyBench address chain
+# ``local.get;const;mul;local.get;add;const;mul;const;add;load`` into
+# one statement.  The hot numeric ops inline as Python operators that
+# compute what the corresponding _BINOPS/_UNOPS functions do
+# (tests/test_tiering.py checks each against ``legacy`` on boundary
+# operands); everything else calls the table function, so generated
+# code has the interpreter's semantics by construction.
 
-#: op -> expression template ({0}=lhs, {1}=rhs); MUST mirror _BINOPS.
-_INLINE_BINOPS: Dict[str, str] = {
-    "i32.add": "(({0} + {1}) & 4294967295)",
-    "i32.sub": "(({0} - {1}) & 4294967295)",
-    "i32.mul": "(({0} * {1}) & 4294967295)",
-    "i32.and": "({0} & {1})",
-    "i32.or": "({0} | {1})",
-    "i32.xor": "({0} ^ {1})",
-    "i32.shl": "(({0} << ({1} & 31)) & 4294967295)",
-    "i32.shr_u": "({0} >> ({1} & 31))",
-    "i64.add": "(({0} + {1}) & 18446744073709551615)",
-    "i64.sub": "(({0} - {1}) & 18446744073709551615)",
-    "i64.mul": "(({0} * {1}) & 18446744073709551615)",
-    "i64.and": "({0} & {1})",
-    "i64.or": "({0} | {1})",
-    "i64.xor": "({0} ^ {1})",
-    "i64.shl": "(({0} << ({1} & 63)) & 18446744073709551615)",
-    "i64.shr_u": "({0} >> ({1} & 63))",
-    "f64.add": "({0} + {1})",
-    "f64.sub": "({0} - {1})",
-    "f64.mul": "({0} * {1})",
+#: i32/i64 ops whose result modulo 2**N depends only on their operands
+#: modulo 2**N: op -> (Python operator, mask).
+_WRAP_BINOPS = {
+    f"{ty}.{name}": (sym, mask)
+    for ty, mask in (("i32", M32), ("i64", M64))
+    for name, sym in (("add", "+"), ("sub", "-"), ("mul", "*"))
 }
-for _ty, _cmps in (
-    ("i32", (("eq", "=="), ("ne", "!="), ("lt_u", "<"), ("gt_u", ">"),
-             ("le_u", "<="), ("ge_u", ">="))),
-    ("i64", (("eq", "=="), ("ne", "!="), ("lt_u", "<"), ("gt_u", ">"),
-             ("le_u", "<="), ("ge_u", ">="))),
-    ("f32", (("eq", "=="), ("ne", "!="), ("lt", "<"), ("gt", ">"),
-             ("le", "<="), ("ge", ">="))),
-    ("f64", (("eq", "=="), ("ne", "!="), ("lt", "<"), ("gt", ">"),
-             ("le", "<="), ("ge", ">="))),
-):
-    for _cmp, _sym in _cmps:
-        _INLINE_BINOPS[f"{_ty}.{_cmp}"] = f"(1 if {{0}} {_sym} {{1}} else 0)"
-# Signed compares of canonical unsigned values: flipping the sign bit
-# maps signed order onto unsigned order, with no s32/s64 call.
-for _ty, _bias in (("i32", 1 << 31), ("i64", 1 << 63)):
-    for _cmp, _sym in (("lt_s", "<"), ("gt_s", ">"), ("le_s", "<="), ("ge_s", ">=")):
-        _INLINE_BINOPS[f"{_ty}.{_cmp}"] = (
-            f"(1 if ({{0}} ^ {_bias}) {_sym} ({{1}} ^ {_bias}) else 0)"
-        )
+
+#: Integer bitwise ops and f64 arithmetic: one Python operator.
+_PLAIN_BINOPS = {
+    **{
+        f"{ty}.{name}": sym
+        for ty in ("i32", "i64")
+        for name, sym in (("and", "&"), ("or", "|"), ("xor", "^"))
+    },
+    "f64.add": "+",
+    "f64.sub": "-",
+    "f64.mul": "*",
+}
+
+#: Compares that are one Python operator on canonical operands.
+_CMP_OPS = {
+    f"{ty}.{name}": sym
+    for ty, names in (
+        ("i32", ("eq", "ne", "lt_u", "gt_u", "le_u", "ge_u")),
+        ("i64", ("eq", "ne", "lt_u", "gt_u", "le_u", "ge_u")),
+        ("f32", ("eq", "ne", "lt", "gt", "le", "ge")),
+        ("f64", ("eq", "ne", "lt", "gt", "le", "ge")),
+    )
+    for name, sym in zip(names, ("==", "!=", "<", ">", "<=", ">="))
+}
+
+#: Signed compares of canonical unsigned values: flipping the sign bit
+#: of both operands maps signed order onto unsigned order, with no
+#: s32/s64 call.  op -> (Python operator, sign bit).
+_SIGNED_CMP_OPS = {
+    f"{ty}.{name}": (sym, bias)
+    for ty, bias in (("i32", 1 << 31), ("i64", 1 << 63))
+    for name, sym in (("lt_s", "<"), ("gt_s", ">"), ("le_s", "<="), ("ge_s", ">="))
+}
+
+#: op -> expression template ({0}=lhs, {1}=rhs) for tier 2, whose
+#: values are canonical after every op; MUST mirror _BINOPS.
+_INLINE_BINOPS: Dict[str, str] = {
+    **{
+        op: f"(({{0}} {sym} {{1}}) & {mask})"
+        for op, (sym, mask) in _WRAP_BINOPS.items()
+    },
+    **{op: f"({{0}} {sym} {{1}})" for op, sym in _PLAIN_BINOPS.items()},
+    "i32.shl": f"(({{0}} << ({{1}} & 31)) & {M32})",
+    "i32.shr_u": "({0} >> ({1} & 31))",
+    "i64.shl": f"(({{0}} << ({{1}} & 63)) & {M64})",
+    "i64.shr_u": "({0} >> ({1} & 63))",
+    **{op: f"(1 if {{0}} {sym} {{1}} else 0)" for op, sym in _CMP_OPS.items()},
+    **{
+        op: f"(1 if ({{0}} ^ {bias}) {sym} ({{1}} ^ {bias}) else 0)"
+        for op, (sym, bias) in _SIGNED_CMP_OPS.items()
+    },
+}
 
 #: op -> expression template ({0}=operand); MUST mirror _UNOPS.
 _INLINE_UNOPS: Dict[str, str] = {
@@ -1148,135 +1178,380 @@ _INLINE_UNOPS: Dict[str, str] = {
     "i32.wrap_i64": "({0} & 4294967295)",
 }
 
+#: Parenthesis depth at which an inlined expression is assigned to a
+#: name (CPython's parser stops at 200).
+_MAX_EXPR_DEPTH = 20
 
-class _Translator:
-    """Symbolic-stack translation of straight-line Wasm ops to Python.
 
-    The one op translator behind both handler kinds: a fused region
-    (:func:`_gen_region`, this class) and a loop handler
-    (:func:`_gen_loop`, :class:`_LoopTranslator`).  The symbolic stack
-    ``sym`` holds, for every value the code has (conceptually) pushed
-    and not yet consumed, a pure Python expression: a local, an int
-    literal, a bound constant, or a temp assigned by an earlier
-    statement.  Every other op is emitted as a statement in program
-    order; only constants and local reads stay unevaluated, and writing
-    a local first materialises the pending reads of that local, so
-    every statement sees the values the unfused interpreter would.
+@dataclass(slots=True)
+class _Val:
+    """One value on the symbolic stack.
 
-    A region reads and writes locals through ``L = f.locals``, pops
-    values pushed before it off ``S = f.stack`` and calls the fast
-    memory closures.
+    ``expr`` is a pure Python expression for it.  ``wrap`` is the mask
+    it still needs to be canonical (0: none), ``cond`` marks a Python
+    truth value standing for an i32 0 or 1, and ``const`` is the value
+    of an integer literal.  ``reads`` are the Wasm locals ``expr``
+    reads, ``level`` is the outermost enclosing loop it is invariant
+    over (an index into ``_Codegen.loops``), ``atom`` marks a name or
+    literal, ``depth`` counts its nested parentheses and ``align`` is a
+    power of two (at most 4096) known to divide the value.
     """
+
+    expr: str
+    level: int
+    wrap: int = 0
+    cond: bool = False
+    const: Optional[int] = None
+    reads: frozenset = frozenset()
+    atom: bool = True
+    depth: int = 0
+    align: int = 1
+
+
+@dataclass(slots=True)
+class _Slot:
+    """A loop's preheader: the hoisted values computed before it, as
+    expression -> name, filled in as generation goes."""
+
+    indent: int
+    names: Dict[str, str] = field(default_factory=dict)
+
+
+class _Codegen:
+    """Symbolic-stack translation of Wasm ops to Python statements.
+
+    ``sym`` holds a :class:`_Val` for every value the code has
+    (conceptually) pushed and not yet consumed.  Pure values stay
+    expressions, inlined into their one use; every op with an effect
+    or a possible trap is emitted as a statement in program order, and
+    writing a local first copies each stacked value that reads it, so
+    every statement sees the values the unfused interpreter would.
+    i32/i64 ``add``/``sub``/``mul``/``shl`` leave their wrap mask to
+    the first consumer that needs a canonical value, and compares stay
+    Python truth values until something needs their 0 or 1.
+
+    This class compiles a fused region (:func:`_gen_region`): one
+    straight-line dispatch unit whose only trap-capable op is its last.
+    Its code reads and writes locals through ``L = f.locals``, pops the
+    values pushed before it off ``S = f.stack`` and makes its memory
+    access through a fast memory closure.  :class:`_NestCompiler` adds
+    control flow, loop-invariant hoisting, inline memory accesses and
+    per-segment counting for loop handlers.
+    """
+
+    #: How generated code names Wasm local ``i``.
+    local_name = "L[{}]"
 
     def __init__(self, memory: Optional[LinearMemory]) -> None:
         self.memory = memory
         self.env: Dict[str, Any] = {}
-        self.lines: List[str] = []
-        self.sym: List[str] = []
+        #: (indent, statement); a loop handler adds markers to these
+        self.lines: List[Any] = []
+        self.indent = 0
+        self.sym: List[_Val] = []
         self.temps = 0
         self.underflows = 0
+        self.hoists = 0
+        #: enclosing Wasm loops, outermost first: (written locals, preheader)
+        self.loops: List[Tuple[set, _Slot]] = []
 
+    # -- output --------------------------------------------------------
     def bind(self, value: Any) -> str:
         name = f"_e{len(self.env)}"
         self.env[name] = value
         return name
 
-    def emit(self, stmt: str, depth: int = 0) -> None:
-        self.lines.append("    " * depth + stmt)
+    def emit(self, stmt: str, extra: int = 0) -> None:
+        self.lines.append((self.indent + extra, stmt))
 
     def fresh(self) -> str:
-        name = f"t{self.temps}"
         self.temps += 1
-        return name
+        return f"t{self.temps - 1}"
 
-    def new_temp(self, expr: str) -> str:
+    def temp(self, expr: str) -> str:
+        """A new temp assigned ``expr`` here."""
         name = self.fresh()
         self.emit(f"{name} = {expr}")
         return name
 
-    def pop(self) -> str:
+    def mark(self, pc: int, extra: int = 0) -> None:
+        """Where the op at ``pc`` may trap.  A region's only such op is
+        its last, so dispatch's counts already hold."""
+
+    # -- values --------------------------------------------------------
+    def take(self) -> _Val:
+        """Pop the top value; a region may pop values pushed before it."""
         if self.sym:
             return self.sym.pop()
-        # Underflow: the region consumes a value pushed before it.
         name = f"u{self.underflows}"
         self.underflows += 1
         self.emit(f"{name} = S.pop()")
-        return name
+        return _Val(name, len(self.loops))
 
-    def flush_stack(self) -> None:
+    def local(self, index: int) -> _Val:
+        """Local ``index``, invariant over the loops that never write it."""
+        level = len(self.loops)
+        for j, (writes, _slot) in enumerate(self.loops):
+            if index not in writes:
+                level = j
+                break
+        return _Val(
+            self.local_name.format(index), level, reads=frozenset((index,))
+        )
+
+    def hoist(self, val: _Val) -> _Val:
+        """Compute ``val`` once, before the loop it is invariant over."""
+        names = self.loops[val.level][1].names
+        name = names.get(val.expr)
+        if name is None:
+            name = names[val.expr] = f"h{self.hoists}"
+            self.hoists += 1
+        return _Val(name, val.level, wrap=val.wrap, cond=val.cond, align=val.align)
+
+    def name(self, val: _Val) -> _Val:
+        """``val`` as a name or literal: hoisted if invariant, else a temp."""
+        if val.atom:
+            return val
+        if val.level < len(self.loops):
+            return self.hoist(val)
+        return _Val(
+            self.temp(val.expr), len(self.loops),
+            wrap=val.wrap, cond=val.cond, align=val.align,
+        )
+
+    def settle(self, val: _Val) -> _Val:
+        """``val`` ready for a use inside the innermost loop."""
+        if val.atom or val.level >= len(self.loops):
+            return val
+        return self.hoist(val)
+
+    def use(self, val: _Val) -> str:
+        return self.settle(val).expr
+
+    def combine(
+        self, template: str, *args: _Val, wrap: int = 0, cond: bool = False,
+        align: int = 1,
+    ) -> _Val:
+        """The pure value ``template`` computes from ``args``.
+
+        An operand invariant over more loops than the result is hoisted
+        on its own.
+        """
+        level = max(arg.level for arg in args)
+        args = tuple(self.settle(a) if a.level < level else a for a in args)
+        depth = 1 + max(arg.depth for arg in args)
+        val = _Val(
+            template.format(*(arg.expr for arg in args)), level,
+            wrap=wrap, cond=cond, atom=False, depth=depth, align=align,
+            reads=frozenset().union(*(arg.reads for arg in args)),
+        )
+        return self.name(val) if depth > _MAX_EXPR_DEPTH else val
+
+    def canon(self, val: _Val) -> _Val:
+        """``val`` as a canonical value (an int in [0, 2**N) or a float)."""
+        if val.cond:
+            return self.combine("(1 if {} else 0)", val)
+        if val.wrap:
+            return self.combine(f"({{}} & {val.wrap})", val, align=val.align)
+        return val
+
+    def num(self, val: _Val) -> _Val:
+        """``val`` as a number, its wrap mask possibly still pending."""
+        return self.canon(val) if val.cond else val
+
+    def test(self, val: _Val) -> _Val:
+        """A value whose Python truth is whether ``val`` is nonzero."""
+        return self.canon(val) if val.wrap and not val.cond else val
+
+    def truth(self, val: _Val) -> str:
+        return self.use(self.test(val))
+
+    def materialize(self, index: Optional[int] = None) -> None:
+        """Copy every stacked value that reads local ``index`` (any local
+        when None) to a name, so a later write or loop cannot change it.
+
+        A bare local is copied too, unless the innermost loop never
+        writes it: then nothing emitted from here on can.
+        """
         sym = self.sym
-        if len(sym) == 1:
-            self.emit(f"S.append({sym[0]})")
-        elif sym:
-            self.emit(f"S.extend(({', '.join(sym)}))")
-        sym.clear()
+        depth = len(self.loops)
+        for k, val in enumerate(sym):
+            if not (val.reads if index is None else index in val.reads):
+                continue
+            if not val.atom:
+                sym[k] = self.name(val)
+            elif val.level >= depth:
+                sym[k] = _Val(self.temp(val.expr), depth)
 
-    def local(self, index: int) -> str:
-        return f"L[{index}]"
-
-    def translate(self, ins: Instr) -> None:
-        """Emit one non-branch op; raise on one it does not handle."""
+    # -- ops -------------------------------------------------------------
+    def translate(self, ins: Instr, pc: int) -> None:
+        """Emit one non-control op."""
         op = ins.op
         sym = self.sym
         if op == "local.get":
             sym.append(self.local(ins.args[0]))
         elif op in ("local.set", "local.tee"):
-            target = self.local(ins.args[0])
-            for idx, expr in enumerate(sym):
-                if expr == target:
-                    sym[idx] = self.new_temp(expr)
-            value = self.pop()
-            self.emit(f"{target} = {value}")
+            index = ins.args[0]
+            value = self.take()
+            self.materialize(index)
+            target = self.local_name.format(index)
+            self.emit(f"{target} = {self.use(self.canon(value))}")
             if op == "local.tee":
-                sym.append(value)
+                sym.append(self.local(index))
         elif op in ("i32.const", "i64.const"):
-            sym.append(repr(_const_value(ins)))
+            value = _const_value(ins)
+            align = min(value & -value, 4096) if value else 4096
+            sym.append(_Val(repr(value), 0, const=value, align=align))
         elif op in ("f32.const", "f64.const"):
-            sym.append(self.bind(_const_value(ins)))
+            sym.append(_Val(self.bind(_const_value(ins)), 0))
         elif op == "drop":
-            self.pop()
+            self.take()
         elif op == "select":
-            cond = self.pop()
-            second = self.pop()
-            first = self.pop()
-            sym.append(self.new_temp(f"({first} if {cond} else {second})"))
+            cond = self.test(self.take())
+            second = self.take()
+            first = self.take()
+            if first.cond and second.cond:
+                sym.append(self.combine("({} if {} else {})", first, cond, second, cond=True))
+            else:
+                first, second = self.num(first), self.num(second)
+                sym.append(self.combine(
+                    "({} if {} else {})", first, cond, second,
+                    wrap=first.wrap or second.wrap, align=min(first.align, second.align),
+                ))
         elif op in predecode.LOAD_NAMES:
-            addr = self.effective(self.pop(), ins.args[1])
-            sym.append(self.load(op, addr))
+            self.load(ins, pc)
         elif op in predecode.STORE_NAMES:
-            value = self.pop()
-            addr = self.effective(self.pop(), ins.args[1])
-            self.store(op, addr, value)
+            self.store(ins, pc)
         elif op in _BINOPS:
-            rhs = self.pop()
-            lhs = self.pop()
-            template = _INLINE_BINOPS.get(op)
-            if template is not None:
-                expr = template.format(lhs, rhs)
-            else:
-                expr = f"{self.bind(_BINOPS[op])}({lhs}, {rhs})"
-            sym.append(self.new_temp(expr))
+            rhs = self.take()
+            sym.append(self.binop(op, self.take(), rhs, pc))
         elif op in _UNOPS:
-            operand = self.pop()
-            template = _INLINE_UNOPS.get(op)
-            if template is not None:
-                expr = template.format(operand)
-            else:
-                expr = f"{self.bind(_UNOPS[op])}({operand})"
-            sym.append(self.new_temp(expr))
+            sym.append(self.unop(op, self.take(), pc))
         else:
-            raise NotImplementedError(f"no fused translation for {op}")
+            raise NotImplementedError(f"no generated translation for {op}")
 
-    def effective(self, addr: str, offset: int) -> str:
-        return self.new_temp(f"{addr} + {offset}") if offset else addr
+    def binop(self, op: str, a: _Val, b: _Val, pc: int) -> _Val:
+        wrap = _WRAP_BINOPS.get(op)
+        if wrap is not None:
+            sym, mask = wrap
+            a, b = self.num(a), self.num(b)
+            align = a.align * b.align if sym == "*" else min(a.align, b.align)
+            return self.combine(
+                f"({{}} {sym} {{}})", a, b, wrap=mask, align=min(align, 4096)
+            )
+        ty, kind = op.split(".")
+        if ty in ("i32", "i64"):
+            bits, mask = (31, M32) if ty == "i32" else (63, M64)
+            if kind == "shl":
+                a = self.num(a)
+                if b.const is not None:
+                    shift = b.const & bits
+                    return self.combine(
+                        f"({{}} << {shift})", a, wrap=mask,
+                        align=min(a.align << shift, 4096),
+                    )
+                return self.combine(f"({{}} << ({{}} & {bits}))", a, self.num(b), wrap=mask)
+            if kind == "shr_u":
+                a = self.canon(a)
+                if b.const is not None:
+                    return self.combine(f"({{}} >> {b.const & bits})", a)
+                return self.combine(f"({{}} >> ({{}} & {bits}))", a, self.num(b))
+            if kind == "shr_s":
+                # Python's >> on the signed value, leaving the mask.
+                bias = mask // 2 + 1
+                a = self.combine(f"(({{}} ^ {bias}) - {bias})", self.canon(a))
+                if b.const is not None:
+                    return self.combine(f"({{}} >> {b.const & bits})", a, wrap=mask)
+                return self.combine(
+                    f"({{}} >> ({{}} & {bits}))", a, self.num(b), wrap=mask
+                )
+            sym = _PLAIN_BINOPS.get(op)
+            if sym is not None:
+                a, b = self.num(a), self.num(b)
+                if sym == "&":
+                    # One canonical operand keeps the result canonical.
+                    return self.combine(
+                        "({} & {})", a, b, wrap=a.wrap if b.wrap else 0,
+                        align=max(a.align, b.align),
+                    )
+                return self.combine(
+                    f"({{}} {sym} {{}})", a, b, wrap=a.wrap or b.wrap,
+                    align=min(a.align, b.align),
+                )
+        sym = _CMP_OPS.get(op)
+        if sym is not None:
+            return self.combine(
+                f"({{}} {sym} {{}})", self.canon(a), self.canon(b), cond=True
+            )
+        signed = _SIGNED_CMP_OPS.get(op)
+        if signed is not None:
+            sym, bias = signed
+            return self.combine(
+                f"({{}} {sym} {{}})", self.biased(a, bias), self.biased(b, bias),
+                cond=True,
+            )
+        sym = _PLAIN_BINOPS.get(op)
+        if sym is not None:  # f64 arithmetic
+            return self.combine(f"({{}} {sym} {{}})", a, b)
+        fn = self.bind(_BINOPS[op])
+        a, b = self.canon(a), self.canon(b)
+        if op in predecode.TRAPPING_BINOPS:
+            return self.trapping(f"{fn}({self.use(a)}, {self.use(b)})", pc)
+        return self.combine(f"{fn}({{}}, {{}})", a, b)
 
-    def load(self, op: str, addr: str) -> str:
-        loader = self.bind(_value_loader(self.memory, op))
-        return self.new_temp(f"{loader}({addr})")
+    def biased(self, val: _Val, bias: int) -> _Val:
+        """Canonical ``val`` with its sign bit flipped: signed order as
+        unsigned order."""
+        val = self.canon(val)
+        if val.const is not None:
+            return _Val(repr(val.const ^ bias), 0, const=val.const ^ bias)
+        return self.combine(f"({{}} ^ {bias})", val)
 
-    def store(self, op: str, addr: str, value: str) -> None:
-        storer = self.bind(_value_storer(self.memory, op))
+    def unop(self, op: str, a: _Val, pc: int) -> _Val:
+        if op in ("i32.eqz", "i64.eqz"):
+            if a.cond:
+                return self.combine("(not {})", a, cond=True)
+            return self.combine("({} == 0)", self.canon(a), cond=True)
+        if op == "i32.wrap_i64":
+            return self.combine(f"({{}} & {M32})", self.num(a))
+        if op == "i64.extend_i32_u":
+            return self.canon(a)
+        fn = self.bind(_UNOPS[op])
+        a = self.canon(a)
+        if op in predecode.TRAPPING_UNOPS:
+            return self.trapping(f"{fn}({self.use(a)})", pc)
+        return self.combine(f"{fn}({{}})", a)
+
+    def trapping(self, expr: str, pc: int) -> _Val:
+        """Run a trap-capable op right here."""
+        self.mark(pc)
+        return _Val(self.temp(expr), len(self.loops))
+
+    def address(self, addr: _Val, offset: int) -> _Val:
+        """The effective address, base + offset without wrapping."""
+        addr = self.canon(addr)
+        if offset:
+            addr = self.combine(
+                f"({{}} + {offset})", addr, align=min(addr.align, offset & -offset)
+            )
+        return addr
+
+    def load(self, ins: Instr, pc: int) -> None:
+        """A region's load: one call of the fast memory closure, which
+        counts it, touches its pages and takes the strategy's slow path
+        out of bounds, as tier-1 dispatch does."""
+        addr = self.use(self.address(self.take(), ins.args[1]))
+        loader = self.bind(_value_loader(self.memory, ins.op))
+        self.sym.append(_Val(self.temp(f"{loader}({addr})"), len(self.loops)))
+
+    def store(self, ins: Instr, pc: int) -> None:
+        """A region's store, like its load; the closure applies a
+        sub-width store's mask."""
+        value = self.use(self.canon(self.take()))
+        addr = self.use(self.address(self.take(), ins.args[1]))
+        storer = self.bind(_value_storer(self.memory, ins.op))
         self.emit(f"{storer}({addr}, {value})")
+
 
 
 def _build(
@@ -1296,73 +1571,6 @@ def _build(
     return namespace[name]
 
 
-class _LoopTranslator(_Translator):
-    """The op translator for a loop handler's body.
-
-    Locals live in Python locals (``l<i>``) and the frame stack is
-    never touched.  In-bounds loads and stores are inlined against
-    ``n = len(data)``, hoisted out of the loop, and counted in ``nl``
-    and ``ns``; with the page-touch rule of :func:`_value_loader`/
-    :func:`_value_storer`, they leave the same observables.  Any other
-    access takes :func:`_slow_load`/:func:`_slow_store`.
-    """
-
-    def local(self, index: int) -> str:
-        return f"l{index}"
-
-    def pop(self) -> str:
-        # Validation forbids popping below the loop's label.
-        return self.sym.pop()
-
-    def load(self, op: str, addr: str) -> str:
-        fmt, mask = _FAST_LOAD[op]
-        packer = struct.Struct(fmt)
-        unpack = self.bind(packer.unpack_from)
-        masked = f" & {mask}" if mask is not None else ""
-        value = self.fresh()
-        self.env["_slow_load"] = _slow_load
-        self.emit("nl += 1")
-        self._inline_access(
-            addr,
-            packer.size,
-            f"{value} = {unpack}(data, {addr})[0]{masked}",
-            f"{value} = _slow_load(mem, {addr}, {packer.size}, {unpack}){masked}",
-        )
-        return value
-
-    def store(self, op: str, addr: str, value: str) -> None:
-        fmt, mask = _FAST_STORE[op]
-        packer = struct.Struct(fmt)
-        pack = self.bind(packer.pack_into)
-        if mask is not None:
-            value = self.new_temp(f"{value} & {mask}")
-        self.env["_slow_store"] = _slow_store
-        self.emit("ns += 1")
-        self._inline_access(
-            addr,
-            packer.size,
-            f"{pack}(data, {addr}, {value})",
-            f"_slow_store(mem, {addr}, {packer.size}, {pack}, {value})",
-        )
-
-    def _inline_access(self, addr: str, size: int, fast: str, slow: str) -> None:
-        """``fast`` in bounds, after adding the access's one or two 4 KiB
-        pages to the touched set; ``slow`` otherwise."""
-        memory = self.memory
-        self.env["data"] = memory.data
-        self.env["mem"] = memory
-        self.emit(f"if {addr} + {size} <= n:")
-        if memory.track_pages:
-            self.env["touch"] = memory.touched_pages.add
-            self.emit(f"touch({addr} >> 12)", 1)
-            if size > 1:
-                self.emit(f"if {addr} & 4095 > {4096 - size}:", 1)
-                self.emit(f"touch(({addr} >> 12) + 1)", 2)
-        self.emit(fast, 1)
-        self.emit("else:")
-        self.emit(slow, 1)
-
-
 def _gen_region(
     region, body: Sequence[Instr], memory: LinearMemory, body_len: int
 ) -> Callable:
@@ -1370,118 +1578,569 @@ def _gen_region(
 
     Real frame-stack traffic only happens when the region consumes
     values pushed *before* it (inline ``S.pop()`` in exactly the order
-    the unfused interpreter would pop them) and in the final flush that
-    pushes leftover expressions.
+    the unfused interpreter would pop them) and when it pushes the
+    values it leaves, before it branches or falls through.
     """
     head = region.head
     after = head + region.length
-    gen = _Translator(memory)
+    gen = _Codegen(memory)
     gen.env["_branch"] = _branch
-    instrs = body[head:after]
-    if instrs[0].op == "loop":
+
+    def flush() -> None:
+        values = [gen.use(gen.canon(val)) for val in gen.sym]
+        if len(values) == 1:
+            gen.emit(f"S.append({values[0]})")
+        elif values:
+            gen.emit(f"S.extend(({', '.join(values)}))")
+        gen.sym.clear()
+
+    start = head
+    if body[head].op == "loop":
         # The loop label must be live before anything else runs; ops
         # inside the loop cannot pop below it, so no underflow precedes.
         gen.emit(f"f.labels.append(({head}, len(S), 0))")
-        instrs = instrs[1:]
-    terminated = False
-    for ins in instrs:
+        start += 1
+    exit_ = f"return {after}"
+    for pc in range(start, after):
+        ins = body[pc]
         op = ins.op
         if op == "br_if":
-            cond = gen.pop()
-            gen.flush_stack()
+            cond = gen.truth(gen.take())
+            flush()
             gen.emit(f"if {cond}:")
             gen.emit(f"return _branch(f, {ins.args[0]})", 1)
         elif op == "br":
-            gen.flush_stack()
-            gen.emit(f"return _branch(f, {ins.args[0]})")
-            terminated = True
+            exit_ = f"return _branch(f, {ins.args[0]})"
         elif op == "return":
-            gen.flush_stack()
-            gen.emit(f"return {body_len}")
-            terminated = True
+            exit_ = f"return {body_len}"
         else:
-            gen.translate(ins)
-    if not terminated:
-        gen.flush_stack()
-        gen.emit(f"return {after}")
+            gen.translate(ins, pc)
+    flush()
+    gen.emit(exit_)
     return _build(
         "_fused",
         gen.env,
-        ["L = f.locals", "S = f.stack"] + gen.lines,
+        ["L = f.locals", "S = f.stack"]
+        + ["    " * indent + stmt for indent, stmt in gen.lines],
         f"<fused:{head}+{region.length}>",
     )
 
 
-def _gen_loop(
-    loop, body: Sequence[Instr], memory: Optional[LinearMemory], counts
-) -> Callable:
-    """Compile one innermost loop (a ``predecode.FusedLoop``) to a handler.
+# ----------------------------------------------------------------------
+# Loop handlers
+# ----------------------------------------------------------------------
+# A loop handler (:func:`_gen_nest`) runs one ``predecode.LoopNest`` in
+# one generated function.  Wasm control maps onto Python's: a ``loop``,
+# with the ``block`` around it when their ends are adjacent, becomes
+# ``while True:``; an ``if`` becomes ``if``/``else``; and a ``block`` or
+# ``if`` that a branch leaves becomes a ``while True:`` that runs once.
+# A branch is ``continue`` or ``break`` on its label's Python loop,
+# ``return`` for the nest's own block, and, across Python loops,
+# ``go = <code>`` plus ``break``, dispatched after each loop it leaves.
+#
+# The body is :class:`_Codegen`'s translation, with locals kept in
+# Python locals and a value invariant over an enclosing loop computed
+# once before that loop.  Counting is per straight-line *segment*: one
+# counter per maximal run of dispatch units that always run together,
+# added to each unit's count, and to the load and store totals, when
+# the handler exits.
 
-    Installed at the ``block`` pc, the handler runs every iteration in
-    one Python ``while True`` and returns the pc after the block.  It
-    keeps one local counter per tier-1 dispatch unit of the body (a
-    fused region or a single pc), bumped where tier-1 dispatch would
-    count it, plus local load and store counts; a ``finally`` adds them
-    to ``counts`` (None when not profiling) and to the memory's
-    counters, so a trap mid-loop leaves exactly the counts tier-1
-    dispatch leaves.  Values left on the stack when a branch is taken
-    are dropped with the symbolic stack, as ``_branch`` would drop them.
-    """
-    gen = _LoopTranslator(memory)
-    regions = {region.head: region for region in loop.regions}
-    units: List[int] = []
-    unit_end = 0
-    for pc in range(loop.head + 1, loop.end - 1):
-        if pc >= unit_end:
-            region = regions.get(pc)
-            unit_end = pc + (region.length if region is not None else 1)
-            if counts is not None:
-                gen.emit(f"c{len(units)} += 1")
-            units.append(pc)
-        ins = body[pc]
-        if ins.op == "br_if":
-            gen.emit(f"if {gen.pop()}:")
-            gen.emit("continue" if ins.args[0] == 0 else "break", 1)
-        elif ins.op not in ("loop", "br"):  # the closing br 0 loops
-            gen.translate(ins)
 
-    inner = body[loop.head + 2 : loop.end - 2]
-    loads = any(ins.op in predecode.LOAD_NAMES for ins in inner)
-    stores = any(ins.op in predecode.STORE_NAMES for ins in inner)
-    used = {ins.args[0] for ins in inner if ins.op.startswith("local.")}
-    written = {ins.args[0] for ins in inner if ins.op in ("local.set", "local.tee")}
-    prologue = ["L = f.locals"] + [f"l{i} = L[{i}]" for i in sorted(used)]
-    flush: List[str] = []
-    if counts is not None:
-        gen.env["counts"] = counts
-        prologue.append(" = ".join(f"c{k}" for k in range(len(units))) + " = 0")
-        flush += [f"counts[{pc}] += c{k}" for k, pc in enumerate(units)]
-    if loads or stores:
-        # No call or memory.grow in the body: the size cannot change.
-        prologue.append("n = len(data)")
+@dataclass(slots=True)
+class _Segment:
+    """A straight-line run of dispatch units sharing one counter."""
+
+    index: int
+    units: List[int] = field(default_factory=list)
+    loads: int = 0
+    stores: int = 0
+
+
+@dataclass(slots=True, eq=False)
+class _PyLoop:
+    """One generated ``while True:``; ``outward`` holds the ``go`` codes
+    of branches that leave it for a loop further out."""
+
+    outward: set = field(default_factory=set)
+
+
+@dataclass(slots=True, eq=False)
+class _Construct:
+    """One open Wasm construct: a ``pair`` (block + loop with adjacent
+    ends), ``block``, ``loop`` or ``if``."""
+
+    kind: str
+    end: int
+    height: int
+    #: the ``while True:`` a branch to it continues or breaks, if any
+    pyloop: Optional[_PyLoop] = None
+    #: some path leaves it to the pc after its end
+    exits: bool = False
+    has_else: bool = False
+    then_live: bool = False
+
+
+def _undo_after_trap(fix, counts, memory) -> None:
+    """Take back what a segment counted past the op that trapped in it."""
+    pcs, loads, stores = fix
+    for pc in pcs:
+        counts[pc] -= 1
     if loads:
-        prologue.append("nl = 0")
-        flush.append("mem.load_count += nl")
+        memory.load_count -= loads
     if stores:
-        prologue.append("ns = 0")
-        flush.append("mem.store_count += ns")
-    # A body of pure ops emits nothing unless it counts; "pass" keeps
-    # such a (never-ending) loop valid Python.
-    lines = ["while True:"] + ["    " + line for line in gen.lines or ["pass"]]
-    if flush:
-        lines = (
-            ["try:"]
-            + ["    " + line for line in lines]
-            + ["finally:"]
-            + ["    " + line for line in flush]
+        memory.store_count -= stores
+
+
+class _NestCompiler(_Codegen):
+    """Generates the loop handler of one ``predecode.LoopNest``."""
+
+    local_name = "l{}"
+
+    def __init__(
+        self, nest, body: Sequence[Instr], matches, memory, counts
+    ) -> None:
+        super().__init__(memory)
+        self.body = body
+        self.matches = matches
+        self.counts = counts
+        self.head = nest.head
+        self.end = nest.end
+        self.interior = {pc for region in nest.regions for pc in region.tail_pcs}
+        inner = body[nest.head + 1 : nest.end]
+        self.used = sorted(
+            {ins.args[0] for ins in inner if ins.op.startswith("local.")}
         )
-    epilogue = [f"L[{i}] = l{i}" for i in sorted(written)]
-    return _build(
-        "_loop",
-        gen.env,
-        prologue + lines + epilogue + [f"return {loop.end + 1}"],
-        f"<loop:{loop.head}..{loop.end}>",
-    )
+        self.written = sorted(
+            {ins.args[0] for ins in inner if ins.op in ("local.set", "local.tee")}
+        )
+        #: loop pc -> the locals written anywhere inside that loop
+        self.writes = {
+            pc: {
+                ins.args[0]
+                for ins in body[pc : matches[pc][0]]
+                if ins.op in ("local.set", "local.tee")
+            }
+            for pc in range(nest.head + 1, nest.end)
+            if body[pc].op == "loop"
+        }
+        self.targeted = self._targeted()
+        #: lines also hold a _Segment for the counter bump that opens it,
+        #: a pc for a trap site's mark, and preheader _Slots
+        self.marks: List[int] = []
+        self.prologue = _Slot(0)
+        self.pyloops: List[_PyLoop] = []
+        #: open Wasm labels, innermost last: (construct, branch action)
+        self.labels: List[Tuple[_Construct, str]] = []
+        self.constructs: List[_Construct] = []
+        self.go_targets: Dict[int, Tuple[_PyLoop, str]] = {}
+        self.segments: List[_Segment] = []
+        self.seg: Optional[_Segment] = None
+        self.reachable = True
+        #: trap sites: (pc, segment, units, loads, stores counted so far)
+        self.sites: List[Tuple[int, _Segment, int, int, int]] = []
+        self.accesses = False
+
+    def _targeted(self) -> set:
+        """Opener pcs of the constructs some branch in the nest targets."""
+        targeted = set()
+        openers: List[int] = []
+        for pc in range(self.head, self.end):
+            ins = self.body[pc]
+            if ins.op in ("block", "loop", "if"):
+                openers.append(pc)
+            elif ins.op == "end":
+                openers.pop()
+            elif ins.op in ("br", "br_if"):
+                targeted.add(openers[-1 - ins.args[0]])
+        return targeted
+
+    # -- output --------------------------------------------------------
+    def push(self) -> None:
+        self.indent += 1
+        self.marks.append(len(self.lines))
+
+    def pop(self) -> None:
+        if len(self.lines) == self.marks.pop():
+            self.emit("pass")
+        self.indent -= 1
+
+    def count(self, pc: int) -> None:
+        """Count the tier-1 dispatch unit at ``pc``, if one starts there."""
+        if pc in self.interior:
+            return
+        if self.seg is None:
+            self.seg = _Segment(len(self.segments))
+            self.segments.append(self.seg)
+            self.lines.append((self.indent, self.seg))
+        self.seg.units.append(pc)
+
+    def mark(self, pc: int, extra: int = 0) -> None:
+        """Record how far the current segment got where ``pc`` may trap."""
+        self.lines.append((self.indent + extra, pc))
+        seg = self.seg
+        self.sites.append((pc, seg, len(seg.units), seg.loads, seg.stores))
+
+    # -- memory ----------------------------------------------------------
+    def load(self, ins: Instr, pc: int) -> None:
+        """A load inlined against ``n``, counted by its segment."""
+        addr = self.name(self.address(self.take(), ins.args[1]))
+        fmt, mask = _FAST_LOAD[ins.op]
+        packer = struct.Struct(fmt)
+        unpack = self.bind(packer.unpack_from)
+        value = self.fresh()
+        self.seg.loads += 1
+        masked = f" & {mask}" if mask is not None else ""
+        self.access(
+            addr, packer.size, pc,
+            f"{value} = {unpack}(data, {addr.expr})[0]{masked}",
+            f"{value} = _slow_load(mem, {addr.expr}, {packer.size}, {unpack}){masked}",
+        )
+        self.sym.append(_Val(value, len(self.loops)))
+
+    def store(self, ins: Instr, pc: int) -> None:
+        """A store inlined like a load."""
+        value = self.take()
+        fmt, mask = _FAST_STORE[ins.op]
+        if mask is not None:
+            value = self.combine(f"({{}} & {mask})", self.num(value))
+        else:
+            value = self.canon(value)
+        stored = self.use(value)
+        addr = self.name(self.address(self.take(), ins.args[1]))
+        packer = struct.Struct(fmt)
+        pack = self.bind(packer.pack_into)
+        self.seg.stores += 1
+        self.access(
+            addr, packer.size, pc,
+            f"{pack}(data, {addr.expr}, {stored})",
+            f"_slow_store(mem, {addr.expr}, {packer.size}, {pack}, {stored})",
+        )
+
+    def access(self, addr: _Val, size: int, pc: int, fast: str, slow: str) -> None:
+        """``fast`` in bounds, after adding the access's 4 KiB pages to the
+        touched set; ``slow`` (the strategy's path) otherwise."""
+        memory = self.memory
+        self.accesses = True
+        self.env.update(
+            data=memory.data, mem=memory, _slow_load=_slow_load, _slow_store=_slow_store
+        )
+        a = addr.expr
+        self.emit(f"if {a} + {size} <= n:")
+        if memory.track_pages:
+            self.env["touch"] = memory.touched_pages.add
+            self.emit(f"touch({a} >> 12)", 1)
+            if addr.align < size:
+                self.emit(f"if {a} & 4095 > {4096 - size}:", 1)
+                self.emit(f"touch(({a} >> 12) + 1)", 2)
+        self.emit(fast, 1)
+        self.emit("else:")
+        self.mark(pc, 1)
+        self.emit(slow, 1)
+
+    # -- control ---------------------------------------------------------
+    def open_while(self, construct: _Construct, loop_pc: Optional[int], slot=None) -> None:
+        """Open the ``while True:`` of ``construct``; a Wasm loop at
+        ``loop_pc`` also gets a preheader for hoisted values."""
+        if loop_pc is not None:
+            if slot is None:
+                slot = _Slot(self.indent)
+                self.lines.append(slot)
+            self.loops.append((self.writes[loop_pc], slot))
+        self.emit("while True:")
+        self.push()
+        construct.pyloop = _PyLoop()
+        self.pyloops.append(construct.pyloop)
+        self.constructs.append(construct)
+        if loop_pc is not None:
+            self.seg = None
+
+    def close_while(self) -> None:
+        """Close the innermost ``while True:``, then dispatch the ``go``
+        branches that left it: take those aimed at the Python loop around
+        it, and pass the others further out."""
+        self.pop()
+        pyloop = self.pyloops.pop()
+        self.seg = None
+        if not pyloop.outward:
+            return
+        parent = self.pyloops[-1]
+        self.emit("if go:")
+        passed = False
+        for code in sorted(pyloop.outward):
+            target, action = self.go_targets[code]
+            if target is parent:
+                self.emit(f"if go == {code}:", 1)
+                self.emit("go = 0", 2)
+                self.emit(action, 2)
+            else:
+                parent.outward.add(code)
+                passed = True
+        if passed:
+            self.emit("break", 1)
+
+    def open_pair(self, pc: int) -> None:
+        outer = pc == self.head
+        if not outer:  # tier-1 dispatch counts the nest's own block
+            self.count(pc)
+        self.materialize()
+        construct = _Construct("pair", self.matches[pc][0], len(self.sym))
+        self.open_while(construct, pc + 1, self.prologue if outer else None)
+        self.labels.append((construct, "return" if outer else "break"))
+        self.labels.append((construct, "continue"))
+        self.count(pc + 1)
+
+    def close_pair(self, construct: _Construct) -> None:
+        del self.sym[construct.height :]
+        if self.reachable:  # fell off the loop: both ends run
+            self.count(construct.end - 1)
+            self.count(construct.end)
+            if construct.end == self.end:
+                self.leave()
+            else:
+                self.emit("break")
+                construct.exits = True
+        self.close_while()
+        self.loops.pop()
+        del self.labels[-2:]
+        self.constructs.pop()
+        self.reachable = construct.exits
+
+    def open_block(self, pc: int) -> None:
+        self.count(pc)
+        self.materialize()
+        construct = _Construct("block", self.matches[pc][0], len(self.sym))
+        if pc in self.targeted:
+            self.open_while(construct, None)
+        else:
+            self.constructs.append(construct)
+        self.labels.append((construct, "break"))
+
+    def open_loop(self, pc: int) -> None:
+        self.materialize()
+        construct = _Construct("loop", self.matches[pc][0], len(self.sym))
+        self.open_while(construct, pc)
+        self.labels.append((construct, "continue"))
+        self.count(pc)
+
+    def open_if(self, pc: int) -> None:
+        self.count(pc)
+        cond = self.truth(self.take())
+        self.materialize()
+        construct = _Construct("if", self.matches[pc][0], len(self.sym))
+        if pc in self.targeted:
+            self.open_while(construct, None)
+        else:
+            self.constructs.append(construct)
+        self.labels.append((construct, "break"))
+        self.emit(f"if {cond}:")
+        self.push()
+        self.seg = None
+
+    def on_else(self, pc: int) -> None:
+        construct = self.constructs[-1]
+        construct.then_live = self.reachable
+        construct.has_else = True
+        if self.reachable:  # the then-arm runs ``else``, then ``end``
+            self.count(pc)
+        del self.sym[construct.height :]
+        self.pop()
+        self.emit("else:")
+        self.push()
+        self.seg = None
+        self.reachable = True
+
+    def close(self, construct: _Construct, pc: int) -> None:
+        """The ``end`` at ``pc`` of a block, loop or if."""
+        del self.sym[construct.height :]
+        live = self.reachable
+        if construct.kind == "if":
+            # Without an else arm, a false condition lands on the end.
+            live = construct.then_live or live if construct.has_else else True
+            self.pop()
+            self.seg = None
+        if live:
+            self.count(pc)
+            if construct.pyloop is not None:
+                self.emit("break")
+                construct.exits = True
+        self.labels.pop()
+        self.constructs.pop()
+        if construct.pyloop is not None:
+            if construct.kind == "loop":
+                self.loops.pop()
+            self.close_while()
+            live = construct.exits
+        self.reachable = live
+
+    def branch(self, depth: int) -> None:
+        construct, action = self.labels[-1 - depth]
+        if action == "return":
+            self.leave()
+            return
+        if action == "break":
+            construct.exits = True
+        pyloop = construct.pyloop
+        if pyloop is self.pyloops[-1]:
+            self.emit(action)
+            return
+        code = next(
+            (c for c, t in self.go_targets.items() if t == (pyloop, action)),
+            len(self.go_targets) + 1,
+        )
+        self.go_targets[code] = (pyloop, action)
+        self.pyloops[-1].outward.add(code)
+        self.emit(f"go = {code}")
+        self.emit("break")
+
+    def leave(self) -> None:
+        """Store the written locals back and return past the nest."""
+        for index in self.written:
+            self.emit(f"L[{index}] = l{index}")
+        self.emit(f"return {self.end + 1}")
+
+    def walk(self) -> None:
+        body, matches = self.body, self.matches
+        self.open_pair(self.head)
+        pc = self.head + 2
+        while self.constructs:
+            ins = body[pc]
+            op = ins.op
+            if not self.reachable and op not in ("else", "end"):
+                # Dead code after a br: skip it, nested constructs whole.
+                pc = matches[pc][0] + 1 if op in ("block", "loop", "if") else pc + 1
+                continue
+            if op == "block":
+                if body[pc + 1].op == "loop" and matches[pc + 1][0] == matches[pc][0] - 1:
+                    self.open_pair(pc)
+                    pc += 2
+                    continue
+                self.open_block(pc)
+            elif op == "loop":
+                self.open_loop(pc)
+            elif op == "if":
+                self.open_if(pc)
+            elif op == "else":
+                self.on_else(pc)
+            elif op == "end":
+                construct = self.constructs[-1]
+                if construct.kind == "pair":
+                    self.close_pair(construct)
+                    pc = construct.end + 1
+                    continue
+                self.close(construct, pc)
+            elif op == "br":
+                self.count(pc)
+                self.branch(ins.args[0])
+                self.reachable = False
+            elif op == "br_if":
+                self.count(pc)
+                self.emit(f"if {self.truth(self.take())}:")
+                self.push()
+                self.branch(ins.args[0])
+                self.pop()
+                self.seg = None
+            else:
+                self.count(pc)
+                if op != "nop":
+                    self.translate(ins, pc)
+            pc += 1
+
+    # -- assembly ----------------------------------------------------------
+    def build(self) -> Callable:
+        self.walk()
+        counts = self.counts
+
+        def counted(seg: _Segment) -> bool:
+            return counts is not None or bool(seg.loads or seg.stores)
+
+        fixes = {
+            pc: (
+                tuple(seg.units[units:]) if counts is not None else (),
+                seg.loads - loads,
+                seg.stores - stores,
+            )
+            for pc, seg, units, loads, stores in self.sites
+        }
+        marked = any(pcs or loads or stores for pcs, loads, stores in fixes.values())
+        body: List[str] = []
+        for item in self.lines:
+            if isinstance(item, _Slot):
+                body.extend(
+                    f"{'    ' * item.indent}{name} = {expr}"
+                    for expr, name in item.names.items()
+                )
+                continue
+            indent, line = item
+            if isinstance(line, _Segment):  # the bump opening a segment
+                line = f"c{line.index} += 1" if counted(line) else "pass"
+            elif isinstance(line, int):  # the site mark of a trapping op
+                line = f"at = {line}" if marked else "pass"
+            body.append("    " * indent + line)
+
+        live = [seg for seg in self.segments if counted(seg)]
+        prologue = ["L = f.locals"] + [f"l{i} = L[{i}]" for i in self.used]
+        if live:
+            prologue.append(" = ".join(f"c{seg.index}" for seg in live) + " = 0")
+        if self.accesses:
+            # No call or memory.grow in a nest: the size cannot change.
+            prologue.append("n = len(data)")
+        if marked:
+            prologue.append("at = 0")
+        if self.go_targets:
+            prologue.append("go = 0")
+        prologue += [f"{name} = {expr}" for expr, name in self.prologue.names.items()]
+
+        flush: List[str] = []
+        if counts is not None:
+            self.env["counts"] = counts
+            flush += [
+                f"counts[{pc}] += c{seg.index}" for seg in live for pc in seg.units
+            ]
+        for attr, key in (("load_count", "loads"), ("store_count", "stores")):
+            terms = [
+                f"c{seg.index}" + (f" * {getattr(seg, key)}" if getattr(seg, key) > 1 else "")
+                for seg in live
+                if getattr(seg, key)
+            ]
+            if terms:
+                flush.append(f"mem.{attr} += {' + '.join(terms)}")
+        if flush:
+            lines = ["try:"] + ["    " + line for line in body]
+            if marked:
+                self.env.update(
+                    fixes=fixes, _undo=_undo_after_trap, _Trap=Trap,
+                    counts=counts, mem=self.memory,
+                )
+                lines += [
+                    "except _Trap:",
+                    "    if at:",
+                    "        _undo(fixes[at], counts, mem)",
+                    "    raise",
+                ]
+            lines += ["finally:"] + ["    " + line for line in flush]
+        else:
+            lines = body
+        return _build(
+            "_nest", self.env, prologue + lines, f"<nest:{self.head}..{self.end}>"
+        )
+
+
+def _gen_nest(
+    nest, body: Sequence[Instr], matches, memory: Optional[LinearMemory], counts
+) -> Callable:
+    """Compile one ``predecode.LoopNest`` to its loop handler.
+
+    Installed at the nest's ``block`` pc, the handler runs the whole
+    nest and returns the pc after its ``end``.  It counts every pc
+    tier-1 dispatch would count, per segment, and adds the counts to
+    ``counts`` (None when not profiling) and to the memory's load and
+    store totals in a ``finally``.  A trap records how far its segment
+    got only where one can happen, on a slow-path access or before a
+    ``div``/``rem``/``trunc``, and an ``except`` takes back what the
+    segment counted past it: the handler leaves exactly the counts,
+    touched pages and memory tier-1 dispatch leaves.
+    """
+    return _NestCompiler(nest, body, matches, memory, counts).build()
 
 
 # ----------------------------------------------------------------------

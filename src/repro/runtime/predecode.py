@@ -10,8 +10,9 @@ execution starts:
   landing sites); fusion must never swallow one of these;
 * ``regions`` — the superinstruction schedule: non-overlapping runs of
   instructions that one fused handler executes in a single dispatch;
-* ``loops`` — innermost loops of one fixed shape (:func:`find_loops`)
-  that one *loop handler* runs from entry to exit in a single dispatch.
+* ``loops`` — the outermost call-free loop nests (:func:`find_nests`),
+  each of which one *loop handler* runs from entry to exit in a single
+  dispatch.
 
 Plans are pure data (deterministic functions of the body), built in
 memory once per interpreter at module load; the ``legacy`` tier builds
@@ -34,8 +35,11 @@ interpreter's handlers):
    (elided) transient stack states.
 
 A loop handler keeps these rules: it counts each region (and each
-unfused pc) of the loop body once per execution, exactly as tier-1
-dispatch would, so the same reconstruction applies to it.
+unfused pc) of the nest exactly as often as tier-1 dispatch would, so
+the same reconstruction applies to it.  A nest holds no call,
+``call_indirect``, ``br_table``, ``return`` or ``memory.grow``, so no
+reentrancy can observe its locals and linear memory cannot resize
+while its handler runs.
 """
 
 from __future__ import annotations
@@ -110,9 +114,9 @@ STORE_NAMES = frozenset(
 # The interpreter compiles each region to one Python function via
 # symbolic stack evaluation (see ``interpreter._gen_region``), so a
 # whole PolyBench inner-loop statement collapses into a single
-# dispatch.  A loop of the shape :func:`find_loops` accepts goes one
-# step further: ``interpreter._gen_loop`` runs all of its iterations,
-# with every region inside it, in a single dispatch.
+# dispatch.  A loop nest of the shape :func:`find_nests` accepts goes
+# one step further: ``interpreter._gen_nest`` runs all of it, every
+# region and inner loop included, in a single dispatch.
 
 #: Pure ops: no traps, no control transfer, no memory side effects.
 SAFE_OPS = (
@@ -152,25 +156,28 @@ class FusedRegion:
         return range(self.head + 1, self.head + self.length)
 
 
-#: Ops a loop body may hold besides ``br_if 0|1`` and its closing
-#: ``br 0``: everything a fused region may hold except branches.  There
-#: is no call, ``memory.grow`` or nested control among them, so linear
-#: memory cannot resize while a loop handler runs.
+#: Ops a loop nest may hold besides ``nop``, structured control without
+#: results and branches to its own labels: everything a fused region
+#: may hold except branches.
 LOOP_BODY_OPS = (
     SAFE_OPS | LOAD_NAMES | STORE_NAMES | TRAPPING_BINOPS | TRAPPING_UNOPS
 )
 
+#: Deepest label nesting a loop nest may have, its own ``block`` and
+#: ``loop`` included.  Each label costs the generated handler at most
+#: one statically nested Python block, CPython allows 20, and the
+#: handler's ``try`` statement takes two.
+MAX_NEST_DEPTH = 18
+
 
 @dataclass(frozen=True)
-class FusedLoop:
-    """One innermost loop that a single loop handler runs.
+class LoopNest:
+    """One call-free loop nest that a single loop handler runs.
 
     ``head`` is the ``block`` pc and ``head + 1`` its ``loop``; ``end``
-    is the block's ``end`` and ``end - 1`` the loop's.  The body ends
-    in ``br 0`` at ``end - 2``, so neither ``end`` ever executes: the
-    only way out is a taken ``br_if 1``, which lands on ``end + 1``.
-    ``regions`` are the fusion regions inside the body; each of them,
-    and each body pc outside them, is one tier-1 dispatch unit.
+    is the block's ``end`` and ``end - 1`` the loop's.  ``regions`` are
+    the fusion regions inside; each of them, and each pc between
+    ``head`` and ``end`` outside them, is one tier-1 dispatch unit.
     """
 
     head: int
@@ -188,8 +195,8 @@ class FunctionPlan:
     targets: frozenset = frozenset()
     #: non-overlapping fusion regions, ordered by head pc.
     regions: List[FusedRegion] = field(default_factory=list)
-    #: innermost loops a loop handler can run, ordered by head pc.
-    loops: List[FusedLoop] = field(default_factory=list)
+    #: outermost loop nests a loop handler runs, ordered by head pc.
+    loops: List[LoopNest] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -274,42 +281,65 @@ def find_regions(
     return regions
 
 
-def find_loops(
+def _nest_end(body: Sequence[Instr], matches: Dict[int, Any], pc: int) -> Optional[int]:
+    """The ``end`` of the loop nest headed at ``pc``, or None if none is.
+
+    The head is a ``block`` whose next op is a ``loop``, both without
+    results, with adjacent ``end``s.  Between them the nest holds only
+    :data:`LOOP_BODY_OPS`, ``nop``, ``block``/``loop``/``if``/``else``/
+    ``end`` without results, and ``br``/``br_if`` to a label opened at
+    or inside the head ``block``, at most :data:`MAX_NEST_DEPTH` labels
+    deep.
+    """
+    block, loop = body[pc], body[pc + 1]
+    if (
+        block.op != "block"
+        or loop.op != "loop"
+        or block.args[0] is not None
+        or loop.args[0] is not None
+    ):
+        return None
+    end = matches[pc][0]
+    if matches[pc + 1][0] != end - 1:
+        return None
+    depth = 2
+    for ins in body[pc + 2 : end - 1]:
+        op = ins.op
+        if op in ("block", "loop", "if"):
+            depth += 1
+            if ins.args[0] is not None or depth > MAX_NEST_DEPTH:
+                return None
+        elif op == "end":
+            depth -= 1
+        elif op in ("br", "br_if"):
+            if ins.args[0] >= depth:
+                return None
+        elif op not in LOOP_BODY_OPS and op not in ("else", "nop"):
+            return None
+    return end
+
+
+def find_nests(
     body: Sequence[Instr],
     matches: Dict[int, Any],
     regions: Sequence[FusedRegion],
-) -> List[FusedLoop]:
-    """Every innermost loop of the one shape a loop handler runs.
+) -> List[LoopNest]:
+    """Every outermost loop nest a loop handler runs (see :func:`_nest_end`).
 
-    The shape is ``block`` + ``loop``, both without results, whose
-    ``end``s are adjacent; a body of :data:`LOOP_BODY_OPS` and
-    ``br_if 0|1`` only; and a last body op ``br 0``.  Other loops stay
-    on tier-1 dispatch.
+    A ``block`` + ``loop`` pair outside the shape stays on tier-1
+    dispatch, and the pairs inside it are tried in turn.
     """
-    loops: List[FusedLoop] = []
-    for pc in range(len(body) - 1):
-        block, loop = body[pc], body[pc + 1]
-        if (
-            block.op != "block"
-            or loop.op != "loop"
-            or block.args[0] is not None
-            or loop.args[0] is not None
-        ):
+    nests: List[LoopNest] = []
+    pc = 0
+    while pc < len(body) - 1:
+        end = _nest_end(body, matches, pc)
+        if end is None:
+            pc += 1
             continue
-        end = matches[pc][0]
-        last = end - 2
-        if matches[pc + 1][0] != end - 1 or last < pc + 2:
-            continue
-        if body[last].op != "br" or body[last].args[0] != 0:
-            continue
-        if all(
-            ins.op in LOOP_BODY_OPS
-            or (ins.op == "br_if" and ins.args[0] in (0, 1))
-            for ins in body[pc + 2 : last]
-        ):
-            inner = tuple(r for r in regions if pc < r.head < end)
-            loops.append(FusedLoop(pc, end, inner))
-    return loops
+        inner = tuple(r for r in regions if pc < r.head < end)
+        nests.append(LoopNest(pc, end, inner))
+        pc = end + 1
+    return nests
 
 
 def plan_function(body: Sequence[Instr]) -> FunctionPlan:
@@ -317,7 +347,7 @@ def plan_function(body: Sequence[Instr]) -> FunctionPlan:
     matches = match_control(body)
     targets = jump_targets(body, matches)
     regions = find_regions(body, targets)
-    loops = find_loops(body, matches, regions)
+    loops = find_nests(body, matches, regions)
     return FunctionPlan(
         matches=matches, targets=targets, regions=regions, loops=loops
     )

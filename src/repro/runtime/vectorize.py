@@ -89,13 +89,6 @@ class VecBail(Exception):
     """One loop cannot use the NumPy path (scalar loop still emitted)."""
 
 
-#: What folding a constant expression through the interpreter's
-#: operator tables may raise: a trap, or an f32 result too large for
-#: ``struct`` to round.  Such a body stays on tier 1, which raises the
-#: same only if the expression runs.
-_FOLD_ERRORS = (Trap, OverflowError)
-
-
 #: Signed i32 compares become plain Python compares when both operands
 #: carry intervals (signed value == canonical value in [0, 2**31)).
 _SIGNED_CMP32 = {
@@ -279,9 +272,11 @@ class _Compiler:
         rty = "i32" if op in CMP_NAMES else ty
         locs = a.locs | b.locs
         if a.node[0] == "const" and b.node[0] == "const":
+            # A constant expression that traps keeps the body on tier 1,
+            # which traps the same only if the expression runs.
             try:
                 value = I._BINOPS[op](a.node[1], b.node[1])
-            except _FOLD_ERRORS as exc:
+            except Trap as exc:
                 raise Bailout(f"{op} on constants raises: {exc}")
             self.sym.append(self._const_val(value, rty))
             return
@@ -384,7 +379,7 @@ class _Compiler:
         if a.node[0] == "const":
             try:
                 value = I._UNOPS[op](a.node[1])
-            except _FOLD_ERRORS as exc:
+            except Trap as exc:
                 raise Bailout(f"{op} on constant raises: {exc}")
             self.sym.append(self._const_val(value, rty))
             return

@@ -100,8 +100,27 @@ class TestProfileCache:
         assert first.instr_counts == second.instr_counts
 
 
+def _assert_recomputes_equal(path):
+    committed = _profile_from_json(json.loads(path.read_text()))
+    workload, size = committed.workload, committed.size
+    assert path.name == (
+        f"{workload.replace('/', '_')}-{size}-"
+        f"{module_digest(workload, size)[:16]}.json"
+    ), "stale file: its module digest is not the workload's"
+    _, recomputed = profile_for(workload, size)
+    assert recomputed == committed
+
+
+def _committed(size):
+    return pytest.mark.parametrize(
+        "path",
+        sorted(COMMITTED.glob(f"*-{size}-*.json")),
+        ids=lambda path: path.name.rsplit("-", 1)[0],
+    )
+
+
 class TestCommittedProfiles:
-    """The committed profiles hold what this interpreter computes.
+    """Every committed profile holds what this interpreter computes.
 
     Profile files are named by workload, size and module digest only,
     so nothing else notices an interpreter change that moves a count.
@@ -109,20 +128,14 @@ class TestCommittedProfiles:
     ``syscalls`` key existed lack it, and it reads back as empty.
     """
 
-    @pytest.mark.parametrize(
-        "path",
-        sorted(COMMITTED.glob("*-mini-*.json")),
-        ids=lambda path: path.name.rsplit("-", 1)[0],
-    )
+    @_committed("mini")
     def test_mini_profile_recomputes_equal(self, path, isolated_cache):
-        committed = _profile_from_json(json.loads(path.read_text()))
-        workload, size = committed.workload, committed.size
-        assert path.name == (
-            f"{workload.replace('/', '_')}-{size}-"
-            f"{module_digest(workload, size)[:16]}.json"
-        ), "stale file: its module digest is not the workload's"
-        _, recomputed = profile_for(workload, size)
-        assert recomputed == committed
+        _assert_recomputes_equal(path)
+
+    @_committed("small")
+    def test_small_profile_recomputes_equal(self, path, isolated_cache):
+        _assert_recomputes_equal(path)
 
     def test_committed_profiles_are_found(self):
-        assert list(COMMITTED.glob("*-mini-*.json"))
+        for size in ("mini", "small"):
+            assert list(COMMITTED.glob(f"*-{size}-*.json"))
