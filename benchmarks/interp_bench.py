@@ -46,6 +46,17 @@ log alone identifies the regression.
 To absorb transient spikes the gate re-measures once before failing.
 Update the baseline with ``--update-baseline`` after an intentional
 interpreter change, and say why in the commit message.
+
+Baseline policy
+---------------
+On a shared 2-CPU VM one tree's opt/legacy ratio spread 17.6-22.9x
+from run to run, so a baseline taken from one run near the top of that
+spread fails later ``--check`` runs with no code change.
+``--update-baseline`` therefore measures three full runs and writes,
+for each of the two gated ratios, the median of the three; every run is
+recorded under ``"runs"``, so the spread behind a baseline stays in the
+file.  Regenerating until a wanted number appears is picking among
+noisy baselines: measure once, keep what it writes.
 """
 
 from __future__ import annotations
@@ -68,6 +79,8 @@ from repro.runtime.interpreter import Interpreter  # noqa: E402
 from repro.runtime.predecode import interpreter_build_digest  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_interp.json"
+#: Full runs behind a baseline (see "Baseline policy").
+BASELINE_RUNS = 3
 WORKLOADS = ("gemm", "2mm", "atax", "trisolv", "jacobi-2d")
 SIZE = "mini"
 _CALIBRATION_ITERS = 200_000
@@ -174,6 +187,31 @@ def run_benchmark(repeats: int) -> dict:
     }
 
 
+def measure_baseline(repeats: int) -> dict:
+    """:data:`BASELINE_RUNS` runs: the median of each gated ratio, and
+    every run's rows."""
+    runs = []
+    for _ in range(BASELINE_RUNS):
+        runs.append(run_benchmark(repeats))
+        print_report(runs[-1])
+    baseline = {
+        key: runs[0][key]
+        for key in ("timestamp", "machine", "interpreter_build", "size", "repeats")
+    }
+    baseline["noise_policy"] = (
+        runs[0]["noise_policy"]
+        + "; each gated ratio is the median of %d runs" % BASELINE_RUNS
+    )
+    for key in ("median_speedup", "median_speedup_opt"):
+        baseline[key] = statistics.median(run[key] for run in runs)
+    baseline["runs"] = [
+        {key: run[key] for key in
+         ("timestamp", "median_speedup", "median_speedup_opt", "workloads")}
+        for run in runs
+    ]
+    return baseline
+
+
 def print_report(report: dict) -> None:
     print(f"interpreter build {report['interpreter_build']}  "
           f"size={report['size']}  repeats={report['repeats']}")
@@ -245,7 +283,8 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
         "--update-baseline", action="store_true",
-        help=f"write the measured report to {BASELINE_PATH.name}",
+        help=f"measure {BASELINE_RUNS} runs and write their medians "
+             f"to {BASELINE_PATH.name}",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -265,13 +304,17 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    report = run_benchmark(args.repeats)
-    print_report(report)
-
     if args.update_baseline:
-        BASELINE_PATH.write_text(json.dumps(report, indent=2) + "\n")
+        baseline = measure_baseline(args.repeats)
+        BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
+        print(f"median of {BASELINE_RUNS} runs: "
+              f"fused {baseline['median_speedup']:.2f}x, "
+              f"opt {baseline['median_speedup_opt']:.2f}x")
         print(f"baseline written to {BASELINE_PATH.name}")
         return 0
+
+    report = run_benchmark(args.repeats)
+    print_report(report)
 
     if args.check:
         failures = check(

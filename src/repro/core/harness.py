@@ -19,6 +19,7 @@ Mirrors the paper's 2000-line C++ harness:
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -36,7 +37,7 @@ from repro.oskernel.procstat import ProcStat, UtilisationSample
 from repro.oskernel.syscalls import SyscallCostModel
 from repro.runtime.strategies import strategy_named
 from repro.runtimes import runtime_named
-from repro.sim.engine import Delay, Engine
+from repro.sim.engine import PARK, Engine, SimError
 from repro.sim.resources import Gate
 from repro.trace.events import (
     PHASE_TIMED_BEGIN,
@@ -262,10 +263,21 @@ def run_benchmark(
         thread.finish()
 
     def meminfo_sampler():
+        # Nothing can change the usage before the next queued callback,
+        # so each wake takes every sample due before it and sleeps until
+        # the first one that is not.
         unique_procs = _unique_procs(procs)
+        when = engine.now
         while not state.stopped:
-            meminfo.sample(unique_procs, weight=_MEMINFO_PERIOD)
-            yield Delay(_MEMINFO_PERIOD)
+            until = engine.next_time()
+            if until == math.inf:
+                raise SimError(
+                    "lost wake-up: the workers have not stopped, but "
+                    "nothing except the meminfo sampler is queued"
+                )
+            when = meminfo.sample_until(unique_procs, when, until, _MEMINFO_PERIOD)
+            engine.wake_at(engine.active, when)
+            yield PARK
 
     for index in range(threads):
         engine.process(worker(index), name=f"worker{index}")

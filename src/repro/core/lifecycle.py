@@ -36,12 +36,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Tuple
 
-from repro.cpu.core import USER
+from repro.cpu.core import USER, Then
 from repro.cpu.thread import SimThread
 from repro.oskernel.kernel import THP_PAGES, Kernel, KernelProcess
 from repro.oskernel.layout import GUARD_REGION_BYTES, PAGE_SIZE, WASM_PAGE_SIZE
 from repro.oskernel.vma import Prot
 from repro.runtime.strategies import BoundsStrategy
+from repro.sim.engine import PARK
 from repro.trace.events import (
     GC_PAUSE,
     ITER_BEGIN,
@@ -197,6 +198,60 @@ def plan_syscalls(
     return tuple(batches)
 
 
+class _PacedCompute:
+    """``seconds`` of user work paced by V8's stop-the-world GC.
+
+    Each step runs ``min(seconds, gc_interval - since_gc)`` on the
+    thread's core; once the lifecycle's GC debt reaches the interval,
+    the thread pauses off-core for ``gc_duration``.  The debt carries
+    across calls and iterations.  Steps chain as continuations, and
+    ``then`` is called once all of ``seconds`` has run.
+    """
+
+    __slots__ = ("life", "seconds", "step", "then")
+
+    def __init__(self, life: "InstanceLifecycle", seconds: float, then: Then) -> None:
+        self.life = life
+        self.seconds = seconds
+        self.then = then
+
+    def run(self) -> bool:
+        """Run steps until one waits (False) or ``seconds`` is spent
+        (True, and ``then`` is not called)."""
+        life = self.life
+        thread = life.thread
+        interval = life.plan.gc_interval
+        while self.seconds > 0:
+            step = self.step = min(self.seconds, interval - life._since_gc)
+            if not thread.core.exec_then(thread, step, USER, self._ran):
+                return False
+            if not self._account():
+                return False
+        return True
+
+    def _account(self) -> bool:
+        """Book the step that ran; False when it started a GC pause."""
+        life = self.life
+        plan = life.plan
+        life._since_gc += self.step
+        self.seconds -= self.step
+        if life._since_gc >= plan.gc_interval:
+            if TRACE.enabled:
+                life._trace(GC_PAUSE, duration=plan.gc_duration)
+            life.thread.sleep_then(plan.gc_duration, self._paused)
+            return False
+        return True
+
+    def _ran(self) -> None:
+        if self._account() and self.run():
+            self.then()
+
+    def _paused(self) -> None:
+        self.life._since_gc = 0.0
+        if self.run():
+            self.then()
+
+
 class InstanceLifecycle:
     """One worker's arena and its per-iteration kernel interaction."""
 
@@ -230,23 +285,17 @@ class InstanceLifecycle:
 
         GC pauses land *inside* the timed region — a safepoint stops
         the mutator mid-execution — which is what degrades V8's
-        long-running iterations at high thread counts (§4.1.1).
+        long-running iterations at high thread counts (§4.1.1).  The
+        paced loop runs as callbacks (:class:`_PacedCompute`), so the
+        worker's process parks once for the whole of ``seconds``.
         """
-        plan = self.plan
-        if plan.gc_interval <= 0:
+        if self.plan.gc_interval <= 0:
             if seconds > 0:
                 yield from self.thread.run(seconds, USER)
             return
-        while seconds > 0:
-            step = min(seconds, plan.gc_interval - self._since_gc)
-            yield from self.thread.run(step, USER)
-            self._since_gc += step
-            seconds -= step
-            if self._since_gc >= plan.gc_interval:
-                if TRACE.enabled:
-                    self._trace(GC_PAUSE, duration=plan.gc_duration)
-                yield from self.thread.sleep(plan.gc_duration)
-                self._since_gc = 0.0
+        paced = _PacedCompute(self, seconds, self.thread.engine.active._resume)
+        if not paced.run():
+            yield PARK
 
     # ------------------------------------------------------------------
     def setup(self) -> Generator:

@@ -20,14 +20,15 @@ import os
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, TypeVar
 
-from repro.runtime.interpreter import Interpreter
 from repro.runtime.profile import ExecutionProfile
 from repro.wasm.encoder import encode_module
 from repro.wasm.module import Module
 from repro.workloads import workload_named
+from repro.workloads.base import instantiate
 
 _memory_cache: Dict[Tuple[str, str], Tuple[Module, ExecutionProfile]] = {}
-_module_cache: Dict[Tuple[str, str], Tuple[Module, str]] = {}
+#: (workload, size) -> (module, content digest, the build's env factory).
+_module_cache: Dict[Tuple[str, str], Tuple[Module, str, Optional[Callable]]] = {}
 
 #: Where profile files live unless the engine is configured otherwise.
 DEFAULT_DIR = Path(".cache") / "profiles"
@@ -124,10 +125,12 @@ def module_for(workload_name: str, size: str) -> Tuple[Module, str]:
     """
     key = (workload_name, size)
     if key not in _module_cache:
-        module = workload_named(workload_name).build(size).module
-        digest = hashlib.sha256(encode_module(module)).hexdigest()
-        _module_cache[key] = (module, digest)
-    return _module_cache[key]
+        built = workload_named(workload_name).build(size)
+        digest = hashlib.sha256(encode_module(built.module)).hexdigest()
+        # Keep the factory, not the build: the rest of it is garbage now.
+        _module_cache[key] = (built.module, digest, built.env_factory)
+    module, digest, _ = _module_cache[key]
+    return module, digest
 
 
 def module_digest(workload_name: str, size: str) -> str:
@@ -148,19 +151,12 @@ def profile_for(workload_name: str, size: str) -> Tuple[Module, ExecutionProfile
         path = cache_dir / f"{stem}.json"
         profile = read_entry(path, _profile_from_json)
     if profile is None:
-        # WASI workloads link against a fresh host environment; the
-        # module itself stays the memoised one (same digest) since
-        # builds are deterministic.
-        built = workload_named(workload_name).build(size)
-        env = built.env_factory() if built.env_factory is not None else None
-        interp = Interpreter(
-            module,
-            imports=env.imports() if env is not None else None,
-            collect_profile=True,
-            track_pages=True,
+        # WASI workloads link against a fresh host environment, made
+        # by the memoised build's factory.
+        env_factory = _module_cache[key][2]
+        interp, env = instantiate(
+            module, env_factory, collect_profile=True, track_pages=True
         )
-        if env is not None:
-            env.bind(interp)
         interp.invoke("bench")
         profile = interp.take_profile(workload_name, size)
         if env is not None:

@@ -1,10 +1,10 @@
 """A simulated CPU core with a run queue and preemptive timeslices.
 
-Threads execute *work segments* on a core via :meth:`Core.exec`.  A
-segment is charged to one of the Linux ``/proc/stat`` accounting buckets
-(``user``, ``sys``, ``irq``, ``softirq``); idle time is whatever remains.
-When several threads are runnable on the same core they round-robin with
-a configurable quantum, and every install of a different thread counts as
+Threads execute *work segments* on a core.  A segment is charged to one
+of the Linux ``/proc/stat`` accounting buckets (``user``, ``sys``,
+``irq``, ``softirq``); idle time is whatever remains.  When several
+threads are runnable on the same core they round-robin with a
+configurable quantum, and every install of a different thread counts as
 a context switch (this mirrors ``/proc/stat``'s ``ctxt`` counter closely
 enough for the paper's Figure 5).
 
@@ -13,6 +13,20 @@ shootdown.  The interrupt's service time is charged to the ``irq`` bucket
 and, if a thread is currently running a segment, that segment's
 completion is pushed back by the service time (the thread loses the
 time, exactly as a real core would steal cycles from the running task).
+
+The core advances by continuations (see :mod:`repro.sim.engine`).
+:meth:`Core.exec_then` runs a segment, slices, preemption and
+interrupt-stretched slice ends included, then calls its continuation;
+:meth:`Core.acquire_then` gets a thread onto the core, then calls its
+continuation.  Each returns True instead, and never calls the
+continuation, when it finishes before it returns: zero-duration work on
+a held core, or an idle core taken in place.  Run-queue entries and the
+segment in flight hold the continuation to queue.  The slice end and
+the dispatch of a queued thread queue it on the engine's lane, one
+entry each, where the woken thread's process used to resume; a segment
+whose work is done calls its continuation in place.  The generator
+methods :meth:`Core.exec` and :meth:`Core.acquire` serve process
+bodies: they park the process once, and its resume is the continuation.
 """
 
 from __future__ import annotations
@@ -20,9 +34,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Deque, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Generator, Optional
 
-from repro.sim.engine import PARK, Engine, Process, SimError
+from repro.sim.engine import PARK, Engine, SimError
 from repro.trace.events import CPU_ACCT, SCHED_IRQ, SCHED_SWITCH
 from repro.trace.tracer import TRACE
 
@@ -35,7 +49,9 @@ USER = "user"
 SYS = "sys"
 IRQ = "irq"
 SOFTIRQ = "softirq"
-_BUCKETS = (USER, SYS, IRQ, SOFTIRQ)
+
+#: A continuation: called once, when the wait it ends is over.
+Then = Callable[[], None]
 
 
 @dataclass
@@ -48,9 +64,16 @@ class CpuAccounting:
     softirq: float = 0.0
 
     def add(self, bucket: str, amount: float) -> None:
-        if bucket not in _BUCKETS:
+        if bucket == USER:
+            self.user += amount
+        elif bucket == SYS:
+            self.sys += amount
+        elif bucket == IRQ:
+            self.irq += amount
+        elif bucket == SOFTIRQ:
+            self.softirq += amount
+        else:
             raise SimError(f"unknown accounting bucket {bucket!r}")
-        setattr(self, bucket, getattr(self, bucket) + amount)
 
     @property
     def busy(self) -> float:
@@ -66,21 +89,62 @@ class CpuAccounting:
 
 
 class _Slice:
-    """Bookkeeping for the segment currently executing on a core."""
+    """A work segment on a core: what is left of it, the time slice in
+    flight, and the continuation to call once all of it has run."""
 
-    __slots__ = ("thread", "process", "work", "started_at", "epoch", "extra_irq_time")
+    __slots__ = (
+        "core", "thread", "kind", "remaining", "then",
+        "work", "started_at", "epoch", "extra_irq_time",
+    )
 
     def __init__(
-        self, thread: "SimThread", process: Process, work: float,
-        started_at: float, epoch: int,
+        self, core: "Core", thread: "SimThread", kind: str, remaining: float,
+        then: Then,
     ) -> None:
+        self.core = core
         self.thread = thread
-        #: The thread's process, parked until the slice ends.
-        self.process = process
-        self.work = work
-        self.started_at = started_at
-        self.epoch = epoch
+        self.kind = kind
+        self.remaining = remaining
+        self.then = then
+
+    def start(self) -> bool:
+        """Start the next time slice on the held core; True, and no
+        slice, when the segment has nothing left to run."""
+        remaining = self.remaining
+        if remaining <= 0:
+            return True
+        core = self.core
+        # Contended: another thread waits for the core, so run a quantum.
+        self.work = min(core.quantum, remaining) if core.ready else remaining
+        core._epoch += 1
+        self.epoch = core._epoch
+        self.started_at = core.engine.now
         self.extra_irq_time = 0.0
+        core._slice = self
+        core._schedule_slice_end(self)
+        return False
+
+    def resume(self) -> None:
+        """Continue once the core is back (queued by a dispatch)."""
+        if self.start():
+            self.then()
+
+    def end(self) -> None:
+        """The time slice has run: charge it, then finish, step off the
+        core for a waiting thread, or start the next slice."""
+        core = self.core
+        core._charge(self.kind, self.work)
+        core._slice = None
+        self.remaining -= self.work
+        if self.remaining <= 0:
+            self.then()
+        elif core.ready:
+            # Involuntary yield: hand the core over and queue behind.
+            core.current = None
+            core._dispatch_next()
+            core.ready.append((self.thread, self.resume))
+        else:
+            self.start()
 
 
 class Core:
@@ -99,47 +163,64 @@ class Core:
         self.switch_cost = switch_cost
         self.acct = CpuAccounting()
         self.context_switches = 0
-        #: Runnable threads waiting for the core, each with its parked process.
-        self.ready: Deque[tuple["SimThread", Process]] = deque()
+        #: Runnable threads waiting for the core, each with the
+        #: continuation its dispatch queues.
+        self.ready: Deque[tuple["SimThread", Then]] = deque()
         self.current: Optional["SimThread"] = None
         self._last_installed: Optional["SimThread"] = None
         self._slice: Optional[_Slice] = None
         self._epoch = 0
 
     # ------------------------------------------------------------------
-    # Thread-facing API (all generator-based, used with ``yield from``)
+    # Thread-facing API
     # ------------------------------------------------------------------
-    def exec(self, thread: "SimThread", duration: float, kind: str = USER) -> Generator:
-        """Run ``duration`` time units of ``kind`` work on this core.
+    def exec_then(
+        self, thread: "SimThread", duration: float, kind: str, then: Then,
+    ) -> bool:
+        """Run ``duration`` time units of ``kind`` work for ``thread``,
+        then call ``then``.
 
-        The calling process is the thread itself.  Handles dispatch,
-        preemption and interrupt-stolen time transparently.
+        Handles dispatch, preemption and interrupt-stolen time.  Returns
+        True instead of calling ``then`` when the work is done before
+        it returns (no work, and the thread holds or takes the core).
         """
         if not duration >= 0:  # also rejects NaN
             raise SimError(f"execution duration must be non-negative, got {duration}")
-        engine = self.engine
-        remaining = duration
-        while True:
-            if self.current is not thread:
-                yield from self._enqueue_and_wait(thread)
-            if remaining <= 0:
-                return
-            contended = bool(self.ready)
-            slice_len = min(self.quantum, remaining) if contended else remaining
-            self._epoch += 1
-            self._slice = _Slice(thread, engine.active, slice_len, engine.now, self._epoch)
-            self._schedule_slice_end(self._slice)
+        work = _Slice(self, thread, kind, duration, then)
+        if self.current is not thread and not self.acquire_then(thread, work.resume):
+            return False
+        return work.start()
+
+    def acquire_then(self, thread: "SimThread", then: Then) -> bool:
+        """Get ``thread`` onto this core, then call ``then``.
+
+        Returns True instead when the thread holds the core already, or
+        takes it in place: the core is idle and no other callback is
+        due now, so the dispatch's lane entry would have run next.  The
+        caller must have nothing else to do before it continues.
+        """
+        if self.current is thread:
+            return True
+        if self.current is not None:
+            self.ready.append((thread, then))
+            return False
+        # An idle core has an empty run queue (a release or a preemption
+        # that leaves the core dispatches the next waiting thread).
+        self._install(thread)
+        if not self.engine.lane:
+            return True
+        self.engine.queue(then)
+        return False
+
+    def exec(self, thread: "SimThread", duration: float, kind: str = USER) -> Generator:
+        """:meth:`exec_then` for the calling process; ``yield from`` it."""
+        if not self.exec_then(thread, duration, kind, self.engine.active._resume):
             yield PARK
-            self._charge(kind, slice_len)
-            self._slice = None
-            remaining -= slice_len
-            if remaining <= 0:
-                return
-            if self.ready:
-                # Involuntary yield: step off the CPU; the loop re-enters
-                # _enqueue_and_wait which puts us at the back of the queue.
-                self.current = None
-                self._dispatch_next()
+
+    def acquire(self, thread: "SimThread") -> Generator:
+        """(Re)acquire the CPU after blocking; ``yield from`` it."""
+        if not self.acquire_then(thread, self.engine.active._resume):
+            yield PARK
 
     def release(self, thread: "SimThread") -> None:
         """The thread leaves the CPU (blocking or exiting)."""
@@ -150,21 +231,17 @@ class Core:
         if self._slice is not None and self._slice.thread is thread:
             raise SimError("cannot release core mid-slice")
         self.current = None
-        if not self.ready:
-            # Switch to the idle task (counted by /proc/stat's ctxt).
-            self.context_switches += 1
-            if TRACE.enabled:
-                TRACE.emit(
-                    self.engine.now, SCHED_SWITCH, core=self.index,
-                    prev=thread.name, next="idle",
-                )
-            self._last_installed = None
-        self._dispatch_next()
-
-    def acquire(self, thread: "SimThread") -> Generator:
-        """(Re)acquire the CPU after blocking; generator style."""
-        if self.current is not thread:
-            yield from self._enqueue_and_wait(thread)
+        if self.ready:
+            self._dispatch_next()
+            return
+        # Switch to the idle task (counted by /proc/stat's ctxt).
+        self.context_switches += 1
+        if TRACE.enabled:
+            TRACE.emit(
+                self.engine.now, SCHED_SWITCH, core=self.index,
+                prev=thread.name, next="idle",
+            )
+        self._last_installed = None
 
     # ------------------------------------------------------------------
     # Interrupts (TLB shootdown IPIs etc.)
@@ -208,26 +285,21 @@ class Core:
         self.engine.call_at(end_time, partial(self._end_slice, sl.epoch))
 
     def _end_slice(self, epoch: int) -> None:
-        """Wake the slice's thread, unless an interrupt rescheduled the
-        end (epochs are unique per core, so a match is the same slice)."""
+        """End the slice in flight, unless an interrupt rescheduled the
+        end (epochs are unique per core, so a match is the same slice).
+
+        Its continuation runs in place when no other callback is due
+        now, and is queued on the lane otherwise.
+        """
         sl = self._slice
         if sl is not None and sl.epoch == epoch:
-            self.engine.wake(sl.process)
+            if self.engine.lane:
+                self.engine.queue(sl.end)
+            else:
+                sl.end()
 
-    def _enqueue_and_wait(self, thread: "SimThread") -> Generator:
-        self.ready.append((thread, self.engine.active))
-        if self.current is None:
-            # Wakes this very thread when the core is idle; the wake is
-            # queued before the thread parks, and resumes it after.
-            self._dispatch_next()
-        yield PARK
-        if self.current is not thread:
-            raise SimError("woken thread is not current on its core")
-
-    def _dispatch_next(self) -> None:
-        if self.current is not None or not self.ready:
-            return
-        thread, process = self.ready.popleft()
+    def _install(self, thread: "SimThread") -> None:
+        """Make ``thread`` current, counting a switch to a new thread."""
         self.current = thread
         if self._last_installed is not thread:
             self.context_switches += 1
@@ -241,4 +313,10 @@ class Core:
             if self._last_installed is not None and self.switch_cost > 0:
                 self._charge(SYS, self.switch_cost)
         self._last_installed = thread
-        self.engine.wake(process)
+
+    def _dispatch_next(self) -> None:
+        """Install the first waiting thread on the vacated core and queue
+        its continuation."""
+        thread, then = self.ready.popleft()
+        self._install(thread)
+        self.engine.queue(then)

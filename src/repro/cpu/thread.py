@@ -19,18 +19,26 @@ Thread bodies are simulation processes (generators).  The discipline is:
 
 Each of these must run in the process that owns the thread (the one
 :attr:`Engine.active <repro.sim.engine.Engine.active>` names while it
-runs): waiting for the core, for a run slice or a sleep to end, for a
-lock or for a gate parks that process (:data:`repro.sim.engine.PARK`),
-and the core, the engine, the lock's release or the gate's opening
+runs).  ``run``, ``sleep`` and the core acquisitions are thin wrappers
+over the thread's two continuation-passing operations, and park that
+process (:data:`repro.sim.engine.PARK`) at most once: its resume is the
+continuation.  Code that is not a process body calls the operations
+themselves:
+
+* :meth:`Core.exec_then <repro.cpu.core.Core.exec_then>` — run work on
+  the thread's core, then call a continuation;
+* :meth:`SimThread.sleep_then` — take the thread off its core for a
+  fixed time, re-acquire the core, then call a continuation.
+
+A lock or a gate still parks the process, and its release or opening
 wakes it.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Generator
+from typing import Generator, Optional
 
-from repro.cpu.core import Core, USER
+from repro.cpu.core import USER, Core, Then
 from repro.sim.engine import PARK, Engine
 
 
@@ -44,6 +52,11 @@ class SimThread:
         self.tgid = tgid
         #: Set while the thread is on-CPU or runnable; cleared when blocked.
         self.runnable = False
+        #: The continuation of the sleep in progress.
+        self._then: Optional[Then] = None
+        #: Every sleep's heap entry; :meth:`finish` drops it, so that a
+        #: finished thread is freed without the cycle collector.
+        self._wake = self._end_sleep
 
     # -- lifecycle -------------------------------------------------------
     def startup(self) -> Generator:
@@ -55,6 +68,7 @@ class SimThread:
         """Leave the CPU permanently (thread exit)."""
         self.runnable = False
         self.core.release(self)
+        del self._wake
 
     # -- execution -------------------------------------------------------
     def run(self, duration: float, kind: str = USER) -> Generator:
@@ -76,15 +90,33 @@ class SimThread:
 
     def sleep(self, duration: float) -> Generator:
         """Sleep off-CPU for a fixed simulated duration."""
+        self.sleep_then(duration, self.engine.active._resume)
+        yield PARK
+
+    def sleep_then(self, duration: float, then: Then) -> None:
+        """Take the thread off its core for ``duration``, re-acquire the
+        core, then call ``then`` (never before this returns)."""
         engine = self.engine
         # The wake-up is scheduled before the core is released, so its
         # heap entry sorts ahead of anything the release schedules.
-        engine.call_at(engine.now + duration, partial(engine.wake, engine.active))
+        engine.call_at(engine.now + duration, self._wake)
+        self._then = then
         self.runnable = False
         self.core.release(self)
-        yield PARK
+
+    def _end_sleep(self) -> None:
+        """The sleep's heap entry: wake the thread, in place when no
+        other callback is due now."""
+        if self.engine.lane:
+            self.engine.queue(self._awake)
+        else:
+            self._awake()
+
+    def _awake(self) -> None:
+        then, self._then = self._then, None
         self.runnable = True
-        yield from self.core.acquire(self)
+        if self.core.acquire_then(self, then):
+            then()
 
     def migrate(self, core: Core) -> Generator:
         """Move to another core (models the load balancer migrating

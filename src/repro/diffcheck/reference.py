@@ -60,7 +60,8 @@ def observe(workload_name: str, size: str, strategy: str) -> StrategyObservation
     # instantiate() links host imports, so WASI-family workloads run
     # through the same cross-strategy gauntlet as closed modules.
     interp, _env = instantiate(
-        built, strategy=strategy, collect_profile=False, track_pages=True
+        built.module, built.env_factory,
+        strategy=strategy, collect_profile=False, track_pages=True,
     )
     trap: Optional[str] = None
     try:
@@ -98,7 +99,9 @@ def _numpy_anchor(workload_name: str, size: str, report: DiffReport) -> None:
         report.skip(CHECK_NUMPY)
         return
     built = workload.build(size)
-    interp, _env = instantiate(built, collect_profile=False, track_pages=False)
+    interp, _env = instantiate(
+        built.module, built.env_factory, collect_profile=False, track_pages=False
+    )
     interp.invoke("bench")
     expected = workload.reference(size)
     for name in workload.check_arrays:

@@ -10,6 +10,11 @@ linear memory.  It combines:
   rather than O(pages): fault batches are contiguous, so an arena's
   populated pages are usually one run.
 
+Every map, unmap, populate and zap that changes what an address space
+holds bumps its :class:`Changes` count, so a reader of its memory usage
+(:class:`repro.oskernel.meminfo.MemInfoModel`) walks the areas again
+only after a change.
+
 The distinction is the crux of the paper's kernel-side story: changing
 protections is a VMA operation under the exclusive ``mmap_lock``;
 populating a page is a fault under the shared lock; and tearing down
@@ -31,6 +36,16 @@ def pages_in(length: int) -> int:
     return -(-length // PAGE_SIZE)
 
 
+class Changes:
+    """How many changes an address space's mappings and populated pages
+    have seen: a version its usage can be cached against."""
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+
 @dataclass
 class Area:
     """A contiguous virtual reservation within an address space."""
@@ -47,6 +62,11 @@ class Area:
     run_ends: list = field(default_factory=list, init=False)
     #: Total pages across the runs.
     populated_pages: int = field(default=0, init=False)
+    #: Bumped when the populated pages change; shared with the address
+    #: space that maps the area.
+    changes: Changes = field(
+        default_factory=Changes, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.prot_map = ProtectionMap(self.length, Prot.NONE)
@@ -87,7 +107,9 @@ class Area:
         starts[i:j] = (first,)
         ends[i:j] = (last,)
         added = len(pages) - present
-        self.populated_pages += added
+        if added:
+            self.populated_pages += added
+            self.changes.count += 1
         return added
 
     def zap(self, offset: int, length: int) -> int:
@@ -116,13 +138,16 @@ class Area:
         starts[i:j] = kept_starts
         ends[i:j] = kept_ends
         self.populated_pages -= zapped
+        self.changes.count += 1
         return zapped
 
     def zap_all(self) -> int:
         zapped = self.populated_pages
-        self.run_starts.clear()
-        self.run_ends.clear()
-        self.populated_pages = 0
+        if zapped:
+            self.run_starts.clear()
+            self.run_ends.clear()
+            self.populated_pages = 0
+            self.changes.count += 1
         return zapped
 
 
@@ -135,6 +160,8 @@ class AddressSpace:
     def __init__(self) -> None:
         self._areas: dict[int, Area] = {}
         self._cursor = self.BASE_ADDRESS
+        #: Shared with every area mapped here.
+        self.changes = Changes()
 
     def map_area(self, length: int, name: str = "") -> Area:
         if length <= 0:
@@ -142,8 +169,10 @@ class AddressSpace:
         # Align placement to a page boundary and leave a guard gap.
         aligned = pages_in(length) * PAGE_SIZE
         area = Area(start=self._cursor, length=aligned, name=name)
+        area.changes = self.changes
         self._areas[area.start] = area
         self._cursor += aligned + PAGE_SIZE
+        self.changes.count += 1
         return area
 
     def unmap_area(self, area: Area) -> int:
@@ -151,6 +180,7 @@ class AddressSpace:
         if area.start not in self._areas:
             raise VmaError(f"area {area.name!r} not mapped in this address space")
         del self._areas[area.start]
+        self.changes.count += 1
         return area.zap_all()
 
     def find_area(self, address: int) -> Optional[Area]:

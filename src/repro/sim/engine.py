@@ -11,12 +11,21 @@ generators that ``yield`` either
 Yielding anything else raises :class:`SimError`.
 
 Every wait that is not a fixed duration parks, and each has exactly one
-waker.  In the CPU model (:mod:`repro.cpu`) that is the core that
-dispatches a thread, or the heap entry that ends its run slice or its
-sleep; in :mod:`repro.sim.resources` it is the release that hands an
-``RWLock`` to a queued process, or the opening of a ``Gate``.  The waker
+waker.  In :mod:`repro.sim.resources` that is the release that hands an
+``RWLock`` to a queued process, or the opening of a ``Gate``; the waker
 finds the process through :attr:`Engine.active` read while the process
 was running.  A wake costs one lane entry, as any callback due now does.
+
+The CPU model (:mod:`repro.cpu`) does not resume generators to advance:
+its waits end in *continuations*, plain callables that the core that
+dispatches a thread, or the heap entry that ends a run slice or a
+sleep, queues on the lane (:meth:`Engine.queue`) at the position where
+a woken process's resume would run.  A continuation whose work is done
+calls the next one, or a parked process's resume, in place.  The only
+lane entries it skips are those that would run next anyway: a waker
+that has nothing left to do and finds no other callback due now (the
+lane, :attr:`Engine.lane`, is empty) runs the continuation in place
+instead of queueing it.
 
 An exception raised in a process propagates out of :meth:`Engine.run`.
 Nothing joins a process, so a crash kept on it would go unseen while
@@ -34,6 +43,7 @@ Most callbacks are due at the current time (wakes, process starts,
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
@@ -133,8 +143,11 @@ class Engine:
         self.now: float = 0.0
         #: Callbacks due after ``now``, ordered by (time, sequence).
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
-        #: The lane: callbacks due at ``now``, in firing order.
-        self._ready: deque[Callable[[], None]] = deque()
+        #: The lane: callbacks due at ``now``, in firing order.  Empty
+        #: while a callback runs means nothing else is due now.  Read
+        #: it; add to it only through :meth:`call_at`, :meth:`queue`
+        #: and :meth:`wake`.
+        self.lane: deque[Callable[[], None]] = deque()
         #: Callbacks scheduled so far, on either path.
         self._sequence = 0
         #: The process whose body is running, ``None`` between steps.
@@ -145,12 +158,17 @@ class Engine:
             raise SimError(f"cannot schedule at {when}: the clock is at {self.now}")
         self._sequence += 1
         if when == self.now:
-            self._ready.append(callback)
+            self.lane.append(callback)
         else:
             heapq.heappush(self._queue, (when, self._sequence, callback))
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> None:
         self.call_at(self.now + delay, callback)
+
+    def queue(self, callback: Callable[[], None]) -> None:
+        """Queue ``callback`` on the lane, as ``call_at(now, ...)`` would."""
+        self._sequence += 1
+        self.lane.append(callback)
 
     def wake(self, process: Process) -> None:
         """Resume a process that yields (or has yielded) :data:`PARK`.
@@ -159,8 +177,21 @@ class Engine:
         would.  The process may still be running, about to park: it
         resumes after it yields.  Call it once per park.
         """
-        self._sequence += 1
-        self._ready.append(process._resume)
+        self.queue(process._resume)
+
+    def wake_at(self, process: Process, when: float) -> None:
+        """Resume a parked process at the absolute time ``when``."""
+        self.call_at(when, process._resume)
+
+    def next_time(self) -> float:
+        """When the next queued callback is due.
+
+        ``now`` while one waits in the lane, infinity when nothing is
+        queued.  Nothing but the running callback can act before it.
+        """
+        if self.lane:
+            return self.now
+        return self._queue[0][0] if self._queue else math.inf
 
     def process(self, body: ProcessBody, name: str = "") -> Process:
         return Process(self, body, name)
@@ -177,7 +208,7 @@ class Engine:
         the clock got there, so their sequence numbers are lower than
         those of the callbacks the lane receives at that time.
         """
-        queue, ready = self._queue, self._ready
+        queue, ready = self._queue, self.lane
         heappop, popleft = heapq.heappop, ready.popleft
         while True:
             while ready:

@@ -27,16 +27,20 @@ class Built:
     env_factory: Optional[Callable[[], object]] = None
 
 
-def instantiate(built: Built, **interp_kwargs):
-    """Interpreter + (optionally) bound host environment for a build.
+def instantiate(
+    module: Module, env_factory: Optional[Callable[[], object]],
+    **interp_kwargs,
+):
+    """Interpreter + (optionally) bound host environment for a build's
+    module and env factory (:class:`Built`).
 
     Returns ``(interp, env)``; ``env`` is None for import-free modules.
     Every call site that used to construct the Interpreter directly
     goes through here so WASI workloads link uniformly.
     """
-    env = built.env_factory() if built.env_factory is not None else None
+    env = env_factory() if env_factory is not None else None
     interp = Interpreter(
-        built.module,
+        module,
         imports=env.imports() if env is not None else None,
         **interp_kwargs,
     )
@@ -77,7 +81,9 @@ def read_array(interp: Interpreter, array: Array) -> np.ndarray:
 def run_and_extract(workload: Workload, size: str) -> Dict[str, np.ndarray]:
     """Execute a workload functionally and return its checked arrays."""
     built = workload.build(size)
-    interp, _env = instantiate(built, collect_profile=False, track_pages=False)
+    interp, _env = instantiate(
+        built.module, built.env_factory, collect_profile=False, track_pages=False
+    )
     interp.invoke("bench")
     return {
         name: read_array(interp, built.arrays[name])

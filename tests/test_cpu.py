@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu import Machine, MachineSpec, MACHINE_SPECS, SimThread
+from repro.cpu.core import USER
 from repro.sim import Engine, RWLock, SimError
 
 
@@ -211,6 +212,129 @@ class TestIrq:
         engine.call_after(2.0, lambda: core.post_irq(0.5))
         engine.run()
         assert engine.now == pytest.approx(5.0)
+
+
+def never():
+    raise AssertionError("the continuation ran, but the call finished in place")
+
+
+class TestContinuations:
+    """The two continuation-passing operations under the generator API."""
+
+    def test_zero_duration_on_a_held_core_finishes_without_parking(self):
+        engine, machine = small_machine()
+        core = machine.core(0)
+        thread = SimThread(engine, "t0", core)
+
+        def body():
+            yield from thread.startup()
+            assert core.exec_then(thread, 0.0, USER, never)
+            assert list(thread.run(0.0)) == []  # the wrapper never parks
+            thread.finish()
+
+        engine.run_process(body())
+        assert core.acct.busy == 0.0
+
+    def test_stale_slice_end_after_an_irq_is_ignored(self):
+        engine, machine = small_machine(cores=1)
+        core = machine.core(0)
+        thread = SimThread(engine, "victim", core)
+        ends = []
+
+        def start():
+            assert core.acquire_then(thread, never)
+            done = lambda: ends.append(engine.now)  # noqa: E731
+            assert not core.exec_then(thread, 10.0, USER, done)
+
+        engine.call_at(0.0, start)
+        # Stretches the slice to 12.0; its first end, at 10.0, still fires.
+        engine.call_at(5.0, lambda: core.post_irq(2.0))
+        engine.run()
+        assert ends == [12.0]
+        assert core.acct.user == 10.0
+
+    def test_thread_arriving_mid_step_preempts_at_the_quantum(self):
+        engine, machine = small_machine(cores=1, quantum=1.0)
+        core = machine.core(0)
+        done = {}
+
+        def worker():
+            thread = SimThread(engine, "a", core)
+            yield from thread.startup()
+            yield from thread.run(2.0)  # uncontended when it starts
+            yield from thread.run(3.0)  # b waits: one quantum, then b
+            done["a"] = engine.now
+            thread.finish()
+
+        def arrival():
+            thread = SimThread(engine, "b", core)
+            yield from thread.startup()
+            yield from thread.run(1.0)
+            done["b"] = engine.now
+            thread.finish()
+
+        engine.process(worker())
+        engine.call_at(0.5, lambda: engine.process(arrival()))
+        engine.run()
+        assert done == {"a": 6.0, "b": 4.0}
+        # a in, b in at 3.0, a back at 4.0, idle at 6.0.
+        assert core.context_switches == 4
+
+    def test_idle_core_is_taken_in_place_only_when_nothing_is_due(self):
+        engine, machine = small_machine(cores=1)
+        core = machine.core(0)
+        first = SimThread(engine, "first", core)
+        second = SimThread(engine, "second", core)
+        calls = []
+
+        def at_one():
+            assert core.acquire_then(first, never)
+            first.finish()
+            engine.call_at(engine.now, lambda: calls.append("due now"))
+            on_core = lambda: calls.append(core.current is second)  # noqa: E731
+            assert not core.acquire_then(second, on_core)
+
+        engine.call_at(1.0, at_one)
+        engine.run()
+        assert calls == ["due now", True]
+        # first in, first out to idle, second in: no switch is skipped.
+        assert core.context_switches == 3
+        # The heap entry, the callback due now and second's dispatch.
+        assert engine._sequence == 3
+
+    def test_sleep_reacquires_the_core_before_its_continuation(self):
+        engine, machine = small_machine(cores=1)
+        core = machine.core(0)
+        thread = SimThread(engine, "sleeper", core)
+        seen = []
+
+        def start():
+            assert core.acquire_then(thread, never)
+            thread.sleep_then(2.0, lambda: seen.append(
+                (engine.now, core.current is thread, thread.runnable)
+            ))
+            assert core.current is None and not thread.runnable
+
+        engine.call_at(1.0, start)
+        engine.run()
+        assert seen == [(3.0, True, True)]
+        # Two heap entries: the wake and the re-acquire ran in place.
+        assert engine._sequence == 2
+
+    @pytest.mark.parametrize("wait", ["run", "sleep"])
+    def test_exception_after_a_continuation_resumes_the_worker(self, wait):
+        engine, machine = small_machine()
+        thread = SimThread(engine, "t0", machine.core(0))
+
+        def body():
+            yield from thread.startup()
+            yield from getattr(thread, wait)(1.0)
+            raise ValueError(f"boom after {wait}")
+
+        engine.process(body())
+        with pytest.raises(ValueError, match=f"boom after {wait}"):
+            engine.run()
+        assert engine.now == 1.0
 
 
 class TestMachine:

@@ -7,6 +7,7 @@ THP-granularity memory accounting.
 """
 
 import dataclasses
+import gc
 import signal
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.core.engine import MeasurementEngine, MeasurementRequest, SweepFailure
 from repro.core.harness import RunMeasurement, run_benchmark
 from repro.core.lifecycle import InstanceLifecycle
+from repro.sim.engine import PARK, SimError
 
 
 def bench(workload="trisolv", runtime="wavm", strategy="none", threads=1,
@@ -148,11 +150,27 @@ class TestMemoryAccounting:
         assert spec.mem_avg_bytes > 5 * pbc.mem_avg_bytes
 
 
+def alarm_after(seconds, message):
+    """Fail with ``message`` if the test runs longer than ``seconds``."""
+
+    def hung(signum, frame):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestCrashedWorker:
     """A simulated worker that raises fails its request at once.
 
-    The meminfo sampler stops only when the workers finish, so a crash
-    the simulation swallowed would keep the run going forever.
+    The meminfo sampler keeps waking until the workers stop, so a crash
+    the simulation swallowed would keep the run going forever; the alarm
+    turns that into a failure.
     """
 
     BAD = MeasurementRequest(
@@ -171,17 +189,7 @@ class TestCrashedWorker:
             return run_iteration(lifecycle)
 
         monkeypatch.setattr(InstanceLifecycle, "run_iteration", crashing)
-
-        def hung(signum, frame):
-            raise TimeoutError("the simulation hung on a crashed worker")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        yield from alarm_after(60, "the simulation hung on a crashed worker")
 
     def test_run_benchmark_raises_the_workers_exception(self):
         with pytest.raises(ValueError, match="boom in worker"):
@@ -196,3 +204,53 @@ class TestCrashedWorker:
         bad, good = failure.value.results
         assert bad.measurement is None
         assert good.error is None and good.measurement.median_iteration > 0
+
+
+class TestLostWakeup:
+    """A worker parked with no waker fails the run instead of hanging it.
+
+    The meminfo sampler is the one process that keeps waking on its
+    own, so when it finds nothing else queued while the workers have
+    not stopped, it raises.  V8's helper threads sleep and wake until
+    the workers stop, so the guard covers cells without helper threads:
+    in a V8 cell it fires only once every helper has queued behind a
+    core that a lost worker holds, and a worker lost off its core (a
+    lock or gate wake that never comes) still hangs the run.
+    """
+
+    @pytest.fixture(autouse=True)
+    def park_forever(self, monkeypatch):
+        def parked(lifecycle):
+            yield PARK  # nothing ever wakes it
+
+        monkeypatch.setattr(InstanceLifecycle, "run_iteration", parked)
+        yield from alarm_after(10, "the simulation hung on a lost wake-up")
+
+    def test_run_benchmark_reports_the_lost_wakeup(self):
+        with pytest.raises(SimError, match="lost wake-up"):
+            run_benchmark(
+                "trisolv", "wavm", "mprotect", "x86_64", threads=1,
+                size="mini", iterations=2,
+            )
+
+
+class TestNoCycles:
+    def test_cells_leave_nothing_for_the_cycle_collector(self):
+        """A finished run is freed by reference counting alone: its
+        processes, threads, work items and continuations included."""
+        cells = [
+            ("gemm", "wavm", "mprotect", "x86_64", 4),
+            ("gemm", "v8", "uffd", "x86_64", 4),  # GC pauses and helpers
+            ("atax", "native-clang", "none", "armv8", 2),
+            ("trisolv", "wasm3", "trap", "x86_64", 1),
+        ]
+        for cell in cells:  # fill the profile and compile memos first
+            bench(*cell[:3], threads=cell[4], isa=cell[3])
+        gc.collect()
+        gc.disable()
+        try:
+            for cell in cells:
+                bench(*cell[:3], threads=cell[4], isa=cell[3])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

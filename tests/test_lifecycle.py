@@ -131,6 +131,34 @@ class TestGcPacing:
         # every third iteration — so not every timing is equal.
         assert len(set(round(t, 7) for t in timings)) > 1
 
+    def test_paced_compute_parks_the_worker_once(self):
+        """GC-paced compute runs as callbacks: however many pauses a
+        chunk holds, its process parks once and resumes once."""
+        plan = make_plan(
+            cycles=10e6, frequency_hz=1e9, strategy=strategy_named("none"),
+            time_scale=1.0, memory_bytes=1 << 20,
+            gc_interval=1e-3, gc_duration=0.5e-3,
+        )
+        engine, machine, kernel = system()
+        proc = kernel.create_process("p")
+        thread = SimThread(engine, "w", machine.core(0), tgid=proc.tgid)
+        lifecycle = InstanceLifecycle(kernel, proc, thread, plan)
+        parks = []
+
+        def body():
+            yield from thread.startup()
+            chunk = lifecycle._run_compute(plan.compute_seconds)
+            for yielded in chunk:
+                parks.append(engine.now)
+                yield yielded
+            thread.finish()
+
+        engine.run_process(body())
+        assert parks == [0.0]
+        # Ten steps of 1 ms, each followed by a 0.5 ms pause.
+        assert engine.now == pytest.approx(15e-3)
+        assert machine.core(0).acct.user == pytest.approx(10e-3)
+
 
 class TestFaultSpread:
     def test_faults_confined_to_first_phase(self):

@@ -167,3 +167,44 @@ class TestMemInfo:
 
     def test_average_with_no_samples_is_zero(self):
         assert MemInfoModel("x86_64").average_bytes == 0.0
+
+    def test_usage_is_reread_after_every_kind_of_change(self):
+        engine, machine = make_system()
+        kernel = Kernel(engine, machine)
+        proc = kernel.create_process("p")
+        model = MemInfoModel("armv8")
+        two_mib = THP_GRANULARITY["armv8"]
+        area = proc.aspace.map_area(1 << 30, "mem")
+        assert model.usage_bytes([proc]) == 0
+        area.populate(0, PAGE_SIZE)
+        assert model.usage_bytes([proc]) == two_mib
+        area.populate(0, two_mib + PAGE_SIZE)
+        assert model.usage_bytes([proc]) == 2 * two_mib
+        area.zap(0, two_mib)
+        assert model.usage_bytes([proc]) == two_mib
+        other = proc.aspace.map_area(1 << 30, "other")
+        other.populate(0, PAGE_SIZE)
+        assert model.usage_bytes([proc]) == 2 * two_mib
+        proc.aspace.unmap_area(area)
+        assert model.usage_bytes([proc]) == two_mib
+        # Another process list is another reading.
+        assert model.usage_bytes([]) == 0
+
+    def test_sample_until_matches_one_sample_per_period(self):
+        engine, machine = make_system()
+        kernel = Kernel(engine, machine)
+        proc = kernel.create_process("p")
+        proc.aspace.map_area(1 << 30, "mem").populate(0, 3 * PAGE_SIZE)
+        period = 10e-3
+        one_by_one = MemInfoModel("x86_64")
+        when = 0.0
+        while when < 0.05:  # the samples due before 0.05 ...
+            one_by_one.sample([proc], weight=period)
+            when = when + period
+        batched = MemInfoModel("x86_64")
+        # ... and the first sample time not before it.
+        assert batched.sample_until([proc], 0.0, 0.05, period) == when
+        assert batched._weighted_usage == one_by_one._weighted_usage
+        assert batched._weight == one_by_one._weight
+        # The first sample is taken even when something is due now.
+        assert batched.sample_until([proc], when, when, period) == when + period

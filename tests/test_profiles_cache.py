@@ -1,5 +1,6 @@
 """Tests for the profile cache (memory + disk)."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -85,6 +86,26 @@ class TestProfileCache:
         assert profile.total_instrs > 1000
         assert json.loads(path.read_text())["workload"] == "gemm"
         assert path.read_text() == original  # overwritten, not skipped
+
+    def test_profiling_builds_the_workload_once(self, monkeypatch):
+        # The module digest and the profiling run's host environment
+        # both come from one build.
+        builds = []
+        workload_named = profiles.workload_named
+
+        def counting(name):
+            workload = workload_named(name)
+
+            def build(size):
+                builds.append((name, size))
+                return workload.build(size)
+
+            return dataclasses.replace(workload, build=build)
+
+        monkeypatch.setattr(profiles, "workload_named", counting)
+        _, profile = profile_for("wasi-grep", "mini")
+        assert builds == [("wasi-grep", "mini")]
+        assert profile.syscalls  # linked against the WASI environment
 
     def test_sizes_cached_separately(self, isolated_cache):
         _, mini = profile_for("gemm", "mini")

@@ -253,3 +253,54 @@ def test_finished_process_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_queue_runs_callbacks_in_lane_order():
+    # A queued callable takes the lane slot ``call_at(now, ...)`` would.
+    engine = Engine()
+    order = []
+
+    def first():
+        engine.queue(lambda: order.append("queued"))
+        engine.call_at(engine.now, lambda: order.append("call_at"))
+
+    engine.call_at(1.0, first)
+    engine.run()
+    assert order == ["queued", "call_at"]
+    assert engine._sequence == 3
+
+
+def test_next_time_sees_the_lane_then_the_heap():
+    engine = Engine()
+    seen = []
+
+    def probe():
+        seen.append(engine.next_time())
+
+    def at_one():
+        probe()  # nothing due now: the heap entry at 3.0 is next
+        engine.queue(probe)
+        engine.call_at(1.0, lambda: None)
+        probe()  # two lane entries wait: due now
+
+    assert engine.next_time() == float("inf")
+    engine.call_at(1.0, at_one)
+    engine.call_at(3.0, probe)
+    assert engine.next_time() == 1.0
+    engine.run()
+    # The queued probe still has the no-op behind it; the probe at 3.0
+    # runs with nothing queued.
+    assert seen == [3.0, 1.0, 1.0, float("inf")]
+
+
+def test_wake_at_resumes_at_an_absolute_time():
+    engine = Engine()
+    woken = []
+
+    def body():
+        engine.wake_at(engine.active, 0.1 + 0.2)
+        yield PARK
+        woken.append(engine.now)
+
+    engine.run_process(body())
+    assert woken == [0.1 + 0.2]

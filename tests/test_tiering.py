@@ -974,8 +974,9 @@ class TestNestHandlers:
     def test_workload_hot_nest_runs_on_one_handler(self, name, share):
         """The kernel nest of a workload that calls around it (505.mcf's
         bench, wasi-grep's read loop) runs on a single handler."""
+        built = WORKLOADS[name].build("mini")
         interp, _env = instantiate(
-            WORKLOADS[name].build("mini"), collect_profile=True, tier="fused"
+            built.module, built.env_factory, collect_profile=True, tier="fused"
         )
         interp.invoke("bench")
         profile = interp.take_profile(name, "mini")
@@ -1287,8 +1288,9 @@ class TestF32Overflow:
 # Every registered workload, every tier
 # ----------------------------------------------------------------------
 def _workload_observables(name, tier):
+    built = WORKLOADS[name].build("mini")
     interp, _env = instantiate(
-        WORKLOADS[name].build("mini"),
+        built.module, built.env_factory,
         collect_profile=True, track_pages=True, tier=tier,
     )
     out = _bits(interp.invoke("bench"))

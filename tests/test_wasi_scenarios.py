@@ -309,7 +309,8 @@ class TestCrossTierIdentity:
         observed = {}
         for tier in TIERS:
             interp, env = instantiate(
-                built, tier=tier, collect_profile=False, track_pages=False
+                built.module, built.env_factory,
+                tier=tier, collect_profile=False, track_pages=False,
             )
             interp.invoke("bench")
             observed[tier] = (
