@@ -17,11 +17,32 @@ under :func:`repro.api.run`/:func:`repro.api.measure`:
   iterations, warmup, the BCE flag when off, calibration-constants
   hash).  Any change to a workload's encoded Wasm or to the
   calibration tables changes the key and silently invalidates the
-  entry; corrupt files fall back to recompute.  BCE is an input of
-  each cell, not process state, so BCE-on and BCE-off cells share
-  one grid, one engine and one cache directory.  The cache lives
-  beside the profile cache
+  entry.  BCE is an input of each cell, not process state, so BCE-on
+  and BCE-off cells share one grid, one engine and one cache
+  directory.  The cache lives beside the profile cache
   (``.cache/measurements/`` next to ``.cache/profiles/``).
+* **shards** — the entries of one workload at one size share one file,
+  named like its profile file
+  (``<workload>-<size>-<module digest[:16]>.json``): a JSON object
+  mapping each full key to ``{"request", "measurement"}``, written
+  sorted by key, so a shard's bytes depend only on what it holds and
+  not on the order its cells finished.  A run reads each shard it
+  needs at most once, before any miss runs, and keeps none of them
+  while it simulates; it writes each shard it added entries to once,
+  when that shard's last miss finishes: it reads the file again,
+  merges its new entries in and replaces the file atomically.  A run
+  that raises still writes the cells it finished; failed cells are
+  never written.  A missing or corrupt shard reads as empty, and an
+  entry that does not decode is a miss for its cell alone.  Two
+  processes that update one shard at once can drop each other's
+  newest entries (the last replace wins), and the next run recomputes
+  them; no reader ever sees a torn file or a value stored under
+  another key.  A run killed by a signal that Python does not raise
+  as an exception (SIGTERM by default, SIGKILL) keeps only the shards
+  it had already written.  Nothing is ever removed from a shard: an
+  entry whose key no longer matches (after an edit to the interpreter
+  or the calibration constants) stays in it, read and rewritten with
+  the live ones, until the shard file is deleted.
 * **workers** — each worker profiles, compiles and prices its cells
   itself, reading the shared on-disk profile cache, instead of being
   shipped modules over pickle, so the pool never serialises on the
@@ -45,13 +66,13 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import profiles
 from repro.core.harness import RunMeasurement, run_benchmark
-from repro.core.profiles import module_digest, read_entry, write_entry
+from repro.core.profiles import MALFORMED, module_digest, read_entry, write_entry
 from repro.runtime.predecode import interpreter_build_digest
 from repro.oskernel.procstat import UtilisationSample
 from repro.trace.events import MEASURE_REQUEST
@@ -291,7 +312,8 @@ def measurement_to_json(m: RunMeasurement) -> dict:
         "size": m.size,
         "iteration_seconds": m.iteration_seconds,
         "wall_seconds": m.wall_seconds,
-        "utilisation": dataclasses.asdict(m.utilisation),
+        # Shallow: every field is a float.
+        "utilisation": dict(vars(m.utilisation)),
         "mem_avg_bytes": m.mem_avg_bytes,
         "kernel_stats": m.kernel_stats,
         "mmap_read_wait": m.mmap_read_wait,
@@ -383,6 +405,15 @@ def resolve_jobs(jobs) -> int:
 DEFAULT_DIR = Path(".cache") / "measurements"
 
 
+@dataclass
+class _PendingShard:
+    """One shard's part of a run: its misses not yet finished, and the
+    entries finished since it was last written."""
+
+    left: int = 0
+    entries: Dict[str, dict] = field(default_factory=dict)
+
+
 class MeasurementEngine:
     """Executes measurement requests with caching and optional fan-out."""
 
@@ -419,35 +450,43 @@ class MeasurementEngine:
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    def _path_for(self, request: MeasurementRequest, key: str) -> Path:
-        stem = f"{request.workload.replace('/', '_')}-{request.size}-{key[:24]}"
-        return self.cache_dir / f"{stem}.json"
+    def _path_for(self, request: MeasurementRequest) -> Path:
+        """The shard that holds ``request``'s entry: one file per
+        workload, size and module digest, named like its profile file."""
+        return self.cache_dir / profiles.file_name(request.workload, request.size)
 
     # -- cache I/O -------------------------------------------------------
 
-    def _load(self, request: MeasurementRequest, key: str) -> Optional[RunMeasurement]:
+    def _read(self, path: Path) -> Dict[str, object]:
+        """The shard at ``path`` as key -> raw entry; empty when the file
+        is missing, corrupt or not a JSON object."""
+        return read_entry(path, lambda raw: raw) or {}
+
+    def _load(
+        self, path: Path, key: str, shards: Dict[Path, Dict[str, object]]
+    ) -> Optional[RunMeasurement]:
+        """The measurement cached under ``key`` in the shard at ``path``.
+
+        ``shards`` holds every shard the run has read so far, so none is
+        read twice.  None, so the cell recomputes, when the cache is off
+        or the entry is absent or malformed.
+        """
         if not self.cache_enabled:
             return None
+        shard = shards.get(path)
+        if shard is None:
+            shard = shards[path] = self._read(path)
+        try:
+            return measurement_from_json(shard[key]["measurement"])
+        except MALFORMED:
+            return None
 
-        def decode(raw: dict) -> Optional[RunMeasurement]:
-            if raw.get("key") != key:
-                return None  # digest collision on the shortened filename
-            return measurement_from_json(raw["measurement"])
-
-        return read_entry(self._path_for(request, key), decode)
-
-    def _store(
-        self, request: MeasurementRequest, key: str, measurement: RunMeasurement
-    ) -> None:
-        if self.cache_enabled:
-            write_entry(
-                self._path_for(request, key),
-                {
-                    "key": key,
-                    "request": request.to_json(),
-                    "measurement": measurement_to_json(measurement),
-                },
-            )
+    def _store(self, path: Path, entries: Dict[str, dict]) -> None:
+        """Merge ``entries`` into the shard at ``path`` as it is on disk
+        now, and replace the file with every entry sorted by key."""
+        merged = self._read(path)
+        merged.update(entries)
+        write_entry(path, {key: merged[key] for key in sorted(merged)})
 
     # -- execution -------------------------------------------------------
 
@@ -471,11 +510,13 @@ class MeasurementEngine:
         results: Dict[str, MeasurementResult] = {}
         misses: List[tuple] = []
         scheduled = set()
+        shards: Dict[Path, Dict[str, object]] = {}
         for request, key in zip(requests, keys):
             if key in results or key in scheduled:
                 continue
             started = time.perf_counter()
-            cached = self._load(request, key)
+            path = self._path_for(request)
+            cached = self._load(path, key, shards)
             if cached is not None:
                 result = MeasurementResult(
                     cached, True, time.perf_counter() - started
@@ -483,24 +524,37 @@ class MeasurementEngine:
                 self._resolve(request, key, result, results)
             else:
                 scheduled.add(key)
-                misses.append((request, key))
+                misses.append((request, key, path))
+        # No decoded shard is held while the misses simulate.
+        shards.clear()
 
         # Workload-major order: run serially, a module is profiled and
         # compiled once and its later cells re-price it from the
         # process's in-memory caches; the pool gets one ``submit`` per
         # cell, in this same order.
-        misses.sort(key=lambda item: (item[0].workload, item[0].size))
+        misses.sort(key=lambda miss: (miss[0].workload, miss[0].size))
 
-        if len(misses) > 1 and self.jobs > 1:
-            self._run_pooled(misses, results)
-        else:
-            for request, key in misses:
-                started = time.perf_counter()
-                try:
-                    result = _execute(request)
-                except Exception as exc:
-                    result = _failed(request, exc, time.perf_counter() - started)
-                self._finish(request, key, result, results)
+        pending: Dict[Path, _PendingShard] = {}
+        if self.cache_enabled:
+            for _, _, path in misses:
+                pending.setdefault(path, _PendingShard()).left += 1
+        try:
+            if len(misses) > 1 and self.jobs > 1:
+                self._run_pooled(misses, results, pending)
+            else:
+                for miss in misses:
+                    request = miss[0]
+                    started = time.perf_counter()
+                    try:
+                        result = _execute(request)
+                    except Exception as exc:
+                        result = _failed(request, exc, time.perf_counter() - started)
+                    self._finish(miss, result, results, pending)
+        finally:
+            # A run that raises keeps every cell it finished.
+            for path, shard in pending.items():
+                if shard.entries:
+                    self._store(path, shard.entries)
 
         ordered = [results[key] for key in keys]
         errors, seen = [], set()
@@ -512,7 +566,7 @@ class MeasurementEngine:
             raise SweepFailure(errors, ordered)
         return ordered
 
-    def _run_pooled(self, misses: List[tuple], results: dict) -> None:
+    def _run_pooled(self, misses: List[tuple], results: dict, pending: dict) -> None:
         """Measure ``misses`` across a pool opened for them alone.
 
         Each worker starts on the parent's profile directory.  The pool
@@ -527,12 +581,9 @@ class MeasurementEngine:
         )
         try:
             started = time.perf_counter()
-            futures = {
-                pool.submit(_execute, request): (request, key)
-                for request, key in misses
-            }
+            futures = {pool.submit(_execute, miss[0]): miss for miss in misses}
             for future in as_completed(futures):
-                request, key = futures[future]
+                miss = futures[future]
                 try:
                     result = future.result()
                 except Exception as exc:
@@ -540,15 +591,27 @@ class MeasurementEngine:
                     # the other futures keep running and their results
                     # are kept (and cached).
                     result = _failed(
-                        request, exc, time.perf_counter() - started
+                        miss[0], exc, time.perf_counter() - started
                     )
-                self._finish(request, key, result, results)
+                self._finish(miss, result, results, pending)
         finally:
             pool.shutdown(cancel_futures=True)
 
-    def _finish(self, request, key, result, results) -> None:
-        if result.ok:
-            self._store(request, key, result.measurement)
+    def _finish(self, miss, result, results, pending) -> None:
+        """Resolve one finished miss; write its shard once its last
+        miss in this run has finished."""
+        request, key, path = miss
+        if self.cache_enabled:
+            shard = pending[path]
+            if result.ok:
+                shard.entries[key] = {
+                    "request": request.to_json(),
+                    "measurement": measurement_to_json(result.measurement),
+                }
+            shard.left -= 1
+            if not shard.left and shard.entries:
+                self._store(path, shard.entries)
+                shard.entries = {}
         self._resolve(request, key, result, results)
 
     def _resolve(self, request, key, result, results) -> None:

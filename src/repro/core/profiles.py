@@ -39,6 +39,10 @@ cache_dir: Optional[Path] = DEFAULT_DIR
 
 _T = TypeVar("_T")
 
+#: What decoding a malformed entry raises (a missing field, a list where
+#: a mapping belongs): its reader recomputes the value.
+MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
+
 
 def set_cache_dir(directory: Optional[os.PathLike]) -> None:
     """Read and write profile files under ``directory`` (None: nowhere).
@@ -61,7 +65,7 @@ def read_entry(path: Path, decode: Callable[[dict], Optional[_T]]) -> Optional[_
     try:
         raw = json.loads(path.read_text())
         return decode(raw) if isinstance(raw, dict) else None
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+    except (OSError, *MALFORMED):
         return None
 
 
@@ -138,17 +142,23 @@ def module_digest(workload_name: str, size: str) -> str:
     return module_for(workload_name, size)[1]
 
 
+def file_name(workload_name: str, size: str) -> str:
+    """The name of a workload's cache file at a size, in either cache:
+    ``<workload>-<size>-<module digest[:16]>.json``."""
+    digest = module_digest(workload_name, size)
+    return f"{workload_name.replace('/', '_')}-{size}-{digest[:16]}.json"
+
+
 def profile_for(workload_name: str, size: str) -> Tuple[Module, ExecutionProfile]:
     """The (module, dynamic profile) pair for a workload at a size."""
     key = (workload_name, size)
     if key in _memory_cache:
         return _memory_cache[key]
 
-    module, full_digest = module_for(workload_name, size)
+    module = module_for(workload_name, size)[0]
     path = profile = None
     if cache_dir is not None:
-        stem = f"{workload_name.replace('/', '_')}-{size}-{full_digest[:16]}"
-        path = cache_dir / f"{stem}.json"
+        path = cache_dir / file_name(workload_name, size)
         profile = read_entry(path, _profile_from_json)
     if profile is None:
         # WASI workloads link against a fresh host environment, made

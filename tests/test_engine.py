@@ -70,9 +70,12 @@ class TestMeasurementCache:
     def test_distinct_configurations_distinct_entries(self, isolated_caches):
         eng = MeasurementEngine(cache_dir=isolated_caches)
         other = dataclasses.replace(REQUEST, strategy="none")
-        assert eng.key_for(REQUEST) != eng.key_for(other)
+        keys = [eng.key_for(REQUEST), eng.key_for(other)]
+        assert keys[0] != keys[1]
         eng.run([REQUEST, other])
-        assert len(list(isolated_caches.glob("*.json"))) == 2
+        # One workload at one size: one shard, an entry per key.
+        (shard,) = isolated_caches.glob("*.json")
+        assert sorted(json.loads(shard.read_text())) == sorted(keys)
 
     def test_module_digest_invalidates_key(self, monkeypatch):
         eng = MeasurementEngine()
@@ -146,12 +149,14 @@ class TestMeasurementCache:
         pytest.param({"kernel_stats": []}, id="kernel_stats-list"),
     ])
     def test_non_object_entry_recomputed(self, isolated_caches, content):
-        # Valid JSON that is not an entry is as corrupt as invalid JSON.
-        MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST)
+        # Valid JSON that is not a shard, or an entry of the wrong
+        # shape, is as corrupt as invalid JSON.
+        eng = MeasurementEngine(cache_dir=isolated_caches)
+        eng.measure_one(REQUEST)
         path = next(isolated_caches.glob("*.json"))
         if isinstance(content, dict):
             raw = json.loads(path.read_text())
-            raw["measurement"].update(content)
+            raw[eng.key_for(REQUEST)]["measurement"].update(content)
             content = json.dumps(raw)
         path.write_text(content)
         result = MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST)
@@ -159,12 +164,29 @@ class TestMeasurementCache:
         assert MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST).cache_hit
 
     def test_wrong_key_in_entry_recomputed(self, isolated_caches):
-        MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST)
+        """An entry filed under another key is never served."""
+        eng = MeasurementEngine(cache_dir=isolated_caches)
+        eng.measure_one(REQUEST)
         path = next(isolated_caches.glob("*.json"))
-        raw = json.loads(path.read_text())
-        raw["key"] = "0" * 64
-        path.write_text(json.dumps(raw))
+        (entry,) = json.loads(path.read_text()).values()
+        path.write_text(json.dumps({"0" * 64: entry}))
         assert not MeasurementEngine(cache_dir=isolated_caches).measure_one(REQUEST).cache_hit
+
+    def test_bad_entry_recomputes_only_its_cell(self, isolated_caches):
+        """A malformed entry is a miss for its cell alone: its siblings
+        in the shard stay hits, and the rewrite keeps them."""
+        other = dataclasses.replace(REQUEST, strategy="none")
+        eng = MeasurementEngine(cache_dir=isolated_caches)
+        first = eng.run([REQUEST, other])
+        (path,) = isolated_caches.glob("*.json")
+        written = path.read_text()
+        raw = json.loads(written)
+        raw[eng.key_for(REQUEST)]["measurement"]["kernel_stats"] = []
+        path.write_text(json.dumps(raw))
+        again = MeasurementEngine(cache_dir=isolated_caches).run([REQUEST, other])
+        assert [r.cache_hit for r in again] == [False, True]
+        assert [r.measurement for r in again] == [r.measurement for r in first]
+        assert path.read_text() == written
 
     def test_round_trip_is_exact(self):
         result = MeasurementEngine(cache=False).measure_one(REQUEST)
@@ -200,6 +222,17 @@ class TestParallelDeterminism:
         MeasurementEngine(jobs=4, cache_dir=isolated_caches).run(self.GRID)
         results = MeasurementEngine(jobs=1, cache_dir=isolated_caches).run(self.GRID)
         assert all(r.cache_hit for r in results)
+
+    def test_serial_and_pooled_shards_are_byte_identical(self, tmp_path):
+        """Entries are sorted by key, so a shard's bytes do not depend
+        on the order its cells finished in."""
+        shards = {}
+        for jobs in (1, 2):
+            directory = tmp_path / f"jobs{jobs}"
+            MeasurementEngine(jobs=jobs, cache_dir=directory).run(self.GRID)
+            shards[jobs] = {p.name: p.read_bytes() for p in directory.iterdir()}
+        assert len(shards[1]) == 2  # trisolv and gemm
+        assert shards[2] == shards[1]
 
     def test_duplicate_requests_computed_once(self):
         eng = MeasurementEngine(cache=False)
@@ -401,9 +434,9 @@ class TestNoStateBetweenSweeps:
             p.relative_to(tmp_path).parent.as_posix()
             for p in tmp_path.rglob("trisolv-mini-*.json")
         )
-        assert written == [
-            "base/measurements", "base/measurements", "base/profiles"
-        ]
+        assert written == ["base/measurements", "base/profiles"]
+        (shard,) = (base / "measurements").iterdir()
+        assert len(json.loads(shard.read_text())) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["base"]
         # Without a cache_dir, profiles are back in their default place.
         engine_mod.configure(jobs=1)
@@ -416,62 +449,202 @@ class TestNoStateBetweenSweeps:
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
-def _hammer_cache(cache_dir: str, wall: float, rounds: int) -> None:
-    """Child-process body for the concurrent-writer test.
+def _synthetic_entry(request: MeasurementRequest, wall: float) -> dict:
+    """A shard entry as the engine writes it, for a synthetic value."""
+    return {
+        "request": request.to_json(),
+        "measurement": measurement_to_json(
+            _synthetic_measurement(request, wall=wall)
+        ),
+    }
 
-    Writes its own variant of the same cache entry over and over while
-    verifying that every read parses as ONE complete variant — a torn
-    or interleaved write would fail json parsing or produce a value
-    neither process wrote.  Exit code carries the verdict.
+
+class TestShardWrites:
+    """Each run reads a shard at most once and writes it at most once."""
+
+    def test_warm_run_reads_each_shard_once_and_writes_none(
+        self, isolated_caches, monkeypatch
+    ):
+        grid = TestParallelDeterminism.GRID
+        eng = MeasurementEngine(cache_dir=isolated_caches)
+        for request in grid:
+            eng._store(
+                eng._path_for(request),
+                {eng.key_for(request): _synthetic_entry(request, wall=1.0)},
+            )
+        reads, writes = [], []
+        real_read = engine_mod.read_entry
+
+        def counted_read(path, decode):
+            reads.append(path.name)
+            return real_read(path, decode)
+
+        monkeypatch.setattr(engine_mod, "read_entry", counted_read)
+        monkeypatch.setattr(
+            engine_mod, "write_entry", lambda *args: writes.append(args)
+        )
+        results = MeasurementEngine(cache_dir=isolated_caches).run(grid)
+        assert all(r.cache_hit for r in results)
+        assert {r.measurement.wall_seconds for r in results} == {1.0}
+        assert sorted(reads) == sorted(p.name for p in isolated_caches.iterdir())
+        assert len(reads) == 2  # trisolv and gemm
+        assert writes == []
+
+    def test_cold_run_writes_each_shard_once(self, isolated_caches, monkeypatch):
+        grid = TestParallelDeterminism.GRID
+        writes = []
+        real_write = engine_mod.write_entry
+
+        def counted_write(path, entry):
+            writes.append(path.name)
+            real_write(path, entry)
+
+        monkeypatch.setattr(
+            engine_mod, "run_benchmark",
+            lambda **payload: _synthetic_measurement(
+                MeasurementRequest(**payload), wall=1.0
+            ),
+        )
+        monkeypatch.setattr(engine_mod, "write_entry", counted_write)
+        MeasurementEngine(cache_dir=isolated_caches).run(grid)
+        assert sorted(writes) == sorted(p.name for p in isolated_caches.iterdir())
+        assert len(writes) == 2  # trisolv and gemm
+        assert sum(
+            len(json.loads(p.read_text())) for p in isolated_caches.iterdir()
+        ) == len(grid)
+
+    def test_interrupt_keeps_the_cells_it_finished(
+        self, isolated_caches, monkeypatch
+    ):
+        """An exception no cell catches still leaves every finished cell
+        on disk: the earlier workload's shard was written when its last
+        miss finished, the interrupted one's on the way out."""
+        trisolv = [dataclasses.replace(REQUEST, threads=t) for t in (1, 4)]
+        gemm = [dataclasses.replace(r, workload="gemm") for r in trisolv]
+
+        def fake(**payload):
+            request = MeasurementRequest(**payload)
+            if request == trisolv[1]:
+                raise KeyboardInterrupt
+            return _synthetic_measurement(request, wall=1.0)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_mod, "run_benchmark", fake)
+            with pytest.raises(KeyboardInterrupt):
+                # Misses run workload-major: gemm's, then trisolv's.
+                MeasurementEngine(cache_dir=isolated_caches).run(trisolv + gemm)
+        eng = MeasurementEngine(cache_dir=isolated_caches)
+        shards = {
+            p.name.split("-")[0]: set(json.loads(p.read_text()))
+            for p in isolated_caches.glob("*.json")
+        }
+        assert shards == {
+            "gemm": {eng.key_for(r) for r in gemm},
+            "trisolv": {eng.key_for(trisolv[0])},
+        }
+        retry = eng.run(gemm + trisolv[:1])
+        assert all(r.cache_hit for r in retry)
+
+
+def _hammer_cache(cache_dir: str, key: str, wall: float, walls: dict,
+                  must_hit: bool, rounds: int) -> None:
+    """Child-process body for the concurrent-writer tests.
+
+    Stores its own value under ``key`` in REQUEST's shard over and
+    over, checking that every read parses as ONE complete shard in
+    which each key holds a value stored under that key (``walls``: key
+    -> the values written under it).  A torn or interleaved write would
+    fail JSON parsing or produce a value no process wrote there.  With
+    ``must_hit``, every key of ``walls`` must also read back through
+    the engine's loader.  Exit code carries the verdict.
     """
     eng = MeasurementEngine(cache_dir=cache_dir)
-    key = eng.key_for(REQUEST)
-    path = eng._path_for(REQUEST, key)
-    mine = _synthetic_measurement(REQUEST, wall=wall)
+    path = eng._path_for(REQUEST)
+    mine = {key: _synthetic_entry(REQUEST, wall)}
     for _ in range(rounds):
-        eng._store(REQUEST, key, mine)
+        eng._store(path, mine)
         try:
-            raw = json.loads(path.read_text())
-            loaded = measurement_from_json(raw["measurement"])
-        except (ValueError, KeyError) as exc:
+            read = {
+                k: measurement_from_json(v["measurement"]).wall_seconds
+                for k, v in json.loads(path.read_text()).items()
+            }
+        except (ValueError, KeyError, TypeError) as exc:
             print(f"torn read: {exc}", file=sys.stderr)
             sys.exit(1)
-        if raw["key"] != key or loaded.wall_seconds not in (1.0, 2.0):
-            print(f"foreign value: {loaded.wall_seconds}", file=sys.stderr)
+        if not read:
+            print("shard emptied", file=sys.stderr)
             sys.exit(1)
-        # Also exercise the engine's own (corruption-masking) loader
-        # as a second concurrent reader.
-        if eng._load(REQUEST, key) is None:
-            print("entry vanished", file=sys.stderr)
+        if any(w not in walls.get(k, ()) for k, w in read.items()):
+            print(f"foreign value: {read}", file=sys.stderr)
             sys.exit(1)
+        # Also exercise the engine's own (corruption-masking) loader as
+        # a second concurrent reader: it hides a torn or missing shard
+        # as a miss, so a key every writer stores must never miss.
+        for k, allowed in walls.items():
+            loaded = eng._load(path, k, {})
+            if loaded is None:
+                if must_hit:
+                    print("entry vanished", file=sys.stderr)
+                    sys.exit(1)
+            elif loaded.wall_seconds not in allowed:
+                print(f"foreign value: {loaded.wall_seconds}", file=sys.stderr)
+                sys.exit(1)
     sys.exit(0)
 
 
 class TestConcurrentCacheWriters:
-    def test_two_processes_no_torn_reads(self, isolated_caches):
-        """Two writers on one key: atomic replace keeps reads whole."""
-        eng = MeasurementEngine(cache_dir=isolated_caches)
-        key = eng.key_for(REQUEST)  # also warms the digest memos pre-fork
-        eng._store(REQUEST, key, _synthetic_measurement(REQUEST, wall=1.0))
+    def _hammer(self, cache_dir, keys, walls, must_hit):
         children = [
             multiprocessing.Process(
                 target=_hammer_cache,
-                args=(str(isolated_caches), wall, 150),
+                args=(str(cache_dir), key, wall, walls, must_hit, 150),
             )
-            for wall in (1.0, 2.0)
+            for key, wall in zip(keys, (1.0, 2.0))
         ]
         for child in children:
             child.start()
         for child in children:
             child.join(timeout=120)
         assert [child.exitcode for child in children] == [0, 0]
-        # The surviving entry is a complete write from one of the two.
-        final = MeasurementEngine(cache_dir=isolated_caches)._load(
-            REQUEST, key
-        )
-        assert final is not None and final.wall_seconds in (1.0, 2.0)
         # No stray tmp files were left behind.
-        assert not list(isolated_caches.glob("*.tmp.*"))
+        assert not list(cache_dir.glob("*.tmp.*"))
+
+    def test_two_processes_no_torn_reads(self, isolated_caches):
+        """Two writers on one key: atomic replace keeps reads whole."""
+        eng = MeasurementEngine(cache_dir=isolated_caches)
+        key = eng.key_for(REQUEST)  # also warms the digest memos pre-fork
+        path = eng._path_for(REQUEST)
+        eng._store(path, {key: _synthetic_entry(REQUEST, wall=1.0)})
+        # The key is stored before either child starts and both write
+        # it, so a miss can only be a torn or vanished shard.
+        self._hammer(
+            isolated_caches, [key, key], {key: (1.0, 2.0)}, must_hit=True
+        )
+        # The surviving entry is a complete write from one of the two.
+        final = MeasurementEngine(cache_dir=isolated_caches)._load(path, key, {})
+        assert final is not None and final.wall_seconds in (1.0, 2.0)
+
+    def test_two_processes_on_different_keys_of_one_shard(self, isolated_caches):
+        """Two writers on two keys of one shard: the last replace can
+        drop the other's newest entry, but never tears a read or files
+        a value under a key it was not written under."""
+        eng = MeasurementEngine(cache_dir=isolated_caches)
+        other = dataclasses.replace(REQUEST, strategy="none")
+        keys = [eng.key_for(REQUEST), eng.key_for(other)]
+        path = eng._path_for(REQUEST)
+        assert eng._path_for(other) == path
+        # The last replace can drop the other writer's key: a miss.
+        self._hammer(
+            isolated_caches, keys, {keys[0]: (1.0,), keys[1]: (2.0,)},
+            must_hit=False,
+        )
+        final = {
+            key: MeasurementEngine(cache_dir=isolated_caches)._load(path, key, {})
+            for key in keys
+        }
+        assert any(m is not None for m in final.values())
+        for key, wall in zip(keys, (1.0, 2.0)):
+            assert final[key] is None or final[key].wall_seconds == wall
 
 
 class TestSweepIntegration:
