@@ -30,29 +30,38 @@ only execution knob; all three have bit-identical observables:
 * ``fused`` — pre-decoded handler table with superinstruction fusion
   (:mod:`repro.runtime.predecode`), loop handlers and struct-based fast
   memory closures;
-* ``opt`` (the default) — ``fused`` plus the tier-2 whole-function
-  compiler (:mod:`repro.runtime.vectorize`), which compiles each
-  function at its first call; a function outside its shape stays on
-  ``fused`` dispatch.
+* ``opt`` (the default) — ``fused`` plus tier 2, which compiles each
+  whole call-free function at its first call (:func:`_gen_function`);
+  a function outside its shape stays on ``fused`` dispatch.
 
 Generated code of every kind — fused regions, loop handlers and
 tier-2 functions — is compiled against the live instance: each Python
 object it uses (memory, operator functions, constants, count lists) is
-bound as it is when the code is generated (:func:`_build`).  Fused
-regions and loop handlers translate their ops through one symbolic-
-stack translator (:class:`_Codegen`).
+bound as it is when the code is generated (:func:`_build`).  One
+symbolic-stack translator (:class:`_Codegen`) translates every op, and
+one class (:class:`_UnitCompiler`) emits every *unit* of control flow
+around it.
 
-A *loop handler* (:func:`_gen_nest`) runs one outermost call-free
-loop nest, as :func:`repro.runtime.predecode.find_nests` finds them,
-from entry to exit in one dispatch instead of one per fused region per
-iteration: nested loops, ``if``/``else`` and branches to any label
-inside the nest included.  It keeps one counter per straight-line
-segment of the nest, computes values invariant over a loop once before
-that loop, and adds its counts, and the load and store totals they
-imply, in a ``finally``; a trap mid-nest leaves exactly the per-pc,
-load, store and page counts tier-1 dispatch leaves.  Tier-1 code
-(closures, regions, loop handlers) is built the first time tier 1 runs
-a function, never for one that tier 2 runs from its first call.
+A *loop handler* (:func:`_gen_nest`), a nest unit, runs one outermost
+call-free loop nest, as :func:`repro.runtime.predecode.find_nests`
+finds them, from entry to exit in one dispatch instead of one per
+fused region per iteration: nested loops, ``if``/``else`` and branches
+to any label inside the nest included.  It keeps one counter per
+straight-line segment of the nest, computes values invariant over a
+loop once before that loop, and adds its counts, and the load and
+store totals they imply, in a ``finally``; a trap mid-nest leaves
+exactly the per-pc, load, store and page counts tier-1 dispatch
+leaves.
+
+A tier-2 function, a function unit, is generated the same way, by
+:class:`_FunctionCompiler`, and also carries proofs: intervals and
+affine forms on values, counted
+loops run as ``for`` loops with their counts added in bulk, every
+address proven in bounds under one entry guard, and NumPy batching of
+innermost loops (:mod:`repro.runtime.vectorize`).  It never traps and
+deopts, touching nothing, only at that guard.  Tier-1 code (closures,
+regions, loop handlers) is built the first time tier 1 runs a
+function, never for one that tier 2 runs from its first call.
 """
 
 from __future__ import annotations
@@ -60,8 +69,10 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import (
+    AbstractSet, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.runtime import predecode, vectorize
 from repro.runtime.memory import LinearMemory
@@ -503,7 +514,7 @@ class Interpreter:
         counts: Optional[List[int]],
     ) -> Optional[Callable]:
         """The tier-2 handler of one function, or None outside its shape."""
-        return vectorize.compile_function(
+        return _gen_function(
             func.body,
             self._plans[func_index - self._num_imported].matches,
             [t.value for t in func_type.params] + [t.value for t in func.locals],
@@ -1098,12 +1109,12 @@ def _const_value(ins: Instr) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Superinstruction and loop-handler code generator
+# Superinstruction, loop-handler and tier-2 code generator
 # ----------------------------------------------------------------------
-# Each fused region and each loop handler compiles to ONE Python
-# function via symbolic stack evaluation (:class:`_Codegen`): walking
-# the instructions with a compile-time stack of pure Python expressions
-# turns e.g. the 10-op PolyBench address chain
+# Each fused region, loop handler and tier-2 function compiles to ONE
+# Python function via symbolic stack evaluation (:class:`_Codegen`):
+# walking the instructions with a compile-time stack of pure Python
+# expressions turns e.g. the 10-op PolyBench address chain
 # ``local.get;const;mul;local.get;add;const;mul;const;add;load`` into
 # one statement.  The hot numeric ops inline as Python operators that
 # compute what the corresponding _BINOPS/_UNOPS functions do
@@ -1152,35 +1163,13 @@ _SIGNED_CMP_OPS = {
     for name, sym in (("lt_s", "<"), ("gt_s", ">"), ("le_s", "<="), ("ge_s", ">="))
 }
 
-#: op -> expression template ({0}=lhs, {1}=rhs) for tier 2, whose
-#: values are canonical after every op; MUST mirror _BINOPS.
-_INLINE_BINOPS: Dict[str, str] = {
-    **{
-        op: f"(({{0}} {sym} {{1}}) & {mask})"
-        for op, (sym, mask) in _WRAP_BINOPS.items()
-    },
-    **{op: f"({{0}} {sym} {{1}})" for op, sym in _PLAIN_BINOPS.items()},
-    "i32.shl": f"(({{0}} << ({{1}} & 31)) & {M32})",
-    "i32.shr_u": "({0} >> ({1} & 31))",
-    "i64.shl": f"(({{0}} << ({{1}} & 63)) & {M64})",
-    "i64.shr_u": "({0} >> ({1} & 63))",
-    **{op: f"(1 if {{0}} {sym} {{1}} else 0)" for op, sym in _CMP_OPS.items()},
-    **{
-        op: f"(1 if ({{0}} ^ {bias}) {sym} ({{1}} ^ {bias}) else 0)"
-        for op, (sym, bias) in _SIGNED_CMP_OPS.items()
-    },
-}
-
-#: op -> expression template ({0}=operand); MUST mirror _UNOPS.
-_INLINE_UNOPS: Dict[str, str] = {
-    "i32.eqz": "(1 if {0} == 0 else 0)",
-    "i64.eqz": "(1 if {0} == 0 else 0)",
-    "i32.wrap_i64": "({0} & 4294967295)",
-}
-
 #: Parenthesis depth at which an inlined expression is assigned to a
 #: name (CPython's parser stops at 200).
 _MAX_EXPR_DEPTH = 20
+
+#: Exclusive upper bound of a proven interval: a value in [0, 2**31)
+#: is its own canonical i32 and its own signed i32.
+_I31 = 1 << 31
 
 
 @dataclass(slots=True)
@@ -1195,6 +1184,17 @@ class _Val:
     over (an index into ``_Codegen.loops``), ``atom`` marks a name or
     literal, ``depth`` counts its nested parentheses and ``align`` is a
     power of two (at most 4096) known to divide the value.
+
+    Only a tier-2 function unit fills in the proofs.  ``ival`` is an
+    interval [lo, hi] inside [0, 2**31) that the value provably lies
+    in, with no wrap on the way (so plain Python arithmetic on it is
+    exact); ``aff`` is an affine form ``{None: const, local: coeff}``
+    over locals that still hold the values it was computed from; and
+    ``node`` is the value's expression tree, which NumPy batching
+    (:mod:`repro.runtime.vectorize`) regenerates over whole arrays.
+    Its leaves are constants, loads and locals, a local named by the
+    version it holds (how often it was written), so two values with
+    one tree are equal unless a store came between their loads.
     """
 
     expr: str
@@ -1206,6 +1206,9 @@ class _Val:
     atom: bool = True
     depth: int = 0
     align: int = 1
+    ival: Optional[Tuple[int, int]] = None
+    aff: Optional[Dict[Optional[int], int]] = None
+    node: Optional[tuple] = None
 
 
 @dataclass(slots=True)
@@ -1234,9 +1237,9 @@ class _Codegen:
     straight-line dispatch unit whose only trap-capable op is its last.
     Its code reads and writes locals through ``L = f.locals``, pops the
     values pushed before it off ``S = f.stack`` and makes its memory
-    access through a fast memory closure.  :class:`_NestCompiler` adds
+    access through a fast memory closure.  :class:`_UnitCompiler` adds
     control flow, loop-invariant hoisting, inline memory accesses and
-    per-segment counting for loop handlers.
+    per-segment counting for loop handlers and tier-2 functions.
     """
 
     #: How generated code names Wasm local ``i``.
@@ -1299,6 +1302,17 @@ class _Codegen:
             self.local_name.format(index), level, reads=frozenset((index,))
         )
 
+    def constant(self, value: Any, ty: str) -> _Val:
+        """A literal: integers as themselves, floats bound as they are
+        (so a NaN keeps its sign and payload)."""
+        if ty in ("i32", "i64"):
+            align = min(value & -value, 4096) if value else 4096
+            return _Val(repr(value), 0, const=value, align=align)
+        return _Val(self.bind(value), 0)
+
+    def wrote(self, index: int, value: _Val) -> None:
+        """Local ``index`` now holds ``value``."""
+
     def hoist(self, val: _Val) -> _Val:
         """Compute ``val`` once, before the loop it is invariant over."""
         names = self.loops[val.level][1].names
@@ -1306,7 +1320,10 @@ class _Codegen:
         if name is None:
             name = names[val.expr] = f"h{self.hoists}"
             self.hoists += 1
-        return _Val(name, val.level, wrap=val.wrap, cond=val.cond, align=val.align)
+        return _Val(
+            name, val.level, wrap=val.wrap, cond=val.cond, align=val.align,
+            ival=val.ival, aff=val.aff, node=val.node,
+        )
 
     def name(self, val: _Val) -> _Val:
         """``val`` as a name or literal: hoisted if invariant, else a temp."""
@@ -1317,6 +1334,7 @@ class _Codegen:
         return _Val(
             self.temp(val.expr), len(self.loops),
             wrap=val.wrap, cond=val.cond, align=val.align,
+            ival=val.ival, aff=val.aff, node=val.node,
         )
 
     def settle(self, val: _Val) -> _Val:
@@ -1330,29 +1348,47 @@ class _Codegen:
 
     def combine(
         self, template: str, *args: _Val, wrap: int = 0, cond: bool = False,
-        align: int = 1,
+        align: int = 1, ival: Optional[Tuple[int, int]] = None,
+        aff: Optional[dict] = None, node: Optional[tuple] = None,
     ) -> _Val:
         """The pure value ``template`` computes from ``args``.
 
         An operand invariant over more loops than the result is hoisted
         on its own.
         """
-        level = max(arg.level for arg in args)
-        args = tuple(self.settle(a) if a.level < level else a for a in args)
-        depth = 1 + max(arg.depth for arg in args)
+        # Plain loops: this runs for nearly every op generated.
+        level = depth = 0
+        for arg in args:
+            if arg.level > level:
+                level = arg.level
+        exprs = []
+        reads = frozenset()
+        for arg in args:
+            if arg.level < level and not arg.atom:
+                arg = self.hoist(arg)
+            exprs.append(arg.expr)
+            if arg.depth > depth:
+                depth = arg.depth
+            if arg.reads:
+                reads = reads | arg.reads
+        depth += 1
         val = _Val(
-            template.format(*(arg.expr for arg in args)), level,
+            template.format(*exprs), level,
             wrap=wrap, cond=cond, atom=False, depth=depth, align=align,
-            reads=frozenset().union(*(arg.reads for arg in args)),
+            reads=reads, ival=ival, aff=aff, node=node,
         )
         return self.name(val) if depth > _MAX_EXPR_DEPTH else val
 
     def canon(self, val: _Val) -> _Val:
         """``val`` as a canonical value (an int in [0, 2**N) or a float)."""
         if val.cond:
-            return self.combine("(1 if {} else 0)", val)
+            return self.combine(
+                "(1 if {} else 0)", val, ival=val.ival, node=val.node
+            )
         if val.wrap:
-            return self.combine(f"({{}} & {val.wrap})", val, align=val.align)
+            return self.combine(
+                f"({{}} & {val.wrap})", val, align=val.align, node=val.node
+            )
         return val
 
     def num(self, val: _Val) -> _Val:
@@ -1381,14 +1417,23 @@ class _Codegen:
             if not val.atom:
                 sym[k] = self.name(val)
             elif val.level >= depth:
-                sym[k] = _Val(self.temp(val.expr), depth)
+                sym[k] = _Val(
+                    self.temp(val.expr), depth,
+                    ival=val.ival, aff=val.aff, node=val.node,
+                )
 
     # -- ops -------------------------------------------------------------
     def translate(self, ins: Instr, pc: int) -> None:
         """Emit one non-control op."""
         op = ins.op
         sym = self.sym
-        if op == "local.get":
+        if op in _BINOPS:
+            rhs = sym.pop() if sym else self.take()
+            lhs = sym.pop() if sym else self.take()
+            sym.append(self.binop(op, lhs, rhs, pc))
+        elif op in predecode.CONST_NAMES:
+            sym.append(self.constant(_const_value(ins), op[:3]))
+        elif op == "local.get":
             sym.append(self.local(ins.args[0]))
         elif op in ("local.set", "local.tee"):
             index = ins.args[0]
@@ -1396,35 +1441,20 @@ class _Codegen:
             self.materialize(index)
             target = self.local_name.format(index)
             self.emit(f"{target} = {self.use(self.canon(value))}")
+            self.wrote(index, value)
             if op == "local.tee":
                 sym.append(self.local(index))
-        elif op in ("i32.const", "i64.const"):
-            value = _const_value(ins)
-            align = min(value & -value, 4096) if value else 4096
-            sym.append(_Val(repr(value), 0, const=value, align=align))
-        elif op in ("f32.const", "f64.const"):
-            sym.append(_Val(self.bind(_const_value(ins)), 0))
         elif op == "drop":
             self.take()
         elif op == "select":
             cond = self.test(self.take())
             second = self.take()
             first = self.take()
-            if first.cond and second.cond:
-                sym.append(self.combine("({} if {} else {})", first, cond, second, cond=True))
-            else:
-                first, second = self.num(first), self.num(second)
-                sym.append(self.combine(
-                    "({} if {} else {})", first, cond, second,
-                    wrap=first.wrap or second.wrap, align=min(first.align, second.align),
-                ))
+            sym.append(self.select(first, second, cond))
         elif op in predecode.LOAD_NAMES:
             self.load(ins, pc)
         elif op in predecode.STORE_NAMES:
             self.store(ins, pc)
-        elif op in _BINOPS:
-            rhs = self.take()
-            sym.append(self.binop(op, self.take(), rhs, pc))
         elif op in _UNOPS:
             sym.append(self.unop(op, self.take(), pc))
         else:
@@ -1498,6 +1528,16 @@ class _Codegen:
         if op in predecode.TRAPPING_BINOPS:
             return self.trapping(f"{fn}({self.use(a)}, {self.use(b)})", pc)
         return self.combine(f"{fn}({{}}, {{}})", a, b)
+
+    def select(self, first: _Val, second: _Val, cond: _Val) -> _Val:
+        """``first`` if ``cond`` (a tested value) holds, else ``second``."""
+        if first.cond and second.cond:
+            return self.combine("({} if {} else {})", first, cond, second, cond=True)
+        first, second = self.num(first), self.num(second)
+        return self.combine(
+            "({} if {} else {})", first, cond, second,
+            wrap=first.wrap or second.wrap, align=min(first.align, second.align),
+        )
 
     def biased(self, val: _Val, bias: int) -> _Val:
         """Canonical ``val`` with its sign bit flipped: signed order as
@@ -1627,33 +1667,62 @@ def _gen_region(
 
 
 # ----------------------------------------------------------------------
-# Loop handlers
+# Units: loop handlers and tier-2 functions
 # ----------------------------------------------------------------------
-# A loop handler (:func:`_gen_nest`) runs one ``predecode.LoopNest`` in
-# one generated function.  Wasm control maps onto Python's: a ``loop``,
-# with the ``block`` around it when their ends are adjacent, becomes
-# ``while True:``; an ``if`` becomes ``if``/``else``; and a ``block`` or
-# ``if`` that a branch leaves becomes a ``while True:`` that runs once.
-# A branch is ``continue`` or ``break`` on its label's Python loop,
-# ``return`` for the nest's own block, and, across Python loops,
-# ``go = <code>`` plus ``break``, dispatched after each loop it leaves.
+# A unit compiles to one generated function through
+# :class:`_UnitCompiler`: the body is :class:`_Codegen`'s translation,
+# with locals kept in Python locals and a value invariant over an
+# enclosing loop computed once before that loop.  Counting is per
+# straight-line *segment*: one counter per maximal run of pcs that
+# always run together, added to each pc's count, and to the load and
+# store totals, when the unit exits.
 #
-# The body is :class:`_Codegen`'s translation, with locals kept in
-# Python locals and a value invariant over an enclosing loop computed
-# once before that loop.  Counting is per straight-line *segment*: one
-# counter per maximal run of dispatch units that always run together,
-# added to each unit's count, and to the load and store totals, when
-# the handler exits.
+# A *nest unit* is a loop handler (:func:`_gen_nest`): it runs one
+# ``predecode.LoopNest`` in one dispatch.  Wasm control maps onto
+# Python's: a ``loop``, with the ``block`` around it when their ends
+# are adjacent, becomes ``while True:``; an ``if`` becomes
+# ``if``/``else``; and a ``block`` or ``if`` that a branch leaves
+# becomes a ``while True:`` that runs once.  A branch is ``continue`` or
+# ``break`` on its label's Python loop, ``return`` for the nest's own
+# block, and, across Python loops, ``go = <code>`` plus ``break``,
+# dispatched after each loop it leaves.  Memory accesses are checked
+# against the memory's size inline and may trap.
+#
+# A *function unit* is a tier-2 function (:func:`_gen_function`): a
+# whole call-free function whose every loop is *counted* and whose
+# every op provably cannot trap, so it carries proofs that a nest unit
+# does not (:class:`_FunctionCompiler`).  Values get intervals and
+# affine forms (:class:`_Val`), and a local known to hold an integer
+# constant reads as that constant, so i32 arithmetic proven to stay in
+# [0, 2**31) runs unmasked, signed compares of such values are plain
+# compares and a constant divisor held in a local is a constant.  A counted loop runs as
+# ``for l in range(...)`` over a trip count computed at entry, its
+# body's segment bumped by the trip count once.  Every address has a
+# proven upper bound, so one ``len(data)`` guard at function entry
+# replaces every bounds check: if it fails, the handler returns 0
+# having touched nothing and tier-1 dispatch runs the call.  An access
+# whose address is affine in the loop's variable is a *stream*, whose
+# pages are added for the whole loop at once, and an innermost loop of
+# f64 streams may run as NumPy array statements
+# (:func:`repro.runtime.vectorize.batch`).
+
+
+class _Bailout(Exception):
+    """A function outside the shape a function unit compiles: it stays
+    on tier 1."""
 
 
 @dataclass(slots=True)
 class _Segment:
-    """A straight-line run of dispatch units sharing one counter."""
+    """A straight-line run of pcs sharing one counter, bumped by
+    ``bump`` each time the run starts (a counted loop's body is bumped
+    by its trip count once)."""
 
     index: int
     units: List[int] = field(default_factory=list)
     loads: int = 0
     stores: int = 0
+    bump: str = "1"
 
 
 @dataclass(slots=True, eq=False)
@@ -1678,6 +1747,106 @@ class _Construct:
     exits: bool = False
     has_else: bool = False
     then_live: bool = False
+    #: the segment its ``end`` continues, when the code after it always
+    #: runs with the code before it (a function unit's ``if``)
+    resume: Optional[_Segment] = None
+
+
+@dataclass(slots=True, eq=False)
+class _Stream:
+    """An access of a counted loop at an address affine in the loop's
+    variable: ``base`` is the first iteration's address, ``stride`` its
+    step per iteration, and ``node`` (address node, offset) identifies
+    the access to NumPy batching."""
+
+    kind: str
+    op: str
+    stride: int
+    size: int
+    base: str
+    node: tuple
+    #: the name ``base`` is computed into before the loop
+    name: str = ""
+
+
+@dataclass(slots=True, eq=False)
+class _Counted:
+    """One counted loop of a function unit, as NumPy batching reads it:
+    the Python loop variable ``l<var>`` runs ``trips`` times by
+    ``step``."""
+
+    var: int
+    trips: str
+    step: int
+    #: the locals its body writes
+    assigned: set
+    streams: List[_Stream] = field(default_factory=list)
+    #: (stream index, stored value's node, op) of each store to a stream
+    stores: List[tuple] = field(default_factory=list)
+    #: nothing in its body rules batching out
+    batchable: bool = True
+
+
+#: Unsigned sub-width loads: the interval of the value they load.
+_LOAD_IVAL = {"i32.load8_u": (0, 0xFF), "i32.load16_u": (0, 0xFFFF)}
+
+#: Signed i32 compares that are plain Python compares of operands
+#: proven to lie in [0, 2**31).
+_PROVEN_CMP = {"i32.lt_s": "<", "i32.gt_s": ">", "i32.le_s": "<=", "i32.ge_s": ">="}
+
+#: The non-control ops a function unit translates.
+_FUNCTION_OPS = (
+    frozenset(("nop", "local.get", "local.set", "drop", "select"))
+    | predecode.CONST_NAMES
+    | predecode.LOAD_NAMES
+    | predecode.STORE_NAMES
+    | predecode.BINOP_NAMES
+    | predecode.UNOP_NAMES
+)
+
+#: The ops a counted loop's bound may use.
+_BOUND_OPS = (
+    frozenset(("local.get",))
+    | predecode.CONST_NAMES
+    | predecode.BINOP_NAMES
+    | predecode.NONTRAP_UNOPS
+)
+
+
+def _aff_sum(x, y, sign: int):
+    if x is None or y is None:
+        return None
+    out = dict(x)
+    out.setdefault(None, 0)
+    for k, c in y.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c != 0 or k is None}
+
+
+def _aff_scale(x, y):
+    """Affine product: valid only when one side is a pure constant."""
+    for const, other in ((x, y), (y, x)):
+        if const is not None and other is not None and all(k is None for k in const):
+            c = const.get(None, 0)
+            return {k: v * c for k, v in other.items()}
+    return None
+
+
+def _hull(a: _Val, b: _Val) -> Optional[Tuple[int, int]]:
+    """The interval holding both values, when both have one."""
+    if a.ival is None or b.ival is None:
+        return None
+    return (min(a.ival[0], b.ival[0]), max(a.ival[1], b.ival[1]))
+
+
+def _render_aff(aff: Dict[Optional[int], int]) -> str:
+    terms = [
+        f"l{k}" if c == 1 else f"l{k}*{c}"
+        for k, c in aff.items()
+        if k is not None and c != 0
+    ]
+    terms.append(str(aff.get(None, 0)))
+    return " + ".join(terms)
 
 
 def _undo_after_trap(fix, counts, memory) -> None:
@@ -1691,39 +1860,49 @@ def _undo_after_trap(fix, counts, memory) -> None:
         memory.store_count -= stores
 
 
-class _NestCompiler(_Codegen):
-    """Generates the loop handler of one ``predecode.LoopNest``."""
+class _UnitCompiler(_Codegen):
+    """Generates one unit; see the comment above.  This class compiles a
+    nest unit, the loop handler of a ``predecode.LoopNest``;
+    :class:`_FunctionCompiler` extends it to a tier-2 function unit.
+    ``interior`` holds the pcs tier-1 dispatch runs inside a fused
+    region, never on their own, and ``targeted`` the opener pcs of the
+    constructs some branch targets."""
 
     local_name = "l{}"
 
     def __init__(
-        self, nest, body: Sequence[Instr], matches, memory, counts
+        self, body: Sequence[Instr], matches, memory, counts, head: int, end: int,
+        interior: AbstractSet[int] = frozenset(),
+        targeted: AbstractSet[int] = frozenset(),
     ) -> None:
         super().__init__(memory)
         self.body = body
         self.matches = matches
         self.counts = counts
-        self.head = nest.head
-        self.end = nest.end
-        self.interior = {pc for region in nest.regions for pc in region.tail_pcs}
-        inner = body[nest.head + 1 : nest.end]
-        self.used = sorted(
-            {ins.args[0] for ins in inner if ins.op.startswith("local.")}
-        )
-        self.written = sorted(
-            {ins.args[0] for ins in inner if ins.op in ("local.set", "local.tee")}
-        )
+        self.head, self.end = head, end
+        self.interior, self.targeted = interior, targeted
+        # One pass over the unit, a whole function for tier 2.
+        used: set = set()
+        written: set = set()
         #: loop pc -> the locals written anywhere inside that loop
-        self.writes = {
-            pc: {
-                ins.args[0]
-                for ins in body[pc : matches[pc][0]]
-                if ins.op in ("local.set", "local.tee")
-            }
-            for pc in range(nest.head + 1, nest.end)
-            if body[pc].op == "loop"
-        }
-        self.targeted = self._targeted()
+        self.writes: Dict[int, set] = {}
+        open_loops: List[Tuple[int, set]] = []  # (end pc, writes)
+        for pc in range(head, end):
+            ins = body[pc]
+            op = ins.op
+            if op == "local.get":
+                used.add(ins.args[0])
+            elif op == "local.set" or op == "local.tee":
+                index = ins.args[0]
+                used.add(index)
+                written.add(index)
+                for _end, writes in open_loops:
+                    writes.add(index)
+            elif op == "loop":
+                open_loops.append((matches[pc][0], self.writes.setdefault(pc, set())))
+            elif op == "end" and open_loops and open_loops[-1][0] == pc:
+                open_loops.pop()
+        self.used, self.written = sorted(used), sorted(written)
         #: lines also hold a _Segment for the counter bump that opens it,
         #: a pc for a trap site's mark, and preheader _Slots
         self.marks: List[int] = []
@@ -1739,20 +1918,6 @@ class _NestCompiler(_Codegen):
         #: trap sites: (pc, segment, units, loads, stores counted so far)
         self.sites: List[Tuple[int, _Segment, int, int, int]] = []
         self.accesses = False
-
-    def _targeted(self) -> set:
-        """Opener pcs of the constructs some branch in the nest targets."""
-        targeted = set()
-        openers: List[int] = []
-        for pc in range(self.head, self.end):
-            ins = self.body[pc]
-            if ins.op in ("block", "loop", "if"):
-                openers.append(pc)
-            elif ins.op == "end":
-                openers.pop()
-            elif ins.op in ("br", "br_if"):
-                targeted.add(openers[-1 - ins.args[0]])
-        return targeted
 
     # -- output --------------------------------------------------------
     def push(self) -> None:
@@ -1780,7 +1945,24 @@ class _NestCompiler(_Codegen):
         seg = self.seg
         self.sites.append((pc, seg, len(seg.units), seg.loads, seg.stores))
 
+    def touch(self, a: str, size: int, align: int, extra: int) -> None:
+        """Add the 4 KiB pages of the ``size``-byte access at ``a`` to the
+        touched set."""
+        self.env["touch"] = self.memory.touched_pages.add
+        self.emit(f"touch({a} >> 12)", extra)
+        if align < size:
+            self.emit(f"if {a} & 4095 > {4096 - size}:", extra)
+            self.emit(f"touch(({a} >> 12) + 1)", extra + 1)
+
     # -- memory ----------------------------------------------------------
+    def stored(self, value: _Val, op: str) -> str:
+        """What the store ``op`` of ``value`` writes: its canonical value,
+        a sub-width store's mask applied."""
+        mask = _FAST_STORE[op][1]
+        if mask is not None:
+            return self.use(self.combine(f"({{}} & {mask})", self.num(value)))
+        return self.use(self.canon(value))
+
     def load(self, ins: Instr, pc: int) -> None:
         """A load inlined against ``n``, counted by its segment."""
         addr = self.name(self.address(self.take(), ins.args[1]))
@@ -1799,15 +1981,9 @@ class _NestCompiler(_Codegen):
 
     def store(self, ins: Instr, pc: int) -> None:
         """A store inlined like a load."""
-        value = self.take()
-        fmt, mask = _FAST_STORE[ins.op]
-        if mask is not None:
-            value = self.combine(f"({{}} & {mask})", self.num(value))
-        else:
-            value = self.canon(value)
-        stored = self.use(value)
+        stored = self.stored(self.take(), ins.op)
         addr = self.name(self.address(self.take(), ins.args[1]))
-        packer = struct.Struct(fmt)
+        packer = struct.Struct(_FAST_STORE[ins.op][0])
         pack = self.bind(packer.pack_into)
         self.seg.stores += 1
         self.access(
@@ -1827,11 +2003,7 @@ class _NestCompiler(_Codegen):
         a = addr.expr
         self.emit(f"if {a} + {size} <= n:")
         if memory.track_pages:
-            self.env["touch"] = memory.touched_pages.add
-            self.emit(f"touch({a} >> 12)", 1)
-            if addr.align < size:
-                self.emit(f"if {a} & 4095 > {4096 - size}:", 1)
-                self.emit(f"touch(({a} >> 12) + 1)", 2)
+            self.touch(a, size, addr.align, 1)
         self.emit(fast, 1)
         self.emit("else:")
         self.mark(pc, 1)
@@ -1922,11 +2094,12 @@ class _NestCompiler(_Codegen):
         self.labels.append((construct, "continue"))
         self.count(pc)
 
-    def open_if(self, pc: int) -> None:
-        self.count(pc)
+    def open_if(self, pc: int, resume: Optional[_Segment] = None) -> None:
+        """Open the ``if`` at ``pc``, already counted; the code after its
+        ``end`` continues ``resume``, or a new segment when None."""
         cond = self.truth(self.take())
         self.materialize()
-        construct = _Construct("if", self.matches[pc][0], len(self.sym))
+        construct = _Construct("if", self.matches[pc][0], len(self.sym), resume=resume)
         if pc in self.targeted:
             self.open_while(construct, None)
         else:
@@ -1957,7 +2130,7 @@ class _NestCompiler(_Codegen):
             # Without an else arm, a false condition lands on the end.
             live = construct.then_live or live if construct.has_else else True
             self.pop()
-            self.seg = None
+            self.seg = construct.resume
         if live:
             self.count(pc)
             if construct.pyloop is not None:
@@ -2018,6 +2191,7 @@ class _NestCompiler(_Codegen):
             elif op == "loop":
                 self.open_loop(pc)
             elif op == "if":
+                self.count(pc)
                 self.open_if(pc)
             elif op == "else":
                 self.on_else(pc)
@@ -2046,22 +2220,12 @@ class _NestCompiler(_Codegen):
             pc += 1
 
     # -- assembly ----------------------------------------------------------
-    def build(self) -> Callable:
-        self.walk()
-        counts = self.counts
+    def counted(self, seg: _Segment) -> bool:
+        return self.counts is not None or bool(seg.loads or seg.stores)
 
-        def counted(seg: _Segment) -> bool:
-            return counts is not None or bool(seg.loads or seg.stores)
-
-        fixes = {
-            pc: (
-                tuple(seg.units[units:]) if counts is not None else (),
-                seg.loads - loads,
-                seg.stores - stores,
-            )
-            for pc, seg, units, loads, stores in self.sites
-        }
-        marked = any(pcs or loads or stores for pcs, loads, stores in fixes.values())
+    def render(self, marked: bool) -> List[str]:
+        """The unit's body: each segment marker becomes its counter bump,
+        each preheader its hoisted values."""
         body: List[str] = []
         for item in self.lines:
             if isinstance(item, _Slot):
@@ -2072,12 +2236,40 @@ class _NestCompiler(_Codegen):
                 continue
             indent, line = item
             if isinstance(line, _Segment):  # the bump opening a segment
-                line = f"c{line.index} += 1" if counted(line) else "pass"
+                line = f"c{line.index} += {line.bump}" if self.counted(line) else "pass"
             elif isinstance(line, int):  # the site mark of a trapping op
                 line = f"at = {line}" if marked else "pass"
             body.append("    " * indent + line)
+        return body
 
-        live = [seg for seg in self.segments if counted(seg)]
+    def totals(self, live: List[_Segment]) -> List[str]:
+        """Add the loads and stores the segments ``live`` counted."""
+        flush = []
+        for attr, key in (("load_count", "loads"), ("store_count", "stores")):
+            terms = [
+                f"c{seg.index}" + (f" * {getattr(seg, key)}" if getattr(seg, key) > 1 else "")
+                for seg in live
+                if getattr(seg, key)
+            ]
+            if terms:
+                flush.append(f"mem.{attr} += {' + '.join(terms)}")
+        return flush
+
+    def nest_handler(self) -> Callable:
+        self.walk()
+        counts = self.counts
+        fixes = {
+            pc: (
+                tuple(seg.units[units:]) if counts is not None else (),
+                seg.loads - loads,
+                seg.stores - stores,
+            )
+            for pc, seg, units, loads, stores in self.sites
+        }
+        marked = any(pcs or loads or stores for pcs, loads, stores in fixes.values())
+        body = self.render(marked)
+
+        live = [seg for seg in self.segments if self.counted(seg)]
         prologue = ["L = f.locals"] + [f"l{i} = L[{i}]" for i in self.used]
         if live:
             prologue.append(" = ".join(f"c{seg.index}" for seg in live) + " = 0")
@@ -2096,14 +2288,7 @@ class _NestCompiler(_Codegen):
             flush += [
                 f"counts[{pc}] += c{seg.index}" for seg in live for pc in seg.units
             ]
-        for attr, key in (("load_count", "loads"), ("store_count", "stores")):
-            terms = [
-                f"c{seg.index}" + (f" * {getattr(seg, key)}" if getattr(seg, key) > 1 else "")
-                for seg in live
-                if getattr(seg, key)
-            ]
-            if terms:
-                flush.append(f"mem.{attr} += {' + '.join(terms)}")
+        flush += self.totals(live)
         if flush:
             lines = ["try:"] + ["    " + line for line in body]
             if marked:
@@ -2125,6 +2310,535 @@ class _NestCompiler(_Codegen):
         )
 
 
+class _FunctionCompiler(_UnitCompiler):
+    """Generates one function unit, the tier-2 handler of a whole
+    function whose params and locals have the type names
+    ``local_types``, the first ``n_params`` of them params; see the
+    comment above.  It emits control flow and counters as a nest unit
+    does and adds the proofs."""
+
+    def __init__(
+        self, body: Sequence[Instr], matches, memory, counts,
+        local_types: Sequence[str] = (), n_params: int = 0,
+    ) -> None:
+        super().__init__(body, matches, memory, counts, 0, len(body))
+        #: what is known of each local's value: (interval, affine form,
+        #: node); declared locals start at zero
+        self.known = [
+            (None, None, ("local", i, 0)) if i < n_params
+            else ((0, 0), {None: 0}, ("const", 0, ty)) if ty == "i32"
+            else (None, None, ("const", 0 if ty == "i64" else 0.0, ty))
+            for i, ty in enumerate(local_types)
+        ]
+        #: local -> how often it was reassigned; a node names a version
+        self.versions = [0] * len(local_types)
+        #: the memory size the entry guard requires
+        self.need = 0
+        #: the counted loop whose body is being translated, outside any
+        #: ``if`` arm in it
+        self.loop: Optional[_Counted] = None
+        self.trips = 0
+        self.bases = 0
+
+    # -- proofs --------------------------------------------------------
+    def local(self, index: int) -> _Val:
+        """Local ``index`` with what is known of it; one known to hold an
+        integer constant reads as that constant."""
+        ival, aff, node = self.known[index]
+        if node[0] == "const" and node[2] in ("i32", "i64"):
+            return self.constant(node[1], node[2])
+        val = super().local(index)
+        val.node = node
+        if ival is not None:
+            if aff is None and val.level == 0:
+                # No enclosing loop writes it: it is its own affine form.
+                aff = {index: 1, None: 0}
+            val.ival, val.aff = ival, aff
+        return val
+
+    def constant(self, value: Any, ty: str) -> _Val:
+        val = super().constant(value, ty)
+        val.node = ("const", value, ty)
+        if ty == "i32" and value < _I31:
+            val.ival, val.aff = (value, value), {None: value}
+        return val
+
+    def wrote(self, index: int, value: _Val) -> None:
+        if self.loop is not None:
+            self.loop.batchable = False
+        self.versions[index] += 1
+        aff = value.aff
+        if aff is not None and index in aff:
+            aff = None
+        node = value.node
+        if node[0] != "const":
+            # The local's version names its value: two locals, or one
+            # local before and after a store, may hold values of one
+            # expression tree that differ.
+            node = ("local", index, self.versions[index])
+        self.known[index] = (value.ival, aff, node)
+        self.forget((index,))
+
+    def forget(self, indices) -> None:
+        """Drop every affine form over the old values of ``indices``."""
+        known = self.known
+        for k, (ival, aff, node) in enumerate(known):
+            if aff is not None and any(j in aff for j in indices):
+                known[k] = (ival, None, node)
+        for val in self.sym:
+            if val.aff is not None and any(j in val.aff for j in indices):
+                val.aff = None
+
+    def invalidate(self, indices) -> None:
+        """Locals ``indices`` now hold values nothing is known of."""
+        for j in indices:
+            self.versions[j] += 1
+            self.known[j] = (None, None, ("local", j, self.versions[j]))
+        self.forget(indices)
+
+    def select(self, first: _Val, second: _Val, cond: _Val) -> _Val:
+        val = super().select(first, second, cond)
+        val.ival = _hull(first, second)
+        val.node = ("select", cond.node, first.node, second.node, val.ival)
+        return val
+
+    def binop(self, op: str, a: _Val, b: _Val, pc: int) -> _Val:
+        if a.node is not None and b.node is not None and a.node[0] == b.node[0] == "const":
+            # A constant expression that traps keeps the function on
+            # tier 1, which traps the same only if the expression runs.
+            try:
+                value = _BINOPS[op](a.node[1], b.node[1])
+            except Trap as exc:
+                raise _Bailout(f"{op} on constants raises: {exc}")
+            return self.constant(value, "i32" if op in predecode.CMP_NAMES else op[:3])
+        if a.ival is not None and b.ival is not None:
+            val = self.proven(op, a, b)
+            if val is not None:
+                return val
+        if op in predecode.TRAPPING_BINOPS:
+            # A constant divisor that cannot trap makes the table
+            # function safe; anything else could trap mid-function.
+            if b.const is None:
+                raise _Bailout(f"{op} with a non-constant divisor")
+            ones = M32 if op[:3] == "i32" else M64
+            if b.const == 0 or (op.endswith("div_s") and b.const == ones):
+                raise _Bailout(f"{op} by {b.const} may trap")
+            fn = self.bind(_BINOPS[op])
+            val = self.combine(f"{fn}({{}}, {{}})", self.canon(a), self.canon(b))
+        else:
+            val = super().binop(op, a, b, pc)
+        val.node = ("bin", op, a.node, b.node, None)
+        if op in predecode.CMP_NAMES:
+            val.ival = (0, 1)
+        return val
+
+    def proven(self, op: str, a: _Val, b: _Val) -> Optional[_Val]:
+        """``op`` on operands with intervals, unmasked when its result
+        provably stays in [0, 2**31); None otherwise."""
+        sym = _PROVEN_CMP.get(op)
+        if sym is not None:
+            return self.combine(
+                f"({{}} {sym} {{}})", self.canon(a), self.canon(b), cond=True,
+                ival=(0, 1), node=("bin", op, a.node, b.node, (0, 1)),
+            )
+        (al, ah), (bl, bh) = a.ival, b.ival
+        if a.cond:
+            a = self.canon(a)
+        if b.cond:
+            b = self.canon(b)
+        args, aff, align = (a, b), None, 1
+        if op == "i32.add":
+            lo, hi, template = al + bl, ah + bh, "({} + {})"
+            aff, align = _aff_sum(a.aff, b.aff, 1), min(a.align, b.align)
+        elif op == "i32.sub":
+            lo, hi, template = al - bh, ah - bl, "({} - {})"
+            aff, align = _aff_sum(a.aff, b.aff, -1), min(a.align, b.align)
+        elif op == "i32.mul":
+            products = (al * bl, al * bh, ah * bl, ah * bh)
+            lo, hi, template = min(products), max(products), "({} * {})"
+            aff, align = _aff_scale(a.aff, b.aff), min(a.align * b.align, 4096)
+        elif b.const is None:
+            return None
+        elif op == "i32.shl":
+            shift = b.const & 31
+            lo, hi, template, args = al << shift, ah << shift, f"({{}} << {shift})", (a,)
+            aff = _aff_scale(a.aff, {None: 1 << shift})
+            align = min(a.align << shift, 4096)
+        elif op in ("i32.div_s", "i32.div_u") and bl > 0:
+            lo, hi, template = al // bh, ah // bl, "({} // {})"
+        elif op in ("i32.rem_s", "i32.rem_u") and bl > 0:
+            lo, hi, template = 0, min(ah, bl - 1), "({} % {})"
+        else:
+            return None
+        if lo < 0 or hi >= _I31:
+            return None
+        return self.combine(
+            template, *args, align=align, ival=(lo, hi), aff=aff,
+            node=("bin", op, a.node, b.node, (lo, hi)),
+        )
+
+    def unop(self, op: str, a: _Val, pc: int) -> _Val:
+        if a.node is not None and a.node[0] == "const":
+            try:
+                value = _UNOPS[op](a.node[1])
+            except Trap as exc:
+                raise _Bailout(f"{op} on a constant raises: {exc}")
+            return self.constant(value, op[:3])
+        if op in predecode.TRAPPING_UNOPS:
+            raise _Bailout(f"{op} may trap")
+        node = ("un", op, a.node, a.ival)
+        if op == "f64.convert_i32_s" and a.ival is not None:
+            return self.combine("float({})", self.num(a), node=node)
+        val = super().unop(op, a, pc)
+        ival = (0, 1) if op in ("i32.eqz", "i64.eqz") else None
+        if val is a:
+            return replace(a, ival=ival, aff=None, node=node)
+        val.ival, val.node = ival, node
+        return val
+
+    # -- memory ----------------------------------------------------------
+    def load(self, ins: Instr, pc: int) -> None:
+        """A load the entry guard proves in bounds, counted by its
+        segment."""
+        fmt, mask = _FAST_LOAD[ins.op]
+        packer = struct.Struct(fmt)
+        addr = self.take()
+        where, _ = self.proven_access(addr, ins.args[1], packer.size, "load", ins.op)
+        unpack = self.bind(packer.unpack_from)
+        masked = f" & {mask}" if mask is not None else ""
+        value = self.temp(f"{unpack}(data, {where})[0]{masked}")
+        self.seg.loads += 1
+        self.sym.append(_Val(
+            value, len(self.loops), ival=_LOAD_IVAL.get(ins.op),
+            node=("load", ins.op, addr.node, ins.args[1]),
+        ))
+
+    def store(self, ins: Instr, pc: int) -> None:
+        """A store proven like a load."""
+        value = self.take()
+        stored = self.stored(value, ins.op)
+        packer = struct.Struct(_FAST_STORE[ins.op][0])
+        where, stream = self.proven_access(
+            self.take(), ins.args[1], packer.size, "store", ins.op
+        )
+        self.emit(f"{self.bind(packer.pack_into)}(data, {where}, {stored})")
+        self.seg.stores += 1
+        if stream is not None:
+            self.loop.stores.append((stream, value.node, ins.op))
+
+    def proven_access(
+        self, addr: _Val, offset: int, size: int, kind: str, op: str
+    ) -> Tuple[str, Optional[int]]:
+        """The effective address of an access the entry guard proves in
+        bounds, and its stream index if it is a stream of the counted
+        loop; any other access adds its pages here."""
+        if addr.ival is None:
+            raise _Bailout(f"{op}: unproven address")
+        memory = self.memory
+        if memory is None:
+            raise _Bailout(f"{op} in a module without memory")
+        self.need = max(self.need, addr.ival[1] + offset + size)
+        self.env.update(data=memory.data, mem=memory)
+        loop = self.loop
+        if loop is not None and addr.aff is not None:
+            aff = dict(addr.aff)
+            aff[None] = aff.get(None, 0) + offset
+            loop.streams.append(_Stream(
+                kind, op, aff.get(loop.var, 0), size, _render_aff(aff),
+                (addr.node, offset),
+            ))
+            return self.use(self.address(addr, offset)), len(loop.streams) - 1
+        if loop is not None:
+            loop.batchable = False
+        where = self.name(self.address(addr, offset))
+        if memory.track_pages:
+            self.touch(where.expr, size, where.align, 0)
+        return where.expr, None
+
+    # -- control ---------------------------------------------------------
+    def walk_span(self, pc: int, end: int) -> None:
+        """Translate ``body[pc:end]``: straight-line ops, counted loops
+        and ``if``s."""
+        body = self.body
+        while pc < end:
+            ins = body[pc]
+            op = ins.op
+            if op == "block":
+                pc = self.counted_loop(pc)
+            elif op == "if":
+                pc = self.walk_if(pc)
+            elif op in _FUNCTION_OPS:
+                self.count(pc)
+                if op != "nop":
+                    self.translate(ins, pc)
+                pc += 1
+            else:
+                raise _Bailout(f"unsupported op {op}")
+
+    def walk_if(self, pc: int) -> int:
+        """Translate the ``if`` at ``pc``; return the pc after its end.
+
+        Its ``if`` and ``end`` count with the code around it, each arm
+        in its own segments.
+        """
+        if self.body[pc].args[0] is not None:
+            raise _Bailout("if with a result type")
+        if len(self.sym) != 1:
+            raise _Bailout("if entered with values under its condition")
+        end, else_pc = self.matches[pc]
+        known, loop = list(self.known), self.loop
+        if loop is not None:
+            loop.batchable = False
+        self.loop = None
+        self.count(pc)
+        self.open_if(pc, resume=self.seg)
+        construct = self.constructs[-1]
+        self.walk_span(pc + 1, end if else_pc is None else else_pc)
+        if else_pc is not None:
+            if self.sym:
+                raise _Bailout("if arm leaves values on the stack")
+            self.known = list(known)
+            self.on_else(else_pc)
+            self.walk_span(else_pc + 1, end)
+        if self.sym:
+            raise _Bailout("if arm leaves values on the stack")
+        self.close(construct, end)
+        self.known, self.loop = known, loop
+        self.invalidate({
+            ins.args[0]
+            for ins in self.body[pc + 1 : end]
+            if ins.op in ("local.set", "local.tee")
+        })
+        return end + 1
+
+    def counted_loop(self, pc: int) -> int:
+        """Translate the counted loop whose ``block`` is at ``pc``; return
+        the pc after it.
+
+        The shape is ``block; loop; local.get v; <bound>; i32.ge_s``
+        (``i32.le_s`` counting down) ``; br_if 1; <body>; local.get v;
+        i32.const step; i32.add; local.set v; br 0; end; end`` with a
+        bound the body does not change.  The block and the failing test
+        run once per entry; the test and the tail once per iteration
+        too; the two ``end``s never run.
+        """
+        body, matches = self.body, self.matches
+        if self.sym:
+            raise _Bailout("loop entered with values on the stack")
+        end = matches[pc][0]
+        loop_pc = pc + 1
+        if body[pc].args[0] is not None:
+            raise _Bailout("block with a result type")
+        if loop_pc >= end or body[loop_pc].op != "loop" or body[loop_pc].args[0] is not None:
+            raise _Bailout("block without a loop of no result")
+        tail = matches[loop_pc][0]
+        if tail != end - 1:
+            raise _Bailout("loop and block ends not adjacent")
+        exit_pc = next(
+            (p for p in range(loop_pc + 1, tail) if body[p].op == "br_if"), None
+        )
+        if exit_pc is None or body[exit_pc].args[0] != 1:
+            raise _Bailout("loop without a br_if 1 exit")
+        if body[loop_pc + 1].op != "local.get":
+            raise _Bailout("loop test does not start with local.get")
+        var = body[loop_pc + 1].args[0]
+        compare = body[exit_pc - 1].op
+        if compare not in ("i32.ge_s", "i32.le_s"):
+            raise _Bailout(f"unsupported loop test {compare}")
+        step_pc = tail - 5
+        step_ops = [(ins.op, ins.args[0] if ins.args else None) for ins in body[step_pc:tail]]
+        if step_pc <= exit_pc or [op for op, _ in step_ops] != [
+            "local.get", "i32.const", "i32.add", "local.set", "br"
+        ] or (step_ops[0][1], step_ops[3][1], step_ops[4][1]) != (var, var, 0):
+            raise _Bailout("unrecognised induction tail")
+        step = step_ops[1][1] & M32
+        step = step - (1 << 32) if step >= _I31 else step
+        if step == 0 or (step > 0) != (compare == "i32.ge_s"):
+            raise _Bailout("loop step and test disagree")
+        start = self.known[var][0]
+        if start is None:
+            raise _Bailout("loop start interval unknown")
+        assigned = {
+            body[p].args[0]
+            for p in range(exit_pc + 1, step_pc)
+            if body[p].op in ("local.set", "local.tee")
+        }
+        bound_reads = {
+            body[p].args[0]
+            for p in range(loop_pc + 2, exit_pc - 1)
+            if body[p].op == "local.get"
+        }
+        if var in assigned or var in bound_reads or bound_reads & assigned:
+            raise _Bailout("loop variable or bound written in the body")
+
+        tests = range(loop_pc, exit_pc + 1)
+        self.count(pc)
+        for p in tests:
+            self.count(p)
+        for p in range(loop_pc + 2, exit_pc - 1):
+            if body[p].op not in _BOUND_OPS:
+                raise _Bailout(f"loop bound uses {body[p].op}")
+            self.translate(body[p], p)
+        if len(self.sym) != 1:
+            raise _Bailout("loop bound is not one value")
+        stop = self.sym.pop()
+        if stop.ival is None:
+            raise _Bailout("loop bound interval unknown")
+        (v0l, v0h), (sl, sh) = start, stop.ival
+        if step > 0:
+            if sh - 1 + step >= _I31:
+                raise _Bailout("loop range may wrap")
+            inside, after = (v0l, max(v0l, sh - 1)), (v0l, max(v0h, sh - 1 + step))
+        else:
+            if sl + 1 + step < 0:
+                raise _Bailout("loop range may wrap")
+            inside, after = (min(v0h, sl + 1), v0h), (min(v0l, sl + 1 + step), v0h)
+
+        trips = f"m{self.trips}"
+        self.trips += 1
+        bound, lv = self.use(stop), f"l{var}"
+        if step == 1:
+            self.emit(f"{trips} = {bound} - {lv}")
+        elif step > 0:
+            self.emit(f"{trips} = ({bound} - {lv} + {step - 1}) // {step}")
+        else:
+            self.emit(f"{trips} = ({lv} - {bound} + {-step - 1}) // {-step}")
+        self.emit(f"if {trips} > 0:")
+        self.push()
+        self.invalidate(assigned | {var})
+        self.known[var] = (inside, {var: 1, None: 0}, ("local", var, self.versions[var]))
+        outer, resume = self.loop, self.seg
+        if outer is not None:
+            outer.batchable = False
+        loop = self.loop = _Counted(var, trips, step, assigned)
+        seg = self.seg = _Segment(len(self.segments), units=list(tests), bump=trips)
+        self.segments.append(seg)
+        self.lines.append((self.indent, seg))
+        slot = _Slot(self.indent)
+        self.lines.append(slot)
+        self.loops.append((self.writes[loop_pc], slot))
+        mark = len(self.lines)
+        self.indent += 1
+        self.walk_span(exit_pc + 1, step_pc)
+        self.indent -= 1
+        if self.sym:
+            raise _Bailout("loop body leaves values on the stack")
+        seg.units.extend(range(step_pc, tail))
+        scalar = self.lines[mark:]
+        del self.lines[mark:]
+        self.loops.pop()
+        self.loop = outer
+
+        bases: Dict[str, str] = {}
+        for stream in loop.streams:
+            stream.name = bases.get(stream.base, "")
+            if not stream.name:
+                stream.name = bases[stream.base] = f"b{self.bases}"
+                self.bases += 1
+                self.emit(f"{stream.name} = {stream.base}")
+        batched = None
+        # A loop that cannot reach VEC_MIN trips would never run batched.
+        most = -((v0l - sh) // step)  # the intervals' bound on the trips
+        if loop.batchable and loop.stores and step > 0 and most >= vectorize.VEC_MIN:
+            batched = vectorize.batch(loop, self.bind, self.versions)
+        shift = 0
+        if batched is not None:
+            lines, alias = batched
+            self.env["_np"] = vectorize._np
+            alias = f" and ({alias})" if alias else ""
+            self.emit(f"if {trips} >= {vectorize.VEC_MIN}{alias}:")
+            for line in lines:
+                self.emit(line, 1)
+            self.emit(f"{lv} += {trips}" if step == 1 else f"{lv} += {trips} * {step}", 1)
+            self.emit("else:")
+            shift = 1
+        if step == 1:
+            self.emit(f"for {lv} in range({lv}, {lv} + {trips}):", shift)
+        else:
+            self.emit(f"for {lv} in range({lv}, {lv} + {trips} * {step}, {step}):", shift)
+        if not scalar:
+            self.emit("pass", shift + 1)
+        elif not shift:
+            self.lines += scalar
+        else:  # the scalar loop moves under ``else:``
+            for item in scalar:
+                if isinstance(item, _Slot):
+                    item.indent += 1
+                    self.lines.append(item)
+                else:
+                    self.lines.append((item[0] + 1, item[1]))
+        self.emit(f"{lv} += {step}", shift)
+        if self.memory is not None and self.memory.track_pages:
+            self.env["pages"] = self.memory.touched_pages
+            spans = {(st.name, st.stride, st.size): st for st in loop.streams}
+            for stream in spans.values():
+                self.stream_pages(stream, trips)
+        self.pop()
+
+        self.invalidate(assigned | {var})
+        self.known[var] = (after, None, ("local", var, self.versions[var]))
+        self.seg = resume
+        return end + 1
+
+    def stream_pages(self, stream: _Stream, trips: str) -> None:
+        """Add every page a stream touched over ``trips`` iterations."""
+        name, stride, last = stream.name, stream.stride, stream.size - 1
+        if stride == 0:
+            self.emit(f"pages.update(range({name} >> 12, (({name} + {last}) >> 12) + 1))")
+        elif 0 < stride <= 4096:
+            # Consecutive accesses land on the same or adjacent pages,
+            # so the union of their pages is the span first..last.
+            self.emit(
+                f"pages.update(range({name} >> 12, "
+                f"(({name} + ({trips} - 1) * {stride} + {last}) >> 12) + 1))"
+            )
+        else:
+            a = self.fresh()
+            self.emit(f"for {a} in range({name}, {name} + {trips} * {stride}, {stride}):")
+            self.emit(f"pages.update(range({a} >> 12, (({a} + {last}) >> 12) + 1))", 1)
+
+    # -- assembly ----------------------------------------------------------
+    def handler(self, n_results: int) -> Callable:
+        self.walk_span(0, len(self.body))
+        if len(self.sym) != n_results:
+            raise _Bailout(f"body ends with {len(self.sym)} values, not {n_results}")
+        results = [self.use(self.canon(val)) for val in self.sym]
+        live = [seg for seg in self.segments if self.counted(seg)]
+        lines = ["L = f.locals"] + [f"l{i} = L[{i}]" for i in self.used]
+        if self.need:
+            lines.append(f"if len(data) < {self.need}: return 0")
+        if live:
+            lines.append(" = ".join(f"c{seg.index}" for seg in live) + " = 0")
+        lines += self.render(False)
+        if self.counts is not None:
+            self.env["counts"] = self.counts
+            for seg in live:
+                pcs = self.bind(tuple(seg.units))
+                lines.append(f"for _pc in {pcs}: counts[_pc] += c{seg.index}")
+        lines += self.totals(live)
+        if results:
+            lines += ["S = f.stack"] + [f"S.append({value})" for value in results]
+        lines.append("return -1")
+        return _build("_tier2", self.env, lines, "<tier2>")
+
+
+
+def _branch_targets(body: Sequence[Instr], head: int, end: int) -> set:
+    """Opener pcs of the constructs some branch in ``body[head:end]``
+    targets."""
+    targeted = set()
+    openers: List[int] = []
+    for pc in range(head, end):
+        ins = body[pc]
+        if ins.op in ("block", "loop", "if"):
+            openers.append(pc)
+        elif ins.op == "end":
+            openers.pop()
+        elif ins.op in ("br", "br_if"):
+            targeted.add(openers[-1 - ins.args[0]])
+    return targeted
+
+
 def _gen_nest(
     nest, body: Sequence[Instr], matches, memory: Optional[LinearMemory], counts
 ) -> Callable:
@@ -2140,7 +2854,32 @@ def _gen_nest(
     segment counted past it: the handler leaves exactly the counts,
     touched pages and memory tier-1 dispatch leaves.
     """
-    return _NestCompiler(nest, body, matches, memory, counts).build()
+    return _UnitCompiler(
+        body, matches, memory, counts, nest.head, nest.end,
+        interior={pc for region in nest.regions for pc in region.tail_pcs},
+        targeted=_branch_targets(body, nest.head, nest.end),
+    ).nest_handler()
+
+
+def _gen_function(
+    body: Sequence[Instr], matches, local_types: Sequence[str], n_params: int,
+    n_results: int, memory: Optional[LinearMemory], counts,
+) -> Optional[Callable]:
+    """Compile one whole function to its tier-2 handler, or None when it
+    falls outside the shape a function unit compiles.
+
+    ``local_types`` are its params' and locals' type names, ``counts``
+    its per-pc count list (None when not profiling).  The handler
+    ``fn(frame)`` returns -1 having run the call, its results pushed,
+    or 0 having touched nothing when the memory is smaller than its
+    entry guard needs.  It counts every pc of the function.
+    """
+    try:
+        return _FunctionCompiler(
+            body, matches, memory, counts, local_types, n_params
+        ).handler(n_results)
+    except _Bailout:
+        return None
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,8 @@ Plans are pure data (deterministic functions of the body), built in
 memory once per interpreter at module load; the ``legacy`` tier builds
 none.
 
-:func:`interpreter_build_digest` hashes the interpreter sources: this
-file, ``interpreter.py``, ``memory.py`` and ``vectorize.py``.
+:func:`interpreter_build_digest` hashes every module of
+``repro.runtime`` (:func:`interpreter_sources`), in sorted order.
 Measurement cache keys embed it, and ``leaps-bench diffcheck --json``
 embeds it so an equivalence report is attributable to an exact
 interpreter build.
@@ -367,18 +367,25 @@ def plans_for_module(module) -> Dict[int, FunctionPlan]:
 # ----------------------------------------------------------------------
 # Build digest
 # ----------------------------------------------------------------------
+def interpreter_sources() -> List[Path]:
+    """Every module of ``repro.runtime``, in sorted order.
+
+    Each one decides what a profile or a measurement holds: the
+    interpreter's counts, the memory observables, the profile's totals
+    (``profile.py``) and the WASI syscall census (``hostiface.py``,
+    ``wasi.py``); a module added to the package is covered too.
+    """
+    return sorted(Path(__file__).parent.glob("*.py"))
+
+
 @lru_cache(maxsize=1)
 def interpreter_build_digest() -> str:
-    """SHA-256 over the interpreter build's sources.
+    """SHA-256 over :func:`interpreter_sources`.
 
-    Identifies the exact semantics+fusion implementation a run used;
-    embedded in measurement cache keys and diffcheck reports.
+    Identifies the exact interpreter build a run used; embedded in
+    measurement cache keys and diffcheck reports.
     """
-    # Deferred: circular (interpreter/vectorize import this module).
-    from repro.runtime import interpreter, memory, vectorize
-
     digest = hashlib.sha256()
-    for module in (interpreter, memory, vectorize):
-        digest.update(Path(module.__file__).read_bytes())
-    digest.update(Path(__file__).read_bytes())
+    for path in interpreter_sources():
+        digest.update(path.read_bytes())
     return digest.hexdigest()

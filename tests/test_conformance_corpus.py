@@ -78,7 +78,7 @@ def test_tiers_agree(path):
 
     The opt tier's whole-function compiler runs from each function's
     first call wherever it can; an unexpected fused-codegen or
-    vectorizer failure propagates as a hard error.
+    tier-2 codegen failure propagates as a hard error.
     Agreement covers outcomes *and* the reconstructed per-pc profile.
     """
     module = parse_wat(path.read_text())

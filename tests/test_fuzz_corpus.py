@@ -73,7 +73,7 @@ def test_seed_passes_full_oracle(case):
 def test_seed_tiers_agree(case):
     """Execution tiers agree on the case's module for every strategy.
 
-    An unexpected vectorizer failure on fuzzer-shaped programs is a
+    An unexpected tier-2 codegen failure on fuzzer-shaped programs is a
     hard error, and any divergence in value/loads/stores/pages is
     caught.
     """
@@ -142,7 +142,7 @@ def test_wat_regression_opt_strict(path):
     """Corpus replays under the optimizing tier against ``fused``.
 
     A tier-2 codegen failure propagates, so this catches both
-    vectorizer divergence and a compiler crash on every distilled
+    tier-2 divergence and a compiler crash on every distilled
     regression shape.
     """
     module = parse_wat(path.read_text())

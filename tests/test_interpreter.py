@@ -358,9 +358,10 @@ class TestGlobals:
 
 
 # ----------------------------------------------------------------------
-# Fused-code templates mirror the operator tables
+# Generated-code forms mirror the operator tables
 # ----------------------------------------------------------------------
 from repro.runtime import interpreter as _interp  # noqa: E402
+from repro.runtime import predecode  # noqa: E402
 from repro.wasm import opcodes  # noqa: E402
 
 _INT_BOUNDARIES = {
@@ -384,22 +385,87 @@ def _same(a, b):
     return a == b
 
 
-class TestInlineTemplates:
-    """Every inline template computes what its table function does."""
+def _form(gen, val, params):
+    """A function of ``params`` computing ``val``'s canonical value."""
+    return eval(f"lambda {params}: {gen.use(gen.canon(val))}", dict(gen.env))
 
-    @pytest.mark.parametrize("op", sorted(_interp._INLINE_BINOPS))
+
+class TestInlineTemplates:
+    """The form generated code takes for each non-trapping op, on
+    operands nothing is known of, computes what the op's table function
+    does on boundary operands."""
+
+    @pytest.mark.parametrize("op", sorted(predecode.NONTRAP_BINOPS))
     def test_binop_template(self, op):
-        fn = eval(
-            "lambda a, b: " + _interp._INLINE_BINOPS[op].format("a", "b")
-        )
+        gen = _interp._FunctionCompiler([], {}, None, None)
+        fn = _form(gen, gen.binop(op, _interp._Val("a", 0), _interp._Val("b", 0), 0), "a, b")
         table = _interp._BINOPS[op]
         for a in _operands(op):
             for b in _operands(op):
                 assert _same(fn(a, b), table(a, b)), (op, a, b)
 
-    @pytest.mark.parametrize("op", sorted(_interp._INLINE_UNOPS))
+    @pytest.mark.parametrize("op", sorted(predecode.NONTRAP_UNOPS))
     def test_unop_template(self, op):
-        fn = eval("lambda a: " + _interp._INLINE_UNOPS[op].format("a"))
+        gen = _interp._FunctionCompiler([], {}, None, None)
+        fn = _form(gen, gen.unop(op, _interp._Val("a", 0), 0), "a")
         table = _interp._UNOPS[op]
         for a in _operands(op):
             assert _same(fn(a), table(a)), (op, a)
+
+
+#: Intervals of i32 operands inside [0, 2**31), small to the limit.
+_INTERVALS = (
+    (0, 0), (0, 1), (1, 1), (3, 7), (0, 255), (255, 255), (4096, 65535),
+    (46340, 46341), (2**30, 2**30), (0, 2**31 - 1), (2**31 - 1, 2**31 - 1),
+)
+
+#: op -> whether its right operand must be a constant for the proof.
+_PROVEN_OPS = {
+    "i32.add": False, "i32.sub": False, "i32.mul": False,
+    "i32.lt_s": False, "i32.gt_s": False, "i32.le_s": False, "i32.ge_s": False,
+    "i32.shl": True, "i32.div_s": True, "i32.div_u": True,
+    "i32.rem_s": True, "i32.rem_u": True,
+}
+
+
+def _points(lo, hi):
+    return sorted({lo, hi, (lo + hi) // 2, min(lo + 1, hi), max(hi - 1, lo)})
+
+
+class TestProvenForms:
+    """Every form a tier-2 function unit emits for an op whose operands
+    carry intervals computes what the op's table function does on every
+    operand those intervals admit; where the proof holds, the form is a
+    plain Python operator with no wrap mask or sign flip, and its result
+    lies in the interval it claims."""
+
+    @pytest.mark.parametrize("op", sorted(_PROVEN_OPS))
+    def test_matches_table(self, op):
+        table = _interp._BINOPS[op]
+        unmasked = 0
+        for a_ival in _INTERVALS:
+            for b_ival in _INTERVALS:
+                gen = _interp._FunctionCompiler([], {}, None, None)
+                a = _interp._Val("a", 0, ival=a_ival)
+                if _PROVEN_OPS[op]:
+                    if b_ival[0] != b_ival[1]:
+                        continue
+                    b = gen.constant(b_ival[0], "i32")
+                    b_values = [b_ival[0]]
+                else:
+                    b = _interp._Val("b", 0, ival=b_ival)
+                    b_values = _points(*b_ival)
+                try:
+                    val = gen.binop(op, a, b, 0)
+                except _interp._Bailout:
+                    continue  # e.g. a divisor of 0: tier 2 refuses it
+                if val.ival is not None:
+                    assert "&" not in val.expr and "^" not in val.expr, (op, val.expr)
+                    unmasked += 1
+                fn = _form(gen, val, "a, b")
+                for x in _points(*a_ival):
+                    for y in b_values:
+                        assert fn(x, y) == table(x, y), (op, a_ival, b_ival, x, y)
+                        if val.ival is not None:
+                            assert val.ival[0] <= table(x, y) <= val.ival[1]
+        assert unmasked, f"{op}: no interval pair took the proven form"

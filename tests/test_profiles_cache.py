@@ -1,7 +1,11 @@
-"""Tests for the profile cache (memory + disk)."""
+"""Tests for the profile cache (memory + disk), the functions tier 2
+compiles while profiling, and the interpreter build digest."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,9 +17,17 @@ from repro.core.profiles import (
     module_digest,
     profile_for,
 )
+from repro.runtime.predecode import interpreter_sources
+from repro.workloads.base import instantiate
 
 #: The profiles committed with the repository.
 COMMITTED = Path(__file__).resolve().parents[1] / ".cache" / "profiles"
+
+#: size -> workload -> the functions tier 2 compiles while profiling it
+#: (absent: none); a function it newly takes is added here.
+TIER2_FUNCTIONS = json.loads(
+    (Path(__file__).parent / "tier2_functions.json").read_text()
+)
 
 
 @pytest.fixture(autouse=True)
@@ -121,15 +133,29 @@ class TestProfileCache:
         assert first.instr_counts == second.instr_counts
 
 
-def _assert_recomputes_equal(path):
+def _assert_recomputes_equal(path, monkeypatch):
+    """The profile recomputes equal, tier 2 compiling exactly the
+    recorded functions and deopting no call."""
     committed = _profile_from_json(json.loads(path.read_text()))
     workload, size = committed.workload, committed.size
     assert path.name == (
         f"{workload.replace('/', '_')}-{size}-"
         f"{module_digest(workload, size)[:16]}.json"
     ), "stale file: its module digest is not the workload's"
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(instantiate(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(profiles, "instantiate", recording)
     _, recomputed = profile_for(workload, size)
     assert recomputed == committed
+    [(interp, _env)] = made
+    compiled = {index for index, handler in interp._tier2.items() if handler}
+    assert sorted(compiled) == TIER2_FUNCTIONS[size].get(workload, [])
+    # A deopted call runs on tier 1, which builds the function's code.
+    assert not compiled & set(interp._code_cache)
 
 
 def _committed(size):
@@ -150,13 +176,49 @@ class TestCommittedProfiles:
     """
 
     @_committed("mini")
-    def test_mini_profile_recomputes_equal(self, path, isolated_cache):
-        _assert_recomputes_equal(path)
+    def test_mini_profile_recomputes_equal(self, path, isolated_cache, monkeypatch):
+        _assert_recomputes_equal(path, monkeypatch)
 
     @_committed("small")
-    def test_small_profile_recomputes_equal(self, path, isolated_cache):
-        _assert_recomputes_equal(path)
+    def test_small_profile_recomputes_equal(self, path, isolated_cache, monkeypatch):
+        _assert_recomputes_equal(path, monkeypatch)
+
+    def test_tier2_fixture_names_committed_workloads(self):
+        for size, functions in TIER2_FUNCTIONS.items():
+            named = {p.name.rsplit("-", 2)[0] for p in COMMITTED.glob(f"*-{size}-*.json")}
+            assert set(functions) <= named
 
     def test_committed_profiles_are_found(self):
         for size in ("mini", "small"):
             assert list(COMMITTED.glob(f"*-{size}-*.json"))
+
+
+#: Profiles one compute and one WASI workload with the profile cache
+#: off, then prints the file of every ``repro.runtime`` module loaded.
+_LOADED_RUNTIME = """
+import json, sys
+from repro.core import profiles
+profiles.set_cache_dir(None)
+profiles.profile_for("gemm", "mini")
+profiles.profile_for("wasi-grep", "mini")
+print(json.dumps(sorted(
+    module.__file__ for name, module in sys.modules.items()
+    if name == "repro.runtime" or name.startswith("repro.runtime.")
+)))
+"""
+
+
+class TestInterpreterDigest:
+    def test_every_loaded_runtime_module_is_hashed(self):
+        """A profiling run loads no ``repro.runtime`` module that the
+        interpreter build digest (in every measurement key) leaves out."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", _LOADED_RUNTIME],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        loaded = {Path(name).resolve() for name in json.loads(out)}
+        hashed = {path.resolve() for path in interpreter_sources()}
+        assert {"hostiface.py", "profile.py", "wasi.py"} <= {p.name for p in loaded}
+        assert loaded <= hashed

@@ -8,7 +8,9 @@ literal spells, the entry-guard deopt path, loop-nest handlers (traps
 mid-nest, branches across loops, if/else arms, each op's translation,
 locals written while their old value is still on the stack, the depth
 limit, and workload nests that run on one handler), f32
-overflow to infinity, the lazy tier-1 build, and that a codegen
+overflow to infinity, what tier 2 knows of a local (batched streams
+told apart by the local's version, constants held in locals), the
+lazy tier-1 build, and that a codegen
 failure in tier 2, a fused region or a loop handler propagates instead
 of falling back.
 """
@@ -116,13 +118,13 @@ class TestTierUpHeuristic:
 
     def test_each_function_compiles_once_at_its_first_call(self, monkeypatch):
         compiled = []
-        compile_function = vectorize.compile_function
+        gen_function = interpreter._gen_function
 
         def record(body, *args):
             compiled.append(body)
-            return compile_function(body, *args)
+            return gen_function(body, *args)
 
-        monkeypatch.setattr(vectorize, "compile_function", record)
+        monkeypatch.setattr(interpreter, "_gen_function", record)
         module = parse_wat(CALLS_WAT)
         interp = Interpreter(module)
         inc, run, _unused = (func.body for func in module.funcs)
@@ -214,7 +216,7 @@ def _fail_tier2_codegen(monkeypatch):
     def boom(*args):
         raise RuntimeError("injected tier-2 codegen failure")
 
-    monkeypatch.setattr(vectorize, "compile_function", boom)
+    monkeypatch.setattr(interpreter, "_gen_function", boom)
 
 
 def _fail_loop_codegen(monkeypatch):
@@ -1208,11 +1210,14 @@ class TestFloatConstantBits:
         interp = Interpreter(_const_fill_module(bits, trips), tier=tier)
         assert hex(interp.invoke("run")) == hex(bits)
         if tier == "opt":
-            # The handler holds the NumPy-batched loop and the scalar
-            # one; the trip count picks one of them at run time.
+            # A loop whose trip count can reach VEC_MIN holds the
+            # NumPy-batched loop and the scalar one, and the trip count
+            # picks one of them at run time; any other holds the scalar
+            # loop alone.
             handler = interp._tier2[0]
             assert handler is not None
-            assert "_np" in handler.__code__.co_varnames
+            batched = "_np" in handler.__code__.co_varnames
+            assert batched == (trips >= vectorize.VEC_MIN)
 
 
 # ----------------------------------------------------------------------
@@ -1282,6 +1287,170 @@ class TestF32Overflow:
     def test_loop_multiplies_up_to_infinity(self, tier):
         interp = Interpreter(parse_wat(F32_WAT), tier=tier)
         assert interp.invoke("steps") == 4  # 1e10 ** 4 > FLT_MAX
+
+
+# ----------------------------------------------------------------------
+# Tier 2's proofs: what it knows of a local's value
+# ----------------------------------------------------------------------
+#: ``run`` fills A (at 0) with i and B (at 4096) with 1000 + i, sets
+#: locals 2 and 3 to the two bases as ``{bases}`` computes them, then
+#: stores C[i] = [local 2 + 8i] + [local 3 + 8i] at 8192 for 32 i (a
+#: loop NumPy can batch) and returns C[31].
+_BASES_WAT = """
+(module
+  (memory 2)
+  (func (export "run") (param i32) (param i32) (result f64)
+    (local i32) (local i32) (local i32) (local i32)
+    block
+      loop
+        local.get 4
+        i32.const 32
+        i32.ge_s
+        br_if 1
+        local.get 4
+        i32.const 8
+        i32.mul
+        local.get 4
+        f64.convert_i32_s
+        f64.store
+        local.get 4
+        i32.const 8
+        i32.mul
+        local.get 4
+        f64.convert_i32_s
+        f64.const 1000
+        f64.add
+        f64.store offset=4096
+        local.get 4
+        i32.const 1
+        i32.add
+        local.set 4
+        br 0
+      end
+    end
+    {bases}
+    block
+      loop
+        local.get 5
+        i32.const 32
+        i32.ge_s
+        br_if 1
+        local.get 5
+        i32.const 8
+        i32.mul
+        local.get 2
+        local.get 5
+        i32.const 8
+        i32.mul
+        i32.add
+        f64.load
+        local.get 3
+        local.get 5
+        i32.const 8
+        i32.mul
+        i32.add
+        f64.load
+        f64.add
+        f64.store offset=8192
+        local.get 5
+        i32.const 1
+        i32.add
+        local.set 5
+        br 0
+      end
+    end
+    i32.const 8440
+    f64.load))
+"""
+
+#: Two ways to give locals 2 and 3 the bases 0 and 4096 (for params 1
+#: and 1) with nothing telling the two values apart but the locals.
+_BASES = {
+    # two selects whose intervals are the same
+    "select": """
+    i32.const 0
+    i32.const 4096
+    local.get 0
+    select
+    local.set 2
+    i32.const 4096
+    i32.const 0
+    local.get 1
+    select
+    local.set 3""",
+    # one cell loaded before and after a store to it
+    "reload": """
+    i32.const 16384
+    i32.load16_u
+    local.set 2
+    i32.const 16384
+    i32.const 4096
+    i32.store16
+    i32.const 16384
+    i32.load16_u
+    local.set 3""",
+}
+
+#: ``run`` divides, takes the remainder and shifts by locals set to
+#: constants, and loads from an address shifted by one.
+_CONST_LOCALS_WAT = """
+(module
+  (memory 1)
+  (func (export "run") (param i32) (result i32)
+    (local i32) (local i32)
+    i32.const 8
+    local.set 1
+    i32.const 3
+    local.set 2
+    i32.const 64
+    i32.const 77
+    i32.store
+    local.get 0
+    local.get 1
+    i32.div_u
+    local.get 2
+    i32.shl
+    local.get 0
+    local.get 1
+    i32.rem_s
+    i32.add
+    local.get 1
+    local.get 2
+    i32.shl
+    i32.load
+    i32.add))
+"""
+
+
+class TestTier2Locals:
+    @pytest.mark.parametrize("bases", sorted(_BASES))
+    def test_equal_looking_bases_stay_distinct(self, bases):
+        """Two locals that tier 2 knows no more of than their intervals
+        feed a NumPy-batched loop, which reads each through its own
+        stream: C[31] = A[31] + B[31]."""
+        module = parse_wat(_BASES_WAT.format(bases=_BASES[bases]))
+        validate_module(module)
+        for tier in TIERS:
+            interp = Interpreter(module, tier=tier)
+            assert interp.invoke("run", 1, 1) == 31.0 + 1031.0, tier
+        handler = interp._tier2[0]
+        assert handler is not None
+        assert "_np" in handler.__code__.co_varnames
+
+    def test_constant_divisor_and_shift_held_in_locals(self):
+        """A divisor or shift amount held in a local set to a constant
+        is as good as the constant: tier 2 takes the function."""
+        module = parse_wat(_CONST_LOCALS_WAT)
+        validate_module(module)
+        for arg in (0, 7, 8, 1000, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF):
+            results = {
+                tier: Interpreter(module, tier=tier).invoke("run", arg)
+                for tier in TIERS
+            }
+            assert len(set(results.values())) == 1, (arg, results)
+        interp = Interpreter(module, tier="opt")
+        interp.invoke("run", 5)
+        assert interp._tier2[0] is not None
 
 
 # ----------------------------------------------------------------------
