@@ -6,9 +6,12 @@ Measures the wall-clock cost of one ``bench`` invocation per workload
 
 * ``legacy`` — the pre-rewrite one-closure-per-op interpreter, kept
   verbatim as the honest baseline;
-* ``fused``  — the pre-decoded, superinstruction-fused fast path;
-* ``opt``    — fused dispatch plus the tier-2 whole-function compiler
-  (:mod:`repro.runtime.vectorize`) for hot functions.
+* ``fused``  — the pre-decoded, superinstruction-fused fast path, with
+  loop handlers running whole call-free loop nests;
+* ``opt``    — fused dispatch plus tier 2, which compiles each whole
+  call-free function in its shape at its first call
+  (``interpreter._gen_function``, NumPy batching from
+  :mod:`repro.runtime.vectorize`).
 
 Each timing takes ``--repeats`` (default 5) invocations on a
 pre-constructed interpreter, so module decode/validation/plan costs are

@@ -51,7 +51,11 @@ straight-line segment of the nest, computes values invariant over a
 loop once before that loop, and adds its counts, and the load and
 store totals they imply, in a ``finally``; a trap mid-nest leaves
 exactly the per-pc, load, store and page counts tier-1 dispatch
-leaves.
+leaves.  An innermost loop of a counted or search shape whose every
+access is a *stream* (an address affine in the loop variable) is
+*versioned*: one guard at loop entry checks every stream's first and
+last address, and behind it the loop runs with no bounds test, page
+touch or counter, its counts and pages added once after it.
 
 A tier-2 function, a function unit, is generated the same way, by
 :class:`_FunctionCompiler`, and also carries proofs: intervals and
@@ -1688,6 +1692,21 @@ def _gen_region(
 # dispatched after each loop it leaves.  Memory accesses are checked
 # against the memory's size inline and may trap.
 #
+# An innermost ``block`` + ``loop`` pair of a nest unit is *versioned*
+# (:meth:`_UnitCompiler.stream_plan`) when it has the shape of
+# :func:`_loop_shape`, a test of its variable against a bound it does
+# not change and a ``v += step; br 0`` tail, is straight-line between
+# them, holds no trapping op, and every access in
+# it is a *stream*: an address affine modulo 2**32 in the variable with
+# a constant stride.  One guard at loop entry computes each stream's
+# first and last address over the bound's whole trip range; when all
+# lie in memory, a Python loop runs with no bounds test, page touch,
+# address mask or counter, walking each stream with a pointer (an
+# index into a typed ``memoryview`` where every access is aligned),
+# and the variable's exit value gives the iterations, from which the
+# segment counts and the touched pages are added once.  Otherwise the
+# per-access loop runs, trap sites and all.
+#
 # A *function unit* is a tier-2 function (:func:`_gen_function`): a
 # whole call-free function whose every loop is *counted* and whose
 # every op provably cannot trap, so it carries proofs that a nest unit
@@ -1750,6 +1769,50 @@ class _Construct:
     #: the segment its ``end`` continues, when the code after it always
     #: runs with the code before it (a function unit's ``if``)
     resume: Optional[_Segment] = None
+    #: a versioned pair: its per-access loop is the guard's ``else`` arm
+    versioned: bool = False
+
+
+@dataclass(slots=True, eq=False)
+class _Pointer:
+    """One stream of a versioned loop: its address is ``aff`` modulo
+    2**32 plus ``offset`` at the first iteration and moves ``stride``
+    bytes per iteration; its accesses are up to ``size`` bytes wide,
+    made by the loop's test too when ``tested``, and share the struct
+    format ``fmt`` if it is not None.  ``base`` names the first address
+    and ``name`` the pointer: the address shifted right by ``shift``,
+    an index into the typed memoryview ``view`` if there is one."""
+
+    aff: dict
+    offset: int
+    stride: int
+    fmt: Optional[str]
+    size: int = 0
+    tested: bool = False
+    base: str = ""
+    name: str = ""
+    view: str = ""
+    shift: int = 0
+
+
+@dataclass(slots=True, eq=False)
+class _LoopShape:
+    """A ``block`` + ``loop`` pair of the counted or the search shape
+    (:func:`_loop_shape`): the variable ``var`` steps by ``step`` while
+    it is below the bound (above it, counting down), compared at
+    ``cmp`` with sign bit ``bias``; the loop leaves at the ``br_if`` at
+    ``exit``, and ``tail`` is its ``br 0``.  A versioned loop adds its
+    streams, ``at`` mapping each access pc to its stream."""
+
+    var: int
+    step: int
+    cmp: int
+    exit: int
+    tail: int
+    search: bool
+    bias: int
+    streams: List[_Pointer] = field(default_factory=list)
+    at: Dict[int, _Pointer] = field(default_factory=dict)
 
 
 @dataclass(slots=True, eq=False)
@@ -1849,6 +1912,107 @@ def _render_aff(aff: Dict[Optional[int], int]) -> str:
     return " + ".join(terms)
 
 
+def _wrap_aff(op: str, a: dict, b: dict) -> Optional[dict]:
+    """i32 ``op`` on affine forms modulo 2**32, or None when the result
+    is not affine."""
+    if op == "i32.shl":
+        b = {None: 1 << (b[None] & 31)} if len(b) == 1 else None
+    if op in ("i32.add", "i32.sub"):
+        out = _aff_sum(a, b, 1 if op == "i32.add" else -1)
+    else:
+        out = _aff_scale(a, b)
+    return None if out is None else {k: c & M32 for k, c in out.items() if k is None or c & M32}
+
+
+#: (values popped, values pushed) of each straight-line op.
+_EFFECTS = {
+    **dict.fromkeys(predecode.BINOP_NAMES, (2, 1)),
+    **dict.fromkeys(predecode.UNOP_NAMES | predecode.LOAD_NAMES | {"local.tee"}, (1, 1)),
+    **dict.fromkeys(predecode.STORE_NAMES, (2, 0)),
+    **dict.fromkeys(predecode.CONST_NAMES | {"local.get"}, (0, 1)),
+    "local.set": (1, 0), "drop": (1, 0), "select": (3, 1), "nop": (0, 0),
+}
+
+#: The ops a versioned loop holds besides its exit and its tail: no
+#: trapping op, construct or other branch.
+_STREAM_OPS = predecode.SAFE_OPS | predecode.LOAD_NAMES | predecode.STORE_NAMES | {"nop"}
+
+#: The pure ops a versioned loop's bound may use.
+_STREAM_BOUND_OPS = predecode.SAFE_OPS - {"local.set", "local.tee", "drop"}
+
+#: Struct formats a memoryview cast to their native format reads and
+#: writes alike.  Not ``<f``: it converts to and from doubles, where
+#: struct and memoryview need not treat a NaN's payload alike.
+_VIEWS = {
+    fmt: fmt[1:]
+    for fmt in {fmt for fmt, _ in (*_FAST_LOAD.values(), *_FAST_STORE.values())} - {"<f"}
+    if sys.byteorder == "little" and struct.calcsize(fmt[1:]) == struct.calcsize(fmt)
+}
+
+#: Compares that test a loop's variable against its bound: op -> (step
+#: sign, search shape, sign bit).  The counted shape leaves when the
+#: compare holds, the search shape goes on only while it does.
+_LOOP_TESTS = {
+    f"i32.{name}{sign}": (step, search, bias)
+    for sign, bias in (("_s", _I31), ("_u", 0))
+    for name, step, search in (
+        ("ge", 1, False), ("le", -1, False), ("lt", 1, True), ("gt", -1, True)
+    )
+}
+
+
+def _loop_shape(body: Sequence[Instr], matches, pc: int) -> Union[_LoopShape, str]:
+    """The shape of the ``block`` + ``loop`` pair at ``pc``, or why it
+    has none.
+
+    The shape is ``block; loop; local.get v; <bound>; <test>; br_if 1;
+    <body>; local.get v; i32.const step; i32.add; local.set v; br 0;
+    end; end``, neither construct with a result, its first ``br_if``
+    the exit.  The test is a compare of :data:`_LOOP_TESTS`, alone in
+    the *counted* shape, or ``<compare>; <D>; i32.and; i32.eqz`` in the
+    *search* shape, D leaving one value.  The step is nonzero, its sign
+    the compare's.
+    """
+    end, loop_pc = matches[pc][0], pc + 1
+    if body[pc].args[0] is not None:
+        return "block with a result type"
+    if loop_pc >= end or body[loop_pc].op != "loop" or body[loop_pc].args[0] is not None:
+        return "block without a loop of no result"
+    tail = matches[loop_pc][0] - 1
+    if tail != end - 2:
+        return "loop and block ends not adjacent"
+    exit_pc = next((p for p in range(loop_pc + 1, tail) if body[p].op == "br_if"), None)
+    if exit_pc is None or body[exit_pc].args[0] != 1:
+        return "loop without a br_if 1 exit"
+    head, steps = body[loop_pc + 1], body[tail - 4 : tail + 1]
+    if head.op != "local.get":
+        return "loop test does not start with local.get"
+    var = head.args[0]
+    if tail - 4 <= exit_pc or [ins.op for ins in steps] != [
+        "local.get", "i32.const", "i32.add", "local.set", "br"
+    ] or (steps[0].args[0], steps[3].args[0], steps[4].args[0]) != (var, var, 0):
+        return "unrecognised induction tail"
+    # The test's ops that pop v, or the value that took its place.
+    height, takes = 1, []
+    for p in range(loop_pc + 2, exit_pc):
+        pops, pushes = _EFFECTS.get(body[p].op, (None, None))
+        if pops is None:
+            return f"loop test uses {body[p].op}"
+        if height - pops < 1:
+            takes.append(p)
+        height += pushes - pops
+    sign, search, bias = _LOOP_TESTS.get(body[takes[0]].op if takes else "", (0, 0, 0))
+    shape = [takes[0], exit_pc - 2, exit_pc - 1] if search else [exit_pc - 1]
+    if not sign or takes != shape or search and (
+        [body[p].op for p in shape[1:]] != ["i32.and", "i32.eqz"]
+    ):
+        return "unsupported loop test"
+    step = s32(steps[1].args[0] & M32)
+    if step * sign <= 0:
+        return "loop step and test disagree"
+    return _LoopShape(var, step, takes[0], exit_pc, tail, search, bias)
+
+
 def _undo_after_trap(fix, counts, memory) -> None:
     """Take back what a segment counted past the op that trapped in it."""
     pcs, loads, stores = fix
@@ -1918,6 +2082,11 @@ class _UnitCompiler(_Codegen):
         #: trap sites: (pc, segment, units, loads, stores counted so far)
         self.sites: List[Tuple[int, _Segment, int, int, int]] = []
         self.accesses = False
+        #: while a versioned loop is emitted: access pc -> its stream
+        self.fast: Optional[Dict[int, _Pointer]] = None
+        #: the loop pcs of the versioned pairs, the typed views they read
+        self.versioned: List[int] = []
+        self.views: set = set()
 
     # -- output --------------------------------------------------------
     def push(self) -> None:
@@ -1963,18 +2132,27 @@ class _UnitCompiler(_Codegen):
             return self.use(self.combine(f"({{}} & {mask})", self.num(value)))
         return self.use(self.canon(value))
 
+    def named(self, addr: _Val, pc: int) -> _Val:
+        """``addr`` as a name: in a versioned loop, the stream pointer of
+        the access at ``pc``."""
+        if self.fast is not None:
+            return _Val(self.fast[pc].name, len(self.loops))
+        return self.name(addr)
+
     def load(self, ins: Instr, pc: int) -> None:
         """A load inlined against ``n``, counted by its segment."""
-        addr = self.name(self.address(self.take(), ins.args[1]))
+        addr = self.named(self.address(self.take(), ins.args[1]), pc)
         fmt, mask = _FAST_LOAD[ins.op]
         packer = struct.Struct(fmt)
         unpack = self.bind(packer.unpack_from)
         value = self.fresh()
         self.seg.loads += 1
         masked = f" & {mask}" if mask is not None else ""
+        view = self.fast[pc].view if self.fast is not None else ""
         self.access(
             addr, packer.size, pc,
-            f"{value} = {unpack}(data, {addr.expr})[0]{masked}",
+            f"{value} = {view}[{addr.expr}]{masked}" if view
+            else f"{value} = {unpack}(data, {addr.expr})[0]{masked}",
             f"{value} = _slow_load(mem, {addr.expr}, {packer.size}, {unpack}){masked}",
         )
         self.sym.append(_Val(value, len(self.loops)))
@@ -1982,24 +2160,29 @@ class _UnitCompiler(_Codegen):
     def store(self, ins: Instr, pc: int) -> None:
         """A store inlined like a load."""
         stored = self.stored(self.take(), ins.op)
-        addr = self.name(self.address(self.take(), ins.args[1]))
+        addr = self.named(self.address(self.take(), ins.args[1]), pc)
         packer = struct.Struct(_FAST_STORE[ins.op][0])
         pack = self.bind(packer.pack_into)
         self.seg.stores += 1
+        view = self.fast[pc].view if self.fast is not None else ""
         self.access(
             addr, packer.size, pc,
-            f"{pack}(data, {addr.expr}, {stored})",
+            f"{view}[{addr.expr}] = {stored}" if view else f"{pack}(data, {addr.expr}, {stored})",
             f"_slow_store(mem, {addr.expr}, {packer.size}, {pack}, {stored})",
         )
 
     def access(self, addr: _Val, size: int, pc: int, fast: str, slow: str) -> None:
         """``fast`` in bounds, after adding the access's 4 KiB pages to the
-        touched set; ``slow`` (the strategy's path) otherwise."""
+        touched set; ``slow`` (the strategy's path) otherwise.  A
+        versioned loop's guard has checked it: ``fast`` alone."""
         memory = self.memory
         self.accesses = True
         self.env.update(
             data=memory.data, mem=memory, _slow_load=_slow_load, _slow_store=_slow_store
         )
+        if self.fast is not None:
+            self.emit(fast)
+            return
         a = addr.expr
         self.emit(f"if {a} + {size} <= n:")
         if memory.track_pages:
@@ -2056,7 +2239,15 @@ class _UnitCompiler(_Codegen):
             self.count(pc)
         self.materialize()
         construct = _Construct("pair", self.matches[pc][0], len(self.sym))
-        self.open_while(construct, pc + 1, self.prologue if outer else None)
+        slot = self.prologue if outer else None
+        plan = self.stream_plan(pc)
+        if plan is not None:
+            if slot is None:
+                slot = _Slot(self.indent)
+                self.lines.append(slot)
+            self.versioned_loop(pc, plan, slot, outer)
+            construct.versioned = True
+        self.open_while(construct, pc + 1, slot)
         self.labels.append((construct, "return" if outer else "break"))
         self.labels.append((construct, "continue"))
         self.count(pc + 1)
@@ -2072,6 +2263,8 @@ class _UnitCompiler(_Codegen):
                 self.emit("break")
                 construct.exits = True
         self.close_while()
+        if construct.versioned:
+            self.indent -= 1
         self.loops.pop()
         del self.labels[-2:]
         self.constructs.pop()
@@ -2170,6 +2363,203 @@ class _UnitCompiler(_Codegen):
         for index in self.written:
             self.emit(f"L[{index}] = l{index}")
         self.emit(f"return {self.end + 1}")
+
+    # -- versioned loops -------------------------------------------------
+    def stream_plan(self, pc: int) -> Optional[_LoopShape]:
+        """The shape of the pair at ``pc``, its streams filled in, if it
+        is a loop a nest unit versions; None otherwise.
+
+        That is a pair of the counted or the search shape
+        (:func:`_loop_shape`) that holds no trapping op, construct or
+        other branch, whose bound is pure and reads no local the loop
+        writes, and whose every access is a *stream*: its address is
+        affine modulo 2**32 in ``v`` over locals the loop does not
+        write, locals written with such values in the same iteration
+        included.  The search shape's D, loads included, runs on every
+        test.
+        """
+        plan = _loop_shape(self.body, self.matches, pc)
+        if isinstance(plan, str):
+            return None
+        body, var, writes = self.body, plan.var, self.writes[pc + 1]
+        # Only the exit lies outside _STREAM_OPS.
+        if sum(ins.op not in _STREAM_OPS for ins in body[pc + 3 : plan.tail - 4]) != 1:
+            return None
+        stack: List[Optional[dict]] = [{None: 0, var: 1}]
+        known: Dict[int, Optional[dict]] = {}  # locals written so far
+        keys: Dict[tuple, _Pointer] = {}
+        for p in range(pc + 3, plan.tail - 4):
+            ins = body[p]
+            op = ins.op
+            if p == plan.exit:
+                stack.pop()
+                continue
+            if op in ("local.set", "local.tee") and ins.args[0] == var:
+                return None
+            if p < plan.cmp and (
+                op not in _STREAM_BOUND_OPS or (op == "local.get" and ins.args[0] in writes)
+            ):
+                return None
+            pops, pushes = _EFFECTS[op]
+            args = stack[len(stack) - pops :]
+            del stack[len(stack) - pops :]
+            out = None
+            if op == "i32.const":
+                out = {None: ins.args[0] & M32}
+            elif op == "local.get":
+                j = ins.args[0]
+                out = known.get(j) if j in writes and j != var else {None: 0, j: 1}
+            elif op in ("local.set", "local.tee"):
+                known[ins.args[0]] = out = args[0]
+            elif op in ("i32.add", "i32.sub", "i32.mul", "i32.shl"):
+                if None not in args:
+                    out = _wrap_aff(op, *args)
+            elif op in predecode.LOAD_NAMES or op in predecode.STORE_NAMES:
+                aff, off = args[0], ins.args[1]
+                if aff is None:
+                    return None
+                fmt = (_FAST_LOAD.get(op) or _FAST_STORE[op])[0]
+                key = (frozenset(aff.items()), off)
+                if key not in keys:
+                    stride = s32((aff.get(var, 0) * plan.step) & M32)
+                    keys[key] = _Pointer(aff, off, stride, fmt)
+                    plan.streams.append(keys[key])
+                stream = plan.at[p] = keys[key]
+                stream.size = max(stream.size, struct.calcsize(fmt))
+                stream.tested = stream.tested or p < plan.exit
+                if stream.fmt != fmt:
+                    stream.fmt = None
+            if pushes:
+                stack.append(out)
+        return plan if plan.streams else None
+
+    def versioned_loop(self, pc: int, plan: _LoopShape, slot: _Slot, outer: bool) -> None:
+        """Emit the guard of the pair at ``pc`` and, behind it, the loop
+        without bounds tests, page touches, address masks or counters,
+        whose counts and pages are added once after it; leave the
+        guard's ``else:`` open for the per-access loop.
+
+        With ``m`` the iterations the test allows, the test runs at most
+        ``m + 1`` times and the body ``m``.  The guard requires each
+        stream's first and last address over that range in ``[0, n)``,
+        measured from the unwrapped base, and the variable not to wrap:
+        then every address in between steps exactly by its stride.  A
+        stream whose accesses share one format, every address aligned
+        to its width, is read through a typed memoryview.
+        """
+        body, lv, step, bias = self.body, f"l{plan.var}", plan.step, plan.bias
+        w, m, k = self.fresh(), self.fresh(), self.fresh()
+        for stream in plan.streams:
+            stream.base = self.fresh()
+            align = min((c & -c for c in (*stream.aff.values(), stream.offset) if c), default=1 << 32)
+            if stream.fmt in _VIEWS and align >= stream.size:
+                stream.view = f"_v{_VIEWS[stream.fmt]}"
+                stream.shift = stream.size.bit_length() - 1
+                self.views.add(stream.view)
+            stream.name = self.fresh() if stream.stride or stream.view else stream.base
+        mark, first, height = len(self.lines), len(self.segments), len(self.sym)
+        self.loops.append((self.writes[pc + 1], slot))
+        self.fast = plan.at
+        self.indent += 2
+        self.seg = None
+        self.count(pc + 1)
+        for p in range(pc + 2, plan.tail):
+            if p == plan.cmp:
+                bound = self.use(
+                    self.biased(self.sym[-1], bias) if bias else self.canon(self.sym[-1])
+                )
+            self.count(p)
+            if p == plan.exit:
+                self.emit(f"if {self.truth(self.take())}:")
+                self.emit("break", 1)
+                self.seg = None
+            elif body[p].op != "nop":
+                self.translate(body[p], p)
+        self.count(plan.tail)
+        for stream in plan.streams:
+            if stream.stride:
+                self.emit(f"{stream.name} += {stream.stride >> stream.shift}")
+        self.indent -= 2
+        self.fast = None
+        self.loops.pop()
+        del self.sym[height:]
+        loop = [item for item in self.lines[mark:] if not isinstance(item[1], _Segment)]
+        del self.lines[mark:]
+
+        self.emit(f"{w} = {lv} ^ {bias}")
+        ahead = f"{bound} - {w}" if step > 0 else f"{w} - {bound}"
+        self.emit(f"{m} = {ahead}" if abs(step) == 1 else f"{m} = ({ahead} + {abs(step) - 1}) // {abs(step)}")
+        self.emit(f"if {m} < 0:")
+        self.emit(f"{m} = 0", 1)
+        conds = [f"0 <= {w} + {m} * {step} < {1 << 32}"] if abs(step) > 1 else []
+        for stream in plan.streams:
+            base, stride = stream.base, stream.stride
+            self.emit(f"{base} = {self.stream_base(stream.aff, stream.offset)}")
+            # The body's last access is a step before the test's.
+            last = f"{base} + {m} * {stride}" if stream.tested else f"{base} + ({m} - 1) * {stride}"
+            conds.append(f"{last if stride > 0 else base} + {stream.size} <= n")
+            if stride < 0:
+                conds.append(f"{last} >= {stream.offset}")
+        self.emit(f"if {' and '.join(conds)}:")
+        self.indent += 1
+        for stream in plan.streams:
+            if stream.name != stream.base:
+                self.emit(f"{stream.name} = {stream.base}" + (f" >> {stream.shift}" if stream.shift else ""))
+        self.emit("while True:")
+        self.lines += loop
+        done = f"({lv} ^ {bias}) - {w}" if step > 0 else f"{w} - ({lv} ^ {bias})"
+        self.emit(f"{k} = {done}" if abs(step) == 1 else f"{k} = ({done}) // {abs(step)}")
+        for seg in self.segments[first:]:
+            seg.bump = k
+            self.lines.append((self.indent, seg))
+        self.segments[first].bump = f"{k} + 1"
+        if self.memory.track_pages:
+            self.env["pages"] = self.memory.touched_pages
+            # A pointer ends at the test's last address, a step past the
+            # body's, which ran only if the loop did.
+            for stream in plan.streams:
+                last = stream.name if stream.tested else f"({stream.name} - {stream.stride >> stream.shift})"
+                if not stream.tested:
+                    self.emit(f"if {k}:")
+                last = f"({last} << {stream.shift})" if stream.shift else last
+                self.stream_pages(stream.base, last, stream.stride, stream.size, not stream.tested)
+        if outer:
+            self.leave()
+        self.indent -= 1
+        self.emit("else:")
+        self.indent += 1
+        self.versioned.append(pc + 1)
+
+    def stream_base(self, aff: dict, offset: int) -> str:
+        """The address ``(aff mod 2**32) + offset`` at loop entry, each
+        partial sum computed before the loops it is invariant over."""
+        val = self.constant(aff[None], "i32")
+        terms = [(self.local(j), c) for j, c in aff.items() if j is not None]
+        for term, c in sorted(terms, key=lambda t: t[0].level):
+            if c != 1:
+                term = self.combine(f"({{}} * {s32(c)})", term)
+            val = self.combine("({} + {})", val, term)
+        if len(aff) > 1:
+            val = self.combine(f"({{}} & {M32})", val)
+        if offset:
+            val = self.combine(f"({{}} + {offset})", val)
+        return self.use(val)
+
+    def stream_pages(
+        self, first: str, last: str, stride: int, size: int, extra: int = 0
+    ) -> None:
+        """Add every page of the ``size``-byte accesses ``stride`` apart
+        from the address ``first`` to the address ``last``."""
+        end = size - 1
+        if abs(stride) <= 4096:
+            # Consecutive accesses land on the same or adjacent pages,
+            # so the union of their pages is the span first..last.
+            low, high = (first, last) if stride > 0 else (last, first) if stride else (first, first)
+            self.emit(f"pages.update(range({low} >> 12, (({high} + {end}) >> 12) + 1))", extra)
+        else:
+            a = self.fresh()
+            self.emit(f"for {a} in range({first}, {last} + {stride}, {stride}):", extra)
+            self.emit(f"pages.update(range({a} >> 12, (({a} + {end}) >> 12) + 1))", extra + 1)
 
     def walk(self) -> None:
         body, matches = self.body, self.matches
@@ -2276,6 +2666,8 @@ class _UnitCompiler(_Codegen):
         if self.accesses:
             # No call or memory.grow in a nest: the size cannot change.
             prologue.append("n = len(data)")
+        views = sorted(self.views)
+        prologue += [f'{view} = memoryview(data).cast("{view[2:]}")' for view in views]
         if marked:
             prologue.append("at = 0")
         if self.go_targets:
@@ -2289,6 +2681,8 @@ class _UnitCompiler(_Codegen):
                 f"counts[{pc}] += c{seg.index}" for seg in live for pc in seg.units
             ]
         flush += self.totals(live)
+        # A view left alive would keep memory.grow from resizing ``data``.
+        flush += [f"{view}.release()" for view in views]
         if flush:
             lines = ["try:"] + ["    " + line for line in body]
             if marked:
@@ -2305,9 +2699,11 @@ class _UnitCompiler(_Codegen):
             lines += ["finally:"] + ["    " + line for line in flush]
         else:
             lines = body
-        return _build(
+        handler = _build(
             "_nest", self.env, prologue + lines, f"<nest:{self.head}..{self.end}>"
         )
+        handler.versioned = tuple(self.versioned)
+        return handler
 
 
 class _FunctionCompiler(_UnitCompiler):
@@ -2544,7 +2940,7 @@ class _FunctionCompiler(_UnitCompiler):
             aff = dict(addr.aff)
             aff[None] = aff.get(None, 0) + offset
             loop.streams.append(_Stream(
-                kind, op, aff.get(loop.var, 0), size, _render_aff(aff),
+                kind, op, aff.get(loop.var, 0) * loop.step, size, _render_aff(aff),
                 (addr.node, offset),
             ))
             return self.use(self.address(addr, offset)), len(loop.streams) - 1
@@ -2615,46 +3011,22 @@ class _FunctionCompiler(_UnitCompiler):
         """Translate the counted loop whose ``block`` is at ``pc``; return
         the pc after it.
 
-        The shape is ``block; loop; local.get v; <bound>; i32.ge_s``
-        (``i32.le_s`` counting down) ``; br_if 1; <body>; local.get v;
-        i32.const step; i32.add; local.set v; br 0; end; end`` with a
+        The loop is a pair of the counted shape (:func:`_loop_shape`)
+        with a signed test, ``v >= bound`` (``<=`` counting down), and a
         bound the body does not change.  The block and the failing test
         run once per entry; the test and the tail once per iteration
         too; the two ``end``s never run.
         """
-        body, matches = self.body, self.matches
+        body = self.body
         if self.sym:
             raise _Bailout("loop entered with values on the stack")
-        end = matches[pc][0]
-        loop_pc = pc + 1
-        if body[pc].args[0] is not None:
-            raise _Bailout("block with a result type")
-        if loop_pc >= end or body[loop_pc].op != "loop" or body[loop_pc].args[0] is not None:
-            raise _Bailout("block without a loop of no result")
-        tail = matches[loop_pc][0]
-        if tail != end - 1:
-            raise _Bailout("loop and block ends not adjacent")
-        exit_pc = next(
-            (p for p in range(loop_pc + 1, tail) if body[p].op == "br_if"), None
-        )
-        if exit_pc is None or body[exit_pc].args[0] != 1:
-            raise _Bailout("loop without a br_if 1 exit")
-        if body[loop_pc + 1].op != "local.get":
-            raise _Bailout("loop test does not start with local.get")
-        var = body[loop_pc + 1].args[0]
-        compare = body[exit_pc - 1].op
-        if compare not in ("i32.ge_s", "i32.le_s"):
-            raise _Bailout(f"unsupported loop test {compare}")
-        step_pc = tail - 5
-        step_ops = [(ins.op, ins.args[0] if ins.args else None) for ins in body[step_pc:tail]]
-        if step_pc <= exit_pc or [op for op, _ in step_ops] != [
-            "local.get", "i32.const", "i32.add", "local.set", "br"
-        ] or (step_ops[0][1], step_ops[3][1], step_ops[4][1]) != (var, var, 0):
-            raise _Bailout("unrecognised induction tail")
-        step = step_ops[1][1] & M32
-        step = step - (1 << 32) if step >= _I31 else step
-        if step == 0 or (step > 0) != (compare == "i32.ge_s"):
-            raise _Bailout("loop step and test disagree")
+        shape = _loop_shape(body, self.matches, pc)
+        if isinstance(shape, str):
+            raise _Bailout(shape)
+        if shape.search or not shape.bias:
+            raise _Bailout(f"unsupported loop test {body[shape.cmp].op}")
+        var, step, exit_pc, loop_pc = shape.var, shape.step, shape.exit, pc + 1
+        step_pc, tail, end = shape.tail - 4, shape.tail + 1, shape.tail + 2
         start = self.known[var][0]
         if start is None:
             raise _Bailout("loop start interval unknown")
@@ -2772,30 +3144,15 @@ class _FunctionCompiler(_UnitCompiler):
             self.env["pages"] = self.memory.touched_pages
             spans = {(st.name, st.stride, st.size): st for st in loop.streams}
             for stream in spans.values():
-                self.stream_pages(stream, trips)
+                name, stride = stream.name, stream.stride
+                last = f"{name} + ({trips} - 1) * {stride}"
+                self.stream_pages(name, last, stride, stream.size)
         self.pop()
 
         self.invalidate(assigned | {var})
         self.known[var] = (after, None, ("local", var, self.versions[var]))
         self.seg = resume
         return end + 1
-
-    def stream_pages(self, stream: _Stream, trips: str) -> None:
-        """Add every page a stream touched over ``trips`` iterations."""
-        name, stride, last = stream.name, stream.stride, stream.size - 1
-        if stride == 0:
-            self.emit(f"pages.update(range({name} >> 12, (({name} + {last}) >> 12) + 1))")
-        elif 0 < stride <= 4096:
-            # Consecutive accesses land on the same or adjacent pages,
-            # so the union of their pages is the span first..last.
-            self.emit(
-                f"pages.update(range({name} >> 12, "
-                f"(({name} + ({trips} - 1) * {stride} + {last}) >> 12) + 1))"
-            )
-        else:
-            a = self.fresh()
-            self.emit(f"for {a} in range({name}, {name} + {trips} * {stride}, {stride}):")
-            self.emit(f"pages.update(range({a} >> 12, (({a} + {last}) >> 12) + 1))", 1)
 
     # -- assembly ----------------------------------------------------------
     def handler(self, n_results: int) -> Callable:

@@ -1,5 +1,6 @@
 """Tests for the profile cache (memory + disk), the functions tier 2
-compiles while profiling, and the interpreter build digest."""
+compiles and the loops tier 1 versions while profiling, and the
+interpreter build digest."""
 
 import dataclasses
 import json
@@ -27,6 +28,12 @@ COMMITTED = Path(__file__).resolve().parents[1] / ".cache" / "profiles"
 #: (absent: none); a function it newly takes is added here.
 TIER2_FUNCTIONS = json.loads(
     (Path(__file__).parent / "tier2_functions.json").read_text()
+)
+
+#: size -> workload -> the [function, loop pc] of every loop that a loop
+#: handler versions while profiling it (absent: none).
+VERSIONED_LOOPS = json.loads(
+    (Path(__file__).parent / "versioned_loops.json").read_text()
 )
 
 
@@ -135,7 +142,8 @@ class TestProfileCache:
 
 def _assert_recomputes_equal(path, monkeypatch):
     """The profile recomputes equal, tier 2 compiling exactly the
-    recorded functions and deopting no call."""
+    recorded functions and deopting no call, and loop handlers
+    versioning exactly the recorded loops."""
     committed = _profile_from_json(json.loads(path.read_text()))
     workload, size = committed.workload, committed.size
     assert path.name == (
@@ -156,6 +164,13 @@ def _assert_recomputes_equal(path, monkeypatch):
     assert sorted(compiled) == TIER2_FUNCTIONS[size].get(workload, [])
     # A deopted call runs on tier 1, which builds the function's code.
     assert not compiled & set(interp._code_cache)
+    versioned = sorted(
+        [index, pc]
+        for index, code in interp._code_cache.items()
+        for handler in code
+        for pc in getattr(handler, "versioned", ())
+    )
+    assert versioned == VERSIONED_LOOPS[size].get(workload, [])
 
 
 def _committed(size):
@@ -184,9 +199,10 @@ class TestCommittedProfiles:
         _assert_recomputes_equal(path, monkeypatch)
 
     def test_tier2_fixture_names_committed_workloads(self):
-        for size, functions in TIER2_FUNCTIONS.items():
-            named = {p.name.rsplit("-", 2)[0] for p in COMMITTED.glob(f"*-{size}-*.json")}
-            assert set(functions) <= named
+        for fixture in (TIER2_FUNCTIONS, VERSIONED_LOOPS):
+            for size, entries in fixture.items():
+                named = {p.name.rsplit("-", 2)[0] for p in COMMITTED.glob(f"*-{size}-*.json")}
+                assert set(entries) <= named
 
     def test_committed_profiles_are_found(self):
         for size in ("mini", "small"):

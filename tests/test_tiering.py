@@ -7,8 +7,9 @@ every registered workload and on float constants whose bits no
 literal spells, the entry-guard deopt path, loop-nest handlers (traps
 mid-nest, branches across loops, if/else arms, each op's translation,
 locals written while their old value is still on the stack, the depth
-limit, and workload nests that run on one handler), f32
-overflow to infinity, what tier 2 knows of a local (batched streams
+limit, and workload nests that run on one handler), versioned inner
+loops (both sides of their guard, shapes, strides, wraps, zero steps),
+f32 overflow to infinity, what tier 2 knows of a local (batched streams
 told apart by the local's version, constants held in locals), the
 lazy tier-1 build, and that a codegen
 failure in tier 2, a fused region or a loop handler propagates instead
@@ -1451,6 +1452,324 @@ class TestTier2Locals:
         interp = Interpreter(module, tier="opt")
         interp.invoke("run", 5)
         assert interp._tier2[0] is not None
+
+
+# ----------------------------------------------------------------------
+# Versioned loops: one guard per entry, counts and pages added in bulk
+# ----------------------------------------------------------------------
+#: ``run(a, b, v, bound, mismatch)`` stores 1 at mem[a + 4*mismatch],
+#: then steps v by {step} while ``v {cmp} bound`` and mem[a + 4*v]
+#: equals mem[b + 4*v] (the search shape: both loads run on every test)
+#: and returns where it stopped.
+SEARCH_WAT = """
+(module
+  (memory 2)
+  (func (export "run") (param i32 i32 i32 i32 i32) (result i32)
+    local.get 0
+    local.get 4
+    i32.const 4
+    i32.mul
+    i32.add
+    i32.const 1
+    i32.store
+    block
+      loop
+        local.get 2
+        local.get 3
+        i32.{cmp}
+        local.get 0
+        local.get 2
+        i32.const 4
+        i32.mul
+        i32.add
+        i32.load
+        local.get 1
+        local.get 2
+        i32.const 4
+        i32.mul
+        i32.add
+        i32.load
+        i32.eq
+        i32.and
+        i32.eqz
+        br_if 1
+        local.get 2
+        i32.const {step}
+        i32.add
+        local.set 2
+        br 0
+      end
+    end
+    local.get 2))
+"""
+
+#: ``run(base, k)`` for v from 0 by {step} until ``v {cmp} k`` (the
+#: counted shape) adds the i32 at 4*base + {stride}*v + {off} to a sum,
+#: stores sum + v + 1 4 bytes further on (with stride 4 and step 1,
+#: where the next iteration loads) and returns the sum; the address
+#: goes through a local set in the body.  With ``off`` 0 every address
+#: is a multiple of 4.
+STRIDE_WAT = """
+(module
+  (memory 4)
+  (func (export "run") (param i32 i32) (result i32)
+    (local i32 i32 i32)
+    block
+      loop
+        local.get 2
+        local.get 1
+        i32.{cmp}
+        br_if 1
+        local.get 0
+        i32.const 4
+        i32.mul
+        local.get 2
+        i32.const {stride}
+        i32.mul
+        i32.add
+        local.set 4
+        local.get 3
+        local.get 4
+        i32.load offset={off}
+        i32.add
+        local.set 3
+        local.get 4
+        local.get 3
+        local.get 2
+        i32.add
+        i32.const 1
+        i32.add
+        i32.store offset={store_off}
+        local.get 2
+        i32.const {step}
+        i32.add
+        local.set 2
+        br 0
+      end
+    end
+    local.get 3))
+"""
+
+
+def _stride_wat(stride, off, cmp="ge_s", step=1):
+    return STRIDE_WAT.format(stride=stride, off=off, store_off=off + 4, cmp=cmp, step=step)
+
+
+def _search_wat(step=1, cmp="lt_s"):
+    return SEARCH_WAT.format(step=step, cmp=cmp)
+
+
+#: STRIDE_WAT's base (in words) whose stream leaves its four pages
+#: mid-loop: at offset 2 the store leaves at v == 2, the load at v == 3.
+_EDGE = 65536 - 4
+
+
+def _versioned_loops(interp):
+    return {
+        (func_index, pc)
+        for func_index, code in interp._code_cache.items()
+        for handler in code
+        for pc in getattr(handler, "versioned", ())
+    }
+
+
+def _assert_versioned_matches_legacy(wat, strategy, *args):
+    """The loop's legacy outcome, after checking that the loop handler
+    versions its one loop and leaves legacy's observables."""
+    reference, _ = _loop_observables(wat, strategy, "legacy", *args)
+    observed, interp = _loop_observables(wat, strategy, "fused", *args)
+    for key, value in reference.items():
+        assert observed[key] == value, f"{key} differs"
+    body = interp.module.funcs[0].body
+    assert _versioned_loops(interp) == {
+        (0, next(pc for pc, ins in enumerate(body) if ins.op == "loop"))
+    }
+    return reference["outcome"]
+
+
+def _deep_stream_module(depth):
+    """``_deep_nest_module``'s nest with an innermost pair that sums
+    mem[4*v] for v in 0..3: a versioned loop ``depth`` labels deep."""
+    mb = ModuleBuilder()
+    mb.add_memory(1)
+    fb = mb.func("run", results=(ValType.I32,), export=True)
+    acc, var = fb.add_local(ValType.I32), fb.add_local(ValType.I32)
+    trips = [fb.add_local(ValType.I32) for _ in range(depth)]
+
+    def nest(level):
+        if level == depth - 2:
+            fb.emit("i32.const", 0).emit("local.set", var)
+            with fb.block() as done:
+                with fb.loop() as again:
+                    fb.emit("local.get", var).emit("i32.const", 4).emit("i32.ge_s")
+                    fb.br_if(done)
+                    fb.emit("local.get", acc).emit("local.get", var)
+                    fb.emit("i32.const", 4).emit("i32.mul").emit("i32.load", 2, 0)
+                    fb.emit("i32.add").emit("i32.const", 1).emit("i32.add")
+                    fb.emit("local.set", acc)
+                    fb.emit("local.get", var).emit("i32.const", 1).emit("i32.add")
+                    fb.emit("local.set", var)
+                    fb.br(again)
+            return
+        if level % 2:
+            with fb.block() as label:
+                fb.emit("local.get", acc).emit("i32.const", 1).emit("i32.and")
+                fb.br_if(label)
+                nest(level + 1)
+            return
+        fb.emit("i32.const", 0).emit("local.set", trips[level])
+        with fb.loop() as label:
+            nest(level + 1)
+            fb.emit("local.get", trips[level]).emit("i32.const", 1).emit("i32.add")
+            fb.emit("local.tee", trips[level]).emit("i32.const", 2).emit("i32.lt_u")
+            fb.br_if(label)
+
+    with fb.block() as done:
+        with fb.loop() as again:
+            fb.emit("local.get", trips[0]).emit("i32.const", 2).emit("i32.ge_u")
+            fb.br_if(done)
+            fb.emit("local.get", trips[0]).emit("i32.const", 1).emit("i32.add")
+            fb.emit("local.set", trips[0])
+            nest(2)
+            fb.br(again)
+    fb.emit("local.get", acc)
+    module = decode_module(encode_module(mb.build()))
+    validate_module(module)
+    return module
+
+
+class TestVersionedLoops:
+    """A versioned loop leaves ``legacy``'s observables whichever way
+    its guard goes: outcome, per-pc counts, load and store totals and
+    touched pages."""
+
+    @pytest.mark.parametrize("strategy", ["trap", "clamp", "none"])
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("off", [0, 2])
+    def test_stream_leaving_memory_mid_loop(self, strategy, k, off):
+        # The guard fails and the per-access loop traps or takes the
+        # strategy's path at the same pc and iteration as dispatch does.
+        outcome = _assert_versioned_matches_legacy(_stride_wat(4, off), strategy, _EDGE, k)
+        if strategy == "trap" and k == 5:
+            assert outcome == ("trap", "out-of-bounds-memory")
+
+    @pytest.mark.parametrize("v,bound", [(7, 7), (9, 3), (-4, -4)])
+    def test_zero_trip_search_loads_once(self, v, bound):
+        observed, _ = _loop_observables(_search_wat(), "trap", "fused", 64, 4096, v, bound, 0)
+        assert observed["outcome"] == ("value", v & 0xFFFFFFFF)
+        assert observed["loads"] == 2
+        _assert_versioned_matches_legacy(_search_wat(), "trap", 64, 4096, v, bound, 0)
+
+    @pytest.mark.parametrize("mismatch,expected", [(0, 0), (5, 5), (40, 20)])
+    def test_search_exits_first_midway_and_at_bound(self, mismatch, expected):
+        outcome = _assert_versioned_matches_legacy(
+            _search_wat(), "trap", 4064, 8100, 0, 20, mismatch
+        )
+        assert outcome == ("value", expected)
+
+    @pytest.mark.parametrize("stride", [0, -4, -4100, 4, 8192, 4100])
+    @pytest.mark.parametrize("k", [0, 1, 9])
+    @pytest.mark.parametrize("off", [0, 2])
+    def test_strides(self, stride, k, off):
+        # Offset 0 reads through a typed view; offset 2 unpacks, and
+        # from base 4094 its accesses cross a page.
+        base = 3 * 16384 if stride < 0 else 1023
+        outcome = _assert_versioned_matches_legacy(_stride_wat(stride, off), "trap", base, k)
+        assert outcome[0] == "value"
+
+    @pytest.mark.parametrize("strategy", ["trap", "clamp", "none"])
+    def test_address_wrapping_at_4gib_falls_back(self, strategy):
+        # 4*base + -4*v starts at 8: from v == 3 on it wraps to just
+        # below 4 GiB, which only the per-access loop computes.
+        _assert_versioned_matches_legacy(_stride_wat(-4, 0), strategy, 2, 6)
+
+    def test_loop_variable_wrapping_falls_back(self):
+        # v steps by 3 from 2**31 - 6 past 2**31 - 1, wraps to a negative
+        # value still below the bound and goes on to the mismatch; its
+        # addresses stay in bounds, so only the wrap check sends it to
+        # the per-access loop.
+        wat = _search_wat(step=3)
+        outcome = _assert_versioned_matches_legacy(
+            wat, "trap", 64, 4160, 2**31 - 6, 2**31 - 1, 2**31 + 3
+        )
+        assert outcome == ("value", 2**31 + 3)
+
+    @pytest.mark.parametrize("tier", ["fused", "opt"])
+    @pytest.mark.parametrize("wat,args", [
+        # A counted loop whose test holds at once: it never steps.
+        (_stride_wat(4, 0, cmp="le_s", step=0), (100, 3)),
+        # A search loop left through D at its first test.
+        (_search_wat(step=0, cmp="gt_s"), (64, 4096, 5, 0, 5)),
+    ], ids=["counted", "search"])
+    def test_step_zero_is_not_versioned(self, tier, wat, args):
+        # A zero step agrees with no test, so the loop keeps its
+        # per-access code and leaves as dispatch does.
+        reference, _ = _loop_observables(wat, "trap", "legacy", *args)
+        observed, interp = _loop_observables(wat, "trap", tier, *args)
+        assert observed == reference
+        assert reference["outcome"] == ("value", 0 if len(args) == 2 else 5)
+        assert _loop_handlers(interp) and not _versioned_loops(interp)
+
+    def test_versioned_loop_at_depth_limit_compiles(self):
+        module = _deep_stream_module(predecode.MAX_NEST_DEPTH)
+        observed = {}
+        for tier in ("legacy", "fused"):
+            interp = Interpreter(module, tier=tier)
+            out = interp.invoke("run")
+            profile = interp.take_profile("x", "y")
+            memory = interp.memory
+            observed[tier] = (
+                out, profile.instr_counts, memory.load_count,
+                sorted(memory.touched_pages),
+            )
+        assert observed["fused"] == observed["legacy"]
+        assert (0, 0) in _loop_handlers(interp)
+        assert len(_versioned_loops(interp)) == 1
+
+
+#: ``run`` stores v to mem[{mul}*v] for v from {start} while ``v {cmp}
+#: {bound}`` is false, stepping by {step}: a tier-2 counted loop.
+STEP_WAT = """
+(module
+  (memory 4)
+  (func (export "run") (result i32)
+    (local i32)
+    i32.const {start}
+    local.set 0
+    block
+      loop
+        local.get 0
+        i32.const {bound}
+        i32.{cmp}
+        br_if 1
+        local.get 0
+        i32.const {mul}
+        i32.mul
+        local.get 0
+        i32.store
+        local.get 0
+        i32.const {step}
+        i32.add
+        local.set 0
+        br 0
+      end
+    end
+    local.get 0))
+"""
+
+
+@pytest.mark.parametrize("start,cmp,bound,step", [
+    (40, "le_s", 0, -1), (0, "ge_s", 40, 2), (0, "ge_s", 40, 3),
+])
+@pytest.mark.parametrize("mul", [4, 1024, 4096])
+def test_tier2_stream_pages_follow_the_loop_step(start, cmp, bound, step, mul):
+    # A stream's pages span its per-iteration stride, coefficient times
+    # step, not its coefficient alone.
+    wat = STEP_WAT.format(start=start, cmp=cmp, bound=bound, step=step, mul=mul)
+    reference, _ = _loop_observables(wat, "trap", "legacy")
+    observed, interp = _loop_observables(wat, "trap", "opt")
+    assert interp._tier2[0] is not None
+    assert observed == reference
 
 
 # ----------------------------------------------------------------------
