@@ -6,8 +6,9 @@ Measures the wall-clock cost of one ``bench`` invocation per workload
 
 * ``legacy`` — the pre-rewrite one-closure-per-op interpreter, kept
   verbatim as the honest baseline;
-* ``fused``  — the pre-decoded, superinstruction-fused fast path, with
-  loop handlers running whole call-free loop nests;
+* ``fused``  — the pre-decoded fast path: per-op closures, and loop
+  handlers running whole call-free loop nests
+  (``interpreter._gen_nest``);
 * ``opt``    — fused dispatch plus tier 2, which compiles each whole
   call-free function in its shape at its first call
   (``interpreter._gen_function``, NumPy batching from

@@ -23,49 +23,56 @@ through single precision.
 Execution tiers (``tier=``, one of :data:`TIERS`), the interpreter's
 only execution knob; all three have bit-identical observables:
 
-* ``legacy`` — the original one-closure-per-op build, unfused, kept
-  verbatim as the reference the cross-tier tests compare against and
-  the baseline ``benchmarks/interp_bench.py`` measures the fast path
+* ``legacy`` — the original one-closure-per-op build, kept verbatim
+  as the reference the cross-tier tests compare against and the
+  baseline ``benchmarks/interp_bench.py`` measures the fast path
   against on the same machine;
-* ``fused`` — pre-decoded handler table with superinstruction fusion
-  (:mod:`repro.runtime.predecode`), loop handlers and struct-based fast
-  memory closures;
+* ``fused`` — pre-decoded handler table of per-op closures, with
+  struct-based fast memory closures, and a loop handler for each
+  call-free loop nest (:mod:`repro.runtime.predecode`);
 * ``opt`` (the default) — ``fused`` plus tier 2, which compiles each
   whole call-free function at its first call (:func:`_gen_function`);
   a function outside its shape stays on ``fused`` dispatch.
 
-Generated code of every kind — fused regions, loop handlers and
-tier-2 functions — is compiled against the live instance: each Python
-object it uses (memory, operator functions, constants, count lists) is
-bound as it is when the code is generated (:func:`_build`).  One
+Generated code of both kinds — loop handlers and tier-2 functions —
+is compiled against the live instance: each Python object it uses
+(memory, operator functions, constants, count lists) is bound as it
+is when the code is generated (:func:`_build`).  One
 symbolic-stack translator (:class:`_Codegen`) translates every op, and
 one class (:class:`_UnitCompiler`) emits every *unit* of control flow
 around it.
 
 A *loop handler* (:func:`_gen_nest`), a nest unit, runs one outermost
 call-free loop nest, as :func:`repro.runtime.predecode.find_nests`
-finds them, from entry to exit in one dispatch instead of one per
-fused region per iteration: nested loops, ``if``/``else`` and branches
-to any label inside the nest included.  It keeps one counter per
-straight-line segment of the nest, computes values invariant over a
-loop once before that loop, and adds its counts, and the load and
-store totals they imply, in a ``finally``; a trap mid-nest leaves
-exactly the per-pc, load, store and page counts tier-1 dispatch
-leaves.  An innermost loop of a counted or search shape whose every
-access is a *stream* (an address affine in the loop variable) is
-*versioned*: one guard at loop entry checks every stream's first and
-last address, and behind it the loop runs with no bounds test, page
-touch or counter, its counts and pages added once after it.
+finds them, from entry to exit in one dispatch instead of one per op
+per iteration: nested loops, ``if``/``else`` and branches to any label
+inside the nest included.  It relies on what ``find_nests`` checks:
+with no call or ``memory.grow`` in the nest, nothing can observe the
+locals and stack values it keeps in Python names and memory cannot
+resize under it, and with every branch aimed at a label of its own,
+control enters it only at its head and leaves only past its end.  It
+keeps one counter per straight-line segment of the nest, computes
+values invariant over a loop once before that loop, and adds each
+segment's count to every pc the segment covers, and the load and store
+totals they imply, in a ``finally``.  Where an op may trap it records
+how far its segment got, so a trap mid-nest leaves exactly the per-pc,
+load, store and page counts tier-1 dispatch leaves.  An innermost
+loop of a counted or search shape whose every access is a *stream*
+(an address affine in the loop variable) is *versioned*: one guard at
+loop entry checks every stream's first and last address, and behind
+it the loop runs with no bounds test, page touch or counter, its
+counts and pages added once after it.
 
 A tier-2 function, a function unit, is generated the same way, by
 :class:`_FunctionCompiler`, and also carries proofs: intervals and
-affine forms on values, counted
-loops run as ``for`` loops with their counts added in bulk, every
-address proven in bounds under one entry guard, and NumPy batching of
-innermost loops (:mod:`repro.runtime.vectorize`).  It never traps and
-deopts, touching nothing, only at that guard.  Tier-1 code (closures,
-regions, loop handlers) is built the first time tier 1 runs a
-function, never for one that tier 2 runs from its first call.
+affine forms on values, counted loops run as ``for`` loops with their
+counts added in bulk, every address proven in bounds under one entry
+guard, and NumPy batching of innermost loops
+(:mod:`repro.runtime.vectorize`).  It never traps and deopts, touching
+nothing, only at that guard.  Tier-1 code (closures and loop handlers)
+is built the first time tier 1 runs a function, never for one that
+tier 2 runs from its first call.  Every unit counts each pc where it
+runs, so a profile is the count lists as they stand.
 """
 
 from __future__ import annotations
@@ -292,8 +299,6 @@ class Interpreter:
         self._plans: Dict[int, predecode.FunctionPlan] = (
             {} if tier == "legacy" else predecode.plans_for_module(module)
         )
-        #: absolute func index -> fusion regions applied to its code.
-        self._fused_regions: Dict[int, List[predecode.FusedRegion]] = {}
         self.instance = self._instantiate(imports or {}, track_pages)
         self._code_cache: Dict[int, List[Callable]] = {}
         self._counts: Dict[int, List[int]] = {}
@@ -421,16 +426,6 @@ class Interpreter:
         for func_index, raw_counts in self._counts.items():
             func = self.module.defined_func(func_index)
             counts = list(raw_counts)
-            # Under fused dispatch only a region's head pc is counted.
-            # Interior pcs execute exactly when the head does (they are
-            # never jump targets, and only the region's last op can
-            # trap — and an unfused trap still counts the trapping pc),
-            # so their exact counts are the head's count.
-            for region in self._fused_regions.get(func_index, ()):
-                head_count = counts[region.head]
-                if head_count:
-                    for tail_pc in region.tail_pcs:
-                        counts[tail_pc] = head_count
             profile.instr_counts[func_index] = counts
             for ins, count in zip(func.body, counts):
                 if count:
@@ -488,7 +483,7 @@ class Interpreter:
                 # the frame is untouched, run the whole call on tier 1.
             # Tier-1 code is built when tier 1 first runs the function,
             # so one that tier 2 runs from its first call never pays
-            # for closures, regions or loop handlers.
+            # for closures or loop handlers.
             code = self._code_cache.get(func_index)
             if code is None:
                 code = self._code_cache[func_index] = self._compile(
@@ -538,26 +533,15 @@ class Interpreter:
             ]
         plan = self._plans[func_index - self._num_imported]
         matches = plan.matches
-        memory = self.instance.memory
         code = [
             self._make_closure(pc, ins, matches, len(body), fast_mem=True)
             for pc, ins in enumerate(body)
         ]
-        applied: List[predecode.FusedRegion] = []
-        in_loops = set()
         for nest in plan.loops:
             code[nest.head] = _gen_nest(
-                nest, body, matches, memory, self._counts.get(func_index)
+                nest, body, matches, self.instance.memory,
+                self._counts.get(func_index),
             )
-            applied.extend(nest.regions)
-            in_loops.update(nest.regions)
-        for region in plan.regions:
-            if region in in_loops:
-                continue  # a loop handler runs it
-            code[region.head] = _gen_region(region, body, memory, len(body))
-            applied.append(region)
-        if applied:
-            self._fused_regions[func_index] = applied
         return code
 
     def _make_closure(self, pc, ins, matches, body_len, fast_mem=False):
@@ -1002,8 +986,9 @@ def _slow_store(memory: LinearMemory, addr: int, size: int, pack_into, value):
     pack_into(memory.data, effective, value)
 
 
-def _value_loader(memory: LinearMemory, op: str) -> Callable[[int], Any]:
-    """Return fn(effective_addr) -> value for one typed load op."""
+def _make_fast_load(op: str, offset: int, memory: LinearMemory, next_pc: int):
+    if memory is None:  # pragma: no cover - validation prevents this
+        raise LinkError(f"{op} with no memory")
     fmt, mask = _FAST_LOAD[op]
     packer = struct.Struct(fmt)
     size = packer.size
@@ -1012,23 +997,9 @@ def _value_loader(memory: LinearMemory, op: str) -> Callable[[int], Any]:
     touched = memory.touched_pages
     track = memory.track_pages
 
-    if mask is None:
-        def load(addr):
-            memory.load_count += 1
-            if addr + size <= len(data):
-                if track:
-                    first = addr >> 12
-                    last = (addr + size - 1) >> 12
-                    if first == last:
-                        touched.add(first)
-                    else:
-                        touched.update(range(first, last + 1))
-                return unpack_from(data, addr)[0]
-            return _slow_load(memory, addr, size, unpack_from)
-
-        return load
-
-    def load_signed(addr):
+    def run_fast_load(f):
+        stack = f.stack
+        addr = stack[-1] + offset
         memory.load_count += 1
         if addr + size <= len(data):
             if track:
@@ -1038,14 +1009,18 @@ def _value_loader(memory: LinearMemory, op: str) -> Callable[[int], Any]:
                     touched.add(first)
                 else:
                     touched.update(range(first, last + 1))
-            return unpack_from(data, addr)[0] & mask
-        return _slow_load(memory, addr, size, unpack_from) & mask
+            value = unpack_from(data, addr)[0]
+        else:
+            value = _slow_load(memory, addr, size, unpack_from)
+        stack[-1] = value if mask is None else value & mask
+        return next_pc
 
-    return load_signed
+    return run_fast_load
 
 
-def _value_storer(memory: LinearMemory, op: str) -> Callable[[int, Any], None]:
-    """Return fn(effective_addr, value) for one typed store op."""
+def _make_fast_store(op: str, offset: int, memory: LinearMemory, next_pc: int):
+    if memory is None:  # pragma: no cover - validation prevents this
+        raise LinkError(f"{op} with no memory")
     fmt, mask = _FAST_STORE[op]
     packer = struct.Struct(fmt)
     size = packer.size
@@ -1054,10 +1029,13 @@ def _value_storer(memory: LinearMemory, op: str) -> Callable[[int, Any], None]:
     touched = memory.touched_pages
     track = memory.track_pages
 
-    def store(addr, value):
-        memory.store_count += 1
+    def run_fast_store(f):
+        stack = f.stack
+        value = stack.pop()
         if mask is not None:
             value = value & mask
+        addr = stack.pop() + offset
+        memory.store_count += 1
         if addr + size <= len(data):
             if track:
                 first = addr >> 12
@@ -1067,34 +1045,8 @@ def _value_storer(memory: LinearMemory, op: str) -> Callable[[int, Any], None]:
                 else:
                     touched.update(range(first, last + 1))
             pack_into(data, addr, value)
-            return
-        _slow_store(memory, addr, size, pack_into, value)
-
-    return store
-
-
-def _make_fast_load(op: str, offset: int, memory: LinearMemory, next_pc: int):
-    if memory is None:  # pragma: no cover - validation prevents this
-        raise LinkError(f"{op} with no memory")
-    load = _value_loader(memory, op)
-
-    def run_fast_load(f):
-        stack = f.stack
-        stack[-1] = load(stack[-1] + offset)
-        return next_pc
-
-    return run_fast_load
-
-
-def _make_fast_store(op: str, offset: int, memory: LinearMemory, next_pc: int):
-    if memory is None:  # pragma: no cover - validation prevents this
-        raise LinkError(f"{op} with no memory")
-    store = _value_storer(memory, op)
-
-    def run_fast_store(f):
-        stack = f.stack
-        value = stack.pop()
-        store(stack.pop() + offset, value)
+        else:
+            _slow_store(memory, addr, size, pack_into, value)
         return next_pc
 
     return run_fast_store
@@ -1113,10 +1065,10 @@ def _const_value(ins: Instr) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Superinstruction, loop-handler and tier-2 code generator
+# Loop-handler and tier-2 code generator
 # ----------------------------------------------------------------------
-# Each fused region, loop handler and tier-2 function compiles to ONE
-# Python function via symbolic stack evaluation (:class:`_Codegen`):
+# Each loop handler and tier-2 function compiles to ONE Python
+# function via symbolic stack evaluation (:class:`_Codegen`):
 # walking the instructions with a compile-time stack of pure Python
 # expressions turns e.g. the 10-op PolyBench address chain
 # ``local.get;const;mul;local.get;add;const;mul;const;add;load`` into
@@ -1232,22 +1184,16 @@ class _Codegen:
     expressions, inlined into their one use; every op with an effect
     or a possible trap is emitted as a statement in program order, and
     writing a local first copies each stacked value that reads it, so
-    every statement sees the values the unfused interpreter would.
+    every statement sees the values tier-1 dispatch would.
     i32/i64 ``add``/``sub``/``mul``/``shl`` leave their wrap mask to
     the first consumer that needs a canonical value, and compares stay
     Python truth values until something needs their 0 or 1.
 
-    This class compiles a fused region (:func:`_gen_region`): one
-    straight-line dispatch unit whose only trap-capable op is its last.
-    Its code reads and writes locals through ``L = f.locals``, pops the
-    values pushed before it off ``S = f.stack`` and makes its memory
-    access through a fast memory closure.  :class:`_UnitCompiler` adds
-    control flow, loop-invariant hoisting, inline memory accesses and
+    Generated code names Wasm local ``i`` ``l{i}``.  This class
+    translates the ops; :class:`_UnitCompiler` adds control flow,
+    loop-invariant hoisting, memory accesses, trap sites and
     per-segment counting for loop handlers and tier-2 functions.
     """
-
-    #: How generated code names Wasm local ``i``.
-    local_name = "L[{}]"
 
     def __init__(self, memory: Optional[LinearMemory]) -> None:
         self.memory = memory
@@ -1257,7 +1203,6 @@ class _Codegen:
         self.indent = 0
         self.sym: List[_Val] = []
         self.temps = 0
-        self.underflows = 0
         self.hoists = 0
         #: enclosing Wasm loops, outermost first: (written locals, preheader)
         self.loops: List[Tuple[set, _Slot]] = []
@@ -1281,20 +1226,7 @@ class _Codegen:
         self.emit(f"{name} = {expr}")
         return name
 
-    def mark(self, pc: int, extra: int = 0) -> None:
-        """Where the op at ``pc`` may trap.  A region's only such op is
-        its last, so dispatch's counts already hold."""
-
     # -- values --------------------------------------------------------
-    def take(self) -> _Val:
-        """Pop the top value; a region may pop values pushed before it."""
-        if self.sym:
-            return self.sym.pop()
-        name = f"u{self.underflows}"
-        self.underflows += 1
-        self.emit(f"{name} = S.pop()")
-        return _Val(name, len(self.loops))
-
     def local(self, index: int) -> _Val:
         """Local ``index``, invariant over the loops that never write it."""
         level = len(self.loops)
@@ -1302,9 +1234,7 @@ class _Codegen:
             if index not in writes:
                 level = j
                 break
-        return _Val(
-            self.local_name.format(index), level, reads=frozenset((index,))
-        )
+        return _Val(f"l{index}", level, reads=frozenset((index,)))
 
     def constant(self, value: Any, ty: str) -> _Val:
         """A literal: integers as themselves, floats bound as they are
@@ -1432,8 +1362,8 @@ class _Codegen:
         op = ins.op
         sym = self.sym
         if op in _BINOPS:
-            rhs = sym.pop() if sym else self.take()
-            lhs = sym.pop() if sym else self.take()
+            rhs = sym.pop()
+            lhs = sym.pop()
             sym.append(self.binop(op, lhs, rhs, pc))
         elif op in predecode.CONST_NAMES:
             sym.append(self.constant(_const_value(ins), op[:3]))
@@ -1441,26 +1371,25 @@ class _Codegen:
             sym.append(self.local(ins.args[0]))
         elif op in ("local.set", "local.tee"):
             index = ins.args[0]
-            value = self.take()
+            value = sym.pop()
             self.materialize(index)
-            target = self.local_name.format(index)
-            self.emit(f"{target} = {self.use(self.canon(value))}")
+            self.emit(f"l{index} = {self.use(self.canon(value))}")
             self.wrote(index, value)
             if op == "local.tee":
                 sym.append(self.local(index))
         elif op == "drop":
-            self.take()
+            sym.pop()
         elif op == "select":
-            cond = self.test(self.take())
-            second = self.take()
-            first = self.take()
+            cond = self.test(sym.pop())
+            second = sym.pop()
+            first = sym.pop()
             sym.append(self.select(first, second, cond))
         elif op in predecode.LOAD_NAMES:
             self.load(ins, pc)
         elif op in predecode.STORE_NAMES:
             self.store(ins, pc)
         elif op in _UNOPS:
-            sym.append(self.unop(op, self.take(), pc))
+            sym.append(self.unop(op, sym.pop(), pc))
         else:
             raise NotImplementedError(f"no generated translation for {op}")
 
@@ -1580,23 +1509,6 @@ class _Codegen:
             )
         return addr
 
-    def load(self, ins: Instr, pc: int) -> None:
-        """A region's load: one call of the fast memory closure, which
-        counts it, touches its pages and takes the strategy's slow path
-        out of bounds, as tier-1 dispatch does."""
-        addr = self.use(self.address(self.take(), ins.args[1]))
-        loader = self.bind(_value_loader(self.memory, ins.op))
-        self.sym.append(_Val(self.temp(f"{loader}({addr})"), len(self.loops)))
-
-    def store(self, ins: Instr, pc: int) -> None:
-        """A region's store, like its load; the closure applies a
-        sub-width store's mask."""
-        value = self.use(self.canon(self.take()))
-        addr = self.use(self.address(self.take(), ins.args[1]))
-        storer = self.bind(_value_storer(self.memory, ins.op))
-        self.emit(f"{storer}({addr}, {value})")
-
-
 
 def _build(
     name: str, env: Dict[str, Any], lines: List[str], filename: str
@@ -1613,61 +1525,6 @@ def _build(
     namespace = dict(env)
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
-
-
-def _gen_region(
-    region, body: Sequence[Instr], memory: LinearMemory, body_len: int
-) -> Callable:
-    """Compile one fused region to a single handler function.
-
-    Real frame-stack traffic only happens when the region consumes
-    values pushed *before* it (inline ``S.pop()`` in exactly the order
-    the unfused interpreter would pop them) and when it pushes the
-    values it leaves, before it branches or falls through.
-    """
-    head = region.head
-    after = head + region.length
-    gen = _Codegen(memory)
-    gen.env["_branch"] = _branch
-
-    def flush() -> None:
-        values = [gen.use(gen.canon(val)) for val in gen.sym]
-        if len(values) == 1:
-            gen.emit(f"S.append({values[0]})")
-        elif values:
-            gen.emit(f"S.extend(({', '.join(values)}))")
-        gen.sym.clear()
-
-    start = head
-    if body[head].op == "loop":
-        # The loop label must be live before anything else runs; ops
-        # inside the loop cannot pop below it, so no underflow precedes.
-        gen.emit(f"f.labels.append(({head}, len(S), 0))")
-        start += 1
-    exit_ = f"return {after}"
-    for pc in range(start, after):
-        ins = body[pc]
-        op = ins.op
-        if op == "br_if":
-            cond = gen.truth(gen.take())
-            flush()
-            gen.emit(f"if {cond}:")
-            gen.emit(f"return _branch(f, {ins.args[0]})", 1)
-        elif op == "br":
-            exit_ = f"return _branch(f, {ins.args[0]})"
-        elif op == "return":
-            exit_ = f"return {body_len}"
-        else:
-            gen.translate(ins, pc)
-    flush()
-    gen.emit(exit_)
-    return _build(
-        "_fused",
-        gen.env,
-        ["L = f.locals", "S = f.stack"]
-        + ["    " * indent + stmt for indent, stmt in gen.lines],
-        f"<fused:{head}+{region.length}>",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1738,7 +1595,7 @@ class _Segment:
     by its trip count once)."""
 
     index: int
-    units: List[int] = field(default_factory=list)
+    pcs: List[int] = field(default_factory=list)
     loads: int = 0
     stores: int = 0
     bump: str = "1"
@@ -2028,15 +1885,11 @@ class _UnitCompiler(_Codegen):
     """Generates one unit; see the comment above.  This class compiles a
     nest unit, the loop handler of a ``predecode.LoopNest``;
     :class:`_FunctionCompiler` extends it to a tier-2 function unit.
-    ``interior`` holds the pcs tier-1 dispatch runs inside a fused
-    region, never on their own, and ``targeted`` the opener pcs of the
-    constructs some branch targets."""
-
-    local_name = "l{}"
+    ``targeted`` holds the opener pcs of the constructs some branch
+    targets."""
 
     def __init__(
         self, body: Sequence[Instr], matches, memory, counts, head: int, end: int,
-        interior: AbstractSet[int] = frozenset(),
         targeted: AbstractSet[int] = frozenset(),
     ) -> None:
         super().__init__(memory)
@@ -2044,7 +1897,7 @@ class _UnitCompiler(_Codegen):
         self.matches = matches
         self.counts = counts
         self.head, self.end = head, end
-        self.interior, self.targeted = interior, targeted
+        self.targeted = targeted
         # One pass over the unit, a whole function for tier 2.
         used: set = set()
         written: set = set()
@@ -2079,7 +1932,8 @@ class _UnitCompiler(_Codegen):
         self.segments: List[_Segment] = []
         self.seg: Optional[_Segment] = None
         self.reachable = True
-        #: trap sites: (pc, segment, units, loads, stores counted so far)
+        #: trap sites: (pc, segment, and how many pcs, loads and stores
+        #: the segment had counted there)
         self.sites: List[Tuple[int, _Segment, int, int, int]] = []
         self.accesses = False
         #: while a versioned loop is emitted: access pc -> its stream
@@ -2099,20 +1953,18 @@ class _UnitCompiler(_Codegen):
         self.indent -= 1
 
     def count(self, pc: int) -> None:
-        """Count the tier-1 dispatch unit at ``pc``, if one starts there."""
-        if pc in self.interior:
-            return
+        """Count the op at ``pc`` with the current segment."""
         if self.seg is None:
             self.seg = _Segment(len(self.segments))
             self.segments.append(self.seg)
             self.lines.append((self.indent, self.seg))
-        self.seg.units.append(pc)
+        self.seg.pcs.append(pc)
 
     def mark(self, pc: int, extra: int = 0) -> None:
         """Record how far the current segment got where ``pc`` may trap."""
         self.lines.append((self.indent + extra, pc))
         seg = self.seg
-        self.sites.append((pc, seg, len(seg.units), seg.loads, seg.stores))
+        self.sites.append((pc, seg, len(seg.pcs), seg.loads, seg.stores))
 
     def touch(self, a: str, size: int, align: int, extra: int) -> None:
         """Add the 4 KiB pages of the ``size``-byte access at ``a`` to the
@@ -2141,7 +1993,7 @@ class _UnitCompiler(_Codegen):
 
     def load(self, ins: Instr, pc: int) -> None:
         """A load inlined against ``n``, counted by its segment."""
-        addr = self.named(self.address(self.take(), ins.args[1]), pc)
+        addr = self.named(self.address(self.sym.pop(), ins.args[1]), pc)
         fmt, mask = _FAST_LOAD[ins.op]
         packer = struct.Struct(fmt)
         unpack = self.bind(packer.unpack_from)
@@ -2159,8 +2011,8 @@ class _UnitCompiler(_Codegen):
 
     def store(self, ins: Instr, pc: int) -> None:
         """A store inlined like a load."""
-        stored = self.stored(self.take(), ins.op)
-        addr = self.named(self.address(self.take(), ins.args[1]), pc)
+        stored = self.stored(self.sym.pop(), ins.op)
+        addr = self.named(self.address(self.sym.pop(), ins.args[1]), pc)
         packer = struct.Struct(_FAST_STORE[ins.op][0])
         pack = self.bind(packer.pack_into)
         self.seg.stores += 1
@@ -2290,7 +2142,7 @@ class _UnitCompiler(_Codegen):
     def open_if(self, pc: int, resume: Optional[_Segment] = None) -> None:
         """Open the ``if`` at ``pc``, already counted; the code after its
         ``end`` continues ``resume``, or a new segment when None."""
-        cond = self.truth(self.take())
+        cond = self.truth(self.sym.pop())
         self.materialize()
         construct = _Construct("if", self.matches[pc][0], len(self.sym), resume=resume)
         if pc in self.targeted:
@@ -2470,7 +2322,7 @@ class _UnitCompiler(_Codegen):
                 )
             self.count(p)
             if p == plan.exit:
-                self.emit(f"if {self.truth(self.take())}:")
+                self.emit(f"if {self.truth(self.sym.pop())}:")
                 self.emit("break", 1)
                 self.seg = None
             elif body[p].op != "nop":
@@ -2598,7 +2450,7 @@ class _UnitCompiler(_Codegen):
                 self.reachable = False
             elif op == "br_if":
                 self.count(pc)
-                self.emit(f"if {self.truth(self.take())}:")
+                self.emit(f"if {self.truth(self.sym.pop())}:")
                 self.push()
                 self.branch(ins.args[0])
                 self.pop()
@@ -2632,9 +2484,16 @@ class _UnitCompiler(_Codegen):
             body.append("    " * indent + line)
         return body
 
-    def totals(self, live: List[_Segment]) -> List[str]:
-        """Add the loads and stores the segments ``live`` counted."""
+    def flush(self, live: List[_Segment]) -> List[str]:
+        """Add what the segments ``live`` counted to the count of each pc
+        they cover and to the load and store totals."""
         flush = []
+        if self.counts is not None:
+            self.env["counts"] = self.counts
+            flush += [
+                f"for _pc in {self.bind(tuple(seg.pcs))}: counts[_pc] += c{seg.index}"
+                for seg in live
+            ]
         for attr, key in (("load_count", "loads"), ("store_count", "stores")):
             terms = [
                 f"c{seg.index}" + (f" * {getattr(seg, key)}" if getattr(seg, key) > 1 else "")
@@ -2650,11 +2509,11 @@ class _UnitCompiler(_Codegen):
         counts = self.counts
         fixes = {
             pc: (
-                tuple(seg.units[units:]) if counts is not None else (),
+                tuple(seg.pcs[done:]) if counts is not None else (),
                 seg.loads - loads,
                 seg.stores - stores,
             )
-            for pc, seg, units, loads, stores in self.sites
+            for pc, seg, done, loads, stores in self.sites
         }
         marked = any(pcs or loads or stores for pcs, loads, stores in fixes.values())
         body = self.render(marked)
@@ -2674,13 +2533,7 @@ class _UnitCompiler(_Codegen):
             prologue.append("go = 0")
         prologue += [f"{name} = {expr}" for expr, name in self.prologue.names.items()]
 
-        flush: List[str] = []
-        if counts is not None:
-            self.env["counts"] = counts
-            flush += [
-                f"counts[{pc}] += c{seg.index}" for seg in live for pc in seg.units
-            ]
-        flush += self.totals(live)
+        flush = self.flush(live)
         # A view left alive would keep memory.grow from resizing ``data``.
         flush += [f"{view}.release()" for view in views]
         if flush:
@@ -2898,7 +2751,7 @@ class _FunctionCompiler(_UnitCompiler):
         segment."""
         fmt, mask = _FAST_LOAD[ins.op]
         packer = struct.Struct(fmt)
-        addr = self.take()
+        addr = self.sym.pop()
         where, _ = self.proven_access(addr, ins.args[1], packer.size, "load", ins.op)
         unpack = self.bind(packer.unpack_from)
         masked = f" & {mask}" if mask is not None else ""
@@ -2911,11 +2764,11 @@ class _FunctionCompiler(_UnitCompiler):
 
     def store(self, ins: Instr, pc: int) -> None:
         """A store proven like a load."""
-        value = self.take()
+        value = self.sym.pop()
         stored = self.stored(value, ins.op)
         packer = struct.Struct(_FAST_STORE[ins.op][0])
         where, stream = self.proven_access(
-            self.take(), ins.args[1], packer.size, "store", ins.op
+            self.sym.pop(), ins.args[1], packer.size, "store", ins.op
         )
         self.emit(f"{self.bind(packer.pack_into)}(data, {where}, {stored})")
         self.seg.stores += 1
@@ -3083,7 +2936,7 @@ class _FunctionCompiler(_UnitCompiler):
         if outer is not None:
             outer.batchable = False
         loop = self.loop = _Counted(var, trips, step, assigned)
-        seg = self.seg = _Segment(len(self.segments), units=list(tests), bump=trips)
+        seg = self.seg = _Segment(len(self.segments), pcs=list(tests), bump=trips)
         self.segments.append(seg)
         self.lines.append((self.indent, seg))
         slot = _Slot(self.indent)
@@ -3095,7 +2948,7 @@ class _FunctionCompiler(_UnitCompiler):
         self.indent -= 1
         if self.sym:
             raise _Bailout("loop body leaves values on the stack")
-        seg.units.extend(range(step_pc, tail))
+        seg.pcs.extend(range(step_pc, tail))
         scalar = self.lines[mark:]
         del self.lines[mark:]
         self.loops.pop()
@@ -3167,12 +3020,7 @@ class _FunctionCompiler(_UnitCompiler):
         if live:
             lines.append(" = ".join(f"c{seg.index}" for seg in live) + " = 0")
         lines += self.render(False)
-        if self.counts is not None:
-            self.env["counts"] = self.counts
-            for seg in live:
-                pcs = self.bind(tuple(seg.units))
-                lines.append(f"for _pc in {pcs}: counts[_pc] += c{seg.index}")
-        lines += self.totals(live)
+        lines += self.flush(live)
         if results:
             lines += ["S = f.stack"] + [f"S.append({value})" for value in results]
         lines.append("return -1")
@@ -3202,10 +3050,10 @@ def _gen_nest(
     """Compile one ``predecode.LoopNest`` to its loop handler.
 
     Installed at the nest's ``block`` pc, the handler runs the whole
-    nest and returns the pc after its ``end``.  It counts every pc
-    tier-1 dispatch would count, per segment, and adds the counts to
-    ``counts`` (None when not profiling) and to the memory's load and
-    store totals in a ``finally``.  A trap records how far its segment
+    nest and returns the pc after its ``end``.  It counts every pc it
+    runs but the ``block``, which dispatch counts, per segment, and adds
+    the counts to ``counts`` (None when not profiling) and to the
+    memory's load and store totals in a ``finally``.  A trap records how far its segment
     got only where one can happen, on a slow-path access or before a
     ``div``/``rem``/``trunc``, and an ``except`` takes back what the
     segment counted past it: the handler leaves exactly the counts,
@@ -3213,7 +3061,6 @@ def _gen_nest(
     """
     return _UnitCompiler(
         body, matches, memory, counts, nest.head, nest.end,
-        interior={pc for region in nest.regions for pc in region.tail_pcs},
         targeted=_branch_targets(body, nest.head, nest.end),
     ).nest_handler()
 

@@ -6,10 +6,6 @@ execution starts:
 
 * ``matches`` — the block/loop/if → end/else resolution
   (:func:`match_control`, which the ``legacy`` tier calls directly);
-* ``targets`` — every pc that can be entered non-sequentially (branch
-  landing sites); fusion must never swallow one of these;
-* ``regions`` — the superinstruction schedule: non-overlapping runs of
-  instructions that one fused handler executes in a single dispatch;
 * ``loops`` — the outermost call-free loop nests (:func:`find_nests`),
   each of which one *loop handler* runs from entry to exit in a single
   dispatch.
@@ -24,22 +20,23 @@ Measurement cache keys embed it, and ``leaps-bench diffcheck --json``
 embeds it so an equivalence report is attributable to an exact
 interpreter build.
 
-Fusion safety rules (checked structurally here, relied on by the
-interpreter's handlers):
+What a loop handler relies on (checked structurally here):
 
-1. no interior pc of a region is a jump target;
-2. only the *last* instruction of a region may trap — so the
-   per-pc execution counts of the interior pcs always equal the head
-   pc's count and can be reconstructed exactly at profile time;
-3. regions contain no calls, so no reentrancy can observe the
-   (elided) transient stack states.
+1. a nest holds no call, ``call_indirect``, ``br_table``, ``return`` or
+   ``memory.grow``, so no reentrancy can observe its locals or the
+   operand stack it keeps in Python expressions, and linear memory
+   cannot resize while its handler runs;
+2. every branch in it targets a label opened at or inside its own
+   ``block``, so control enters the nest only at its head and leaves
+   it only past its ``end``;
+3. its constructs carry no results, and it is at most
+   :data:`MAX_NEST_DEPTH` labels deep, so each maps onto Python control
+   flow inside one function.
 
-A loop handler keeps these rules: it counts each region (and each
-unfused pc) of the nest exactly as often as tier-1 dispatch would, so
-the same reconstruction applies to it.  A nest holds no call,
-``call_indirect``, ``br_table``, ``return`` or ``memory.grow``, so no
-reentrancy can observe its locals and linear memory cannot resize
-while its handler runs.
+Within these rules every pc of a nest is counted as often as tier-1
+dispatch would run it (its ``block`` by dispatch, the rest by the
+handler), and where an op may trap the handler records how far its
+straight-line segment got, so a trap leaves tier-1's exact counts.
 """
 
 from __future__ import annotations
@@ -68,7 +65,7 @@ TRAPPING_BINOPS = frozenset(
     name for name in BINOP_NAMES if ".div_" in name or ".rem_" in name
 )
 
-#: Binary operators guaranteed not to trap (safe mid-region).
+#: Binary operators guaranteed not to trap.
 NONTRAP_BINOPS = BINOP_NAMES - TRAPPING_BINOPS
 
 #: Two-operand comparisons (always produce i32, never trap).
@@ -88,7 +85,7 @@ UNOP_NAMES = frozenset(
 #: Unary operators that can raise a Trap (float->int truncations).
 TRAPPING_UNOPS = frozenset(name for name in UNOP_NAMES if ".trunc_f" in name)
 
-#: Unary operators guaranteed not to trap (safe mid-region).
+#: Unary operators guaranteed not to trap.
 NONTRAP_UNOPS = UNOP_NAMES - TRAPPING_UNOPS
 
 CONST_NAMES = frozenset(("i32.const", "i64.const", "f32.const", "f64.const"))
@@ -101,23 +98,8 @@ STORE_NAMES = frozenset(
 
 
 # ----------------------------------------------------------------------
-# Superinstruction regions
+# Loop nests
 # ----------------------------------------------------------------------
-# A fusable region is a maximal straight-line run of *pure stack ops*
-# (locals, constants, non-trapping numerics, drop/select), optionally
-# headed by a ``loop`` (its label push is part of the superinstruction)
-# and optionally closed by exactly one *terminator*: a memory access,
-# a trapping numeric op, or a branch (br / br_if / return).  Keeping
-# every trap- or exit-capable op at the very end is what makes the
-# per-pc count reconstruction in ``take_profile`` exact.
-#
-# The interpreter compiles each region to one Python function via
-# symbolic stack evaluation (see ``interpreter._gen_region``), so a
-# whole PolyBench inner-loop statement collapses into a single
-# dispatch.  A loop nest of the shape :func:`find_nests` accepts goes
-# one step further: ``interpreter._gen_nest`` runs all of it, every
-# region and inner loop included, in a single dispatch.
-
 #: Pure ops: no traps, no control transfer, no memory side effects.
 SAFE_OPS = (
     frozenset(
@@ -134,31 +116,9 @@ SAFE_OPS = (
     | NONTRAP_UNOPS
 )
 
-#: Ops that may end a region (trap-capable or control-exiting).
-TERMINATOR_OPS = (
-    LOAD_NAMES
-    | STORE_NAMES
-    | TRAPPING_BINOPS
-    | TRAPPING_UNOPS
-    | frozenset(("br", "br_if", "return"))
-)
-
-
-@dataclass(frozen=True)
-class FusedRegion:
-    """One superinstruction: ``length`` body pcs starting at ``head``."""
-
-    head: int
-    length: int
-
-    @property
-    def tail_pcs(self) -> range:
-        return range(self.head + 1, self.head + self.length)
-
-
 #: Ops a loop nest may hold besides ``nop``, structured control without
-#: results and branches to its own labels: everything a fused region
-#: may hold except branches.
+#: results and branches to its own labels: pure ops, memory accesses
+#: and the numeric ops that may trap.
 LOOP_BODY_OPS = (
     SAFE_OPS | LOAD_NAMES | STORE_NAMES | TRAPPING_BINOPS | TRAPPING_UNOPS
 )
@@ -175,14 +135,11 @@ class LoopNest:
     """One call-free loop nest that a single loop handler runs.
 
     ``head`` is the ``block`` pc and ``head + 1`` its ``loop``; ``end``
-    is the block's ``end`` and ``end - 1`` the loop's.  ``regions`` are
-    the fusion regions inside; each of them, and each pc between
-    ``head`` and ``end`` outside them, is one tier-1 dispatch unit.
+    is the block's ``end`` and ``end - 1`` the loop's.
     """
 
     head: int
     end: int
-    regions: Tuple[FusedRegion, ...]
 
 
 @dataclass
@@ -191,10 +148,6 @@ class FunctionPlan:
 
     #: opener pc -> (end_pc, else_pc); else pc -> end_pc.
     matches: Dict[int, Any] = field(default_factory=dict)
-    #: pcs reachable non-sequentially (branch landing sites).
-    targets: frozenset = frozenset()
-    #: non-overlapping fusion regions, ordered by head pc.
-    regions: List[FusedRegion] = field(default_factory=list)
     #: outermost loop nests a loop handler runs, ordered by head pc.
     loops: List[LoopNest] = field(default_factory=list)
 
@@ -219,66 +172,6 @@ def match_control(body: Sequence[Instr]) -> Dict[int, Any]:
             if else_pc is not None:
                 matches[else_pc] = pc
     return matches
-
-
-def jump_targets(body: Sequence[Instr], matches: Dict[int, Any]) -> frozenset:
-    """Every pc execution can reach other than by falling through.
-
-    Conservative superset: for each structured opener this includes the
-    end, the slot after the end, the loop header itself and both else
-    landing sites — cheap to compute and safe for fusion (a region may
-    *start* at a target, never contain one).
-    """
-    targets = set()
-    for pc, ins in enumerate(body):
-        op = ins.op
-        if op in ("block", "loop", "if"):
-            end_pc, else_pc = matches[pc]
-            targets.add(end_pc)
-            targets.add(end_pc + 1)
-            if op == "loop":
-                targets.add(pc)
-            if else_pc is not None:
-                targets.add(else_pc)
-                targets.add(else_pc + 1)
-    return frozenset(targets)
-
-
-def find_regions(
-    body: Sequence[Instr], targets: frozenset
-) -> List[FusedRegion]:
-    """Maximal-straight-line superinstruction schedule for one body.
-
-    Scans left to right; at each pc tries to grow the longest run of
-    SAFE_OPS (optionally loop-headed, optionally terminator-closed)
-    whose interior never lands on a jump target.  Runs shorter than
-    two instructions gain nothing and are left unfused.
-    """
-    regions: List[FusedRegion] = []
-    ops = [ins.op for ins in body]
-    n = len(ops)
-    pc = 0
-    while pc < n:
-        i = pc
-        if ops[i] == "loop":
-            i += 1
-        while i < n and ops[i] in SAFE_OPS and (i == pc or i not in targets):
-            i += 1
-        if (
-            i < n
-            and i > pc
-            and i not in targets
-            and ops[i] in TERMINATOR_OPS
-        ):
-            i += 1
-        if ops[pc] == "loop" and i == pc + 1:
-            i = pc  # a bare loop opener fuses with nothing
-        if i - pc >= 2:
-            regions.append(FusedRegion(pc, i - pc))
-            pc = i
-        else:
-            pc += 1
-    return regions
 
 
 def _nest_end(body: Sequence[Instr], matches: Dict[int, Any], pc: int) -> Optional[int]:
@@ -319,11 +212,7 @@ def _nest_end(body: Sequence[Instr], matches: Dict[int, Any], pc: int) -> Option
     return end
 
 
-def find_nests(
-    body: Sequence[Instr],
-    matches: Dict[int, Any],
-    regions: Sequence[FusedRegion],
-) -> List[LoopNest]:
+def find_nests(body: Sequence[Instr], matches: Dict[int, Any]) -> List[LoopNest]:
     """Every outermost loop nest a loop handler runs (see :func:`_nest_end`).
 
     A ``block`` + ``loop`` pair outside the shape stays on tier-1
@@ -336,8 +225,7 @@ def find_nests(
         if end is None:
             pc += 1
             continue
-        inner = tuple(r for r in regions if pc < r.head < end)
-        nests.append(LoopNest(pc, end, inner))
+        nests.append(LoopNest(pc, end))
         pc = end + 1
     return nests
 
@@ -345,12 +233,7 @@ def find_nests(
 def plan_function(body: Sequence[Instr]) -> FunctionPlan:
     """Pre-decode one function body."""
     matches = match_control(body)
-    targets = jump_targets(body, matches)
-    regions = find_regions(body, targets)
-    loops = find_nests(body, matches, regions)
-    return FunctionPlan(
-        matches=matches, targets=targets, regions=regions, loops=loops
-    )
+    return FunctionPlan(matches=matches, loops=find_nests(body, matches))
 
 
 def plans_for_module(module) -> Dict[int, FunctionPlan]:

@@ -4,9 +4,9 @@ Each ``tests/corpus/*.wat`` fixture is a small program targeting one
 semantic corner (wrap-around arithmetic, NaN bit patterns, memarg edge
 offsets, br_table, bulk memory ops, …).  The harness runs every
 exported function under all three tiers — ``legacy`` (the pre-rewrite
-per-op closures, unfused), ``fused`` (fast memory paths and
-superinstruction codegen) and ``opt`` (tier-2 whole-function codegen)
-— and requires *bit-identical observables*: results (floats compared
+per-op closures), ``fused`` (per-op closures with fast memory paths,
+and loop handlers) and ``opt`` (tier-2 whole-function codegen) — and
+requires *bit-identical observables*: results (floats compared
 by bit pattern), trap kinds, per-pc execution counts, opcode totals,
 load/store counts and touched-page sets.
 
@@ -24,6 +24,7 @@ from repro.runtime.interpreter import Interpreter
 from repro.wasm import decode_module, encode_module, validate_module
 from repro.wasm.errors import Trap
 from repro.wasm.wat_parser import parse_wat
+from tests.test_tiering import _loop_handlers
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.wat"))
@@ -115,16 +116,27 @@ def test_tier2_compiles_some_of_the_corpus():
     assert installed > 0, "tier-2 installed zero handlers across the corpus"
 
 
+#: Corpus programs that run on per-op dispatch alone: no function tier
+#: 2 takes and no loop nest a loop handler runs.
+PER_OP_ONLY = frozenset((
+    "block_br", "br_table", "bulk_copy", "bulk_fill", "globals", "mem_grow",
+    "recursion",
+))
+
+
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_fusion_actually_applies(path):
-    """The corpus must exercise the fused path, not just fall back."""
+    """The corpus must exercise generated code, not just fall back:
+    under ``opt`` each program runs a tier-2 function or a loop handler,
+    except exactly those in :data:`PER_OP_ONLY`."""
+    assert PER_OP_ONLY <= {p.stem for p in CORPUS}
     module = parse_wat(path.read_text())
-    interp = Interpreter(module, tier="fused")
+    interp = Interpreter(module, tier="opt")
     for export in module.exports:
         if export.kind == "func":
             try:
                 interp.invoke(export.name)
             except Trap:
                 pass
-    total_regions = sum(len(r) for r in interp._fused_regions.values())
-    assert total_regions > 0, f"{path.name} compiled zero fused regions"
+    generated = any(interp._tier2.values()) or bool(_loop_handlers(interp))
+    assert generated == (path.stem not in PER_OP_ONLY), path.stem

@@ -159,14 +159,14 @@ class TestF32Canonicalisation:
 
 
 class TestFusionEquivalence:
-    """Superinstruction fusion and tier-2 are unobservable except in speed.
+    """Loop handlers and tier 2 are unobservable except in speed.
 
     For generated programs (the diffcheck fuzzer's genomes, so
     shrinking happens on the seed), every execution tier must produce
     bit-identical return values, memory load/store counts, touched-page
     sets and per-pc profiles.  Each tier is pinned explicitly, and a
-    fused-codegen or tier-2 failure propagates as a hard failure, so a
-    property violation here cannot hide behind the ``legacy`` path.
+    loop-handler or tier-2 codegen failure propagates as a hard failure,
+    so a property violation here cannot hide behind the ``legacy`` path.
     """
 
     @staticmethod

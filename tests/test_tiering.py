@@ -2,7 +2,7 @@
 
 Covers tier selection and its validation, tier-up at each function's
 first call, bit-identical observables between the tiers (outputs,
-memory counters, touched pages, reconstructed per-pc profiles) on
+memory counters, touched pages, per-pc profiles) on
 every registered workload and on float constants whose bits no
 literal spells, the entry-guard deopt path, loop-nest handlers (traps
 mid-nest, branches across loops, if/else arms, each op's translation,
@@ -11,9 +11,8 @@ limit, and workload nests that run on one handler), versioned inner
 loops (both sides of their guard, shapes, strides, wraps, zero steps),
 f32 overflow to infinity, what tier 2 knows of a local (batched streams
 told apart by the local's version, constants held in locals), the
-lazy tier-1 build, and that a codegen
-failure in tier 2, a fused region or a loop handler propagates instead
-of falling back.
+lazy tier-1 build, and that a codegen failure in tier 2 or a loop
+handler propagates instead of falling back.
 """
 
 import hashlib
@@ -227,13 +226,6 @@ def _fail_loop_codegen(monkeypatch):
     monkeypatch.setattr(interpreter, "_gen_nest", boom)
 
 
-def _fail_fused_codegen(monkeypatch):
-    def boom(region, body, memory, body_len):
-        raise RuntimeError("injected fused codegen failure")
-
-    monkeypatch.setattr(interpreter, "_gen_region", boom)
-
-
 def _loop_handlers(interp):
     """(function, block pc) of every installed loop handler."""
     return {
@@ -247,7 +239,6 @@ def _loop_handlers(interp):
 #: codegen point -> (injection, tier that reaches it).
 CODEGEN = {
     "tier2": (_fail_tier2_codegen, "opt"),
-    "fused": (_fail_fused_codegen, "fused"),
     "loop": (_fail_loop_codegen, "fused"),
 }
 
@@ -683,8 +674,9 @@ NEST_SWAP_WAT = """
     i32.add))
 """
 
-#: The same swap in straight-line code: one fused region.
-REGION_SWAP_WAT = """
+#: The same swap in straight-line code, which only tier 2 generates
+#: code for.
+STRAIGHT_SWAP_WAT = """
 (module
   (func (export "run") (param i32) (param i32) (result i32)
     local.get 0
@@ -963,12 +955,12 @@ class TestNestHandlers:
         assert outcome == ("value", acc)
 
     @pytest.mark.parametrize("tier", ["fused", "opt"])
-    def test_swap_in_a_fused_region(self, tier):
-        module = parse_wat(REGION_SWAP_WAT)
+    def test_swap_in_straight_line_code(self, tier):
+        module = parse_wat(STRAIGHT_SWAP_WAT)
         interp = Interpreter(module, tier=tier)
         assert interp.invoke("run", 7, 9) == 9007
         assert interp.take_profile("x", "y").instr_counts == (
-            _loop_observables(REGION_SWAP_WAT, "trap", "legacy", 7, 9)[0][
+            _loop_observables(STRAIGHT_SWAP_WAT, "trap", "legacy", 7, 9)[0][
                 "instr_counts"
             ]
         )
@@ -1077,16 +1069,19 @@ class TestNestOpTranslation:
             assert observed == _outcomes(module, "legacy", operands)[0], const
 
 
-def _region_store_module(op, store):
+def _nest_store_module(op, store):
     """``run(a, b)`` stores ``op(a, b)`` (its wrap mask still pending in
-    generated code) at address 8 with ``store``, in one straight-line
-    fused region, and returns the 8 bytes there as an i64."""
+    generated code) at address 8 with ``store``, in a one-pass loop
+    nest, and returns the 8 bytes there as an i64."""
     ty = ValType(op[:3])
     mb = ModuleBuilder()
     mb.add_memory(1)
     fb = mb.func("run", params=(ty, ty), results=(ValType.I64,), export=True)
-    fb.emit("i32.const", 8).emit("local.get", 0).emit("local.get", 1)
-    fb.emit(op).emit(store, 0, 0)
+    with fb.block() as done:
+        with fb.loop():
+            fb.emit("i32.const", 8).emit("local.get", 0).emit("local.get", 1)
+            fb.emit(op).emit(store, 0, 0)
+            fb.br(done)
     fb.emit("i32.const", 8).emit("i64.load", 0, 0)
     module = decode_module(encode_module(mb.build()))
     validate_module(module)
@@ -1094,8 +1089,8 @@ def _region_store_module(op, store):
 
 
 class TestRegionStores:
-    """A fused region stores the canonical value of an op whose wrap
-    mask generated code leaves pending."""
+    """A loop handler stores the canonical value of an op whose wrap
+    mask its straight-line code leaves pending."""
 
     @pytest.mark.parametrize("op,store", [
         (op, store)
@@ -1105,9 +1100,9 @@ class TestRegionStores:
     ])
     def test_matches_legacy(self, op, store):
         operands = _BOUNDARIES[op[:3]]
-        module = _region_store_module(op, store)
+        module = _nest_store_module(op, store)
         observed, interp = _outcomes(module, "fused", operands)
-        assert interp._fused_regions
+        assert _loop_handlers(interp)
         assert observed == _outcomes(module, "legacy", operands)[0]
 
 

@@ -8,8 +8,9 @@ Four layers under one marker (``-m wasi``):
   rejected clock read must not tick, a zero-length ``random_get`` must
   not advance the xorshift stream);
 * cross-tier bit-identity: every WASI workload produces identical
-  checked arrays, identical captured stdout, and an identical syscall
-  census under all three interpreter tiers;
+  checked arrays, identical stdout bytes, and an identical syscall
+  census under all three interpreter tiers, and wasi-grep writes the
+  stdout its reference predicts;
 * end-to-end accounting: a traced WASI benchmark reconciles
   float-exactly against its ``RunMeasurement`` and yields non-empty
   per-syscall latency histograms.
@@ -24,6 +25,7 @@ from repro.oskernel.fdtable import FdTable
 from repro.oskernel.syscalls import SyscallCostModel, SyscallCosts, _SERVICE
 from repro.runtime import Interpreter
 from repro.runtime.hostiface import payload_bucket
+from repro.runtime.interpreter import TIERS
 from repro.runtime.wasi import (
     ERRNO_INVAL,
     ERRNO_SUCCESS,
@@ -42,10 +44,9 @@ from repro.trace.tracer import tracing
 from repro.wasm import ModuleBuilder
 from repro.workloads import WASI
 from repro.workloads.base import instantiate, read_array
+from repro.workloads.wasi import filters
 
 pytestmark = pytest.mark.wasi
-
-TIERS = ("legacy", "fused", "opt")
 
 
 def bound_env(**kwargs):
@@ -318,13 +319,25 @@ class TestCrossTierIdentity:
                     name: read_array(interp, built.arrays[name]).tobytes()
                     for name in entry.check_arrays
                 },
-                env.stdout(),
+                env.fdtable.output(1),
                 env.recorder.snapshot(),
             )
         baseline = observed[TIERS[0]]
         assert baseline[2], "workload made no recorded syscalls"
         for tier in TIERS[1:]:
             assert observed[tier] == baseline, tier
+
+    @pytest.mark.parametrize("size", ["mini", "small"])
+    def test_grep_stdout_bytes_match_reference(self, size):
+        """Compared as bytes: at ``small`` the counts hold byte 0xa0,
+        which a text decode would replace."""
+        built = next(w for w in WASI if w.name == "wasi-grep").build(size)
+        interp, env = instantiate(
+            built.module, built.env_factory,
+            collect_profile=False, track_pages=False,
+        )
+        interp.invoke("bench")
+        assert env.fdtable.output(1) == filters.grep_expected_stdout(size)
 
 
 # ----------------------------------------------------------------------
